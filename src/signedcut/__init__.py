@@ -54,11 +54,8 @@ from .eigen import (
     Spectrum,
     dense_spectrum,
     dense_spectrum_deflated,
-    eigenvector_condition_number,
     estimate_largest_eigenvalue,
     lobpcg_smallest,
-    spectral_gap,
-    trivial_index,
 )
 from .partition import (
     CLUSTERED_GAP_FRACTION,
@@ -70,6 +67,7 @@ from .partition import (
     cut_metrics,
     fiedler,
     partition_json,
+    select_fiedler,
 )
 from .generators import (
     DEFAULT_SPECIAL_EDGE,

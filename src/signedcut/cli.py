@@ -49,7 +49,16 @@ from .generators import (
 from .graph import SignedGraph, nullify_negative
 from .io import load_graph, save_graph
 from .laplacian import LaplacianKind, laplacian
-from .partition import Partition, bisect, confidence, cut_metrics, fiedler, partition_json
+from .partition import (
+    FiedlerResult,
+    Partition,
+    bisect,
+    confidence,
+    cut_metrics,
+    fiedler,
+    partition_json,
+    select_fiedler,
+)
 
 DEMO_NAMES = (
     "string-modes",
@@ -262,38 +271,18 @@ def cmd_metrics(args, outputs: list[str], warnings: list[str]) -> dict:
     return doc
 
 
-def _gap_block(g: SignedGraph, kind: LaplacianKind) -> dict:
-    """Fiedler gap and condition number from the dense oracle.
-
-    The standard kind works on the ones-deflated spectrum, so it stays
-    defined even for graphs that are disconnected (where the zero eigenvalue
-    is multiple); the signed kind uses the full spectrum.
-    """
-    op = laplacian(g, kind)
-    if kind is LaplacianKind.STANDARD:
-        s = dense_spectrum_deflated(op)
-        lam = float(s.eigenvalues[0])
-        gap = float(s.eigenvalues[1] - s.eigenvalues[0])
-        spread = float(s.eigenvalues[-1] - s.eigenvalues[0])
-    else:
-        s = dense_spectrum(op)
-        from .partition import _select_signed
-
-        sel = _select_signed(s, kind)
-        lam, gap = sel.eigenvalue, sel.gap
-        lo = 1 if sel.skipped_constant else 0
-        spread = float(s.eigenvalues[-1] - s.eigenvalues[lo])
+def _fiedler_block(f: FiedlerResult) -> dict:
     return {
-        "fiedler_eigenvalue": lam,
-        "gap": gap,
-        "condition_number": math.inf if gap == 0 else spread / gap,
-        "smallest_eigenvalues": [float(v) for v in s.eigenvalues[:5]],
+        "fiedler_eigenvalue": f.eigenvalue,
+        "gap": f.gap,
+        "condition_number": f.condition_number,
+        "smallest_eigenvalues": [float(v) for v in f.eigenvalues[:5]],
     }
 
 
 def _partition_block(g: SignedGraph, kind: LaplacianKind, warnings: list[str]) -> dict:
     f = fiedler(g, kind)
-    block = _gap_block(g, kind)
+    block = _fiedler_block(f)
     block["clustered_warning"] = f.clustered_warning
     if f.clustered_warning:
         warnings.append(f"{kind.value}: clustered eigenvalues, unstable Fiedler vector")
@@ -316,7 +305,10 @@ def cmd_compare(args, outputs: list[str], warnings: list[str]) -> dict:
     doc["standard"] = _partition_block(g, LaplacianKind.STANDARD, warnings)
     doc["signed"] = _partition_block(g, LaplacianKind.SIGNED, warnings)
     base = nullify_negative(g)
-    doc["baseline"] = _gap_block(base, LaplacianKind.STANDARD)
+    # the baseline may be disconnected, which fiedler() rejects; the
+    # ones-deflated spectrum stays defined
+    s_base = dense_spectrum_deflated(laplacian(base, LaplacianKind.STANDARD))
+    doc["baseline"] = _fiedler_block(select_fiedler(s_base, LaplacianKind.STANDARD))
     doc["baseline"]["removed_edges"] = g.m - base.m
     gs, gb = doc["standard"]["gap"], doc["baseline"]["gap"]
     gsg = doc["signed"]["gap"]
@@ -342,10 +334,7 @@ def _demo_dir(args) -> str:
 def _write_modes(g: SignedGraph, kind: LaplacianKind, k: int, path: str,
                  outputs: list[str]) -> np.ndarray:
     s = dense_spectrum(laplacian(g, kind))
-    text = _modes_csv(s.eigenvalues[:k], s.eigenvectors[:, :k])
-    with open(path, "w", newline="\n") as fh:
-        fh.write(text)
-    outputs.append(path)
+    _emit_text(_modes_csv(s.eigenvalues[:k], s.eigenvectors[:, :k]), path, outputs)
     return s.eigenvalues[:k]
 
 
@@ -393,9 +382,7 @@ def demo_noisy_string(args, outputs, warnings) -> dict:
                  os.path.join(out, "noisy-string-signed.csv"), outputs)
     f_std = fiedler(g, LaplacianKind.STANDARD)
     p = bisect(f_std)
-    with open(os.path.join(out, "noisy-string-partition.json"), "w", newline="\n") as fh:
-        json.dump(partition_json(f_std, p), fh, indent=2)
-    outputs.append(os.path.join(out, "noisy-string-partition.json"))
+    _emit_json(partition_json(f_std, p), os.path.join(out, "noisy-string-partition.json"), outputs)
     f_sgn = fiedler(g, LaplacianKind.SIGNED)
     if f_sgn.clustered_warning:
         warnings.append("signed: two smallest eigenvalues form a cluster")
@@ -429,9 +416,7 @@ def demo_cobra(args, outputs, warnings) -> dict:
         warnings.append("signed: first eigenvector has one sign, bisection degenerate")
     second = s.eigenvectors[:, 1]
     doc["signed_second_signs"] = [int(v) for v in np.sign(np.round(second, 12))]
-    with open(os.path.join(out, "cobra.json"), "w", newline="\n") as fh:
-        json.dump(doc, fh, indent=2)
-    outputs.append(os.path.join(out, "cobra.json"))
+    _emit_json(doc, os.path.join(out, "cobra.json"), outputs)
     return doc
 
 
@@ -454,19 +439,14 @@ def demo_dumbbell(args, outputs, warnings) -> dict:
             "signed_cut": m.signed_cut,
         },
     }
-    with open(os.path.join(out, "dumbbell.json"), "w", newline="\n") as fh:
-        json.dump(doc, fh, indent=2)
-    outputs.append(os.path.join(out, "dumbbell.json"))
+    _emit_json(doc, os.path.join(out, "dumbbell.json"), outputs)
     return doc
 
 
 def demo_gap_study(args, outputs, warnings) -> dict:
     n = args.n or 100
     doc = gap_study(n, DEFAULT_SPECIAL_EDGE, (-0.01, -0.05, -0.1))
-    out = os.path.join(_demo_dir(args), "gap-study.json")
-    with open(out, "w", newline="\n") as fh:
-        json.dump(doc, fh, indent=2)
-    outputs.append(out)
+    _emit_json(doc, os.path.join(_demo_dir(args), "gap-study.json"), outputs)
     return {
         "n": n,
         "ratios_at_-0.05": {
@@ -480,10 +460,7 @@ def demo_gap_study(args, outputs, warnings) -> dict:
 def demo_lobpcg_30(args, outputs, warnings) -> dict:
     n = args.n or DEFAULT_STRING_LENGTH
     doc = truncated_iteration_study(n, DEFAULT_SPECIAL_EDGE, NEGATIVE_EDGE_WEIGHT)
-    out = os.path.join(_demo_dir(args), "lobpcg-30.json")
-    with open(out, "w", newline="\n") as fh:
-        json.dump(doc, fh, indent=2)
-    outputs.append(out)
+    _emit_json(doc, os.path.join(_demo_dir(args), "lobpcg-30.json"), outputs)
     return doc["sign_change_counts"]
 
 

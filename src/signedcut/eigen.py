@@ -1,11 +1,9 @@
-"""Eigensolvers and spectrum diagnostics.
+"""Eigensolvers for the smallest eigenpairs of a symmetric operator.
 
 Two routes to the smallest eigenpairs of a symmetric operator: a dense
 oracle built on ``numpy.linalg.eigh`` (for n up to the dense threshold), and
 an iterative locally optimal block conjugate-gradient solver that needs only
-matvec products.  On top of those, spectral-gap and eigenvector condition
-number diagnostics with optional exclusion of the trivial constant
-eigenvector.
+matvec products.
 """
 
 from __future__ import annotations
@@ -16,16 +14,8 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import BasisDegenerateError, InsufficientSpectrumError
+from .errors import BasisDegenerateError
 from .laplacian import SymmetricOperator
-
-# An eigenvalue counts as trivial when it is this small relative to the
-# spectrum spread and its eigenvector is this close to the constant vector.
-TRIVIAL_EIGENVALUE_REL = 1e-8
-TRIVIAL_ONES_CORRELATION = 1.0 - 1e-6
-
-# Below this relative gap the condition number is reported as +inf.
-ZERO_GAP_REL = 1e-14
 
 _QR_DROP_TOL = 1e-8
 
@@ -272,70 +262,3 @@ def lobpcg_smallest(op: SymmetricOperator, cfg: SolverConfig) -> tuple[Spectrum,
         converged=converged[: cfg.k].copy(),
     )
     return spectrum, trace
-
-
-def trivial_index(s: Spectrum) -> int | None:
-    """Index of the trivial constant eigenpair, or None.
-
-    An eigenvalue qualifies when it is tiny relative to the spectrum spread
-    and its eigenvector correlates with the normalized ones vector beyond
-    1 - 1e-6.  The value test alone is not enough: with negative weights,
-    zero can be an interior eigenvalue with a meaningful eigenvector.
-    """
-    spread = s.spread
-    n = s.eigenvectors.shape[0]
-    ones = np.ones(n) / math.sqrt(n)
-    for c in range(s.k):
-        if abs(s.eigenvalues[c]) <= TRIVIAL_EIGENVALUE_REL * spread:
-            corr = abs(float(s.eigenvectors[:, c] @ ones))
-            if corr >= TRIVIAL_ONES_CORRELATION:
-                return c
-    return None
-
-
-def _retained_indices(s: Spectrum, exclude_trivial: bool) -> list[int]:
-    skip = trivial_index(s) if exclude_trivial else None
-    return [c for c in range(s.k) if c != skip]
-
-
-def spectral_gap(s: Spectrum, target: int, exclude_trivial: bool = False) -> float:
-    """Distance from the target eigenvalue to the nearest retained other.
-
-    ``target`` indexes the spectrum as given; with ``exclude_trivial`` a
-    detected trivial constant eigenpair is removed from the candidates
-    first.
-    """
-    if not 0 <= target < s.k:
-        raise InsufficientSpectrumError(f"target index {target} outside spectrum of size {s.k}")
-    retained = _retained_indices(s, exclude_trivial)
-    others = [c for c in retained if c != target]
-    if target not in retained:
-        raise InsufficientSpectrumError("target eigenvalue was excluded as trivial")
-    if not others:
-        raise InsufficientSpectrumError("need at least two retained eigenvalues")
-    lam = s.eigenvalues[target]
-    return float(min(abs(lam - s.eigenvalues[c]) for c in others))
-
-
-def eigenvector_condition_number(
-    s: Spectrum,
-    target: int,
-    exclude_trivial: bool = False,
-    largest_eigenvalue: float | None = None,
-) -> float:
-    """Spread of the retained spectrum divided by the gap at the target.
-
-    For a partial spectrum, pass ``largest_eigenvalue`` (for instance a
-    power-method estimate) to complete the spread.  A gap below
-    1e-14 times the spread reports +inf.
-    """
-    gap = spectral_gap(s, target, exclude_trivial)
-    retained = _retained_indices(s, exclude_trivial)
-    values = [s.eigenvalues[c] for c in retained]
-    if largest_eigenvalue is not None:
-        values.append(float(largest_eigenvalue))
-    spread = max(values) - min(values)
-    if gap <= ZERO_GAP_REL * spread:
-        return math.inf
-    return spread / gap
-

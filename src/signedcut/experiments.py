@@ -8,10 +8,11 @@ truncated iteration budget (where does the lead Ritz vector change sign).
 
 from __future__ import annotations
 
-from .eigen import SolverConfig, dense_spectrum, dense_spectrum_deflated, lobpcg_smallest
+from .eigen import SolverConfig, dense_spectrum_deflated, lobpcg_smallest
 from .generators import StringSpec, path_string
 from .graph import nullify_negative
 from .laplacian import LaplacianKind, laplacian
+from .partition import fiedler, select_fiedler
 
 
 def gap_study(n: int, edge_index: int, weights: tuple[float, ...]) -> dict:
@@ -28,32 +29,27 @@ def gap_study(n: int, edge_index: int, weights: tuple[float, ...]) -> dict:
         path_string(StringSpec(n=n, overrides=((edge_index, -1.0),)))
     )
     s_base = dense_spectrum_deflated(laplacian(base, LaplacianKind.STANDARD))
-    gap_base = float(s_base.eigenvalues[1] - s_base.eigenvalues[0])
-    cond_base = float((s_base.eigenvalues[-1] - s_base.eigenvalues[0]) / gap_base)
+    f_base = select_fiedler(s_base, LaplacianKind.STANDARD)
     doc = {
         "n": n,
         "edge": edge_index + 1,
-        "baseline": {"gap": gap_base, "condition_number": cond_base},
+        "baseline": {"gap": f_base.gap, "condition_number": f_base.condition_number},
         "sweep": [],
     }
     for w in weights:
         g = path_string(StringSpec(n=n, overrides=((edge_index, w),)))
-        s_std = dense_spectrum_deflated(laplacian(g, LaplacianKind.STANDARD))
-        gap_std = float(s_std.eigenvalues[1] - s_std.eigenvalues[0])
-        cond_std = float((s_std.eigenvalues[-1] - s_std.eigenvalues[0]) / gap_std)
-        s_sgn = dense_spectrum(laplacian(g, LaplacianKind.SIGNED))
-        gap_sgn = float(s_sgn.eigenvalues[1] - s_sgn.eigenvalues[0])
-        cond_sgn = float((s_sgn.eigenvalues[-1] - s_sgn.eigenvalues[0]) / gap_sgn)
+        f_std = fiedler(g, LaplacianKind.STANDARD)
+        f_sgn = fiedler(g, LaplacianKind.SIGNED)
         doc["sweep"].append(
             {
                 "weight": w,
-                "gap_standard": gap_std,
-                "gap_signed": gap_sgn,
-                "condition_standard": cond_std,
-                "condition_signed": cond_sgn,
-                "gap_standard_over_baseline": gap_std / gap_base,
-                "gap_signed_over_baseline": gap_sgn / gap_base,
-                "condition_signed_over_standard": cond_sgn / cond_std,
+                "gap_standard": f_std.gap,
+                "gap_signed": f_sgn.gap,
+                "condition_standard": f_std.condition_number,
+                "condition_signed": f_sgn.condition_number,
+                "gap_standard_over_baseline": f_std.gap / f_base.gap,
+                "gap_signed_over_baseline": f_sgn.gap / f_base.gap,
+                "condition_signed_over_standard": f_sgn.condition_number / f_std.condition_number,
             }
         )
     return doc

@@ -24,6 +24,7 @@ from .graph import SignedGraph, graph_from_edges
 ASYMMETRY_TOL = 1e-12
 
 _MM_BANNER = "%%MatrixMarket"
+_CSV_COUNT = "# n="
 
 
 def write_matrix_market(g: SignedGraph, path: str | os.PathLike) -> None:
@@ -78,8 +79,10 @@ def _read_mm(fh: TextIO) -> SignedGraph:
         parts = line.split()
         if len(parts) != 3:
             raise FormatError(f"malformed entry line: {line!r}")
-        r, c = int(parts[0]) - 1, int(parts[1]) - 1
-        w = float(parts[2])
+        try:
+            r, c, w = int(parts[0]) - 1, int(parts[1]) - 1, float(parts[2])
+        except ValueError:
+            raise FormatError(f"malformed entry line: {line!r}") from None
         if not (0 <= r < rows and 0 <= c < cols):
             raise FormatError(f"entry ({r + 1}, {c + 1}) outside matrix")
         if (r, c) in entries:
@@ -123,20 +126,29 @@ def _symmetrize(entries: dict[tuple[int, int], float]) -> list[tuple[int, int, f
 
 
 def write_edge_csv(g: SignedGraph, path: str | os.PathLike) -> None:
-    """Edge-list CSV with header ``i,j,w`` and 0-based indices."""
+    """Edge-list CSV: a ``# n=<count>`` line, header ``i,j,w``, 0-based indices."""
     with open(path, "w", newline="\n") as fh:
+        fh.write(f"{_CSV_COUNT}{g.n}\n")
         fh.write("i,j,w\n")
         for i, j, w in g.edges:
             fh.write(f"{i},{j},{w!r}\n")
 
 
 def read_edge_csv(path: str | os.PathLike) -> SignedGraph:
+    """Read an edge-list CSV; without a ``# n=`` line, n is the largest index + 1."""
+    n = None
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise FormatError("empty edge-list CSV") from None
+        header = next(reader, None)
+        if header and header[0].startswith(_CSV_COUNT):
+            line = ",".join(header)
+            try:
+                n = int(line[len(_CSV_COUNT):])
+            except ValueError:
+                raise FormatError(f"malformed vertex count line: {line!r}") from None
+            header = next(reader, None)
+        if header is None:
+            raise FormatError("empty edge-list CSV")
         if [h.strip() for h in header] != ["i", "j", "w"]:
             raise FormatError(f"expected header i,j,w, got {header!r}")
         edges = []
@@ -146,12 +158,17 @@ def read_edge_csv(path: str | os.PathLike) -> SignedGraph:
                 continue
             if len(row) != 3:
                 raise FormatError(f"expected 3 columns, got {row!r}")
-            i, j, w = int(row[0]), int(row[1]), float(row[2])
+            try:
+                i, j, w = int(row[0]), int(row[1]), float(row[2])
+            except ValueError:
+                raise FormatError(f"malformed edge row: {','.join(row)!r}") from None
             max_idx = max(max_idx, i, j)
             edges.append((i, j, w))
-    if max_idx < 0:
-        raise FormatError("edge-list CSV has no edges; vertex count is unknown")
-    return graph_from_edges(max_idx + 1, edges)
+    if n is None:
+        if max_idx < 0:
+            raise FormatError("edge-list CSV has no edges; vertex count is unknown")
+        n = max_idx + 1
+    return graph_from_edges(n, edges)
 
 
 def load_graph(path: str | os.PathLike) -> SignedGraph:

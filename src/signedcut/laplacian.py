@@ -51,9 +51,6 @@ class SymmetricOperator:
         Y = self._matmat(X)
         return Y[:, 0] if single else Y
 
-    def apply(self, x: np.ndarray) -> np.ndarray:
-        return self.matmat(x)
-
     def dense(self) -> np.ndarray:
         """Dense n-by-n materialization; only offered for n <= DENSE_MAX_DIM."""
         if self.n > DENSE_MAX_DIM:

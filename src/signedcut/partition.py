@@ -20,7 +20,6 @@ import numpy as np
 from .eigen import (
     SolverConfig,
     Spectrum,
-    TRIVIAL_ONES_CORRELATION,
     dense_spectrum,
     dense_spectrum_deflated,
     estimate_largest_eigenvalue,
@@ -30,6 +29,7 @@ from .errors import (
     BasisDegenerateError,
     DegenerateVectorError,
     EmptySideError,
+    InsufficientSpectrumError,
     MultiComponentError,
     SolverFailedError,
 )
@@ -42,10 +42,21 @@ from .laplacian import LaplacianKind, laplacian
 # (noise in the weights, truncated iteration) can rotate it freely.
 CLUSTERED_GAP_FRACTION = 0.02
 
+# A leading eigenvector this aligned with the normalized ones vector is the
+# trivial constant vector and is skipped.
+TRIVIAL_ONES_CORRELATION = 1.0 - 1e-6
+
+# Below this relative gap the condition number is reported as +inf.
+ZERO_GAP_REL = 1e-14
+
 
 @dataclass(frozen=True, eq=False)
 class FiedlerResult:
-    """Selected eigenpair plus gap diagnostics for one Laplacian kind."""
+    """Selected eigenpair plus gap diagnostics for one Laplacian kind.
+
+    ``eigenvalues`` are the ascending eigenvalues the selection saw: the
+    whole computed spectrum, ones-deflated for the standard kind.
+    """
 
     vector: np.ndarray
     eigenvalue: float
@@ -53,6 +64,8 @@ class FiedlerResult:
     skipped_constant: bool
     gap: float
     clustered_warning: bool
+    condition_number: float
+    eigenvalues: np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
@@ -60,7 +73,6 @@ class Partition:
     """Two-way vertex assignment; side 0 is A, side 1 is B."""
 
     side: np.ndarray
-    positive_set_is: str = "A"
 
     @property
     def n(self) -> int:
@@ -121,41 +133,53 @@ def fiedler(
             "the Fiedler vector is ambiguous"
         )
     op = laplacian(g, kind)
-    if solver is None:
-        if kind is LaplacianKind.STANDARD:
-            s = dense_spectrum_deflated(op)
-            return _select_standard(s, kind)
-        s = dense_spectrum(op)
-        return _select_signed(s, kind)
-    return _fiedler_iterative(op, kind, solver)
+    if solver is not None:
+        return _fiedler_iterative(op, kind, solver)
+    if kind is LaplacianKind.STANDARD:
+        return select_fiedler(dense_spectrum_deflated(op), kind)
+    return select_fiedler(dense_spectrum(op), kind)
 
 
-def _select_standard(s: Spectrum, kind: LaplacianKind) -> FiedlerResult:
-    vector = s.eigenvectors[:, 0]
-    eigenvalue = float(s.eigenvalues[0])
-    if s.k >= 2:
-        gap = float(s.eigenvalues[1] - s.eigenvalues[0])
-        spread = s.spread
-    else:
-        gap, spread = math.inf, 0.0
-    return _finish(vector, eigenvalue, kind, False, gap, spread)
+def select_fiedler(
+    s: Spectrum,
+    kind: LaplacianKind | str,
+    largest_eigenvalue: float | None = None,
+) -> FiedlerResult:
+    """Pick the Fiedler pair of a spectrum and its gap diagnostics.
 
-
-def _select_signed(s: Spectrum, kind: LaplacianKind) -> FiedlerResult:
+    Column 0 is skipped exactly when it is the constant vector; a
+    ones-deflated spectrum never trips that test, so one rule serves both
+    kinds.  The gap is the distance to the next eigenvalue (+inf if there is
+    none).  The spread runs from the Fiedler eigenvalue to the largest
+    eigenvalue, which ``largest_eigenvalue`` completes for a partial
+    spectrum.  The condition number is spread / gap, or +inf for a gap of
+    at most ZERO_GAP_REL times the spread.
+    """
+    lam = s.eigenvalues
     n = s.eigenvectors.shape[0]
     ones = np.ones(n) / math.sqrt(n)
-    corr = abs(float(s.eigenvectors[:, 0] @ ones))
-    skipped = corr >= TRIVIAL_ONES_CORRELATION
+    skipped = abs(float(s.eigenvectors[:, 0] @ ones)) >= TRIVIAL_ONES_CORRELATION
     idx = 1 if skipped else 0
     if idx >= s.k:
-        raise SolverFailedError("spectrum too small after skipping the constant vector")
-    retained = [c for c in range(s.k) if not (skipped and c == 0)]
-    others = [c for c in retained if c != idx]
-    lam = float(s.eigenvalues[idx])
-    gap = min(abs(lam - float(s.eigenvalues[c])) for c in others) if others else math.inf
-    vals = s.eigenvalues[retained]
-    spread = float(vals.max() - vals.min())
-    return _finish(s.eigenvectors[:, idx], lam, kind, skipped, gap, spread)
+        raise InsufficientSpectrumError("spectrum too small after skipping the constant vector")
+    eigenvalue = float(lam[idx])
+    gap = float(lam[idx + 1] - lam[idx]) if idx + 1 < s.k else math.inf
+    top = float(lam[-1])
+    if largest_eigenvalue is not None:
+        top = max(top, largest_eigenvalue)
+    spread = top - eigenvalue
+    clustered = math.isfinite(gap) and spread > 0 and gap <= CLUSTERED_GAP_FRACTION * spread
+    vector = s.eigenvectors[:, idx]
+    return FiedlerResult(
+        vector=vector / np.linalg.norm(vector),
+        eigenvalue=eigenvalue,
+        kind=LaplacianKind(kind),
+        skipped_constant=skipped,
+        gap=gap,
+        clustered_warning=clustered,
+        condition_number=math.inf if gap <= ZERO_GAP_REL * spread else spread / gap,
+        eigenvalues=lam,
+    )
 
 
 def _fiedler_iterative(op, kind: LaplacianKind, solver: SolverConfig) -> FiedlerResult:
@@ -168,57 +192,17 @@ def _fiedler_iterative(op, kind: LaplacianKind, solver: SolverConfig) -> Fiedler
         deflate_ones=kind is LaplacianKind.STANDARD,
     )
     try:
-        s, _ = lobpcg_smallest(op, cfg)
+        s, trace = lobpcg_smallest(op, cfg)
     except BasisDegenerateError as exc:
         raise SolverFailedError(str(exc)) from exc
-    lam_top = estimate_largest_eigenvalue(op, seed=cfg.seed)
-    if kind is LaplacianKind.STANDARD:
-        if not s.converged[:2].all():
-            raise SolverFailedError(
-                "iterative solve left the leading eigenpairs unconverged; "
-                "raise max_iter or loosen tol"
-            )
-        vector = s.eigenvectors[:, 0]
-        eigenvalue = float(s.eigenvalues[0])
-        gap = float(s.eigenvalues[1] - s.eigenvalues[0])
-        spread = max(lam_top, float(s.eigenvalues[-1])) - eigenvalue
-        return _finish(vector, eigenvalue, kind, False, gap, spread)
-    n = op.n
-    ones = np.ones(n) / math.sqrt(n)
-    corr = abs(float(s.eigenvectors[:, 0] @ ones))
-    skipped = corr >= TRIVIAL_ONES_CORRELATION
-    idx = 1 if skipped else 0
-    if not s.converged[: idx + 2].all():
+    f = select_fiedler(s, kind, estimate_largest_eigenvalue(op, seed=cfg.seed))
+    if not s.converged[: int(f.skipped_constant) + 2].all():
         raise SolverFailedError(
-            "iterative solve left the leading eigenpairs unconverged; "
+            "iterative solve left the leading eigenpairs unconverged after "
+            f"{len(trace)} iterations (best residual {min(trace.max_residuals):.3e}); "
             "raise max_iter or loosen tol"
         )
-    eigenvalue = float(s.eigenvalues[idx])
-    gap = abs(float(s.eigenvalues[idx + 1]) - eigenvalue)
-    low = float(s.eigenvalues[1]) if skipped else float(s.eigenvalues[0])
-    spread = max(lam_top, float(s.eigenvalues[-1])) - low
-    return _finish(s.eigenvectors[:, idx], eigenvalue, kind, skipped, gap, spread)
-
-
-def _finish(
-    vector: np.ndarray,
-    eigenvalue: float,
-    kind: LaplacianKind,
-    skipped: bool,
-    gap: float,
-    spread: float,
-) -> FiedlerResult:
-    norm = np.linalg.norm(vector)
-    vector = vector / norm
-    clustered = math.isfinite(gap) and spread > 0 and gap <= CLUSTERED_GAP_FRACTION * spread
-    return FiedlerResult(
-        vector=vector,
-        eigenvalue=eigenvalue,
-        kind=kind,
-        skipped_constant=skipped,
-        gap=gap,
-        clustered_warning=clustered,
-    )
+    return f
 
 
 def bisect(f: FiedlerResult, zero_policy: str = "positive-side") -> Partition:
@@ -245,7 +229,7 @@ def bisect(f: FiedlerResult, zero_policy: str = "positive-side") -> Partition:
         raise DegenerateVectorError(
             "all components fall on one side; bisection is meaningless"
         )
-    return Partition(side=side, positive_set_is="A")
+    return Partition(side=side)
 
 
 def confidence(f: FiedlerResult) -> np.ndarray:

@@ -212,6 +212,22 @@ class TestCompare:
         assert r["gap_signed_over_baseline"] < 1.0
         assert r["condition_signed_over_standard"] > 1.0
 
+    def test_one_dense_solve_per_spectrum(self, tmp_path, capsys, monkeypatch):
+        """Standard, signed and baseline spectra: three eigh calls in all."""
+        gfile = str(tmp_path / "neg.mtx")
+        save_graph(path_string(StringSpec(30, overrides=((12, -0.05),))), gfile)
+        calls = []
+        eigh = np.linalg.eigh
+
+        def counting_eigh(a, *args, **kwargs):
+            calls.append(np.shape(a))
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        code, _, _ = run(capsys, "compare", gfile)
+        assert code == 0
+        assert len(calls) == 3
+
 
 class TestDemo:
     @pytest.mark.parametrize("name", ["string-modes", "weak-link", "negative-edge",

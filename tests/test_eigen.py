@@ -11,14 +11,12 @@ from signedcut import (
     StringSpec,
     dense_spectrum,
     dense_spectrum_deflated,
-    eigenvector_condition_number,
     estimate_largest_eigenvalue,
     graph_from_edges,
     laplacian,
     lobpcg_smallest,
     path_string,
-    spectral_gap,
-    trivial_index,
+    select_fiedler,
 )
 
 from test_graph import random_graph
@@ -178,50 +176,66 @@ class TestLobpcg:
         assert (np.diff(s.eigenvalues) >= -1e-12).all()
 
 
+def ones_first_basis(n):
+    """Orthonormal basis whose first column is the normalized ones vector."""
+    Q, _ = np.linalg.qr(np.column_stack([np.ones(n), np.eye(n)[:, : n - 1]]))
+    return Q
+
+
 class TestGapAndConditioning:
+    """select_fiedler's gap, spread and condition number on given spectra."""
+
     def test_gap_simple(self):
-        s = make_spectrum([0.0, 1.0, 3.0])
-        assert spectral_gap(s, 1) == 1.0
+        f = select_fiedler(make_spectrum([0.0, 1.0, 3.0]), "signed")
+        assert not f.skipped_constant
+        assert f.eigenvalue == 0.0
+        assert f.gap == 1.0
 
     def test_gap_excluding_trivial(self):
-        n = 4
-        ones = np.ones(n) / 2.0
-        Q, _ = np.linalg.qr(np.column_stack([ones, np.eye(n)[:, :3]]))
-        s = make_spectrum([0.0, 1.0, 3.0, 4.0], Q)
-        assert spectral_gap(s, 1, exclude_trivial=True) == 2.0
-        assert spectral_gap(s, 1, exclude_trivial=False) == 1.0
+        s = make_spectrum([0.0, 1.0, 3.0, 4.0], ones_first_basis(4))
+        f = select_fiedler(s, "signed")
+        assert f.skipped_constant
+        assert f.eigenvalue == 1.0
+        assert f.gap == 2.0
+        assert f.condition_number == pytest.approx(3.0 / 2.0)
 
     def test_gap_unit_path_closed_form(self):
         n = 75
         s = dense_spectrum(laplacian(path_string(StringSpec(n)), "standard"))
-        got = spectral_gap(s, 1, exclude_trivial=True)
+        f = select_fiedler(s, "standard")
         lam = path_eigenvalues(n)
-        assert got == pytest.approx(lam[2] - lam[1], abs=1e-10)
+        assert f.skipped_constant
+        assert f.gap == pytest.approx(lam[2] - lam[1], abs=1e-10)
 
     def test_insufficient(self):
-        s = make_spectrum([1.0])
+        s = make_spectrum([0.0], ones_first_basis(2)[:, :1])
         with pytest.raises(InsufficientSpectrumError):
-            spectral_gap(s, 0)
+            select_fiedler(s, "signed")
+        f = select_fiedler(make_spectrum([1.0], [[0.0], [1.0]]), "signed")
+        assert math.isinf(f.gap) and f.condition_number == 0.0
 
     def test_condition_number_simple(self):
-        s = make_spectrum([0.0, 1.0, 3.0])
-        assert eigenvector_condition_number(s, 1) == pytest.approx(3.0)
+        f = select_fiedler(make_spectrum([0.0, 1.0, 3.0]), "signed")
+        assert f.condition_number == pytest.approx(3.0)
 
     def test_condition_number_clustered_is_infinite(self):
-        s = make_spectrum([0.0, 1.0, 1.0 + 1e-15, 3.0])
-        assert math.isinf(eigenvector_condition_number(s, 1))
+        f = select_fiedler(make_spectrum([1.0, 1.0 + 1e-15, 3.0]), "signed")
+        assert 0.0 < f.gap
+        assert math.isinf(f.condition_number)
+        assert f.clustered_warning
 
     def test_condition_number_with_supplied_top(self):
         s = make_spectrum([0.0, 1.0])
-        assert eigenvector_condition_number(s, 0, largest_eigenvalue=10.0) == pytest.approx(10.0)
+        assert select_fiedler(s, "signed").condition_number == pytest.approx(1.0)
+        f = select_fiedler(s, "signed", largest_eigenvalue=10.0)
+        assert f.condition_number == pytest.approx(10.0)
 
     def test_trivial_detection_needs_ones_alignment(self):
+        # a zero eigenvalue alone does not make a column trivial
         s = make_spectrum([0.0, 1.0, 3.0])  # eigenvectors are coordinate axes
-        assert trivial_index(s) is None
-        n = 4
-        Q, _ = np.linalg.qr(np.column_stack([np.ones(n) / 2.0, np.eye(n)[:, :3]]))
-        s2 = make_spectrum([0.0, 1.0, 3.0, 4.0], Q)
-        assert trivial_index(s2) == 0
+        assert not select_fiedler(s, "standard").skipped_constant
+        s2 = make_spectrum([0.0, 1.0, 3.0, 4.0], ones_first_basis(4))
+        assert select_fiedler(s2, "standard").skipped_constant
 
 
 def test_gap_study_ratios_depend_on_string_length():

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -124,10 +126,10 @@ def test_reader_rejects_rectangular(tmp_path):
 
 def test_edge_csv_round_trip(tmp_path):
     rng = np.random.default_rng(1)
-    for _ in range(10):
-        g = random_graph(rng)
-        if g.m == 0 or max(max(i, j) for i, j, _ in g.edges) != g.n - 1:
-            continue  # csv cannot carry trailing isolated vertices
+    graphs = [random_graph(rng) for _ in range(10)]
+    # trailing isolated vertices, and no edges at all
+    graphs += [graph_from_edges(5, [(0, 1, 1.0), (1, 2, -0.5)]), graph_from_edges(3, [])]
+    for g in graphs:
         path = tmp_path / "g.csv"
         write_edge_csv(g, path)
         assert read_edge_csv(path) == g
@@ -138,6 +140,29 @@ def test_edge_csv_header_checked(tmp_path):
     path.write_text("a,b,c\n0,1,1.0\n")
     with pytest.raises(FormatError):
         read_edge_csv(path)
+
+
+def test_edge_csv_without_count_line(tmp_path):
+    path = tmp_path / "g.csv"
+    path.write_text("i,j,w\n0,1,1.0\n1,2,-0.5\n")
+    g = read_edge_csv(path)
+    assert g.n == 3 and g.edges == ((0, 1, 1.0), (1, 2, -0.5))
+
+
+@pytest.mark.parametrize("row", ["0,1.5,1.0", "0,1,heavy", "x,1,1.0"])
+def test_edge_csv_bad_row_is_format_error(tmp_path, row):
+    path = tmp_path / "g.csv"
+    path.write_text(f"i,j,w\n0,2,1.0\n{row}\n")
+    with pytest.raises(FormatError, match=re.escape(row)):
+        read_edge_csv(path)
+
+
+@pytest.mark.parametrize("entry", ["2.5 1 1.0", "2 x 1.0", "2 1 heavy"])
+def test_matrix_market_bad_entry_is_format_error(tmp_path, entry):
+    path = tmp_path / "g.mtx"
+    path.write_text(f"%%MatrixMarket matrix coordinate real symmetric\n3 3 1\n{entry}\n")
+    with pytest.raises(FormatError, match=re.escape(entry)):
+        read_matrix_market(path)
 
 
 def test_load_graph_dispatches_on_extension(tmp_path):

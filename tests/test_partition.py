@@ -40,6 +40,7 @@ def make_result(vector, kind=LaplacianKind.STANDARD, eigenvalue=0.0):
     return FiedlerResult(
         vector=v, eigenvalue=eigenvalue, kind=kind,
         skipped_constant=False, gap=1.0, clustered_warning=False,
+        condition_number=1.0, eigenvalues=np.array([eigenvalue, eigenvalue + 1.0]),
     )
 
 
@@ -123,7 +124,7 @@ class TestFiedler:
     def test_lobpcg_unconverged_raises_solver_failed(self):
         g = path_string(StringSpec(60))
         cfg = SolverConfig(k=2, tol=1e-12, max_iter=2, seed=0)
-        with pytest.raises(SolverFailedError):
+        with pytest.raises(SolverFailedError, match=r"unconverged after 2 iterations \(best residual \d"):
             fiedler(g, "standard", solver=cfg)
 
     def test_noisy_string_signed_clustered_warning(self):
