@@ -271,16 +271,27 @@ def cmd_metrics(args, outputs: list[str], warnings: list[str]) -> dict:
     return doc
 
 
+def _finite_or_null(x: float) -> float | None:
+    """JSON has no infinity or NaN: a non-finite number is written as null."""
+    return float(x) if math.isfinite(x) else None
+
+
+def _ratio(a: float, b: float) -> float | None:
+    return _finite_or_null(a / b) if b else None
+
+
 def _fiedler_block(f: FiedlerResult) -> dict:
     return {
         "fiedler_eigenvalue": f.eigenvalue,
-        "gap": f.gap,
-        "condition_number": f.condition_number,
+        "gap": _finite_or_null(f.gap),
+        "condition_number": _finite_or_null(f.condition_number),
         "smallest_eigenvalues": [float(v) for v in f.eigenvalues[:5]],
     }
 
 
-def _partition_block(g: SignedGraph, kind: LaplacianKind, warnings: list[str]) -> dict:
+def _partition_block(
+    g: SignedGraph, kind: LaplacianKind, warnings: list[str]
+) -> tuple[dict, FiedlerResult]:
     f = fiedler(g, kind)
     block = _fiedler_block(f)
     block["clustered_warning"] = f.clustered_warning
@@ -296,27 +307,25 @@ def _partition_block(g: SignedGraph, kind: LaplacianKind, warnings: list[str]) -
     except DegenerateVectorError:
         block["side"] = None
         warnings.append(f"{kind.value}: Fiedler components all one sign; no bisection")
-    return block
+    return block, f
 
 
 def cmd_compare(args, outputs: list[str], warnings: list[str]) -> dict:
     g = load_graph(args.graph)
     doc = {"n": g.n, "edges": g.m}
-    doc["standard"] = _partition_block(g, LaplacianKind.STANDARD, warnings)
-    doc["signed"] = _partition_block(g, LaplacianKind.SIGNED, warnings)
+    doc["standard"], f_std = _partition_block(g, LaplacianKind.STANDARD, warnings)
+    doc["signed"], f_sgn = _partition_block(g, LaplacianKind.SIGNED, warnings)
     base = nullify_negative(g)
     # the baseline may be disconnected, which fiedler() rejects; the
     # ones-deflated spectrum stays defined
     s_base = dense_spectrum_deflated(laplacian(base, LaplacianKind.STANDARD))
-    doc["baseline"] = _fiedler_block(select_fiedler(s_base, LaplacianKind.STANDARD))
+    f_base = select_fiedler(s_base, LaplacianKind.STANDARD)
+    doc["baseline"] = _fiedler_block(f_base)
     doc["baseline"]["removed_edges"] = g.m - base.m
-    gs, gb = doc["standard"]["gap"], doc["baseline"]["gap"]
-    gsg = doc["signed"]["gap"]
-    cs, csg = doc["standard"]["condition_number"], doc["signed"]["condition_number"]
     doc["ratios"] = {
-        "gap_standard_over_baseline": gs / gb if gb else math.inf,
-        "gap_signed_over_baseline": gsg / gb if gb else math.inf,
-        "condition_signed_over_standard": csg / cs if cs else math.inf,
+        "gap_standard_over_baseline": _ratio(f_std.gap, f_base.gap),
+        "gap_signed_over_baseline": _ratio(f_sgn.gap, f_base.gap),
+        "condition_signed_over_standard": _ratio(f_sgn.condition_number, f_std.condition_number),
     }
     _emit_json(doc, args.out, outputs)
     return doc["ratios"]
@@ -408,8 +417,7 @@ def demo_cobra(args, outputs, warnings) -> dict:
     doc["nullified_side_a"] = sorted(v + 1 for v in p_null.set_a)
     s = dense_spectrum(laplacian(g, LaplacianKind.SIGNED))
     try:
-        f_sgn = fiedler(g, LaplacianKind.SIGNED)
-        bisect(f_sgn)
+        bisect(select_fiedler(s, LaplacianKind.SIGNED))
         doc["signed_first_bisects"] = True
     except DegenerateVectorError:
         doc["signed_first_bisects"] = False

@@ -4,8 +4,11 @@ The standard Laplacian uses the diagonal of plain row sums and can be
 indefinite when weights are negative; the signed Laplacian uses absolute
 row sums and is always positive semi-definite.  Operators keep the edge
 list and degree vector rather than an assembled matrix; applying one costs
-O(n + m) per vector.  A dense materialization is available for
-n <= DENSE_MAX_DIM to feed the dense eigensolver oracle.
+O(n + m) per vector.  A block product runs one 1-D scatter per column,
+bit-identical to the block form (one 2-D scatter over the whole block),
+because numpy's fast ``ufunc.at`` path serves only 1-D operands.  A dense
+materialization is available for n <= DENSE_MAX_DIM to feed the dense
+eigensolver oracle.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ class SymmetricOperator:
         self,
         n: int,
         matmat: Callable[[np.ndarray], np.ndarray],
-        dense_builder: Callable[[], np.ndarray] | None = None,
+        dense_builder: Callable[[], np.ndarray],
     ):
         self.n = int(n)
         self._matmat = matmat
@@ -58,10 +61,7 @@ class SymmetricOperator:
                 f"n={self.n} exceeds dense threshold {DENSE_MAX_DIM}"
             )
         if self._dense_cache is None:
-            if self._dense_builder is not None:
-                self._dense_cache = self._dense_builder()
-            else:
-                self._dense_cache = self._matmat(np.eye(self.n))
+            self._dense_cache = self._dense_builder()
         return self._dense_cache
 
 
@@ -71,12 +71,20 @@ def laplacian(g: SignedGraph, kind: LaplacianKind | str = LaplacianKind.STANDARD
     mode = DegreeMode.ABSOLUTE_SUM if kind is LaplacianKind.SIGNED else DegreeMode.SIGNED_SUM
     d = degrees(g, mode).d
     ii, jj, ww = g.edge_arrays()
+    # each edge scatters into row i, then row j: the order of the block form
+    rows = np.concatenate([ii, jj])
+    cols = np.concatenate([jj, ii])
+    vals = np.concatenate([ww, ww])
 
     def matmat(X: np.ndarray) -> np.ndarray:
-        Y = d[:, None] * X
-        if len(ww):
-            np.subtract.at(Y, ii, ww[:, None] * X[jj])
-            np.subtract.at(Y, jj, ww[:, None] * X[ii])
+        # keeps X's memory layout, as the block form did: later matmuls on
+        # another layout may round differently
+        Y = np.empty_like(X)
+        for c in range(X.shape[1]):
+            x = X[:, c]
+            y = d * x
+            np.subtract.at(y, rows, vals * x[cols])
+            Y[:, c] = y
         return Y
 
     def dense_builder() -> np.ndarray:

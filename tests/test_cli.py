@@ -4,7 +4,15 @@ import json
 import numpy as np
 import pytest
 
-from signedcut import cobra, dumbbell, load_graph, save_graph, path_string, StringSpec
+from signedcut import (
+    StringSpec,
+    cobra,
+    dumbbell,
+    graph_from_edges,
+    load_graph,
+    path_string,
+    save_graph,
+)
 from signedcut.cli import main
 
 
@@ -13,6 +21,19 @@ def run(capsys, *argv):
     captured = capsys.readouterr()
     report = json.loads(captured.err.strip().splitlines()[-1])
     return code, captured.out, report
+
+
+def count_eigh(monkeypatch) -> list:
+    """Record the operand shape of every np.linalg.eigh call from now on."""
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counting_eigh(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    return calls
 
 
 class TestGen:
@@ -216,17 +237,24 @@ class TestCompare:
         """Standard, signed and baseline spectra: three eigh calls in all."""
         gfile = str(tmp_path / "neg.mtx")
         save_graph(path_string(StringSpec(30, overrides=((12, -0.05),))), gfile)
-        calls = []
-        eigh = np.linalg.eigh
-
-        def counting_eigh(a, *args, **kwargs):
-            calls.append(np.shape(a))
-            return eigh(a, *args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        calls = count_eigh(monkeypatch)
         code, _, _ = run(capsys, "compare", gfile)
         assert code == 0
         assert len(calls) == 3
+
+    def test_non_finite_values_are_null(self, tmp_path, capsys):
+        """One edge: the baseline has no second gap, so gaps and ratios are infinite."""
+        gfile = str(tmp_path / "edge.mtx")
+        save_graph(graph_from_edges(2, [(0, 1, 1.0)]), gfile)
+        code, out, _ = run(capsys, "compare", gfile)
+        assert code == 0
+
+        def reject(token):
+            raise ValueError(f"non-standard JSON constant {token}")
+
+        doc = json.loads(out, parse_constant=reject)
+        assert doc["baseline"]["gap"] is None
+        assert doc["ratios"]["gap_standard_over_baseline"] is None
 
 
 class TestDemo:
@@ -239,6 +267,13 @@ class TestDemo:
         assert report["outputs"]
         for path in report["outputs"]:
             assert open(path).read()
+
+    def test_cobra_one_dense_solve_per_spectrum(self, tmp_path, capsys, monkeypatch):
+        """Standard, nullified and signed spectra: three eigh calls in all."""
+        calls = count_eigh(monkeypatch)
+        code, _, _ = run(capsys, "demo", "cobra", "--out", str(tmp_path / "cobra"))
+        assert code == 0
+        assert len(calls) == 3
 
     def test_gap_study_demo(self, tmp_path, capsys):
         out = str(tmp_path / "gap")

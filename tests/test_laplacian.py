@@ -70,6 +70,65 @@ def test_matmat_agrees_with_dense():
             np.testing.assert_allclose(op.matmat(X), op.dense() @ X, atol=1e-12)
 
 
+def block_scatter(g, kind, X):
+    """The 2-D ``np.subtract.at`` block product the column kernel replaced."""
+    mode = "absolute-sum" if LaplacianKind(kind) is LaplacianKind.SIGNED else "signed-sum"
+    d = degrees(g, mode).d
+    ii, jj, ww = g.edge_arrays()
+    Y = d[:, None] * X
+    if len(ww):
+        np.subtract.at(Y, ii, ww[:, None] * X[jj])
+        np.subtract.at(Y, jj, ww[:, None] * X[ii])
+    return Y
+
+
+def kernel_graphs():
+    rng = np.random.default_rng(8)
+    sparse = []
+    for n, m in ((60, 150), (400, 1600)):
+        pairs = {(min(i, j), max(i, j)) for i, j in rng.integers(0, n, size=(m, 2)).tolist() if i != j}
+        sparse.append(graph_from_edges(
+            n, [(i, j, float(w)) for (i, j), w in zip(sorted(pairs), rng.uniform(-2, 2, len(pairs)))]
+        ))
+    return [
+        random_graph(rng, n_max=10),
+        random_graph(rng, n_max=40),
+        *sparse,
+        graph_from_edges(12, [(0, 3, 1.5), (3, 5, -0.7), (1, 5, 2.0), (0, 5, -1.1)]),
+        graph_from_edges(9, [(0, j, (-1.0) ** j * j / 3) for j in range(1, 9)]),
+        graph_from_edges(5, []),
+    ]
+
+
+def kernel_operands(rng, n):
+    yield rng.normal(size=n)
+    for k in (1, 3, 7):
+        C = rng.normal(size=(n, k))
+        yield C
+        yield np.asfortranarray(C)
+        yield rng.normal(size=(n, 2 * k))[:, ::2]
+
+
+def test_column_kernel_matches_block_scatter_bitwise():
+    rng = np.random.default_rng(9)
+    for g in kernel_graphs():
+        for kind in LaplacianKind:
+            op = laplacian(g, kind)
+            for X in kernel_operands(rng, g.n):
+                before = X.copy()
+                Y = op.matmat(X)
+                assert Y.shape == X.shape
+                np.testing.assert_array_equal(X, before)
+                X2 = X[:, None] if X.ndim == 1 else X
+                want = block_scatter(g, kind, X2)
+                want = want[:, 0] if X.ndim == 1 else want
+                np.testing.assert_array_equal(Y, want)
+                # matmul may round differently on another layout
+                assert Y.flags.f_contiguous == want.flags.f_contiguous
+                assert Y.flags.c_contiguous == want.flags.c_contiguous
+                np.testing.assert_allclose(Y, op.dense() @ X, atol=1e-12)
+
+
 def test_matmat_accepts_vectors():
     op = laplacian(cobra(), "standard")
     x = np.arange(6.0)
