@@ -8,8 +8,6 @@ with signed cut metrics and conditioning diagnostics.
 
 from .errors import (
     AsymmetricMatrixError,
-    BadEdgeIndexError,
-    BadOverrideIndexError,
     BasisDegenerateError,
     DegenerateVectorError,
     DimensionMismatchError,

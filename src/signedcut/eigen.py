@@ -19,6 +19,14 @@ from .laplacian import SymmetricOperator
 
 _QR_DROP_TOL = 1e-8
 
+# An eigenvector whose overlap with the unit ones vector exceeds this carries
+# part of ones and is turned by the deflation; every other returned vector is
+# orthogonal to ones up to this bound.
+_ONES_OVERLAP_TOL = 1e-10
+
+# The deflation requires |A u| <= this times the largest absolute row sum.
+_ONES_RESIDUAL_REL = 1e-10
+
 
 @dataclass(frozen=True, eq=False)
 class Spectrum:
@@ -96,26 +104,48 @@ def dense_spectrum(op: SymmetricOperator) -> Spectrum:
     )
 
 
-def ones_complement_basis(n: int) -> np.ndarray:
-    """Deterministic orthonormal basis of the complement of the ones vector."""
-    seed_block = np.column_stack([np.ones(n) / math.sqrt(n), np.eye(n)[:, : n - 1]])
-    Q, _ = np.linalg.qr(seed_block)
-    return Q[:, 1:]
-
-
 def dense_spectrum_deflated(op: SymmetricOperator) -> Spectrum:
     """Dense spectrum restricted to the complement of the ones vector.
 
-    Intended for standard Laplacians, whose trivial constant null vector is
-    removed exactly; the returned n-1 eigenpairs are genuine eigenpairs of
-    the operator whenever ones is one of its eigenvectors.
+    The ones vector must be an eigenvector of the operator, as it is for
+    every standard Laplacian; an operator that moves it by more than
+    rounding (``||A u||`` above ``_ONES_RESIDUAL_REL`` times the largest
+    absolute row sum, u = ones/sqrt(n)) raises ``ValueError``.
+
+    One ``eigh`` gives the full eigenbasis.  The columns whose overlap with
+    u exceeds ``_ONES_OVERLAP_TOL`` span u: one column for a connected
+    graph, one per component for a disconnected one.  A Householder
+    reflector turns that small block so that u becomes one of its columns,
+    which is dropped; the other block columns take the diagonal of the
+    turned eigenvalue block.  The n-1 pairs come back in eigenvalue order.
+    All other columns are returned untouched: on a graph without negative
+    edges, where the standard and signed Laplacians coincide, a block of one
+    column leaves both kinds with bit-identical eigenvectors.
     """
     A = op.dense()
-    H = ones_complement_basis(op.n)
-    B = H.T @ (A @ H)
-    B = (B + B.T) / 2.0
-    evals, Y = np.linalg.eigh(B)
-    evecs = H @ Y
+    n = op.n
+    u = np.full(n, 1.0 / math.sqrt(n))
+    drift = float(np.linalg.norm(A @ u))
+    if drift > _ONES_RESIDUAL_REL * max(1.0, float(np.linalg.norm(A, np.inf))):
+        raise ValueError(
+            f"ones is not an eigenvector of the operator (|A u| = {drift:.3e}); "
+            "it cannot be deflated"
+        )
+    evals, evecs = np.linalg.eigh(A)
+    c = evecs.T @ u
+    block = np.flatnonzero(np.abs(c) > _ONES_OVERLAP_TOL)
+    a = c[block] / np.linalg.norm(c[block])
+    p = int(np.argmax(np.abs(a)))
+    w = a.copy()
+    w[p] += math.copysign(1.0, a[p])
+    # Q a = -sign(a_p) e_p, so column p of evecs[:, block] @ Q is -sign(a_p) u
+    Q = np.eye(len(a)) - np.outer(w, w) * (2.0 / float(w @ w))
+    evals[block] = np.einsum("ik,i,ik->k", Q, evals[block], Q)
+    evecs[:, block] = evecs[:, block] @ Q
+    keep = np.delete(np.arange(n), block[p])
+    keep = keep[np.argsort(evals[keep], kind="stable")]
+    evals = evals[keep]
+    evecs = evecs[:, keep]
     res = np.linalg.norm(A @ evecs - evecs * evals, axis=0)
     return Spectrum(
         eigenvalues=evals,

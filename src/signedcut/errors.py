@@ -10,7 +10,7 @@ class GraphError(SignedCutError, ValueError):
 
 
 class IndexOutOfRangeError(GraphError):
-    """Vertex index outside [0, n)."""
+    """Vertex or edge index outside its range."""
 
 
 class DuplicateEdgeError(GraphError):
@@ -67,11 +67,3 @@ class DegenerateVectorError(SignedCutError, ValueError):
 
 class EmptySideError(SignedCutError, ValueError):
     """Partition leaves one side with no vertices."""
-
-
-class BadOverrideIndexError(SignedCutError, ValueError):
-    """String-generator override names a nonexistent edge."""
-
-
-class BadEdgeIndexError(SignedCutError, ValueError):
-    """Noisy-string negative edge names a nonexistent edge."""

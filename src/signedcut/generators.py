@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadEdgeIndexError, BadOverrideIndexError, ZeroWeightError
+from .errors import DuplicateEdgeError, GraphError, IndexOutOfRangeError, ZeroWeightError
 from .graph import SignedGraph, graph_from_edges
 
 # Defaults used by the figure-reproduction demos: a 75-mass string with the
@@ -37,16 +37,16 @@ class StringSpec:
 def path_string(spec: StringSpec) -> SignedGraph:
     """Discrete string: a path with unit weights and optional overrides."""
     if spec.n < 2:
-        raise BadOverrideIndexError(f"a string needs at least 2 vertices, got {spec.n}")
+        raise GraphError(f"a string needs at least 2 vertices, got {spec.n}")
     weights = {}
     for idx, w in spec.overrides:
         idx = int(idx)
         if not 0 <= idx < spec.n - 1:
-            raise BadOverrideIndexError(
+            raise IndexOutOfRangeError(
                 f"override edge {idx} outside [0, {spec.n - 1})"
             )
         if idx in weights:
-            raise BadOverrideIndexError(f"override edge {idx} listed twice")
+            raise DuplicateEdgeError(f"override edge {idx} listed twice")
         if float(w) == 0.0:
             raise ZeroWeightError(f"override edge {idx} has zero weight")
         weights[idx] = float(w)
@@ -65,10 +65,10 @@ def noisy_string(
     exactly zero are dropped.
     """
     if n < 3:
-        raise BadEdgeIndexError(f"noisy string needs at least 3 vertices, got {n}")
+        raise GraphError(f"noisy string needs at least 3 vertices, got {n}")
     idx, w = int(neg_edge[0]), float(neg_edge[1])
     if not 0 <= idx < n - 1:
-        raise BadEdgeIndexError(f"edge {idx} outside [0, {n - 1})")
+        raise IndexOutOfRangeError(f"edge {idx} outside [0, {n - 1})")
     if noise_amp < 0:
         raise ValueError(f"noise_amp must be >= 0, got {noise_amp}")
     W = np.zeros((n, n))

@@ -84,6 +84,73 @@ class TestDenseSpectrum:
         assert np.abs(s.eigenvectors.T @ ones).max() <= 1e-10
 
 
+def qr_route_eigenvalues(A):
+    """Eigenvalues of A on the ones complement, through an explicit QR basis."""
+    n = A.shape[0]
+    seed_block = np.column_stack([np.ones(n) / math.sqrt(n), np.eye(n)[:, : n - 1]])
+    Q, _ = np.linalg.qr(seed_block)
+    H = Q[:, 1:]
+    B = H.T @ (A @ H)
+    return np.linalg.eigvalsh((B + B.T) / 2.0)
+
+
+def component_count(g):
+    root = list(range(g.n))
+
+    def find(v):
+        while root[v] != v:
+            root[v] = root[root[v]]
+            v = root[v]
+        return v
+
+    for i, j, _ in g.edges:
+        root[find(i)] = find(j)
+    return len({find(v) for v in range(g.n)})
+
+
+def deflation_inputs():
+    # two components (one with a repulsive edge) plus the isolated vertex 8
+    split = graph_from_edges(9, [(0, 1, 1.0), (1, 2, 2.0), (2, 3, 0.5), (0, 2, -0.3),
+                                 (4, 5, 1.0), (5, 6, 1.5), (6, 7, 1.0), (4, 7, 0.7)])
+    rng = np.random.default_rng(21)
+    cases = [("split", split), ("edgeless", graph_from_edges(6, []))]
+    cases += [(f"random-{i}", random_graph(rng)) for i in range(12)]
+    cases.append(("random-sparse", random_graph(rng, n_max=200, density=0.05)))
+    return [pytest.param(g, id=name) for name, g in cases]
+
+
+class TestDeflatedSpectrum:
+    @pytest.mark.parametrize("g", deflation_inputs())
+    def test_invariants(self, g, monkeypatch):
+        op = laplacian(g, "standard")
+        A = op.dense()
+        want = qr_route_eigenvalues(A)
+
+        def no_qr(*args, **kwargs):
+            raise AssertionError("the deflation must not run a QR factorization")
+
+        monkeypatch.setattr(np.linalg, "qr", no_qr)
+        s = dense_spectrum_deflated(op)
+        n = g.n
+        assert s.k == n - 1 and s.eigenvectors.shape == (n, n - 1)
+        scale = max(1.0, s.spread)
+        assert (np.diff(s.eigenvalues) >= 0).all()
+        zeros = int((np.abs(s.eigenvalues) <= 1e-10 * scale).sum())
+        assert zeros == component_count(g) - 1
+        gram = s.eigenvectors.T @ s.eigenvectors
+        assert np.abs(gram - np.eye(n - 1)).max() <= 1e-12
+        ones = np.ones(n)
+        assert np.abs(s.eigenvectors.T @ ones).max() / math.sqrt(n) <= 1e-10
+        res = np.linalg.norm(A @ s.eigenvectors - s.eigenvectors * s.eigenvalues, axis=0)
+        assert max(res.max(), s.residual_norms.max()) <= 1e-12 * scale
+        assert np.abs(s.eigenvalues - want).max() <= 1e-12 * scale
+
+    def test_rejects_operator_without_ones_eigenvector(self):
+        g = path_string(StringSpec(20, overrides=((7, -0.5),)))
+        with pytest.raises(ValueError, match="not an eigenvector"):
+            dense_spectrum_deflated(laplacian(g, "signed"))
+
+
 class TestLobpcg:
     def test_unit_path_matches_oracle(self):
         op = laplacian(path_string(StringSpec(75)), "standard")

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from signedcut import (
-    BadEdgeIndexError,
-    BadOverrideIndexError,
+    DuplicateEdgeError,
+    GraphError,
+    IndexOutOfRangeError,
     StringSpec,
     ZeroWeightError,
     cobra,
@@ -36,9 +37,9 @@ class TestPathString:
         assert sum(1 for w in weights.values() if w != 1.0) == 1
 
     def test_bad_override_index(self):
-        with pytest.raises(BadOverrideIndexError):
+        with pytest.raises(IndexOutOfRangeError):
             path_string(StringSpec(5, overrides=((4, 2.0),)))
-        with pytest.raises(BadOverrideIndexError):
+        with pytest.raises(DuplicateEdgeError):
             path_string(StringSpec(5, overrides=((0, 1.0), (0, 2.0))))
 
     def test_zero_override_weight(self):
@@ -46,7 +47,7 @@ class TestPathString:
             path_string(StringSpec(5, overrides=((1, 0.0),)))
 
     def test_too_short(self):
-        with pytest.raises(BadOverrideIndexError):
+        with pytest.raises(GraphError):
             path_string(StringSpec(1))
 
 
@@ -80,7 +81,7 @@ class TestNoisyString:
         assert g.m == 12 * 11 // 2
 
     def test_bad_edge_index(self):
-        with pytest.raises(BadEdgeIndexError):
+        with pytest.raises(IndexOutOfRangeError):
             noisy_string(12, (11, -0.5), 1e-2, seed=0)
 
 

@@ -319,6 +319,32 @@ class TestInvariants:
         assert sorted(set(doc["side"])) == [0, 1]
 
 
+class TestKindsWithoutNegativeEdges:
+    """Without negative edges the two Laplacians are one matrix, so both
+    kinds must return the same vector and the same sides, bit for bit."""
+
+    @staticmethod
+    def assert_kinds_identical(g):
+        fs, fg = fiedler(g, "standard"), fiedler(g, "signed")
+        np.testing.assert_array_equal(fs.vector, fg.vector)
+        np.testing.assert_array_equal(bisect(fs).side, bisect(fg).side)
+
+    def test_unit_paths(self):
+        for n in range(3, 80):
+            self.assert_kinds_identical(path_string(StringSpec(n)))
+
+    def test_random_positive_graph(self):
+        rng = np.random.default_rng(8)
+        n = 60
+        edges = {(i, i + 1): 1.0 for i in range(n - 1)}
+        for i, j in rng.integers(0, n, size=(200, 2)):
+            if i != j:
+                edges[(int(min(i, j)), int(max(i, j)))] = float(rng.uniform(0.1, 2.0))
+        self.assert_kinds_identical(
+            graph_from_edges(n, [(i, j, w) for (i, j), w in edges.items()])
+        )
+
+
 def test_cobra_three_partitions():
     """Standard: split 1,2 vs 3,4; edge-deleted: cut the weak tail; signed
     second eigenvector: cut vertex 3 off from 1 and 2 (1-based labels)."""
