@@ -32,6 +32,7 @@ from .graph import (
     SignedGraph,
     connected_in_absolute_value,
     degrees,
+    graph_from_arrays,
     graph_from_edges,
     negate_weights,
     nullify_negative,

@@ -107,7 +107,7 @@ def build_parser() -> argparse.ArgumentParser:
         if name == "spectrum":
             p.add_argument("--k", type=int, default=5)
             p.add_argument("--deflate-ones", action="store_true",
-                           help="constrain iterates orthogonal to the ones vector (lobpcg)")
+                           help="leave out the ones vector (dense: it must be an eigenvector)")
         if name == "partition":
             p.add_argument("--k", type=int, default=2)
             p.add_argument("--emit-confidence", action="store_true")
@@ -171,13 +171,14 @@ def _parse_edge_weight(text: str, flag: str) -> tuple[int, float]:
     return idx - 1, w
 
 
-def _solver_config(args, k: int) -> SolverConfig:
+def _solver_config(args, k: int, deflate_ones: bool = False) -> SolverConfig:
     return SolverConfig(
         k=k,
         block_size=args.block_size,
         tol=args.tol,
         max_iter=args.max_iter,
         seed=args.seed,
+        deflate_ones=deflate_ones,
     )
 
 
@@ -199,23 +200,17 @@ def cmd_gen(args, outputs: list[str], warnings: list[str]) -> dict:
 
 def cmd_spectrum(args, outputs: list[str], warnings: list[str]) -> dict:
     g = load_graph(args.graph)
-    if args.k < 1 or args.k > g.n:
-        raise SignedCutError(f"k={args.k} outside [1, n={g.n}]")
+    # the ones-deflated spectrum has n-1 pairs
+    top, name = (g.n - 1, "n-1") if args.deflate_ones else (g.n, "n")
+    if not 1 <= args.k <= top:
+        raise SignedCutError(f"k={args.k} outside [1, {name}={top}]")
     op = laplacian(g, LaplacianKind(args.laplacian))
     if args.solver == "dense":
-        s = dense_spectrum(op)
+        s = (dense_spectrum_deflated if args.deflate_ones else dense_spectrum)(op)
         evals = s.eigenvalues[: args.k]
         evecs = s.eigenvectors[:, : args.k]
     else:
-        cfg = SolverConfig(
-            k=args.k,
-            block_size=args.block_size,
-            tol=args.tol,
-            max_iter=args.max_iter,
-            seed=args.seed,
-            deflate_ones=args.deflate_ones,
-        )
-        s, _ = lobpcg_smallest(op, cfg)
+        s, _ = lobpcg_smallest(op, _solver_config(args, args.k, args.deflate_ones))
         evals, evecs = s.eigenvalues, s.eigenvectors
         if not s.converged.all():
             warnings.append(

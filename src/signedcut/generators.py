@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DuplicateEdgeError, GraphError, IndexOutOfRangeError, ZeroWeightError
-from .graph import SignedGraph, graph_from_edges
+from .graph import SignedGraph, graph_from_arrays, graph_from_edges
 
 # Defaults used by the figure-reproduction demos: a 75-mass string with the
 # special edge between (1-based) vertices 37 and 38.
@@ -78,13 +78,9 @@ def noisy_string(
     R = rng.uniform(0.0, noise_amp, size=(n, n)) if noise_amp > 0 else np.zeros((n, n))
     np.fill_diagonal(R, 0.0)
     W = W + (R + R.T) / 2.0
-    upper = np.triu_indices(n, k=1)
-    edges = [
-        (int(i), int(j), float(W[i, j]))
-        for i, j in zip(*upper)
-        if W[i, j] != 0.0
-    ]
-    return graph_from_edges(n, edges)
+    i, j = np.triu_indices(n, k=1)
+    keep = W[i, j] != 0.0
+    return graph_from_arrays(n, i[keep], j[keep], W[i, j][keep])
 
 
 def cobra() -> SignedGraph:

@@ -1,16 +1,16 @@
 """Signed-graph data model: construction, degrees, and weight transforms.
 
 A :class:`SignedGraph` stores an undirected weighted graph whose weights may
-be negative.  Edges live in the strict upper triangle, sorted, with no
-duplicates, self-loops, or zero weights, so equality, hashing, and
-serialization are deterministic.  All values are immutable and all operations
-are pure.
+be negative as three read-only arrays ``(i, j, w)``: edges in the strict
+upper triangle (i < j), sorted by (i, j), with no duplicates, self-loops, or
+zero weights, so equality, hashing, and serialization are deterministic.
+All values are immutable and all operations are pure.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 from typing import Iterable, Sequence
@@ -20,6 +20,7 @@ import numpy as np
 from .errors import (
     DimensionTooLargeError,
     DuplicateEdgeError,
+    GraphError,
     IndexOutOfRangeError,
     NonfiniteWeightError,
     SelfLoopError,
@@ -31,41 +32,50 @@ Edge = tuple[int, int, float]
 # Largest dimension for which n-by-n dense materializations are offered.
 DENSE_MAX_DIM = 2048
 
+# One (i, j, w) edge record: the parse target of edge input and graph files.
+EDGE_DTYPE = np.dtype([("i", np.intp), ("j", np.intp), ("w", np.float64)])
+
 
 class DegreeMode(str, Enum):
     SIGNED_SUM = "signed-sum"
     ABSOLUTE_SUM = "absolute-sum"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SignedGraph:
-    """Vertex count plus canonical symmetric weighted edge list.
+    """Vertex count plus canonical symmetric weighted edge arrays (i, j, w).
 
-    Construct through :func:`graph_from_edges`, which canonicalizes and
-    validates arbitrary edge input.
+    Construct through :func:`graph_from_edges` or :func:`graph_from_arrays`,
+    which canonicalize and validate arbitrary edge input; the constructor
+    trusts its arrays and makes them read-only.
     """
 
     n: int
-    edges: tuple[Edge, ...]
+    _arrays: tuple[np.ndarray, np.ndarray, np.ndarray] = field(repr=False)
+
+    def __post_init__(self):
+        for a in self._arrays:
+            a.flags.writeable = False
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, SignedGraph):
+            return NotImplemented
+        return self.n == other.n and all(map(np.array_equal, self._arrays, other._arrays))
+
+    def __hash__(self) -> int:
+        return hash((self.n, *(a.tobytes() for a in self._arrays)))
 
     @property
     def m(self) -> int:
-        return len(self.edges)
+        return len(self._arrays[2])
 
     @cached_property
-    def _arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        if not self.edges:
-            empty_i = np.zeros(0, dtype=np.intp)
-            return empty_i, empty_i.copy(), np.zeros(0)
-        ii, jj, ww = zip(*self.edges)
-        return (
-            np.asarray(ii, dtype=np.intp),
-            np.asarray(jj, dtype=np.intp),
-            np.asarray(ww, dtype=np.float64),
-        )
+    def edges(self) -> tuple[Edge, ...]:
+        """The edges as (i, j, w) tuples of Python numbers, built on first use."""
+        return tuple(zip(*(a.tolist() for a in self._arrays)))
 
     def edge_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Return (i, j, w) as read-only-by-convention numpy arrays."""
+        """Return (i, j, w) as read-only numpy arrays."""
         return self._arrays
 
     def dense_adjacency(self) -> np.ndarray:
@@ -90,37 +100,53 @@ class DegreeVector:
 
 
 def graph_from_edges(n: int, edges: Iterable[Sequence]) -> SignedGraph:
-    """Build a canonical :class:`SignedGraph` from arbitrary edge input.
+    """Build a canonical :class:`SignedGraph` from (i, j, w) triples.
 
-    Indices are canonicalized to (min, max) order and the edge list is
-    sorted.  Raises on out-of-range indices, self-loops, duplicate pairs
-    (after canonicalization), and zero or nonfinite weights.
+    See :func:`graph_from_arrays` for the canonicalization and the checks.
+    """
+    t = np.fromiter(map(tuple, edges), dtype=EDGE_DTYPE)
+    return graph_from_arrays(n, t["i"], t["j"], t["w"])
+
+
+def graph_from_arrays(n: int, i, j, w) -> SignedGraph:
+    """Build a canonical :class:`SignedGraph` from index and weight arrays.
+
+    Indices are canonicalized to (min, max) order and the edges are sorted.
+    Raises on out-of-range indices, self-loops, nonfinite or zero weights,
+    and duplicate pairs (after canonicalization).  The first faulty entry
+    in input order is reported, with the first of those checks it fails.
     """
     if not isinstance(n, (int, np.integer)) or n <= 0:
         raise IndexOutOfRangeError(f"vertex count must be a positive integer, got {n!r}")
     n = int(n)
-    canonical: list[Edge] = []
-    seen: set[tuple[int, int]] = set()
-    for entry in edges:
-        i, j, w = entry
-        i, j = int(i), int(j)
-        w = float(w)
-        if not (0 <= i < n and 0 <= j < n):
-            raise IndexOutOfRangeError(f"edge ({i}, {j}) outside [0, {n})")
-        if i == j:
-            raise SelfLoopError(f"self-loop at vertex {i}")
-        if not math.isfinite(w):
-            raise NonfiniteWeightError(f"edge ({i}, {j}) has nonfinite weight {w!r}")
-        if w == 0.0:
-            raise ZeroWeightError(f"edge ({i}, {j}) has zero weight")
-        if i > j:
-            i, j = j, i
-        if (i, j) in seen:
-            raise DuplicateEdgeError(f"duplicate edge ({i}, {j})")
-        seen.add((i, j))
-        canonical.append((i, j, w))
-    canonical.sort(key=lambda e: (e[0], e[1]))
-    return SignedGraph(n=n, edges=tuple(canonical))
+    i, j, w = np.asarray(i, np.intp), np.asarray(j, np.intp), np.asarray(w, np.float64)
+    if not (i.ndim == j.ndim == w.ndim == 1 and len(i) == len(j) == len(w)):
+        raise GraphError(
+            f"i, j, w must be 1-D and of one length, got shapes {i.shape}, {j.shape}, {w.shape}"
+        )
+    lo, hi = np.minimum(i, j), np.maximum(i, j)
+    key = lo * n + hi
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    # the stable sort puts each later entry of a pair right after the first;
+    # a flagged in-range entry repeats an earlier pair, or shares its key
+    # with an earlier out-of-range entry, which is then the fault reported
+    repeat = np.zeros(len(key), dtype=bool)
+    repeat[order[1:]] = key[1:] == key[:-1]
+    fault = (lo < 0) | (hi >= n) | (i == j) | ~np.isfinite(w) | (w == 0.0) | repeat
+    if not fault.any():
+        return SignedGraph(n, (lo[order], hi[order], w[order]))
+    k = int(fault.argmax())
+    i, j, w = int(i[k]), int(j[k]), float(w[k])
+    if not (0 <= i < n and 0 <= j < n):
+        raise IndexOutOfRangeError(f"edge ({i}, {j}) outside [0, {n})")
+    if i == j:
+        raise SelfLoopError(f"self-loop at vertex {i}")
+    if not math.isfinite(w):
+        raise NonfiniteWeightError(f"edge ({i}, {j}) has nonfinite weight {w!r}")
+    if w == 0.0:
+        raise ZeroWeightError(f"edge ({i}, {j}) has zero weight")
+    raise DuplicateEdgeError(f"duplicate edge ({min(i, j)}, {max(i, j)})")
 
 
 def degrees(g: SignedGraph, mode: DegreeMode | str = DegreeMode.SIGNED_SUM) -> DegreeVector:
@@ -139,12 +165,15 @@ def degrees(g: SignedGraph, mode: DegreeMode | str = DegreeMode.SIGNED_SUM) -> D
 
 def negate_weights(g: SignedGraph) -> SignedGraph:
     """Flip the sign of every weight; topology unchanged. An involution."""
-    return SignedGraph(n=g.n, edges=tuple((i, j, -w) for i, j, w in g.edges))
+    ii, jj, ww = g.edge_arrays()
+    return SignedGraph(g.n, (ii, jj, -ww))
 
 
 def nullify_negative(g: SignedGraph) -> SignedGraph:
     """Remove every negative edge, keeping positive edges unchanged."""
-    return SignedGraph(n=g.n, edges=tuple(e for e in g.edges if e[2] > 0))
+    ii, jj, ww = g.edge_arrays()
+    keep = ww > 0
+    return SignedGraph(g.n, (ii[keep], jj[keep], ww[keep]))
 
 
 def scale_weights(g: SignedGraph, c: float) -> SignedGraph:
@@ -152,25 +181,29 @@ def scale_weights(g: SignedGraph, c: float) -> SignedGraph:
     c = float(c)
     if c == 0.0 or not math.isfinite(c):
         raise ZeroWeightError(f"scale factor must be finite and nonzero, got {c!r}")
-    return SignedGraph(n=g.n, edges=tuple((i, j, c * w) for i, j, w in g.edges))
+    ii, jj, ww = g.edge_arrays()
+    return SignedGraph(g.n, (ii, jj, c * ww))
 
 
 def connected_in_absolute_value(g: SignedGraph) -> bool:
-    """True when the graph is connected ignoring weight signs."""
-    if g.n <= 1:
-        return True
-    parent = list(range(g.n))
+    """True when the graph is connected ignoring weight signs.
 
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    components = g.n
-    for i, j, _ in g.edges:
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[ri] = rj
-            components -= 1
-    return components == 1
+    Min-label hooking with pointer jumping: every root adjacent to a
+    smaller root hooks onto the smallest such one, then every vertex jumps
+    to its root.  Each round at least halves the roots of a connected
+    component, so O(log n) rounds of O(n + m) array work suffice.
+    """
+    ii, jj, _ = g.edge_arrays()
+    root = np.arange(g.n)
+    while True:
+        ri, rj = root[ii], root[jj]
+        cross = ri != rj
+        if not cross.any():
+            break
+        np.minimum.at(root, np.maximum(ri, rj)[cross], np.minimum(ri, rj)[cross])
+        while True:
+            jumped = root[root]
+            if np.array_equal(jumped, root):
+                break
+            root = jumped
+    return bool((root == 0).all())

@@ -5,13 +5,20 @@ indices and the lower triangle stored.  Weights are formatted with ``repr``
 so a write/read round trip reproduces every float bit-exactly.  The reader
 also accepts ``general`` symmetry and symmetrizes via (R + R^T)/2, rejecting
 matrices whose asymmetry exceeds 1e-12 relative.
+
+Both readers parse all entry lines in one ``numpy.loadtxt`` call and check
+them as arrays.  Of several faults, a line that does not parse is reported
+first, then range and repeats, count, asymmetry, diagonal, graph checks.
 """
 
 from __future__ import annotations
 
 import csv
 import os
-from typing import TextIO
+import warnings
+from typing import Callable
+
+import numpy as np
 
 from .errors import (
     AsymmetricMatrixError,
@@ -19,7 +26,7 @@ from .errors import (
     FormatError,
     SelfLoopError,
 )
-from .graph import SignedGraph, graph_from_edges
+from .graph import EDGE_DTYPE, SignedGraph, graph_from_arrays
 
 ASYMMETRY_TOL = 1e-12
 
@@ -27,26 +34,47 @@ _MM_BANNER = "%%MatrixMarket"
 _CSV_COUNT = "# n="
 
 
+def _parse_entries(lines: list[str], bad_line: Callable[[str], FormatError], **options) -> np.ndarray:
+    """Parse (index, index, weight) lines in one call.
+
+    Raises ``bad_line(line)`` for the first line that does not parse.
+    """
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # no entry lines: an edgeless graph
+        try:
+            return np.loadtxt(lines, dtype=EDGE_DTYPE, ndmin=1, **options)
+        except ValueError:
+            pass
+        # bisect for the first bad line: lines[:good] parse, lines[:bad] do not
+        good, bad = 0, len(lines)
+        while bad - good > 1:
+            mid = (good + bad) // 2
+            try:
+                np.loadtxt(lines[:mid], dtype=EDGE_DTYPE, ndmin=1, **options)
+                good = mid
+            except ValueError:
+                bad = mid
+    raise bad_line(lines[good])
+
+
 def write_matrix_market(g: SignedGraph, path: str | os.PathLike) -> None:
+    # lower triangle: row > column, 1-based, sorted by row then column
+    ii, jj, ww = g.edge_arrays()
+    order = np.lexsort((ii, jj))
+    rows, cols, vals = (jj[order] + 1).tolist(), (ii[order] + 1).tolist(), ww[order].tolist()
     with open(path, "w", newline="\n") as fh:
-        _write_mm(g, fh)
-
-
-def _write_mm(g: SignedGraph, fh: TextIO) -> None:
-    fh.write(f"{_MM_BANNER} matrix coordinate real symmetric\n")
-    fh.write(f"{g.n} {g.n} {g.m}\n")
-    # lower triangle: row > column, 1-based
-    for i, j, w in sorted(g.edges, key=lambda e: (e[1], e[0])):
-        fh.write(f"{j + 1} {i + 1} {w!r}\n")
+        fh.write(f"{_MM_BANNER} matrix coordinate real symmetric\n")
+        fh.write(f"{g.n} {g.n} {g.m}\n")
+        fh.write("".join(f"{r} {c} {w!r}\n" for r, c, w in zip(rows, cols, vals)))
 
 
 def read_matrix_market(path: str | os.PathLike) -> SignedGraph:
     with open(path) as fh:
-        return _read_mm(fh)
-
-
-def _read_mm(fh: TextIO) -> SignedGraph:
-    header = fh.readline()
+        header = fh.readline()
+        line = fh.readline()
+        while line and line.lstrip().startswith("%"):
+            line = fh.readline()
+        lines = fh.readlines()
     if not header.startswith(_MM_BANNER):
         raise FormatError("missing MatrixMarket banner")
     fields = header.split()
@@ -59,10 +87,6 @@ def _read_mm(fh: TextIO) -> SignedGraph:
         raise FormatError(f"unsupported field type: {field}")
     if symmetry not in ("symmetric", "general"):
         raise FormatError(f"unsupported symmetry: {symmetry}")
-
-    line = fh.readline()
-    while line and line.lstrip().startswith("%"):
-        line = fh.readline()
     try:
         rows, cols, nnz = (int(t) for t in line.split())
     except ValueError as exc:
@@ -70,105 +94,100 @@ def _read_mm(fh: TextIO) -> SignedGraph:
     if rows != cols:
         raise FormatError(f"matrix is {rows}x{cols}, expected square")
 
-    entries: dict[tuple[int, int], float] = {}
-    count = 0
-    for line in fh:
-        line = line.strip()
-        if not line or line.startswith("%"):
-            continue
-        parts = line.split()
-        if len(parts) != 3:
-            raise FormatError(f"malformed entry line: {line!r}")
-        try:
-            r, c, w = int(parts[0]) - 1, int(parts[1]) - 1, float(parts[2])
-        except ValueError:
-            raise FormatError(f"malformed entry line: {line!r}") from None
-        if not (0 <= r < rows and 0 <= c < cols):
-            raise FormatError(f"entry ({r + 1}, {c + 1}) outside matrix")
-        if (r, c) in entries:
-            raise DuplicateEdgeError(f"repeated coordinate ({r + 1}, {c + 1})")
-        entries[(r, c)] = w
-        count += 1
-    if count != nnz:
-        raise FormatError(f"expected {nnz} entries, found {count}")
+    entries = _parse_entries(
+        lines, lambda line: FormatError(f"malformed entry line: {line.strip()!r}"), comments="%"
+    )
+    r, c, w = entries["i"] - 1, entries["j"] - 1, entries["w"]
+    outside = (r < 0) | (r >= rows) | (c < 0) | (c >= cols)
+    key = r * cols + c
+    order = np.argsort(key, kind="stable")
+    repeated = np.zeros(len(key), dtype=bool)
+    repeated[order[1:]] = key[order[1:]] == key[order[:-1]]
+    fault = outside | repeated
+    if fault.any():
+        k = int(fault.argmax())
+        if outside[k]:
+            raise FormatError(f"entry ({r[k] + 1}, {c[k] + 1}) outside matrix")
+        raise DuplicateEdgeError(f"repeated coordinate ({r[k] + 1}, {c[k] + 1})")
+    if len(w) != nnz:
+        raise FormatError(f"expected {nnz} entries, found {len(w)}")
 
+    diagonal = r[(r == c) & (w != 0.0)]
+    off = r != c
+    r, c, w = r[off], c[off], w[off]
     if symmetry == "general":
-        edges = _symmetrize(entries)
+        i, j, w = _symmetrize(rows, r, c, w)
     else:
-        edges = []
-        for (r, c), w in entries.items():
-            if r == c:
-                if w != 0.0:
-                    raise SelfLoopError(f"diagonal entry at vertex {r + 1}")
-                continue
-            if w != 0.0:
-                edges.append((min(r, c), max(r, c), w))
-    return graph_from_edges(rows, edges)
+        i, j = np.minimum(r, c), np.maximum(r, c)
+    if len(diagonal):
+        raise SelfLoopError(f"diagonal entry at vertex {diagonal[0] + 1}")
+    nonzero = w != 0.0
+    return graph_from_arrays(rows, i[nonzero], j[nonzero], w[nonzero])
 
 
-def _symmetrize(entries: dict[tuple[int, int], float]) -> list[tuple[int, int, float]]:
-    edges = []
-    pairs = {(min(r, c), max(r, c)) for (r, c) in entries if r != c}
-    for r, c in pairs:
-        upper = entries.get((r, c), 0.0)
-        lower = entries.get((c, r), 0.0)
-        if abs(upper - lower) > ASYMMETRY_TOL * max(1.0, abs(upper)):
-            raise AsymmetricMatrixError(
-                f"entries ({r + 1},{c + 1})={upper!r} and ({c + 1},{r + 1})={lower!r} disagree"
-            )
-        avg = (upper + lower) / 2.0
-        if avg != 0.0:
-            edges.append((r, c, avg))
-    for (r, c), w in entries.items():
-        if r == c and w != 0.0:
-            raise SelfLoopError(f"diagonal entry at vertex {r + 1}")
-    return edges
+def _symmetrize(n: int, r: np.ndarray, c: np.ndarray, w: np.ndarray):
+    """Average each off-diagonal pair (R + R^T)/2; a missing mirror counts as 0."""
+    upper = r < c
+    pairs, slot = np.unique(np.minimum(r, c) * n + np.maximum(r, c), return_inverse=True)
+    above, below = np.zeros(len(pairs)), np.zeros(len(pairs))
+    above[slot[upper]] = w[upper]
+    below[slot[~upper]] = w[~upper]
+    with np.errstate(invalid="ignore"):  # inf - inf is NaN, as in Python floats
+        asym = np.abs(above - below) > ASYMMETRY_TOL * np.maximum(1.0, np.abs(above))
+        avg = (above + below) / 2.0
+    if asym.any():
+        k = int(asym.argmax())
+        a, b = pairs[k] // n + 1, pairs[k] % n + 1
+        raise AsymmetricMatrixError(
+            f"entries ({a},{b})={float(above[k])!r} and ({b},{a})={float(below[k])!r} disagree"
+        )
+    return pairs // n, pairs % n, avg
 
 
 def write_edge_csv(g: SignedGraph, path: str | os.PathLike) -> None:
     """Edge-list CSV: a ``# n=<count>`` line, header ``i,j,w``, 0-based indices."""
+    ii, jj, ww = g.edge_arrays()  # already sorted by (i, j)
     with open(path, "w", newline="\n") as fh:
         fh.write(f"{_CSV_COUNT}{g.n}\n")
         fh.write("i,j,w\n")
-        for i, j, w in g.edges:
-            fh.write(f"{i},{j},{w!r}\n")
+        fh.write("".join(f"{i},{j},{w!r}\n" for i, j, w in zip(ii.tolist(), jj.tolist(), ww.tolist())))
+
+
+def _bad_csv_row(line: str) -> FormatError:
+    row = next(csv.reader([line]))
+    if len(row) != 3:
+        return FormatError(f"expected 3 columns, got {row!r}")
+    return FormatError(f"malformed edge row: {','.join(row)!r}")
 
 
 def read_edge_csv(path: str | os.PathLike) -> SignedGraph:
     """Read an edge-list CSV; without a ``# n=`` line, n is the largest index + 1."""
     n = None
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
+    with open(path) as fh:
+        lines = fh.readlines()
+    reader = csv.reader(lines)
+    header = next(reader, None)
+    if header and header[0].startswith(_CSV_COUNT):
+        line = ",".join(header)
+        try:
+            n = int(line[len(_CSV_COUNT):])
+        except ValueError:
+            raise FormatError(f"malformed vertex count line: {line!r}") from None
         header = next(reader, None)
-        if header and header[0].startswith(_CSV_COUNT):
-            line = ",".join(header)
-            try:
-                n = int(line[len(_CSV_COUNT):])
-            except ValueError:
-                raise FormatError(f"malformed vertex count line: {line!r}") from None
-            header = next(reader, None)
-        if header is None:
-            raise FormatError("empty edge-list CSV")
-        if [h.strip() for h in header] != ["i", "j", "w"]:
-            raise FormatError(f"expected header i,j,w, got {header!r}")
-        edges = []
-        max_idx = -1
-        for row in reader:
-            if not row:
-                continue
-            if len(row) != 3:
-                raise FormatError(f"expected 3 columns, got {row!r}")
-            try:
-                i, j, w = int(row[0]), int(row[1]), float(row[2])
-            except ValueError:
-                raise FormatError(f"malformed edge row: {','.join(row)!r}") from None
-            max_idx = max(max_idx, i, j)
-            edges.append((i, j, w))
+    if header is None:
+        raise FormatError("empty edge-list CSV")
+    if [h.strip() for h in header] != ["i", "j", "w"]:
+        raise FormatError(f"expected header i,j,w, got {header!r}")
+    entries = _parse_entries(
+        lines[reader.line_num:], _bad_csv_row, delimiter=",", comments=None, quotechar='"'
+    )
+    i, j, w = entries["i"], entries["j"], entries["w"]
     if n is None:
+        max_idx = int(max(i.max(initial=-1), j.max(initial=-1)))
         if max_idx < 0:
             raise FormatError("edge-list CSV has no edges; vertex count is unknown")
         n = max_idx + 1
-    return graph_from_edges(n, edges)
+    return graph_from_arrays(n, i, j, w)
 
 
 def load_graph(path: str | os.PathLike) -> SignedGraph:

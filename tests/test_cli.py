@@ -23,6 +23,12 @@ def run(capsys, *argv):
     return code, captured.out, report
 
 
+def mode_csv_eigenvalues(path) -> list[float]:
+    """The eigenvalue row of an eigenmode CSV."""
+    rows = list(csv.reader(open(path, newline="")))
+    return [float(x) for x in rows[1][1:]]
+
+
 def count_eigh(monkeypatch) -> list:
     """Record the operand shape of every np.linalg.eigh call from now on."""
     calls = []
@@ -114,6 +120,38 @@ class TestSpectrum:
                               "--deflate-ones", "--out", str(tmp_path / "m.csv"))
         assert code == 0
         assert report["warnings"]
+
+    @pytest.mark.parametrize("solver", ["dense", "lobpcg"])
+    def test_deflate_ones_drops_the_constant_mode(self, tmp_path, capsys, solver):
+        gfile = str(tmp_path / "p6.mtx")
+        save_graph(path_string(StringSpec(6)), gfile)
+        code, _, _ = run(capsys, "spectrum", gfile, "--k", "2", "--deflate-ones",
+                         "--solver", solver, "--out", str(tmp_path / "m.csv"))
+        assert code == 0
+        # unit path: 2 - 2 cos(k pi / n) for k = 1, 2
+        expected = [2 - 2 * np.cos(np.pi / 6), 2 - 2 * np.cos(2 * np.pi / 6)]
+        np.testing.assert_allclose(mode_csv_eigenvalues(tmp_path / "m.csv"), expected, atol=1e-8)
+
+    def test_deflate_ones_bounds_k_by_n_minus_1(self, tmp_path, capsys):
+        gfile = str(tmp_path / "p6.mtx")
+        save_graph(path_string(StringSpec(6)), gfile)
+        code, _, report = run(capsys, "spectrum", gfile, "--k", "6", "--deflate-ones")
+        assert code == 2
+        assert report["error"] == "k=6 outside [1, n-1=5]"
+        code, _, _ = run(capsys, "spectrum", gfile, "--k", "5", "--deflate-ones",
+                         "--out", str(tmp_path / "m.csv"))
+        assert code == 0
+        assert len(mode_csv_eigenvalues(tmp_path / "m.csv")) == 5
+
+    def test_dense_deflate_ones_rejects_a_signed_negative_edge(self, tmp_path, capsys):
+        gfile = str(tmp_path / "neg.mtx")
+        save_graph(path_string(StringSpec(6, overrides=((2, -1.0),))), gfile)
+        out = tmp_path / "m.csv"
+        code, _, report = run(capsys, "spectrum", gfile, "--laplacian", "signed", "--k", "2",
+                              "--deflate-ones", "--out", str(out))
+        assert code == 2
+        assert report["error"].startswith("ones is not an eigenvector of the operator")
+        assert not out.exists()
 
     def test_signed_negative_edge_lead_mode_piecewise(self, tmp_path, capsys):
         gfile = str(tmp_path / "neg.mtx")

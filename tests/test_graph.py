@@ -4,6 +4,7 @@ import pytest
 from signedcut import (
     DegreeMode,
     DuplicateEdgeError,
+    GraphError,
     IndexOutOfRangeError,
     NonfiniteWeightError,
     SelfLoopError,
@@ -11,6 +12,7 @@ from signedcut import (
     cobra,
     connected_in_absolute_value,
     degrees,
+    graph_from_arrays,
     graph_from_edges,
     negate_weights,
     nullify_negative,
@@ -72,6 +74,16 @@ class TestConstruction:
         with pytest.raises(NonfiniteWeightError):
             graph_from_edges(3, [(0, 1, float("nan"))])
 
+    def test_from_arrays_matches_from_edges(self):
+        edges = [(3, 1, 2.0), (1, 0, -1.0), (2, 4, 0.5)]
+        i, j, w = (np.array(c) for c in zip(*edges))
+        assert graph_from_arrays(5, i, j, w) == graph_from_edges(5, edges)
+
+    @pytest.mark.parametrize("i, j, w", [([0], [1, 2], [1.0, 1.0]), ([[0, 1]], [[1, 2]], [[1.0, 1.0]])])
+    def test_from_arrays_rejects_mismatched_shapes(self, i, j, w):
+        with pytest.raises(GraphError):
+            graph_from_arrays(3, i, j, w)
+
     def test_isolated_vertices_allowed(self):
         g = graph_from_edges(5, [(0, 1, 1.0)])
         assert degrees(g, DegreeMode.SIGNED_SUM).d.tolist() == [1, 1, 0, 0, 0]
@@ -125,7 +137,8 @@ class TestWeightTransforms:
         rng = np.random.default_rng(9)
         for _ in range(25):
             g = random_graph(rng)
-            assert negate_weights(negate_weights(g)) == g
+            back = negate_weights(negate_weights(g))
+            assert back == g and hash(back) == hash(g)
 
     def test_nullify_cobra_drops_one_edge(self):
         g = nullify_negative(cobra())
@@ -168,3 +181,36 @@ class TestConnectivity:
     def test_isolated_vertex_disconnects(self):
         g = graph_from_edges(3, [(0, 1, 1)])
         assert not connected_in_absolute_value(g)
+
+
+class TestImmutability:
+    def test_edge_arrays_are_read_only(self):
+        g = cobra()
+        for graph in (g, negate_weights(g), nullify_negative(g), scale_weights(g, 2.0)):
+            for a in graph.edge_arrays():
+                assert not a.flags.writeable
+                with pytest.raises(ValueError):
+                    a[0] = a[0]
+        assert g == cobra()
+
+    def test_attributes_cannot_be_set(self):
+        g = cobra()
+        with pytest.raises(AttributeError):
+            g.n = 7
+        assert g.n == 6
+
+    def test_equal_graphs_hash_equal(self):
+        a = graph_from_edges(4, [(3, 1, 2.0), (1, 0, -1.0)])
+        b = graph_from_edges(4, [(0, 1, -1.0), (1, 3, 2.0)])
+        assert a == b and hash(a) == hash(b)
+        assert len({a, b}) == 1
+        assert a != graph_from_edges(5, [(0, 1, -1.0), (1, 3, 2.0)])
+        assert a != graph_from_edges(4, [(0, 1, -1.0), (1, 3, 2.5)])
+        assert a != graph_from_edges(4, [(0, 1, -1.0), (1, 2, 2.0)])
+        assert a != a.edges
+
+    def test_edges_are_python_numbers_from_the_arrays(self):
+        g = cobra()
+        ii, jj, ww = g.edge_arrays()
+        assert g.edges == tuple(zip(ii.tolist(), jj.tolist(), ww.tolist()))
+        assert all(type(i) is int and type(j) is int and type(w) is float for i, j, w in g.edges)
