@@ -17,7 +17,12 @@ import numpy as np
 from .errors import BasisDegenerateError
 from .laplacian import SymmetricOperator
 
+# A basis column is dropped when its |diag R| is at most this times the largest.
 _QR_DROP_TOL = 1e-8
+
+# Below this, a diagonal entry of a column-scaled Cholesky factor is too close
+# to its own rounding (about sqrt(eps)) to decide a drop; QR decides instead.
+_CHOL_MIN_DIAG = 1e-5
 
 # An eigenvector whose overlap with the unit ones vector exceeds this carries
 # part of ones and is turned by the deflation; every other returned vector is
@@ -125,12 +130,7 @@ def dense_spectrum_deflated(op: SymmetricOperator) -> Spectrum:
     A = op.dense()
     n = op.n
     u = np.full(n, 1.0 / math.sqrt(n))
-    drift = float(np.linalg.norm(A @ u))
-    if drift > _ONES_RESIDUAL_REL * max(1.0, float(np.linalg.norm(A, np.inf))):
-        raise ValueError(
-            f"ones is not an eigenvector of the operator (|A u| = {drift:.3e}); "
-            "it cannot be deflated"
-        )
+    _require_ones_null(op, A @ u)
     evals, evecs = np.linalg.eigh(A)
     c = evecs.T @ u
     block = np.flatnonzero(np.abs(c) > _ONES_OVERLAP_TOL)
@@ -186,38 +186,81 @@ def estimate_largest_eigenvalue(op: SymmetricOperator, seed: int = 0, iterations
     return rho - sigma
 
 
-def _orthonormalize(
-    V: np.ndarray, against: np.ndarray | None = None
-) -> tuple[np.ndarray, bool]:
-    """Project V off an orthonormal block (twice), then QR with rank drops.
+def _orthonormalize(V: np.ndarray, guard: np.ndarray | None = None) -> np.ndarray:
+    """Orthonormal basis of V's columns, orthogonal to an orthonormal guard.
 
-    Returns the orthonormal result and a flag telling whether any column
-    was lost to rank deficiency.
+    Two passes of Cholesky-QR (CholQR2).  Each pass projects V off the
+    guard, factors the column-scaled Gram matrix ``D^-1 V^T V D^-1 = L L^T``
+    (D holding the column norms) and takes ``V D^-1 L^-T``.  Since
+    ``diag(L) * D`` is ``|diag R|`` of ``V = QR``, a column is dropped
+    exactly when QR would drop it: at or below ``_QR_DROP_TOL`` times the
+    largest.  A pass falls back to ``np.linalg.qr`` when the factorization
+    fails or a diagonal entry of L is at most ``_CHOL_MIN_DIAG``, where
+    rounding in the Gram matrix could decide the drop.
     """
-    if V.shape[1] == 0:
-        return V, False
-    if against is not None and against.shape[1]:
-        V = V - against @ (against.T @ V)
-        V = V - against @ (against.T @ V)
-    norms = np.linalg.norm(V, axis=0)
-    scale = norms.max()
-    if not np.isfinite(scale) or scale == 0.0:
-        return V[:, :0], True
-    Q, R = np.linalg.qr(V)
-    diag = np.abs(np.diag(R))
-    keep = diag > _QR_DROP_TOL * diag.max()
-    return Q[:, keep], bool((~keep).any())
+    for _ in range(2):
+        if guard is not None:
+            V = V - guard @ (guard.T @ V)
+        G = V.T @ V
+        norms = np.sqrt(np.diagonal(G))
+        if not 0.0 < norms.max(initial=0.0) < math.inf:
+            return V[:, :0]
+        d = np.zeros(1)  # stays when there is no usable factor: QR decides
+        if norms.min() > 0.0:
+            try:
+                L = np.linalg.cholesky(G / np.outer(norms, norms))
+                d = np.diagonal(L)
+            except np.linalg.LinAlgError:
+                pass
+        if d.min() > _CHOL_MIN_DIAG:
+            diag = d * norms
+            T = np.linalg.inv(L).T / norms[:, None]
+            V = V @ T[:, diag > _QR_DROP_TOL * diag.max()]
+        else:
+            Q, R = np.linalg.qr(V)
+            diag = np.abs(np.diagonal(R))
+            V = Q[:, diag > _QR_DROP_TOL * diag.max()]
+    return V
+
+
+def _require_ones_null(op: SymmetricOperator, Au: np.ndarray) -> None:
+    """Raise ``ValueError`` unless the image ``Au`` of the unit ones vector is rounding.
+
+    Deflating ones is sound only when ones is an eigenvector, here of
+    eigenvalue 0 as for every standard Laplacian: ``||A u||`` must be at
+    most ``_ONES_RESIDUAL_REL`` times the operator's largest absolute row sum.
+    """
+    drift = float(np.linalg.norm(Au))
+    if drift > _ONES_RESIDUAL_REL * max(1.0, op.norm_inf):
+        raise ValueError(
+            f"ones is not an eigenvector of the operator (|A u| = {drift:.3e}); "
+            "it cannot be deflated"
+        )
 
 
 def lobpcg_smallest(op: SymmetricOperator, cfg: SolverConfig) -> tuple[Spectrum, IterationTrace]:
     """Iteratively compute the k smallest eigenpairs of a symmetric operator.
 
     Each iteration performs a Rayleigh-Ritz projection onto the span of the
-    current block, the residual block, and the previous search directions,
-    orthonormalizing the basis first.  On rank loss the direction block is
-    dropped for that iteration; converged leading columns are locked.  Not
-    converging within ``max_iter`` is not an error: the returned spectrum
-    carries per-column converged flags.
+    current block X, the residual block W and the previous search
+    directions P, and applies the operator once, to W.  Converged leading
+    columns are locked.  Not converging within ``max_iter`` is not an
+    error: the returned spectrum carries per-column converged flags.
+
+    The basis [X, P, W] stays orthonormal without re-projecting X or P.  W
+    is orthonormalized against [ones, X, P] by CholQR2 with QR's drop rule
+    (see ``_orthonormalize``).  The Ritz coefficients Zk give the new X and
+    AX.  P spans what the new Ritz vectors gained over the old X (Hetmaniuk
+    & Lehoucq, 2006); its coefficients are an orthonormal basis of that
+    gain within the complement of Zk, from an SVD in the small projected
+    space (Duersch, Shao, Yang & Gu, 2018).  So P and AP come from the same
+    two block products as X and AX, and no normalization of a cancelled
+    n-vector can amplify the rounding in the implicit AP.  The blocks live
+    in column ranges of two preallocated buffers, one written while the
+    other is read.
+
+    With ``deflate_ones`` the ones vector guards the basis, and an operator
+    that moves ones raises ``ValueError`` before the first iteration.
     """
     n = op.n
     m = cfg.effective_block_size
@@ -225,22 +268,30 @@ def lobpcg_smallest(op: SymmetricOperator, cfg: SolverConfig) -> tuple[Spectrum,
         raise ValueError(f"block_size {m} too large for operator dimension {n}")
     rng = np.random.default_rng(cfg.seed)
     X = rng.uniform(-1.0, 1.0, size=(n, m))
-    C = np.ones((n, 1)) / math.sqrt(n) if cfg.deflate_ones else None
-    X, _ = _orthonormalize(X, against=C)
+    # column layout of both buffers: [ones (c) | X (m) | P (np_) | W (nw)]
+    c = int(cfg.deflate_ones)
+    V = np.empty((n, c + 3 * m), order="F")
+    V[:, :c] = 1.0 / math.sqrt(n)
+    X = _orthonormalize(X, guard=V[:, :c] if c else None)
     if X.shape[1] < m:
         raise BasisDegenerateError("random initial block lost rank")
-    AX = op.matmat(X)
-    H = X.T @ AX
-    H = (H + H.T) / 2.0
-    theta, Z = np.linalg.eigh(H)
-    X = X @ Z
-    AX = AX @ Z
-    P: np.ndarray | None = None
+    V[:, c : c + m] = X
+    AV = np.empty_like(V)
+    AV[:, : c + m] = op.matmat(V[:, : c + m])
+    if c:
+        _require_ones_null(op, AV[:, 0])
+    theta, Z = np.linalg.eigh(X.T @ AV[:, c : c + m])
+    V[:, c : c + m] = X @ Z
+    AV[:, c : c + m] = AV[:, c : c + m] @ Z
+    V2, AV2 = V.copy(order="F"), AV.copy(order="F")
+    R = np.empty((n, m), order="F")
+    np_ = 0
     trace = IterationTrace()
     nlock = 0
     for _ in range(cfg.max_iter):
-        R = AX - X * theta
-        resnorms = np.linalg.norm(R, axis=0)
+        np.multiply(V[:, c : c + m], theta, out=R)
+        np.subtract(AV[:, c : c + m], R, out=R)
+        resnorms = np.sqrt(np.einsum("ij,ij->j", R, R))
         trace.ritz_values.append(theta.copy())
         trace.max_residuals.append(float(resnorms[: cfg.k].max()))
         conv = resnorms <= cfg.tol * np.maximum(1.0, np.abs(theta))
@@ -250,40 +301,36 @@ def lobpcg_smallest(op: SymmetricOperator, cfg: SolverConfig) -> tuple[Spectrum,
         while prefix < m and conv[prefix]:
             prefix += 1
         nlock = max(nlock, min(prefix, m - 1))
-        active = slice(nlock, m)
-        n_active = m - nlock
-        guard = np.hstack([b for b in (C, X) if b is not None])
-        W, _ = _orthonormalize(R[:, active], against=guard)
-        if W.shape[1] == 0:
+        na = m - nlock
+        x0, w0 = c + nlock, c + m + np_
+        W = _orthonormalize(R[:, nlock:], guard=V[:, :w0])
+        nw = W.shape[1]
+        if nw == 0:
             raise BasisDegenerateError(
                 "residual block vanished before reaching the tolerance"
             )
-        AW = op.matmat(W)
-        S = np.hstack([X[:, active], W])
-        AS = np.hstack([AX[:, active], AW])
-        if P is not None and P.shape[1]:
-            Pq, lost = _orthonormalize(P, against=np.hstack([guard, W]))
-            if not lost and Pq.shape[1]:
-                S = np.hstack([S, Pq])
-                AS = np.hstack([AS, op.matmat(Pq)])
-        H = S.T @ AS
-        H = (H + H.T) / 2.0
-        ritz, Z = np.linalg.eigh(H)
-        Zk = Z[:, :n_active]
-        Xn = S @ Zk
-        AXn = AS @ Zk
-        P = S[:, n_active:] @ Zk[n_active:, :]
-        pnorm = np.linalg.norm(P, axis=0)
-        ok = (pnorm > 0.0) & np.isfinite(pnorm)
-        P = P[:, ok] / pnorm[ok]
-        X = np.hstack([X[:, :nlock], Xn])
-        AX = np.hstack([AX[:, :nlock], AXn])
-        theta = np.concatenate([theta[:nlock], ritz[:n_active]])
+        V[:, w0 : w0 + nw] = W
+        AV[:, w0 : w0 + nw] = op.matmat(W)
+        S, AS = V[:, x0 : w0 + nw], AV[:, x0 : w0 + nw]
+        ritz, Z = np.linalg.eigh(S.T @ AS)
+        # P's coefficients: an orthonormal basis, within the complement of
+        # Zk, of the components of the new Ritz vectors outside the old X
+        U, sv, _ = np.linalg.svd(Z[na:, na:].T @ Z[na:, :na], full_matrices=False)
+        U = U[:, sv > _QR_DROP_TOL * sv.max(initial=0.0)]
+        np_ = U.shape[1]
+        coef = np.concatenate((Z[:, :na], Z[:, na:] @ U), axis=1)
+        np.matmul(S, coef, out=V2[:, x0 : c + m + np_])
+        np.matmul(AS, coef, out=AV2[:, x0 : c + m + np_])
+        if nlock:
+            V2[:, c:x0] = V[:, c:x0]
+            AV2[:, c:x0] = AV[:, c:x0]
+        V, V2, AV, AV2 = V2, V, AV2, AV
+        theta[nlock:] = ritz[:na]
     order = np.argsort(theta, kind="stable")
     theta = theta[order]
-    X = X[:, order]
-    AX = op.matmat(X)
-    residuals = np.linalg.norm(AX - X * theta, axis=0)
+    X = V[:, c : c + m][:, order]
+    R = op.matmat(X) - X * theta
+    residuals = np.sqrt(np.einsum("ij,ij->j", R, R))
     converged = residuals <= cfg.tol * np.maximum(1.0, np.abs(theta))
     spectrum = Spectrum(
         eigenvalues=theta[: cfg.k].copy(),

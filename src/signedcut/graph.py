@@ -177,12 +177,17 @@ def nullify_negative(g: SignedGraph) -> SignedGraph:
 
 
 def scale_weights(g: SignedGraph, c: float) -> SignedGraph:
-    """Multiply every weight by a nonzero constant."""
+    """Multiply every weight by a nonzero constant.
+
+    A product that underflows to zero or overflows raises, as
+    :func:`graph_from_arrays` does for such a weight.
+    """
     c = float(c)
     if c == 0.0 or not math.isfinite(c):
         raise ZeroWeightError(f"scale factor must be finite and nonzero, got {c!r}")
     ii, jj, ww = g.edge_arrays()
-    return SignedGraph(g.n, (ii, jj, c * ww))
+    with np.errstate(over="ignore"):
+        return graph_from_arrays(g.n, ii, jj, c * ww)
 
 
 def connected_in_absolute_value(g: SignedGraph) -> bool:

@@ -28,15 +28,21 @@ class LaplacianKind(str, Enum):
 
 
 class SymmetricOperator:
-    """Symmetric linear operator of dimension n with block matvec access."""
+    """Symmetric linear operator of dimension n with block matvec access.
+
+    ``norm_inf`` is the largest absolute row sum: the scale against which
+    the ones-deflation check judges rounding, without a dense matrix.
+    """
 
     def __init__(
         self,
         n: int,
         matmat: Callable[[np.ndarray], np.ndarray],
         dense_builder: Callable[[], np.ndarray],
+        norm_inf: float,
     ):
         self.n = int(n)
+        self.norm_inf = float(norm_inf)
         self._matmat = matmat
         self._dense_builder = dense_builder
         self._dense_cache: np.ndarray | None = None
@@ -93,7 +99,8 @@ def laplacian(g: SignedGraph, kind: LaplacianKind | str = LaplacianKind.STANDARD
         L[jj, ii] -= ww
         return L
 
-    return SymmetricOperator(g.n, matmat, dense_builder)
+    norm_inf = (np.abs(d) + np.bincount(rows, np.abs(vals), minlength=g.n)).max()
+    return SymmetricOperator(g.n, matmat, dense_builder, norm_inf)
 
 
 def quadratic_form(op: SymmetricOperator, x: np.ndarray) -> float:

@@ -153,6 +153,21 @@ class TestSpectrum:
         assert report["error"].startswith("ones is not an eigenvector of the operator")
         assert not out.exists()
 
+    def test_lobpcg_deflate_ones_rejects_a_signed_negative_edge(self, tmp_path, capsys,
+                                                                monkeypatch):
+        gfile = str(tmp_path / "neg.mtx")
+        save_graph(path_string(StringSpec(6, overrides=((2, -1.0),))), gfile)
+        out = tmp_path / "m.csv"
+        eigh_calls = count_eigh(monkeypatch)
+        code, _, report = run(capsys, "spectrum", gfile, "--laplacian", "signed", "--k", "2",
+                              "--solver", "lobpcg", "--deflate-ones", "--out", str(out))
+        assert code == 2
+        assert report["error"].startswith("ones is not an eigenvector of the operator")
+        assert not report["warnings"]
+        assert not out.exists()
+        # rejected before the first Rayleigh-Ritz step
+        assert eigh_calls == []
+
     def test_signed_negative_edge_lead_mode_piecewise(self, tmp_path, capsys):
         gfile = str(tmp_path / "neg.mtx")
         save_graph(path_string(StringSpec(75, overrides=((36, -0.05),))), gfile)

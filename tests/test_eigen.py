@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from signedcut import (
     DimensionTooLargeError,
@@ -12,6 +14,8 @@ from signedcut import (
     dense_spectrum,
     dense_spectrum_deflated,
     estimate_largest_eigenvalue,
+    fiedler,
+    graph_from_arrays,
     graph_from_edges,
     laplacian,
     lobpcg_smallest,
@@ -241,6 +245,129 @@ class TestLobpcg:
         gram = s.eigenvectors.T @ s.eigenvectors
         assert np.abs(gram - np.eye(3)).max() <= 1e-10
         assert (np.diff(s.eigenvalues) >= -1e-12).all()
+
+
+def count_block_matvecs(op):
+    """Record the column count of every block matvec the operator runs from now on."""
+    calls = []
+    inner = op._matmat
+
+    def counting(X):
+        calls.append(X.shape[1])
+        return inner(X)
+
+    op._matmat = counting
+    return calls
+
+
+class TestLobpcgMatvecCount:
+    """One block matvec per iteration, plus the start block and the final residuals."""
+
+    @pytest.mark.parametrize("kind", ["standard", "signed"])
+    def test_3000_mass_string(self, kind):
+        g = path_string(StringSpec(3000, overrides=((1499, -0.05),)))
+        op = laplacian(g, kind)
+        calls = count_block_matvecs(op)
+        cfg = SolverConfig(k=2 if kind == "standard" else 3, block_size=5, tol=1e-5,
+                           max_iter=200, seed=1, deflate_ones=kind == "standard")
+        _, trace = lobpcg_smallest(op, cfg)
+        assert len(trace) == 200
+        assert len(calls) <= len(trace) + 2
+
+    def test_seeded_random_graph(self):
+        rng = np.random.default_rng(31)
+        g = random_graph(rng, n_max=200, density=0.05)
+        op = laplacian(g, "standard")
+        calls = count_block_matvecs(op)
+        cfg = SolverConfig(k=3, block_size=4, tol=1e-9, max_iter=300, seed=2, deflate_ones=True)
+        s, trace = lobpcg_smallest(op, cfg)
+        assert s.converged.all() and len(trace) > 5
+        assert len(calls) <= len(trace) + 2
+
+
+@st.composite
+def solver_cases(draw):
+    """A signed graph with n in [3, 40] and a solver config, often with 3m >= n."""
+    n = draw(st.integers(3, 40))
+    density = draw(st.sampled_from([0.1, 0.3, 0.6, 1.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    i, j = np.triu_indices(n, 1)
+    keep = rng.uniform(size=len(i)) < density
+    w = rng.uniform(-2.0, 2.0, size=int(keep.sum()))
+    w[w == 0.0] = 1.0
+    g = graph_from_arrays(n, i[keep], j[keep], w)
+    m = draw(st.integers(1, min(n - 1, 8)))
+    k = draw(st.integers(1, m))
+    cfg = SolverConfig(k=k, block_size=m, tol=1e-9, max_iter=1000,
+                       seed=draw(st.integers(0, 2**20)), deflate_ones=draw(st.booleans()))
+    return g, draw(st.sampled_from(["standard", "signed"])), cfg
+
+
+@settings(max_examples=80, deadline=None)
+@given(solver_cases())
+def test_lobpcg_matches_dense_on_generated_graphs(case):
+    """Converged pairs match the dense oracle; Ritz values never rise."""
+    g, kind, cfg = case
+    op = laplacian(g, kind)
+    if cfg.deflate_ones:
+        try:
+            oracle = dense_spectrum_deflated(op)
+        except ValueError:
+            with pytest.raises(ValueError, match="not an eigenvector"):
+                lobpcg_smallest(op, cfg)
+            return
+    else:
+        oracle = dense_spectrum(op)
+    s, trace = lobpcg_smallest(op, cfg)
+    for c in np.flatnonzero(s.converged):
+        assert abs(s.eigenvalues[c] - oracle.eigenvalues[c]) <= 1e-7
+        # the eigenspace of every oracle eigenvalue within the matching tolerance
+        J = np.flatnonzero(np.abs(oracle.eigenvalues - s.eigenvalues[c]) <= 1e-7)
+        basis = oracle.eigenvectors[:, J]
+        v = s.eigenvectors[:, c]
+        assert math.asin(min(1.0, float(np.linalg.norm(v - basis @ (basis.T @ v))))) <= 1e-5
+    ritz = np.array(trace.ritz_values)
+    if len(ritz) > 1:
+        assert np.diff(ritz, axis=0).max() <= 1e-12
+
+
+def random_signed_arrays(n, m, seed):
+    """A spanning path over a random permutation plus random pairs, weights in U(-1, 1)."""
+    rng = np.random.default_rng(seed)
+    perm = rng.permutation(n)
+    a = rng.integers(0, n, size=2 * m)
+    b = rng.integers(0, n, size=2 * m)
+    lo = np.concatenate([np.minimum(perm[:-1], perm[1:]), np.minimum(a, b)[a != b]])
+    hi = np.concatenate([np.maximum(perm[:-1], perm[1:]), np.maximum(a, b)[a != b]])
+    _, first = np.unique(lo * n + hi, return_index=True)
+    first = np.sort(first)[:m]
+    w = rng.uniform(-1.0, 1.0, size=len(first))
+    w[w == 0.0] = 0.5
+    return graph_from_arrays(n, lo[first], hi[first], w)
+
+
+@pytest.mark.parametrize("kind", ["standard", "signed"])
+def test_lobpcg_fiedler_matches_eigsh_above_dense_threshold(kind):
+    """Above the dense threshold the reference is scipy's ARPACK eigsh."""
+    sparse = pytest.importorskip("scipy.sparse")
+    eigsh = pytest.importorskip("scipy.sparse.linalg").eigsh
+    n = 5000
+    g = random_signed_arrays(n, 6 * n, seed=17)
+    f = fiedler(g, kind, solver=SolverConfig(k=2, block_size=5, tol=1e-8, max_iter=500, seed=4))
+    ii, jj, ww = g.edge_arrays()
+    A = sparse.coo_matrix((ww, (ii, jj)), shape=(n, n)).tocsr()
+    A = A + A.T
+    d = np.asarray(abs(A).sum(axis=1) if kind == "signed" else A.sum(axis=1)).ravel()
+    L = sparse.diags(d) - A
+    lam, U = eigsh(L, k=4, which="SA", tol=1e-12)
+    order = np.argsort(lam)
+    lam, U = lam[order], U[:, order]
+    # the ones vector is an eigenvector of the standard Laplacian; it is never the Fiedler vector
+    if kind == "standard":
+        trivial = np.abs(U.T @ np.ones(n)) / math.sqrt(n) > 0.5
+        lam, U = lam[~trivial], U[:, ~trivial]
+    assert f.eigenvalue == pytest.approx(lam[0], abs=1e-7 * max(1.0, abs(lam[0])))
+    assert angle_between(f.vector, U[:, 0]) <= 1e-5
 
 
 def ones_first_basis(n):

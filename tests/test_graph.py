@@ -168,6 +168,16 @@ class TestWeightTransforms:
         g = scale_weights(cobra(), 2.0)
         assert g.edges[0] == (0, 1, 2.0)
 
+    @pytest.mark.parametrize("c, error, message", [
+        (1e-300, ZeroWeightError, "edge (0, 1) has zero weight"),
+        (1e300, NonfiniteWeightError, "edge (1, 2) has nonfinite weight inf"),
+    ])
+    def test_scale_rejects_products_out_of_range(self, c, error, message):
+        g = graph_from_edges(3, [(0, 1, 1e-300), (1, 2, 1e300)])
+        with pytest.raises(error) as info:
+            scale_weights(g, c)
+        assert str(info.value) == message
+
 
 class TestConnectivity:
     def test_connected_ignores_signs(self):

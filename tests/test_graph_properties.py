@@ -11,6 +11,7 @@ import os
 import tempfile
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -203,10 +204,19 @@ def test_transforms_match_tuple_formulas(case, c):
     negated = tuple((i, j, -w) for i, j, w in g.edges)
     positive = tuple(e for e in g.edges if e[2] > 0)
     scaled = tuple((i, j, c * w) for i, j, w in g.edges)
-    with np.errstate(over="ignore"):
-        scaled_graph = scale_weights(g, c)
-    for graph, expected in ((negate_weights(g), negated), (nullify_negative(g), positive),
-                            (scaled_graph, scaled)):
+    cases = [(negate_weights(g), negated), (nullify_negative(g), positive)]
+    # a product that leaves the float range must raise, for the first such edge
+    fault = next(((i, j, w) for i, j, w in scaled if w == 0.0 or not math.isfinite(w)), None)
+    if fault is None:
+        cases.append((scale_weights(g, c), scaled))
+    else:
+        i, j, w = fault
+        error, message = ((ZeroWeightError, f"edge ({i}, {j}) has zero weight") if w == 0.0 else
+                          (NonfiniteWeightError, f"edge ({i}, {j}) has nonfinite weight {w!r}"))
+        with pytest.raises(error) as info:
+            scale_weights(g, c)
+        assert str(info.value) == message
+    for graph, expected in cases:
         assert graph.n == n
         assert graph.edges == expected
         assert weight_bits(graph.edges) == weight_bits(expected)
