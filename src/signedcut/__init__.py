@@ -54,6 +54,7 @@ from .eigen import (
     dense_spectrum,
     dense_spectrum_deflated,
     estimate_largest_eigenvalue,
+    jacobi_preconditioner,
     lobpcg_smallest,
 )
 from .partition import (

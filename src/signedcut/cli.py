@@ -179,6 +179,7 @@ def _solver_config(args, k: int, deflate_ones: bool = False) -> SolverConfig:
         max_iter=args.max_iter,
         seed=args.seed,
         deflate_ones=deflate_ones,
+        precondition=True,
     )
 
 

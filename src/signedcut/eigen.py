@@ -58,7 +58,9 @@ class SolverConfig:
     ``tol`` is an absolute residual tolerance scaled per column by
     max(1, |ritz value|).  ``deflate_ones`` keeps every iterate orthogonal
     to the all-ones vector, excluding the trivial constant eigenvector of a
-    standard Laplacian from the search space.
+    standard Laplacian from the search space.  ``precondition`` applies the
+    Gershgorin-shifted Jacobi preconditioner (``jacobi_preconditioner``)
+    to the residual block.
     """
 
     k: int
@@ -67,6 +69,7 @@ class SolverConfig:
     max_iter: int = 200
     seed: int = 0
     deflate_ones: bool = False
+    precondition: bool = False
 
     def __post_init__(self):
         if self.k < 1:
@@ -186,6 +189,21 @@ def estimate_largest_eigenvalue(op: SymmetricOperator, seed: int = 0, iterations
     return rho - sigma
 
 
+def jacobi_preconditioner(op: SymmetricOperator) -> np.ndarray:
+    """The diagonal of T = diag(A - sigma I)^-1, sigma the Gershgorin lower bound.
+
+    Since a_ii - sigma >= r_i >= 0, T is positive for both Laplacian kinds
+    without a parameter: sigma = 0 and T = 1/D-bar for the signed kind, and
+    sigma < 0 for the standard kind with a negative edge.  LOBPCG accepts
+    any symmetric positive definite preconditioner, even for an indefinite
+    operator (Knyazev, SISC 2001).  An isolated vertex with sigma = 0 has
+    a_ii - sigma = 0; its entry is 1.
+    """
+    shifted = op.diagonal - op.gershgorin_lower
+    shifted[shifted <= 0.0] = 1.0
+    return 1.0 / shifted
+
+
 def _orthonormalize(V: np.ndarray, guard: np.ndarray | None = None) -> np.ndarray:
     """Orthonormal basis of V's columns, orthogonal to an orthonormal guard.
 
@@ -259,8 +277,11 @@ def lobpcg_smallest(op: SymmetricOperator, cfg: SolverConfig) -> tuple[Spectrum,
     in column ranges of two preallocated buffers, one written while the
     other is read.
 
-    With ``deflate_ones`` the ones vector guards the basis, and an operator
-    that moves ones raises ``ValueError`` before the first iteration.
+    With ``precondition`` W starts from T R instead of R, T the diagonal of
+    ``jacobi_preconditioner``; the projection against [ones, X, P] keeps W
+    orthogonal to ones.  With ``deflate_ones`` the ones vector guards the
+    basis, and an operator that moves ones raises ``ValueError`` before the
+    first iteration.
     """
     n = op.n
     m = cfg.effective_block_size
@@ -285,6 +306,7 @@ def lobpcg_smallest(op: SymmetricOperator, cfg: SolverConfig) -> tuple[Spectrum,
     AV[:, c : c + m] = AV[:, c : c + m] @ Z
     V2, AV2 = V.copy(order="F"), AV.copy(order="F")
     R = np.empty((n, m), order="F")
+    T = jacobi_preconditioner(op)[:, None] if cfg.precondition else None
     np_ = 0
     trace = IterationTrace()
     nlock = 0
@@ -303,7 +325,8 @@ def lobpcg_smallest(op: SymmetricOperator, cfg: SolverConfig) -> tuple[Spectrum,
         nlock = max(nlock, min(prefix, m - 1))
         na = m - nlock
         x0, w0 = c + nlock, c + m + np_
-        W = _orthonormalize(R[:, nlock:], guard=V[:, :w0])
+        W = R[:, nlock:] if T is None else T * R[:, nlock:]
+        W = _orthonormalize(W, guard=V[:, :w0])
         nw = W.shape[1]
         if nw == 0:
             raise BasisDegenerateError(

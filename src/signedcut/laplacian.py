@@ -30,8 +30,10 @@ class LaplacianKind(str, Enum):
 class SymmetricOperator:
     """Symmetric linear operator of dimension n with block matvec access.
 
-    ``norm_inf`` is the largest absolute row sum: the scale against which
-    the ones-deflation check judges rounding, without a dense matrix.
+    ``diagonal`` and ``radii`` are the Gershgorin discs: the centres a_ii
+    and the off-diagonal absolute row sums r_i = sum_j |a_ij|.  They give
+    the largest absolute row sum and a lower bound on the spectrum without
+    a dense matrix.
     """
 
     def __init__(
@@ -39,13 +41,25 @@ class SymmetricOperator:
         n: int,
         matmat: Callable[[np.ndarray], np.ndarray],
         dense_builder: Callable[[], np.ndarray],
-        norm_inf: float,
+        diagonal: np.ndarray,
+        radii: np.ndarray,
     ):
         self.n = int(n)
-        self.norm_inf = float(norm_inf)
+        self.diagonal = diagonal
+        self.radii = radii
         self._matmat = matmat
         self._dense_builder = dense_builder
         self._dense_cache: np.ndarray | None = None
+
+    @property
+    def norm_inf(self) -> float:
+        """Largest absolute row sum: the scale of the ones-deflation check."""
+        return float((np.abs(self.diagonal) + self.radii).max())
+
+    @property
+    def gershgorin_lower(self) -> float:
+        """Gershgorin lower bound min_i (a_ii - r_i) on the smallest eigenvalue."""
+        return float((self.diagonal - self.radii).min())
 
     def matmat(self, X: np.ndarray) -> np.ndarray:
         """Apply the operator to a vector (n,) or block of vectors (n, k)."""
@@ -99,8 +113,10 @@ def laplacian(g: SignedGraph, kind: LaplacianKind | str = LaplacianKind.STANDARD
         L[jj, ii] -= ww
         return L
 
-    norm_inf = (np.abs(d) + np.bincount(rows, np.abs(vals), minlength=g.n)).max()
-    return SymmetricOperator(g.n, matmat, dense_builder, norm_inf)
+    # the same additions in the same order as degrees(): for the signed kind
+    # the radii equal d bit for bit, so the Gershgorin bound is exactly 0
+    radii = np.bincount(rows, np.abs(vals), minlength=g.n)
+    return SymmetricOperator(g.n, matmat, dense_builder, d, radii)
 
 
 def quadratic_form(op: SymmetricOperator, x: np.ndarray) -> float:

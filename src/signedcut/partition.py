@@ -153,7 +153,9 @@ def select_fiedler(
     none).  The spread runs from the Fiedler eigenvalue to the largest
     eigenvalue, which ``largest_eigenvalue`` completes for a partial
     spectrum.  The condition number is spread / gap, or +inf for a gap of
-    at most ZERO_GAP_REL times the spread.
+    at most ZERO_GAP_REL times the spread.  The vector has unit norm and
+    ``bisect``'s sign: its first component of largest magnitude is
+    positive, so the sides follow its signs as returned.
     """
     lam = s.eigenvalues
     n = s.eigenvectors.shape[0]
@@ -170,8 +172,12 @@ def select_fiedler(
     spread = top - eigenvalue
     clustered = math.isfinite(gap) and spread > 0 and gap <= CLUSTERED_GAP_FRACTION * spread
     vector = s.eigenvectors[:, idx]
+    vector = vector / np.linalg.norm(vector)
+    # bisect's sign rule: the first component of largest magnitude is positive
+    if vector[np.argmax(np.abs(vector))] < 0:
+        vector = -vector
     return FiedlerResult(
-        vector=vector / np.linalg.norm(vector),
+        vector=vector,
         eigenvalue=eigenvalue,
         kind=LaplacianKind(kind),
         skipped_constant=skipped,

@@ -13,6 +13,10 @@ from signedcut import (
     path_string,
     save_graph,
 )
+import signedcut.cli
+import signedcut.eigen
+import signedcut.experiments
+import signedcut.partition
 from signedcut.cli import main
 
 
@@ -40,6 +44,20 @@ def count_eigh(monkeypatch) -> list:
 
     monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
     return calls
+
+
+def record_solver_configs(monkeypatch, *modules) -> list:
+    """Record the SolverConfig of every lobpcg_smallest call made through the modules."""
+    configs = []
+    solve = signedcut.eigen.lobpcg_smallest
+
+    def recording(op, cfg):
+        configs.append(cfg)
+        return solve(op, cfg)
+
+    for module in modules:
+        monkeypatch.setattr(module, "lobpcg_smallest", recording)
+    return configs
 
 
 class TestGen:
@@ -221,6 +239,31 @@ class TestPartitionCmd:
         save_graph(cobra(), gfile)
         code, _, _ = run(capsys, "partition", gfile, "--laplacian", "signed")
         assert code == 4
+
+
+class TestSolverWiring:
+    """The CLI's iterative route is preconditioned; the paper's study is not."""
+
+    def test_partition_and_spectrum_precondition(self, tmp_path, capsys, monkeypatch):
+        gfile = str(tmp_path / "neg.mtx")
+        save_graph(path_string(StringSpec(30, overrides=((12, -0.05),))), gfile)
+        configs = record_solver_configs(monkeypatch, signedcut.cli, signedcut.partition)
+        for kind in ("standard", "signed"):
+            code, _, _ = run(capsys, "partition", gfile, "--laplacian", kind, "--solver", "lobpcg",
+                             "--max-iter", "1000", "--out", str(tmp_path / f"p-{kind}.json"))
+            assert code == 0
+        code, _, _ = run(capsys, "spectrum", gfile, "--solver", "lobpcg", "--k", "3",
+                         "--out", str(tmp_path / "m.csv"))
+        assert code == 0
+        assert len(configs) == 3
+        assert all(cfg.precondition for cfg in configs)
+
+    def test_truncated_iteration_study_is_unpreconditioned(self, tmp_path, capsys, monkeypatch):
+        configs = record_solver_configs(monkeypatch, signedcut.experiments)
+        code, _, _ = run(capsys, "demo", "lobpcg-30", "--out", str(tmp_path / "trunc"))
+        assert code == 0
+        assert len(configs) == 60
+        assert not any(cfg.precondition for cfg in configs)
 
 
 class TestMetricsCmd:

@@ -17,6 +17,7 @@ from signedcut import (
     fiedler,
     graph_from_arrays,
     graph_from_edges,
+    jacobi_preconditioner,
     laplacian,
     lobpcg_smallest,
     path_string,
@@ -299,14 +300,18 @@ def solver_cases(draw):
     m = draw(st.integers(1, min(n - 1, 8)))
     k = draw(st.integers(1, m))
     cfg = SolverConfig(k=k, block_size=m, tol=1e-9, max_iter=1000,
-                       seed=draw(st.integers(0, 2**20)), deflate_ones=draw(st.booleans()))
+                       seed=draw(st.integers(0, 2**20)), deflate_ones=draw(st.booleans()),
+                       precondition=draw(st.booleans()))
     return g, draw(st.sampled_from(["standard", "signed"])), cfg
 
 
 @settings(max_examples=80, deadline=None)
 @given(solver_cases())
 def test_lobpcg_matches_dense_on_generated_graphs(case):
-    """Converged pairs match the dense oracle; Ritz values never rise."""
+    """Converged pairs match the dense oracle; Ritz values never rise.
+
+    The same bounds hold with and without the Jacobi preconditioner.
+    """
     g, kind, cfg = case
     op = laplacian(g, kind)
     if cfg.deflate_ones:
@@ -329,6 +334,54 @@ def test_lobpcg_matches_dense_on_generated_graphs(case):
     ritz = np.array(trace.ritz_values)
     if len(ritz) > 1:
         assert np.diff(ritz, axis=0).max() <= 1e-12
+
+
+class TestJacobiPreconditioner:
+    """T = diag(A - sigma I)^-1 with sigma the Gershgorin lower bound."""
+
+    @pytest.mark.parametrize("kind", ["standard", "signed"])
+    @pytest.mark.parametrize("g", [
+        pytest.param(graph_from_edges(5, []), id="edgeless"),
+        pytest.param(graph_from_edges(4, [(0, 1, 1.0), (1, 2, 0.5)]), id="isolated-vertex"),
+        pytest.param(graph_from_edges(4, [(0, 1, -1.0), (1, 2, -0.5), (0, 3, -2.0)]),
+                     id="all-negative"),
+        pytest.param(graph_from_edges(4, [(0, 1, -1.0), (1, 2, 0.5)]),
+                     id="isolated-vertex-negative-edge"),
+    ])
+    def test_positive_and_finite(self, g, kind):
+        T = jacobi_preconditioner(laplacian(g, kind))
+        assert T.shape == (g.n,)
+        assert np.isfinite(T).all() and (T > 0).all()
+
+    def test_signed_kind_is_inverse_absolute_degree(self):
+        rng = np.random.default_rng(41)
+        for _ in range(10):
+            g = random_graph(rng)
+            op = laplacian(g, "signed")
+            d_abs = np.abs(op.dense()).sum(axis=1) / 2.0
+            assert op.gershgorin_lower == 0.0
+            connected = d_abs > 0
+            T = jacobi_preconditioner(op)
+            np.testing.assert_array_equal(T[connected], 1.0 / op.diagonal[connected])
+            np.testing.assert_allclose(T[connected], 1.0 / d_abs[connected], rtol=1e-13)
+
+    def test_standard_kind_shift_is_negative_with_a_negative_edge(self):
+        g = path_string(StringSpec(10, overrides=((4, -0.5),)))
+        op = laplacian(g, "standard")
+        # vertices 4 and 5 carry the edge: a_ii - r_i = (1 - 0.5) - 1.5
+        assert op.gershgorin_lower == pytest.approx(-1.0, abs=1e-15)
+        np.testing.assert_allclose(jacobi_preconditioner(op), 1.0 / (op.diagonal + 1.0))
+        assert laplacian(path_string(StringSpec(10)), "standard").gershgorin_lower == 0.0
+
+
+@settings(max_examples=60, deadline=None)
+@given(solver_cases())
+def test_gershgorin_shift_bounds_the_spectrum_from_below(case):
+    g, kind, _ = case
+    op = laplacian(g, kind)
+    lam_min = float(np.linalg.eigvalsh(op.dense())[0])
+    assert op.gershgorin_lower <= lam_min + 1e-12 * max(1.0, op.norm_inf)
+    assert op.gershgorin_lower <= 0.0
 
 
 def random_signed_arrays(n, m, seed):

@@ -121,6 +121,20 @@ class TestFiedler:
             assert abs(abs(f_iter.vector @ f_dense.vector) - 1.0) <= 1e-6
             assert bisect(f_iter).as_sets() == bisect(f_dense).as_sets()
 
+    def test_preconditioned_lobpcg_route_matches_dense(self):
+        g = dumbbell()
+        cfg = SolverConfig(k=2, tol=1e-10, max_iter=500, seed=4, precondition=True)
+        for kind in LaplacianKind:
+            f_dense = fiedler(g, kind)
+            f_iter = fiedler(g, kind, solver=cfg)
+            assert f_iter.eigenvalue == pytest.approx(f_dense.eigenvalue, abs=1e-8)
+            assert abs(abs(f_iter.vector @ f_dense.vector) - 1.0) <= 1e-6
+            # two components of the signed vector are exactly zero, so
+            # rounding decides their side; compare the others up to a swap
+            sure = np.abs(f_dense.vector) > 1e-8
+            same = (bisect(f_iter).side == bisect(f_dense).side)[sure]
+            assert same.all() or not same.any()
+
     def test_lobpcg_unconverged_raises_solver_failed(self):
         g = path_string(StringSpec(60))
         cfg = SolverConfig(k=2, tol=1e-12, max_iter=2, seed=0)
@@ -133,6 +147,32 @@ class TestFiedler:
         assert f.clustered_warning
         assert f.gap <= CLUSTERED_GAP_FRACTION * 4.0
         assert not fiedler(g, "standard").clustered_warning
+
+
+SIGN_GRAPHS = {
+    "cobra": cobra(),
+    "dumbbell": dumbbell(),
+    "string": path_string(StringSpec(75, overrides=((36, -0.05),))),
+    "random": random_connected_graph(np.random.default_rng(33)),
+}
+
+
+@pytest.mark.parametrize("solver", [
+    None, SolverConfig(k=2, tol=1e-8, max_iter=1000, seed=0, precondition=True),
+], ids=["dense", "lobpcg"])
+@pytest.mark.parametrize("kind", ["standard", "signed"])
+@pytest.mark.parametrize("name", list(SIGN_GRAPHS))
+def test_written_fiedler_sign_matches_sides(name, kind, solver):
+    """The written vector has bisect's sign, so side 1 is exactly its negative components."""
+    f = fiedler(SIGN_GRAPHS[name], kind, solver=solver)
+    assert f.vector[np.argmax(np.abs(f.vector))] > 0
+    try:
+        p = bisect(f, zero_policy="positive-side")
+    except DegenerateVectorError:
+        assert name == "cobra" and kind == "signed"
+        return
+    doc = partition_json(f, p)
+    assert doc["side"] == [int(x < 0) for x in doc["fiedler"]]
 
 
 class TestBisect:
