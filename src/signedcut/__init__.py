@@ -28,7 +28,6 @@ from .errors import (
 from .graph import (
     DENSE_MAX_DIM,
     DegreeMode,
-    DegreeVector,
     SignedGraph,
     connected_in_absolute_value,
     degrees,

@@ -11,6 +11,7 @@ Warnings never change the exit code.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import math
@@ -72,8 +73,17 @@ DEMO_NAMES = (
 )
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as ``SignedCutError``, after argparse's usage text,
+    so that it gets exit code 2 and a run report like any other bad parameter."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise SignedCutError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="signedcut",
         description="Spectral bisection of signed graphs.",
     )
@@ -99,17 +109,16 @@ def build_parser() -> argparse.ArgumentParser:
         if name != "compare":
             p.add_argument("--laplacian", choices=["standard", "signed"], default="standard")
             p.add_argument("--solver", choices=["dense", "lobpcg"], default="dense")
-        p.add_argument("--tol", type=float, default=1e-8)
-        p.add_argument("--max-iter", type=int, default=200)
-        p.add_argument("--block-size", type=int, default=None)
-        p.add_argument("--seed", type=int, default=0)
+            p.add_argument("--tol", type=float, default=1e-8)
+            p.add_argument("--max-iter", type=int, default=200)
+            p.add_argument("--block-size", type=int, default=None)
+            p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out", default=None, help="output file (default: stdout)")
         if name == "spectrum":
             p.add_argument("--k", type=int, default=5)
             p.add_argument("--deflate-ones", action="store_true",
                            help="leave out the ones vector (dense: it must be an eigenvector)")
         if name == "partition":
-            p.add_argument("--k", type=int, default=2)
             p.add_argument("--emit-confidence", action="store_true")
             p.add_argument("--zero-policy", choices=["positive-side", "negative-side"],
                            default="positive-side")
@@ -224,7 +233,8 @@ def cmd_spectrum(args, outputs: list[str], warnings: list[str]) -> dict:
 
 def cmd_partition(args, outputs: list[str], warnings: list[str]) -> dict:
     g = load_graph(args.graph)
-    solver = None if args.solver == "dense" else _solver_config(args, args.k)
+    # fiedler raises k to the pairs its kind needs
+    solver = None if args.solver == "dense" else _solver_config(args, 2)
     f = fiedler(g, LaplacianKind(args.laplacian), solver=solver)
     p = bisect(f, zero_policy=args.zero_policy)
     conf = confidence(f) if args.emit_confidence else None
@@ -242,27 +252,19 @@ def cmd_metrics(args, outputs: list[str], warnings: list[str]) -> dict:
     g = load_graph(args.graph)
     with open(args.partition) as fh:
         pdoc = json.load(fh)
+    if not isinstance(pdoc, dict):
+        raise SignedCutError("partition file must hold a JSON object")
     side = pdoc.get("side")
     if not isinstance(side, list) or pdoc.get("n") != g.n or len(side) != g.n:
         raise SignedCutError(
             f"partition file does not match graph size n={g.n}"
         )
+    # bool is an int subclass: the type test rejects true and false too
+    if not all(type(s) is int and s in (0, 1) for s in side):
+        raise SignedCutError("partition side values must be the integers 0 and 1")
     p = Partition(side=np.asarray(side, dtype=np.int8))
     m = cut_metrics(g, p)
-    doc = {
-        "n": g.n,
-        "size_a": len(p.set_a),
-        "size_b": len(p.set_b),
-        "cut": m.cut,
-        "cut_plus": m.cut_plus,
-        "cut_minus_cross": m.cut_minus_cross,
-        "cut_minus_within_a": m.cut_minus_within_a,
-        "cut_minus_within_b": m.cut_minus_within_b,
-        "signed_cut": m.signed_cut,
-        "ratio_cut": m.ratio_cut,
-        "signed_ratio_cut": m.signed_ratio_cut,
-        "total_negative": m.total_negative,
-    }
+    doc = {"n": g.n, "size_a": len(p.set_a), "size_b": len(p.set_b), **dataclasses.asdict(m)}
     _emit_json(doc, args.out, outputs)
     return doc
 
@@ -496,15 +498,14 @@ _HANDLERS = {
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
-    args = parser.parse_args(argv)
     started = time.perf_counter()
+    args = argparse.Namespace()
     outputs: list[str] = []
     warnings: list[str] = []
     code = 0
-    summary: dict = {}
     error: str | None = None
     try:
+        args = build_parser().parse_args(argv)
         summary = _HANDLERS[args.command](args, outputs, warnings)
         if args.command in ("gen", "demo") and summary:
             print(json.dumps(summary))
@@ -513,7 +514,7 @@ def main(argv: list[str] | None = None) -> int:
     except (SolverFailedError, BasisDegenerateError, DegenerateVectorError) as exc:
         code, error = 4, str(exc)
     except (SignedCutError, ValueError) as exc:
-        # includes empty partition sides, size mismatches, bad flags
+        # includes usage errors, empty partition sides, size mismatches, bad flags
         code, error = 2, str(exc)
     except OSError as exc:
         code, error = 3, str(exc)

@@ -35,12 +35,16 @@ _ONES_RESIDUAL_REL = 1e-10
 
 @dataclass(frozen=True, eq=False)
 class Spectrum:
-    """Ascending eigenvalues with column-orthonormal eigenvectors."""
+    """Ascending eigenvalues with column-orthonormal eigenvectors.
+
+    Only the iterative solver fills ``residual_norms`` and ``converged``;
+    the dense oracle leaves them ``None``.
+    """
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
-    residual_norms: np.ndarray
-    converged: np.ndarray
+    residual_norms: Optional[np.ndarray] = None
+    converged: Optional[np.ndarray] = None
 
     @property
     def k(self) -> int:
@@ -101,15 +105,8 @@ class IterationTrace:
 
 def dense_spectrum(op: SymmetricOperator) -> Spectrum:
     """Full spectrum via the dense oracle; requires n <= dense threshold."""
-    A = op.dense()
-    evals, evecs = np.linalg.eigh(A)
-    res = np.linalg.norm(A @ evecs - evecs * evals, axis=0)
-    return Spectrum(
-        eigenvalues=evals,
-        eigenvectors=evecs,
-        residual_norms=res,
-        converged=np.ones(len(evals), dtype=bool),
-    )
+    evals, evecs = np.linalg.eigh(op.dense())
+    return Spectrum(eigenvalues=evals, eigenvectors=evecs)
 
 
 def dense_spectrum_deflated(op: SymmetricOperator) -> Spectrum:
@@ -147,15 +144,7 @@ def dense_spectrum_deflated(op: SymmetricOperator) -> Spectrum:
     evecs[:, block] = evecs[:, block] @ Q
     keep = np.delete(np.arange(n), block[p])
     keep = keep[np.argsort(evals[keep], kind="stable")]
-    evals = evals[keep]
-    evecs = evecs[:, keep]
-    res = np.linalg.norm(A @ evecs - evecs * evals, axis=0)
-    return Spectrum(
-        eigenvalues=evals,
-        eigenvectors=evecs,
-        residual_norms=res,
-        converged=np.ones(len(evals), dtype=bool),
-    )
+    return Spectrum(eigenvalues=evals[keep], eigenvectors=evecs[:, keep])
 
 
 def estimate_largest_eigenvalue(op: SymmetricOperator, seed: int = 0, iterations: int = 20) -> float:

@@ -91,14 +91,6 @@ class SignedGraph:
         return W
 
 
-@dataclass(frozen=True, eq=False)
-class DegreeVector:
-    """Per-vertex degree values together with the summation mode used."""
-
-    d: np.ndarray
-    mode: DegreeMode
-
-
 def graph_from_edges(n: int, edges: Iterable[Sequence]) -> SignedGraph:
     """Build a canonical :class:`SignedGraph` from (i, j, w) triples.
 
@@ -149,7 +141,7 @@ def graph_from_arrays(n: int, i, j, w) -> SignedGraph:
     raise DuplicateEdgeError(f"duplicate edge ({min(i, j)}, {max(i, j)})")
 
 
-def degrees(g: SignedGraph, mode: DegreeMode | str = DegreeMode.SIGNED_SUM) -> DegreeVector:
+def degrees(g: SignedGraph, mode: DegreeMode | str = DegreeMode.SIGNED_SUM) -> np.ndarray:
     """Row sums of the adjacency matrix, plain or in absolute value.
 
     Isolated vertices get 0 in both modes.
@@ -160,7 +152,7 @@ def degrees(g: SignedGraph, mode: DegreeMode | str = DegreeMode.SIGNED_SUM) -> D
     d = np.zeros(g.n)
     np.add.at(d, ii, vals)
     np.add.at(d, jj, vals)
-    return DegreeVector(d=d, mode=mode)
+    return d
 
 
 def negate_weights(g: SignedGraph) -> SignedGraph:

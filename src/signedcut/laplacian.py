@@ -49,7 +49,6 @@ class SymmetricOperator:
         self.radii = radii
         self._matmat = matmat
         self._dense_builder = dense_builder
-        self._dense_cache: np.ndarray | None = None
 
     @property
     def norm_inf(self) -> float:
@@ -80,16 +79,14 @@ class SymmetricOperator:
             raise DimensionTooLargeError(
                 f"n={self.n} exceeds dense threshold {DENSE_MAX_DIM}"
             )
-        if self._dense_cache is None:
-            self._dense_cache = self._dense_builder()
-        return self._dense_cache
+        return self._dense_builder()
 
 
 def laplacian(g: SignedGraph, kind: LaplacianKind | str = LaplacianKind.STANDARD) -> SymmetricOperator:
     """Laplacian operator of the requested kind for a signed graph."""
     kind = LaplacianKind(kind)
     mode = DegreeMode.ABSOLUTE_SUM if kind is LaplacianKind.SIGNED else DegreeMode.SIGNED_SUM
-    d = degrees(g, mode).d
+    d = degrees(g, mode)
     ii, jj, ww = g.edge_arrays()
     # each edge scatters into row i, then row j: the order of the block form
     rows = np.concatenate([ii, jj])

@@ -257,6 +257,8 @@ class TestSolverWiring:
         assert code == 0
         assert len(configs) == 3
         assert all(cfg.precondition for cfg in configs)
+        # partition asks for k = 2; the signed kind needs three pairs
+        assert [cfg.k for cfg in configs] == [2, 3, 3]
 
     def test_truncated_iteration_study_is_unpreconditioned(self, tmp_path, capsys, monkeypatch):
         configs = record_solver_configs(monkeypatch, signedcut.experiments)
@@ -306,6 +308,23 @@ class TestMetricsCmd:
             json.dump({"n": 5, "side": [0, 0, 1, 1, 1]}, fh)
         code, _, _ = run(capsys, "metrics", gfile, "--partition", pfile)
         assert code == 2
+
+    @pytest.mark.parametrize("doc", [
+        {"n": 6, "side": [0, 0, 1, 1, 1, 2]},
+        {"n": 6, "side": [0, 0, 1, 1, 1, 256]},
+        {"n": 6, "side": [0, 0, 1, 1, 1, 0.5]},
+        {"n": 6, "side": [0, 0, 1, 1, 1, True]},
+        {"n": 6, "side": [0, 0, 1, 1, 1, 1.0]},
+        [0, 0, 1, 1, 1, 1],
+    ], ids=["two", "256", "half", "true", "float-one", "list"])
+    def test_malformed_partition_exit_2(self, doc, tmp_path, capsys):
+        gfile = str(tmp_path / "c.mtx")
+        save_graph(cobra(), gfile)
+        pfile = str(tmp_path / "p.json")
+        with open(pfile, "w") as fh:
+            json.dump(doc, fh)
+        code, _, report = run(capsys, "metrics", gfile, "--partition", pfile)
+        assert code == 2 and report["exit_code"] == 2 and report["error"]
 
 
 class TestCompare:
@@ -389,6 +408,26 @@ class TestDemo:
         assert counts["standard_negative"] >= 18
         assert counts["baseline_zero"] < counts["standard_negative"]
         assert counts["signed_negative"] < counts["standard_negative"]
+
+
+@pytest.mark.parametrize("flags", [
+    ("compare", "--seed", "1"),
+    ("compare", "--tol", "1e-6"),
+    ("partition", "--k", "3"),
+    ("partition", "--solver", "nope"),
+])
+def test_usage_error_exit_2_with_one_report(flags, tmp_path, capsys):
+    gfile = str(tmp_path / "p.mtx")
+    save_graph(path_string(StringSpec(20)), gfile)
+    code = main([flags[0], gfile, *flags[1:]])
+    captured = capsys.readouterr()
+    lines = captured.err.strip().splitlines()
+    assert code == 2
+    assert lines[0].startswith("usage: signedcut")
+    reports = [json.loads(line) for line in lines if line.startswith("{")]
+    assert len(reports) == 1
+    assert reports[0]["exit_code"] == 2 and reports[0]["error"]
+    assert captured.out == ""
 
 
 def test_report_always_emitted(tmp_path, capsys):

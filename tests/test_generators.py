@@ -94,7 +94,7 @@ class TestCobra:
 
     def test_signed_degrees(self):
         np.testing.assert_allclose(
-            degrees(cobra(), "signed-sum").d, [0, 2, 0, 2.2, 1.2, 1]
+            degrees(cobra(), "signed-sum"), [0, 2, 0, 2.2, 1.2, 1]
         )
 
     def test_nullified_has_five_edges(self):

@@ -73,7 +73,7 @@ def test_matmat_agrees_with_dense():
 def block_scatter(g, kind, X):
     """The 2-D ``np.subtract.at`` block product the column kernel replaced."""
     mode = "absolute-sum" if LaplacianKind(kind) is LaplacianKind.SIGNED else "signed-sum"
-    d = degrees(g, mode).d
+    d = degrees(g, mode)
     ii, jj, ww = g.edge_arrays()
     Y = d[:, None] * X
     if len(ww):
@@ -242,8 +242,8 @@ def test_edgeless_graph_is_zero_operator():
 def test_degree_diagonal_matches_dense():
     for g in EXAMPLES:
         np.testing.assert_allclose(
-            np.diag(laplacian(g, "standard").dense()), degrees(g, "signed-sum").d
+            np.diag(laplacian(g, "standard").dense()), degrees(g, "signed-sum")
         )
         np.testing.assert_allclose(
-            np.diag(laplacian(g, "signed").dense()), degrees(g, "absolute-sum").d
+            np.diag(laplacian(g, "signed").dense()), degrees(g, "absolute-sum")
         )
