@@ -55,6 +55,7 @@ from .eigen import (
     estimate_largest_eigenvalue,
     jacobi_preconditioner,
     lobpcg_smallest,
+    multilevel_preconditioner,
 )
 from .partition import (
     CLUSTERED_GAP_FRACTION,

@@ -3,19 +3,21 @@
 Two routes to the smallest eigenpairs of a symmetric operator: a dense
 oracle built on ``numpy.linalg.eigh`` (for n up to the dense threshold), and
 an iterative locally optimal block conjugate-gradient solver that needs only
-matvec products.
+matvec products, optionally preconditioned by a Jacobi diagonal or by a
+V-cycle over graphs contracted from the operator's own.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
 from .errors import BasisDegenerateError
-from .laplacian import SymmetricOperator
+from .graph import DegreeMode, SignedGraph, degrees, graph_from_arrays
+from .laplacian import LaplacianKind, SymmetricOperator, laplacian
 
 # A basis column is dropped when its |diag R| is at most this times the largest.
 _QR_DROP_TOL = 1e-8
@@ -31,6 +33,24 @@ _ONES_OVERLAP_TOL = 1e-10
 
 # The deflation requires |A u| <= this times the largest absolute row sum.
 _ONES_RESIDUAL_REL = 1e-10
+
+# Multilevel preconditioner.  An edge is strong when |w_ij| is at least
+# _STRONG_EDGE times min(r_i, r_j), r the Gershgorin radii.  A pairing counts
+# only when it leaves at most _MAX_SHRINK of the vertices.  Each level
+# contracts up to _PAIRINGS_PER_LEVEL pairings, so its aggregates have up
+# to 2**_PAIRINGS_PER_LEVEL vertices, and levels are built until at most
+# _COARSE_MAX vertices are left, which are solved densely.  The shift sigma
+# that keeps the preconditioned matrix definite is the mean radius times
+# _SHIFT_REL, or times _SHIFT_REL_SIGNED where the signed Laplacian stands
+# in for a standard operator (see ``multilevel_preconditioner``).  The
+# V-cycle smooths with Jacobi damped by _SMOOTH_WEIGHT.
+_STRONG_EDGE = 0.3
+_MAX_SHRINK = 0.75
+_PAIRINGS_PER_LEVEL = 3
+_COARSE_MAX = 200
+_SHIFT_REL = 1e-5
+_SHIFT_REL_SIGNED = 1e-3
+_SMOOTH_WEIGHT = 0.6
 
 
 @dataclass(frozen=True, eq=False)
@@ -62,9 +82,11 @@ class SolverConfig:
     ``tol`` is an absolute residual tolerance scaled per column by
     max(1, |ritz value|).  ``deflate_ones`` keeps every iterate orthogonal
     to the all-ones vector, excluding the trivial constant eigenvector of a
-    standard Laplacian from the search space.  ``precondition`` applies the
-    Gershgorin-shifted Jacobi preconditioner (``jacobi_preconditioner``)
-    to the residual block.
+    standard Laplacian from the search space.  ``precondition`` applies a
+    preconditioner to the residual block: the multilevel V-cycle
+    (``multilevel_preconditioner``) where the operator's graph coarsens
+    along strong edges, else the Gershgorin-shifted Jacobi diagonal
+    (``jacobi_preconditioner``).
     """
 
     k: int
@@ -148,34 +170,31 @@ def dense_spectrum_deflated(op: SymmetricOperator) -> Spectrum:
 
 
 def estimate_largest_eigenvalue(op: SymmetricOperator, seed: int = 0, iterations: int = 20) -> float:
-    """Power-method estimate of the largest eigenvalue.
+    """Lanczos estimate of the largest eigenvalue.
 
-    A first sweep on the operator itself estimates the dominant magnitude;
-    a second sweep on the operator shifted by that magnitude resolves the
-    algebraically largest eigenvalue even when negative eigenvalues dominate.
+    ``iterations`` Lanczos steps from a seeded random start, without
+    reorthogonalization; the estimate is the largest eigenvalue of the
+    tridiagonal matrix, a Ritz value, so it exceeds the true one by at most
+    rounding.  A step whose residual vanishes has found an invariant
+    subspace and ends the run.
     """
     rng = np.random.default_rng(np.random.SeedSequence([int(seed) & 0x7FFFFFFF, 0x9E37]))
-    x = rng.uniform(-1.0, 1.0, size=op.n)
-    x /= np.linalg.norm(x)
-    sigma = 1.0
+    q = rng.uniform(-1.0, 1.0, size=op.n)
+    q /= np.linalg.norm(q)
+    q_prev = np.zeros(op.n)
+    alpha, beta = [], [0.0]
     for _ in range(iterations):
-        y = op.matmat(x)
-        ny = np.linalg.norm(y)
-        if ny == 0.0:
-            return 0.0
-        sigma = ny
-        x = y / ny
-    x = rng.uniform(-1.0, 1.0, size=op.n)
-    x /= np.linalg.norm(x)
-    rho = 0.0
-    for _ in range(iterations):
-        y = op.matmat(x) + sigma * x
-        ny = np.linalg.norm(y)
-        if ny == 0.0:
-            return -sigma
-        rho = float(x @ y)
-        x = y / ny
-    return rho - sigma
+        y = op.matmat(q)
+        alpha.append(float(q @ y))
+        y -= alpha[-1] * q + beta[-1] * q_prev
+        b = float(np.linalg.norm(y))
+        if b == 0.0:
+            break
+        beta.append(b)
+        q_prev, q = q, y / b
+    k = len(alpha)
+    T = np.diag(alpha) + np.diag(beta[1:k], 1) + np.diag(beta[1:k], -1)
+    return float(np.linalg.eigvalsh(T)[-1])
 
 
 def jacobi_preconditioner(op: SymmetricOperator) -> np.ndarray:
@@ -191,6 +210,209 @@ def jacobi_preconditioner(op: SymmetricOperator) -> np.ndarray:
     shifted = op.diagonal - op.gershgorin_lower
     shifted[shifted <= 0.0] = 1.0
     return 1.0 / shifted
+
+
+@dataclass(frozen=True, eq=False)
+class Level:
+    """One level of a multilevel hierarchy.
+
+    Its matrix is ``M = L + diag(excess)``, L the signed Laplacian ``op``
+    of the level's graph.  Every level but the last aggregates its vertices
+    into the next one: vertex i maps to coarse vertex ``agg[i]`` with the
+    entry ``sign[i]`` of the prolongation P, and the next level's matrix is
+    ``P^T M P``.
+    """
+
+    op: SymmetricOperator
+    excess: np.ndarray
+    agg: Optional[np.ndarray] = None
+    sign: Optional[np.ndarray] = None
+
+    def apply(self, X: np.ndarray) -> np.ndarray:
+        return self.op.matmat(X) + self.excess[:, None] * X
+
+    def dense(self) -> np.ndarray:
+        return self.op.dense() + np.diag(self.excess)
+
+
+class MultilevelPreconditioner:
+    """Symmetric V(1,1)-cycle for the inverse of the finest level's matrix.
+
+    Each level pre- and post-smooths with damped Jacobi around a correction
+    from the next level; the last level is solved densely, so a hierarchy
+    of one level is the exact inverse.  Every level's matrix is a signed
+    Laplacian plus a positive diagonal, so it is positive definite, and so
+    is the cycle: LOBPCG accepts it for either Laplacian kind, even for an
+    indefinite operator (Knyazev, SISC 2001).
+    """
+
+    def __init__(self, levels: list[Level]):
+        self.levels = levels
+        inv = np.linalg.inv(levels[-1].dense())
+        self._coarse_inv = (inv + inv.T) / 2.0
+        self._smoothers = [
+            (_SMOOTH_WEIGHT / (lv.op.diagonal + lv.excess))[:, None] for lv in levels[:-1]
+        ]
+        self._members = [_members(lv.agg) for lv in levels[:-1]]
+
+    def __call__(self, R: np.ndarray) -> np.ndarray:
+        return self._cycle(0, np.ascontiguousarray(R))
+
+    def _cycle(self, depth: int, b: np.ndarray) -> np.ndarray:
+        if depth == len(self.levels) - 1:
+            return self._coarse_inv @ b
+        lv, smooth, members = self.levels[depth], self._smoothers[depth], self._members[depth]
+        n, k = b.shape
+        x = smooth * b
+        # P^T r: signed residual rows gathered by aggregate, row n padding with 0
+        r = np.zeros((n + 1, k))
+        np.multiply(b - lv.apply(x), lv.sign[:, None], out=r[:n])
+        rc = np.take(r, members.ravel(), axis=0).reshape(*members.shape, k).sum(axis=0)
+        x += lv.sign[:, None] * np.take(self._cycle(depth + 1, rc), lv.agg, axis=0)
+        x += smooth * (b - lv.apply(x))
+        return x
+
+
+def multilevel_preconditioner(op: SymmetricOperator, k: int) -> Optional[MultilevelPreconditioner]:
+    """The V-cycle of the operator's graph, or None where it does not coarsen.
+
+    The matrix the cycle approximates the inverse of is ``A - sigma_G I +
+    sigma I``, with ``sigma_G`` the Gershgorin lower bound: a signed
+    Laplacian plus the non-negative diagonal ``d - r - sigma_G + sigma``,
+    whose diagonal is Jacobi's (``jacobi_preconditioner``).  For the
+    signed kind, and for a graph without negative edges, that is the signed
+    Laplacian plus ``sigma I``.  The exception is a standard operator with
+    fewer negative edges than the ``k`` pairs wanted: each negative edge
+    adds one rank-one negative term to the Laplacian of the positive edges,
+    so at least one wanted pair is a non-negative, smooth mode, which the
+    shift to ``sigma_G = -2 max_i d-_i`` would blur.  There the matrix is
+    the signed Laplacian plus ``sigma I``, which differs from A only at the
+    ends of the negative edges, with the larger ``_SHIFT_REL_SIGNED``: that
+    matrix is no shift of A, so a smaller sigma does not bring the cycle
+    nearer A's shift-and-invert, and on the 3000-mass string it cost about
+    four times the iterations.
+
+    Vertices pair along strong edges (see ``_pair``); a partner takes the
+    sign of its edge, so the Galerkin matrix ``P^T (L + E) P`` of a signed
+    Laplacian L plus a diagonal E is again a signed Laplacian, of the
+    contracted graph with parallel edges summed, plus a diagonal (see
+    ``_contract``).  None when the operator has no graph, when the graph's
+    first pairing leaves more than ``_MAX_SHRINK`` of its vertices (random
+    graphs, whose edges are rarely strong), or when a later level's first
+    pairing does before ``_COARSE_MAX`` vertices are left.
+    """
+    g = op.graph
+    if g is None:
+        return None
+    scale = float(op.radii.mean())
+    # d_i = r_i on every vertex unless the operator is a standard Laplacian
+    # with a negative edge; then d_i - r_i = -2 d-_i
+    negative_edges = 0 if np.array_equal(op.diagonal, op.radii) else int((g.edge_arrays()[2] < 0).sum())
+    if 0 < negative_edges < k:
+        excess = np.full(g.n, _SHIFT_REL_SIGNED * scale)
+    else:
+        excess = op.diagonal - op.radii - op.gershgorin_lower + _SHIFT_REL * scale
+    levels = []
+    while True:
+        pairing = _pair(g)
+        if pairing is None:
+            return None
+        level_op = laplacian(g, LaplacianKind.SIGNED)
+        if g.n <= _COARSE_MAX:
+            levels.append(Level(level_op, excess))
+            return MultilevelPreconditioner(levels)
+        coarse, coarse_excess = g, excess
+        agg, sign = np.arange(g.n), np.ones(g.n)
+        for _ in range(_PAIRINGS_PER_LEVEL):
+            pair_agg, pair_sign = pairing
+            coarse, coarse_excess = _contract(coarse, coarse_excess, pair_agg, pair_sign)
+            sign *= pair_sign[agg]
+            agg = pair_agg[agg]
+            if coarse.n <= _COARSE_MAX:
+                break
+            pairing = _pair(coarse)
+            if pairing is None:
+                break
+        levels.append(Level(level_op, excess, agg, sign))
+        g, excess = coarse, coarse_excess
+
+
+def _pair(g: SignedGraph) -> Optional[tuple[np.ndarray, np.ndarray]]:
+    """Pair vertices along strong edges; None when too few vertices pair.
+
+    Rounds of locally dominant matching: among the strong edges whose ends
+    are both unpaired, each edge that ranks first at both of its ends pairs
+    them, ranked by |w| with ties broken by a fixed pseudo-random order.
+    Rounds repeat until no such edge is left, so the pairing is maximal.
+    Returns ``(agg, sign)`` as in :class:`Level`: a pair's lower vertex
+    has sign +1 and its partner the sign of their edge.
+    """
+    n = g.n
+    ii, jj, ww = g.edge_arrays()
+    a = np.abs(ww)
+    radii = degrees(g, DegreeMode.ABSOLUTE_SUM)
+    e = np.flatnonzero(a >= _STRONG_EDGE * np.minimum(radii[ii], radii[jj]))
+    if n - len(e) > _MAX_SHRINK * n:  # each pair removes one vertex
+        return None
+    rank = np.empty(len(e))
+    tiebreak = np.random.default_rng(0).random(len(e))
+    rank[np.lexsort((tiebreak, a[e]))] = np.arange(len(e))
+    mate = np.full(n, -1)
+    sign = np.ones(n)
+    while len(e):
+        best = np.full(n, -1.0)
+        np.maximum.at(best, ii[e], rank)
+        np.maximum.at(best, jj[e], rank)
+        d = e[(best[ii[e]] == rank) & (best[jj[e]] == rank)]
+        mate[ii[d]] = jj[d]
+        mate[jj[d]] = ii[d]
+        sign[jj[d]] = np.sign(ww[d])
+        free = (mate[ii[e]] < 0) & (mate[jj[e]] < 0)
+        e, rank = e[free], rank[free]
+    root = (mate < 0) | (np.arange(n) < mate)
+    if root.sum() > _MAX_SHRINK * n:
+        return None
+    agg = np.cumsum(root) - 1
+    partner = np.flatnonzero(~root)
+    agg[partner] = agg[mate[partner]]
+    return agg, sign
+
+
+def _contract(g: SignedGraph, excess: np.ndarray, agg: np.ndarray,
+              sign: np.ndarray) -> tuple[SignedGraph, np.ndarray]:
+    """The graph and diagonal excess of ``P^T (L + diag(excess)) P``.
+
+    An edge inside an aggregate is the one that paired it, and P cancels
+    it.  Parallel edges between two aggregates are summed; as signed
+    Laplacian terms they add ``sum |w| - |sum w|`` to the diagonal at both
+    ends, which is non-negative and nonzero only where signs cancel.
+    """
+    nc = int(agg.max()) + 1
+    ii, jj, ww = g.edge_arrays()
+    ci, cj = agg[ii], agg[jj]
+    cross = ci != cj
+    ci, cj = ci[cross], cj[cross]
+    w = (ww * sign[ii] * sign[jj])[cross]
+    keys, inverse = np.unique(np.minimum(ci, cj) * nc + np.maximum(ci, cj), return_inverse=True)
+    total = np.bincount(inverse, w, minlength=len(keys))
+    cancelled = np.bincount(inverse, np.abs(w), minlength=len(keys)) - np.abs(total)
+    lo, hi = keys // nc, keys % nc
+    coarse_excess = (np.bincount(agg, excess, minlength=nc)
+                     + np.bincount(lo, cancelled, minlength=nc)
+                     + np.bincount(hi, cancelled, minlength=nc))
+    keep = total != 0.0
+    return graph_from_arrays(nc, lo[keep], hi[keep], total[keep]), coarse_excess
+
+
+def _members(agg: np.ndarray) -> np.ndarray:
+    """Column c lists the vertices of aggregate c, padded with len(agg)."""
+    n = len(agg)
+    order = np.argsort(agg, kind="stable")
+    counts = np.bincount(agg)
+    position = np.arange(n) - np.repeat(np.cumsum(counts) - counts, counts)
+    members = np.full((counts.max(), len(counts)), n)
+    members[position, agg[order]] = order
+    return members
 
 
 def _orthonormalize(V: np.ndarray, guard: np.ndarray | None = None) -> np.ndarray:
@@ -230,6 +452,15 @@ def _orthonormalize(V: np.ndarray, guard: np.ndarray | None = None) -> np.ndarra
     return V
 
 
+def _preconditioner(op: SymmetricOperator, k: int) -> Callable[[np.ndarray], np.ndarray]:
+    """The multilevel V-cycle where the graph coarsens, else Jacobi ``T R``."""
+    cycle = multilevel_preconditioner(op, k)
+    if cycle is not None:
+        return cycle
+    T = jacobi_preconditioner(op)[:, None]
+    return lambda R: T * R
+
+
 def _require_ones_null(op: SymmetricOperator, Au: np.ndarray) -> None:
     """Raise ``ValueError`` unless the image ``Au`` of the unit ones vector is rounding.
 
@@ -266,9 +497,10 @@ def lobpcg_smallest(op: SymmetricOperator, cfg: SolverConfig) -> tuple[Spectrum,
     in column ranges of two preallocated buffers, one written while the
     other is read.
 
-    With ``precondition`` W starts from T R instead of R, T the diagonal of
-    ``jacobi_preconditioner``; the projection against [ones, X, P] keeps W
-    orthogonal to ones.  With ``deflate_ones`` the ones vector guards the
+    With ``precondition`` W starts from B R instead of R: B is the V-cycle
+    of ``multilevel_preconditioner`` when it builds one, else the diagonal T
+    of ``jacobi_preconditioner``.  The projection against [ones, X, P]
+    keeps W orthogonal to ones.  With ``deflate_ones`` the ones vector guards the
     basis, and an operator that moves ones raises ``ValueError`` before the
     first iteration.
     """
@@ -295,7 +527,7 @@ def lobpcg_smallest(op: SymmetricOperator, cfg: SolverConfig) -> tuple[Spectrum,
     AV[:, c : c + m] = AV[:, c : c + m] @ Z
     V2, AV2 = V.copy(order="F"), AV.copy(order="F")
     R = np.empty((n, m), order="F")
-    T = jacobi_preconditioner(op)[:, None] if cfg.precondition else None
+    precondition = _preconditioner(op, cfg.k) if cfg.precondition else None
     np_ = 0
     trace = IterationTrace()
     nlock = 0
@@ -314,7 +546,7 @@ def lobpcg_smallest(op: SymmetricOperator, cfg: SolverConfig) -> tuple[Spectrum,
         nlock = max(nlock, min(prefix, m - 1))
         na = m - nlock
         x0, w0 = c + nlock, c + m + np_
-        W = R[:, nlock:] if T is None else T * R[:, nlock:]
+        W = R[:, nlock:] if precondition is None else precondition(R[:, nlock:])
         W = _orthonormalize(W, guard=V[:, :w0])
         nw = W.shape[1]
         if nw == 0:

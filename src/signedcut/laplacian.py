@@ -14,7 +14,7 @@ eigensolver oracle.
 from __future__ import annotations
 
 from enum import Enum
-from typing import Callable
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -33,7 +33,8 @@ class SymmetricOperator:
     ``diagonal`` and ``radii`` are the Gershgorin discs: the centres a_ii
     and the off-diagonal absolute row sums r_i = sum_j |a_ij|.  They give
     the largest absolute row sum and a lower bound on the spectrum without
-    a dense matrix.
+    a dense matrix.  ``graph`` is the signed graph the operator was built
+    from, if any; the multilevel preconditioner coarsens it.
     """
 
     def __init__(
@@ -43,10 +44,12 @@ class SymmetricOperator:
         dense_builder: Callable[[], np.ndarray],
         diagonal: np.ndarray,
         radii: np.ndarray,
+        graph: Optional[SignedGraph] = None,
     ):
         self.n = int(n)
         self.diagonal = diagonal
         self.radii = radii
+        self.graph = graph
         self._matmat = matmat
         self._dense_builder = dense_builder
 
@@ -113,7 +116,7 @@ def laplacian(g: SignedGraph, kind: LaplacianKind | str = LaplacianKind.STANDARD
     # the same additions in the same order as degrees(): for the signed kind
     # the radii equal d bit for bit, so the Gershgorin bound is exactly 0
     radii = np.bincount(rows, np.abs(vals), minlength=g.n)
-    return SymmetricOperator(g.n, matmat, dense_builder, d, radii)
+    return SymmetricOperator(g.n, matmat, dense_builder, d, radii, g)
 
 
 def quadratic_form(op: SymmetricOperator, x: np.ndarray) -> float:

@@ -268,6 +268,37 @@ class TestSolverWiring:
         assert not any(cfg.precondition for cfg in configs)
 
 
+class TestIterativeStringsAtDefaults:
+    """partition --solver lobpcg at the CLI defaults on the 75-mass strings.
+
+    Under Jacobi alone the unit path's standard solve and the -0.05 string's
+    standard solve stopped unconverged at 200 iterations (exit 4); the
+    multilevel preconditioner now serves both.
+    """
+
+    @pytest.mark.parametrize("override", [[], ["--override", "37:-0.05"]], ids=["unit", "negative-edge"])
+    @pytest.mark.parametrize("kind", ["standard", "signed"])
+    def test_converges_and_matches_dense(self, tmp_path, capsys, kind, override):
+        gfile = str(tmp_path / "path.mtx")
+        assert run(capsys, "gen", "path", "--n", "75", *override, "--out", gfile)[0] == 0
+        docs = {}
+        for solver in ("dense", "lobpcg"):
+            out = tmp_path / f"{solver}.json"
+            code, _, _ = run(capsys, "partition", gfile, "--laplacian", kind,
+                             "--solver", solver, "--out", str(out))
+            assert code == 0
+            docs[solver] = json.loads(out.read_text())
+        dense, lobpcg = docs["dense"], docs["lobpcg"]
+        assert lobpcg["eigenvalue"] == pytest.approx(dense["eigenvalue"], abs=1e-10)
+        u, v = np.asarray(dense["fiedler"]), np.asarray(lobpcg["fiedler"])
+        assert abs(float(u @ v)) >= 1.0 - 1e-10
+        # the same split; which side is A may differ, since these vectors'
+        # largest magnitudes tie between mirror-image vertices
+        sure = np.abs(u) > 1e-6
+        same = (np.asarray(dense["side"]) == np.asarray(lobpcg["side"]))[sure]
+        assert same.all() or not same.any()
+
+
 class TestMetricsCmd:
     def test_cobra_split(self, tmp_path, capsys):
         gfile = str(tmp_path / "c.mtx")

@@ -1,8 +1,11 @@
+import importlib.util
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from signedcut import (
@@ -20,10 +23,12 @@ from signedcut import (
     jacobi_preconditioner,
     laplacian,
     lobpcg_smallest,
+    multilevel_preconditioner,
     path_string,
     select_fiedler,
 )
 
+import signedcut.eigen
 from test_graph import random_graph
 
 
@@ -387,6 +392,132 @@ def test_gershgorin_shift_bounds_the_spectrum_from_below(case):
     assert op.gershgorin_lower <= 0.0
 
 
+@st.composite
+def coarsening_graphs(draw):
+    """Sparse signed graphs with n <= 60 that mostly pair along strong edges.
+
+    A random tree whose vertices hang off one of the last few vertices
+    (span 1 is a path), plus a few extra edges.  Weights come from a small
+    set half the time, so parallel edges of a contraction can cancel exactly.
+    """
+    n = draw(st.integers(2, 60))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    span = draw(st.integers(1, 3))
+    child = np.arange(1, n)
+    parent = np.maximum(child - rng.integers(1, span + 1, size=n - 1), 0)
+    a, b = rng.integers(0, n, size=(2, draw(st.integers(0, n // 3))))
+    lo = np.concatenate([parent, np.minimum(a, b)[a != b]])
+    hi = np.concatenate([child, np.maximum(a, b)[a != b]])
+    _, first = np.unique(lo * n + hi, return_index=True)
+    if draw(st.booleans()):
+        w = rng.choice([-2.0, -1.0, -0.5, 0.5, 1.0, 2.0], size=len(first))
+    else:
+        w = rng.uniform(0.05, 2.0, size=len(first)) * rng.choice([-1.0, 1.0], size=len(first))
+    return graph_from_arrays(n, lo[first], hi[first], w)
+
+
+def small_hierarchy(g, kind, k):
+    """The multilevel preconditioner with coarse solves below 4 vertices, or None."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(signedcut.eigen, "_COARSE_MAX", 3)
+        return multilevel_preconditioner(laplacian(g, kind), k)
+
+
+class TestMultilevelPreconditioner:
+    """The aggregation hierarchy, its V-cycle and the route rule."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(coarsening_graphs(), st.sampled_from(["standard", "signed"]), st.integers(1, 3))
+    def test_coarse_levels_are_galerkin_products(self, g, kind, k):
+        h = small_hierarchy(g, kind, k)
+        assume(h is not None)
+        op = laplacian(g, kind)
+        fine = h.levels[0]
+        mean_radius = float(op.radii.mean())
+        negative = int((g.edge_arrays()[2] < 0).sum()) if kind == "standard" else 0
+        if 0 < negative < k:
+            # the signed Laplacian stands in for the standard operator
+            want = laplacian(g, "signed").dense() + 1e-3 * mean_radius * np.eye(g.n)
+        else:
+            want = op.dense() + (1e-5 * mean_radius - op.gershgorin_lower) * np.eye(g.n)
+        scale = np.abs(want).max()
+        np.testing.assert_allclose(fine.dense(), want, rtol=0, atol=1e-14 * scale)
+        assert fine.excess.min() > 0.0
+        for lv, coarse in zip(h.levels, h.levels[1:]):
+            assert set(np.unique(lv.sign)) <= {-1.0, 1.0}
+            P = np.zeros((lv.op.n, coarse.op.n))
+            P[np.arange(lv.op.n), lv.agg] = lv.sign
+            galerkin = P.T @ lv.dense() @ P
+            scale = np.abs(galerkin).max()
+            np.testing.assert_allclose(coarse.dense(), galerkin, rtol=0, atol=1e-13 * scale)
+            assert coarse.excess.min() >= fine.excess.min()
+
+    @settings(max_examples=40, deadline=None)
+    @given(coarsening_graphs(), st.sampled_from(["standard", "signed"]), st.integers(1, 3))
+    def test_v_cycle_is_symmetric_positive_definite(self, g, kind, k):
+        h = small_hierarchy(g, kind, k)
+        assume(h is not None)
+        B = h(np.eye(g.n))
+        scale = np.abs(B).max()
+        assert np.abs(B - B.T).max() <= 1e-12 * scale
+        rng = np.random.default_rng(g.n)
+        x, y = rng.standard_normal((2, g.n))
+        assert abs(x @ h(y[:, None])[:, 0] - y @ h(x[:, None])[:, 0]) <= 1e-12 * scale * g.n
+        assert np.linalg.eigvalsh((B + B.T) / 2.0)[0] > 0.0
+
+    def test_one_level_is_the_exact_shifted_inverse(self):
+        g = path_string(StringSpec(75, overrides=((36, -0.05),)))
+        h = multilevel_preconditioner(laplacian(g, "standard"), 2)
+        assert [lv.op.n for lv in h.levels] == [75]
+        M = h.levels[0].dense()
+        np.testing.assert_allclose(h(M), np.eye(75), atol=1e-9)
+
+    @pytest.mark.parametrize("n", [500, 2000])
+    def test_random_graphs_keep_jacobi_bit_for_bit(self, n, monkeypatch):
+        path = Path(__file__).resolve().parents[1] / "bench" / "inputs.py"
+        if not path.exists():
+            pytest.skip("bench/inputs.py is not in this checkout")
+        spec = importlib.util.spec_from_file_location("bench_inputs", path)
+        inputs = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, spec.name, inputs)
+        spec.loader.exec_module(inputs)
+        a = inputs.random_signed_graph(n, 6 * n, seed=3)
+        g = graph_from_arrays(n, a.i, a.j, a.w)
+        for kind in ("standard", "signed"):
+            op = laplacian(g, kind)
+            assert multilevel_preconditioner(op, 2) is None
+            cfg = SolverConfig(k=2, block_size=4, tol=1e-6, max_iter=60, seed=1,
+                               deflate_ones=kind == "standard", precondition=True)
+            s, trace = lobpcg_smallest(op, cfg)
+            with monkeypatch.context() as mp:
+                # W = T R with T the Jacobi diagonal, as before the hierarchy existed
+                T = jacobi_preconditioner(op)[:, None]
+                mp.setattr(signedcut.eigen, "_preconditioner", lambda op, k: lambda R: T * R)
+                s_jacobi, trace_jacobi = lobpcg_smallest(op, cfg)
+            assert len(trace) == len(trace_jacobi)
+            np.testing.assert_array_equal(s.eigenvalues, s_jacobi.eigenvalues)
+            np.testing.assert_array_equal(s.eigenvectors, s_jacobi.eigenvectors)
+
+    @pytest.mark.parametrize("kind", ["standard", "signed"])
+    def test_3000_mass_string_converges(self, kind):
+        linalg = pytest.importorskip("scipy.linalg")
+        g = path_string(StringSpec(3000, overrides=((1499, -0.05),)))
+        op = laplacian(g, kind)
+        assert multilevel_preconditioner(op, 2).levels[0].op.n == 3000
+        k = 2 if kind == "standard" else 3
+        cfg = SolverConfig(k=k, block_size=5, tol=1e-5, max_iter=200, seed=1,
+                           deflate_ones=kind == "standard", precondition=True)
+        s, trace = lobpcg_smallest(op, cfg)
+        assert s.converged.all() and len(trace) < 100
+        _, _, w = g.edge_arrays()
+        lam = linalg.eigh_tridiagonal(op.diagonal, -w, eigvals_only=True,
+                                      select="i", select_range=(0, k))
+        # the standard kind deflates ones, whose eigenvalue 0 lies between
+        # the negative-edge mode and the Fiedler value
+        want = np.delete(lam, 1) if kind == "standard" else lam[:k]
+        np.testing.assert_allclose(s.eigenvalues, want, rtol=0, atol=1e-9)
+
+
 def random_signed_arrays(n, m, seed):
     """A spanning path over a random permutation plus random pairs, weights in U(-1, 1)."""
     rng = np.random.default_rng(seed)
@@ -518,3 +649,20 @@ def test_estimate_largest_eigenvalue():
         est = estimate_largest_eigenvalue(op, seed=1)
         assert est <= top + 1e-8
         assert est >= 0.5 * top - 1e-8
+
+
+def test_estimate_largest_eigenvalue_is_one_lanczos_run():
+    """One matvec per Lanczos step, and the top Ritz value is sharp on small graphs."""
+    rng = np.random.default_rng(22)
+    errors = []
+    for _ in range(20):
+        g = random_graph(rng)
+        for kind in ("standard", "signed"):
+            op = laplacian(g, kind)
+            top = float(np.linalg.eigvalsh(op.dense()).max())
+            calls = count_block_matvecs(op)
+            est = estimate_largest_eigenvalue(op, seed=3)
+            assert len(calls) <= 20
+            assert est <= top + 1e-8
+            errors.append(abs(est - top) / max(1.0, abs(top)))
+    assert np.median(errors) <= 1e-6
