@@ -62,6 +62,7 @@ from .partition import (
     CutMetrics,
     FiedlerResult,
     Partition,
+    baseline_fiedler,
     bisect,
     confidence,
     cut_metrics,

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import BasisDegenerateError
 from .graph import DegreeMode, SignedGraph, degrees, graph_from_arrays
-from .laplacian import LaplacianKind, SymmetricOperator, laplacian
+from .laplacian import SymmetricOperator
 
 # A basis column is dropped when its |diag R| is at most this times the largest.
 _QR_DROP_TOL = 1e-8
@@ -216,23 +216,17 @@ def jacobi_preconditioner(op: SymmetricOperator) -> np.ndarray:
 class Level:
     """One level of a multilevel hierarchy.
 
-    Its matrix is ``M = L + diag(excess)``, L the signed Laplacian ``op``
-    of the level's graph.  Every level but the last aggregates its vertices
-    into the next one: vertex i maps to coarse vertex ``agg[i]`` with the
-    entry ``sign[i]`` of the prolongation P, and the next level's matrix is
-    ``P^T M P``.
+    Its matrix M is the operator ``op``, ``diag(r + excess) - W`` of the
+    level's graph: r the absolute row sums of W and the excess
+    non-negative, so M is a signed Laplacian plus a diagonal.  Every level
+    but the last aggregates its vertices into the next one: vertex i maps
+    to coarse vertex ``agg[i]`` with the entry ``sign[i]`` of the
+    prolongation P, and the next level's matrix is ``P^T M P``.
     """
 
     op: SymmetricOperator
-    excess: np.ndarray
     agg: Optional[np.ndarray] = None
     sign: Optional[np.ndarray] = None
-
-    def apply(self, X: np.ndarray) -> np.ndarray:
-        return self.op.matmat(X) + self.excess[:, None] * X
-
-    def dense(self) -> np.ndarray:
-        return self.op.dense() + np.diag(self.excess)
 
 
 class MultilevelPreconditioner:
@@ -240,19 +234,18 @@ class MultilevelPreconditioner:
 
     Each level pre- and post-smooths with damped Jacobi around a correction
     from the next level; the last level is solved densely, so a hierarchy
-    of one level is the exact inverse.  Every level's matrix is a signed
-    Laplacian plus a positive diagonal, so it is positive definite, and so
-    is the cycle: LOBPCG accepts it for either Laplacian kind, even for an
-    indefinite operator (Knyazev, SISC 2001).
+    of one level is the exact inverse.  Every level's matrix is one
+    ``SymmetricOperator``, a signed Laplacian plus a positive diagonal, so
+    it is positive definite, and so is the cycle: LOBPCG accepts it for
+    either Laplacian kind, even for an indefinite operator (Knyazev, SISC
+    2001).
     """
 
     def __init__(self, levels: list[Level]):
         self.levels = levels
-        inv = np.linalg.inv(levels[-1].dense())
+        inv = np.linalg.inv(levels[-1].op.dense())
         self._coarse_inv = (inv + inv.T) / 2.0
-        self._smoothers = [
-            (_SMOOTH_WEIGHT / (lv.op.diagonal + lv.excess))[:, None] for lv in levels[:-1]
-        ]
+        self._smoothers = [(_SMOOTH_WEIGHT / lv.op.diagonal)[:, None] for lv in levels[:-1]]
         self._members = [_members(lv.agg) for lv in levels[:-1]]
 
     def __call__(self, R: np.ndarray) -> np.ndarray:
@@ -266,10 +259,10 @@ class MultilevelPreconditioner:
         x = smooth * b
         # P^T r: signed residual rows gathered by aggregate, row n padding with 0
         r = np.zeros((n + 1, k))
-        np.multiply(b - lv.apply(x), lv.sign[:, None], out=r[:n])
+        np.multiply(b - lv.op.matmat(x), lv.sign[:, None], out=r[:n])
         rc = np.take(r, members.ravel(), axis=0).reshape(*members.shape, k).sum(axis=0)
         x += lv.sign[:, None] * np.take(self._cycle(depth + 1, rc), lv.agg, axis=0)
-        x += smooth * (b - lv.apply(x))
+        x += smooth * (b - lv.op.matmat(x))
         return x
 
 
@@ -277,8 +270,9 @@ def multilevel_preconditioner(op: SymmetricOperator, k: int) -> Optional[Multile
     """The V-cycle of the operator's graph, or None where it does not coarsen.
 
     The matrix the cycle approximates the inverse of is ``A - sigma_G I +
-    sigma I``, with ``sigma_G`` the Gershgorin lower bound: a signed
-    Laplacian plus the non-negative diagonal ``d - r - sigma_G + sigma``,
+    sigma I``, with ``sigma_G`` the Gershgorin lower bound: the operator
+    ``diag(r + excess) - W`` of A's graph, r the radii, a signed Laplacian
+    plus the non-negative diagonal ``excess = d - r - sigma_G + sigma``,
     whose diagonal is Jacobi's (``jacobi_preconditioner``).  For the
     signed kind, and for a graph without negative edges, that is the signed
     Laplacian plus ``sigma I``.  The exception is a standard operator with
@@ -296,14 +290,13 @@ def multilevel_preconditioner(op: SymmetricOperator, k: int) -> Optional[Multile
     sign of its edge, so the Galerkin matrix ``P^T (L + E) P`` of a signed
     Laplacian L plus a diagonal E is again a signed Laplacian, of the
     contracted graph with parallel edges summed, plus a diagonal (see
-    ``_contract``).  None when the operator has no graph, when the graph's
-    first pairing leaves more than ``_MAX_SHRINK`` of its vertices (random
+    ``_contract``): every level is ``diag(r + excess) - W`` of its own
+    graph, with its own radii r and excess.  None when the graph's first
+    pairing leaves more than ``_MAX_SHRINK`` of its vertices (random
     graphs, whose edges are rarely strong), or when a later level's first
     pairing does before ``_COARSE_MAX`` vertices are left.
     """
     g = op.graph
-    if g is None:
-        return None
     scale = float(op.radii.mean())
     # d_i = r_i on every vertex unless the operator is a standard Laplacian
     # with a negative edge; then d_i - r_i = -2 d-_i
@@ -317,9 +310,9 @@ def multilevel_preconditioner(op: SymmetricOperator, k: int) -> Optional[Multile
         pairing = _pair(g)
         if pairing is None:
             return None
-        level_op = laplacian(g, LaplacianKind.SIGNED)
+        level_op = SymmetricOperator(g, degrees(g, DegreeMode.ABSOLUTE_SUM) + excess)
         if g.n <= _COARSE_MAX:
-            levels.append(Level(level_op, excess))
+            levels.append(Level(level_op))
             return MultilevelPreconditioner(levels)
         coarse, coarse_excess = g, excess
         agg, sign = np.arange(g.n), np.ones(g.n)
@@ -333,7 +326,7 @@ def multilevel_preconditioner(op: SymmetricOperator, k: int) -> Optional[Multile
             pairing = _pair(coarse)
             if pairing is None:
                 break
-        levels.append(Level(level_op, excess, agg, sign))
+        levels.append(Level(level_op, agg, sign))
         g, excess = coarse, coarse_excess
 
 

@@ -8,11 +8,11 @@ truncated iteration budget (where does the lead Ritz vector change sign).
 
 from __future__ import annotations
 
-from .eigen import SolverConfig, dense_spectrum_deflated, lobpcg_smallest
+from .eigen import SolverConfig, lobpcg_smallest
 from .generators import StringSpec, path_string
 from .graph import nullify_negative
 from .laplacian import LaplacianKind, laplacian
-from .partition import fiedler, select_fiedler
+from .partition import baseline_fiedler, fiedler
 
 
 def gap_study(n: int, edge_index: int, weights: tuple[float, ...]) -> dict:
@@ -25,11 +25,7 @@ def gap_study(n: int, edge_index: int, weights: tuple[float, ...]) -> dict:
     where the piecewise-constant null vector survives as a single exact
     zero eigenvalue.
     """
-    base = nullify_negative(
-        path_string(StringSpec(n=n, overrides=((edge_index, -1.0),)))
-    )
-    s_base = dense_spectrum_deflated(laplacian(base, LaplacianKind.STANDARD))
-    f_base = select_fiedler(s_base, LaplacianKind.STANDARD)
+    f_base = baseline_fiedler(path_string(StringSpec(n=n, overrides=((edge_index, -1.0),))))
     doc = {
         "n": n,
         "edge": edge_index + 1,

@@ -1,25 +1,26 @@
-"""Standard and signed Laplacian operators exposed through matvec products.
+"""The operator diag(d) - W of a signed graph, for both Laplacian kinds.
 
-The standard Laplacian uses the diagonal of plain row sums and can be
-indefinite when weights are negative; the signed Laplacian uses absolute
-row sums and is always positive semi-definite.  Operators keep the edge
-list and degree vector rather than an assembled matrix; applying one costs
-O(n + m) per vector.  A block product runs one 1-D scatter per column,
-bit-identical to the block form (one 2-D scatter over the whole block),
-because numpy's fast ``ufunc.at`` path serves only 1-D operands.  A dense
-materialization is available for n <= DENSE_MAX_DIM to feed the dense
-eigensolver oracle.
+W is the graph's symmetric adjacency matrix.  The standard Laplacian takes
+d the plain row sums of W and can be indefinite when weights are negative;
+the signed Laplacian takes the absolute row sums and is always positive
+semi-definite.  The multilevel preconditioner's level matrices are the same
+operator with the absolute row sums plus a non-negative diagonal.  An
+operator keeps the edge list and d rather than an assembled matrix;
+applying it costs O(n + m) per vector.  A block product runs one 1-D
+scatter per column, bit-identical to the block form (one 2-D scatter over
+the whole block), because numpy's fast ``ufunc.at`` path serves only 1-D
+operands.  A dense materialization is available for n <= DENSE_MAX_DIM to
+feed the dense eigensolver oracle.
 """
 
 from __future__ import annotations
 
 from enum import Enum
-from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import DimensionMismatchError, DimensionTooLargeError
-from .graph import DENSE_MAX_DIM, DegreeMode, SignedGraph, degrees
+from .errors import DimensionMismatchError
+from .graph import DegreeMode, SignedGraph, degrees
 
 
 class LaplacianKind(str, Enum):
@@ -28,30 +29,27 @@ class LaplacianKind(str, Enum):
 
 
 class SymmetricOperator:
-    """Symmetric linear operator of dimension n with block matvec access.
+    """The symmetric operator ``diag(diagonal) - W`` of a signed graph.
 
     ``diagonal`` and ``radii`` are the Gershgorin discs: the centres a_ii
-    and the off-diagonal absolute row sums r_i = sum_j |a_ij|.  They give
+    and the off-diagonal absolute row sums r_i = sum_j |w_ij|.  They give
     the largest absolute row sum and a lower bound on the spectrum without
-    a dense matrix.  ``graph`` is the signed graph the operator was built
-    from, if any; the multilevel preconditioner coarsens it.
+    a dense matrix.  ``graph`` is the signed graph of W; the multilevel
+    preconditioner coarsens it.
     """
 
-    def __init__(
-        self,
-        n: int,
-        matmat: Callable[[np.ndarray], np.ndarray],
-        dense_builder: Callable[[], np.ndarray],
-        diagonal: np.ndarray,
-        radii: np.ndarray,
-        graph: Optional[SignedGraph] = None,
-    ):
-        self.n = int(n)
-        self.diagonal = diagonal
-        self.radii = radii
+    def __init__(self, graph: SignedGraph, diagonal: np.ndarray):
+        self.n = graph.n
         self.graph = graph
-        self._matmat = matmat
-        self._dense_builder = dense_builder
+        self.diagonal = diagonal
+        # the same additions in the same order for d of the signed kind: the
+        # radii equal it bit for bit, so its Gershgorin bound is exactly 0
+        self.radii = degrees(graph, DegreeMode.ABSOLUTE_SUM)
+        ii, jj, ww = graph.edge_arrays()
+        # each edge scatters into row i, then row j: the order of the block form
+        self._rows = np.concatenate([ii, jj])
+        self._cols = np.concatenate([jj, ii])
+        self._vals = np.concatenate([ww, ww])
 
     @property
     def norm_inf(self) -> float:
@@ -73,50 +71,31 @@ class SymmetricOperator:
             raise DimensionMismatchError(
                 f"operand has leading dimension {X.shape[0]}, operator has {self.n}"
             )
-        Y = self._matmat(X)
+        # keeps X's memory layout, as the block form did: later matmuls on
+        # another layout may round differently
+        Y = np.empty_like(X)
+        for c in range(X.shape[1]):
+            x = X[:, c]
+            y = self.diagonal * x
+            np.subtract.at(y, self._rows, self._vals * x[self._cols])
+            Y[:, c] = y
         return Y[:, 0] if single else Y
 
     def dense(self) -> np.ndarray:
         """Dense n-by-n materialization; only offered for n <= DENSE_MAX_DIM."""
-        if self.n > DENSE_MAX_DIM:
-            raise DimensionTooLargeError(
-                f"n={self.n} exceeds dense threshold {DENSE_MAX_DIM}"
-            )
-        return self._dense_builder()
+        L = self.graph.dense_adjacency()
+        # 0 - w, in place: the entries off the edges stay +0.0, as they
+        # would not under negation, and no second n-by-n array is made
+        np.subtract(0.0, L, out=L)
+        np.fill_diagonal(L, self.diagonal)
+        return L
 
 
 def laplacian(g: SignedGraph, kind: LaplacianKind | str = LaplacianKind.STANDARD) -> SymmetricOperator:
     """Laplacian operator of the requested kind for a signed graph."""
     kind = LaplacianKind(kind)
     mode = DegreeMode.ABSOLUTE_SUM if kind is LaplacianKind.SIGNED else DegreeMode.SIGNED_SUM
-    d = degrees(g, mode)
-    ii, jj, ww = g.edge_arrays()
-    # each edge scatters into row i, then row j: the order of the block form
-    rows = np.concatenate([ii, jj])
-    cols = np.concatenate([jj, ii])
-    vals = np.concatenate([ww, ww])
-
-    def matmat(X: np.ndarray) -> np.ndarray:
-        # keeps X's memory layout, as the block form did: later matmuls on
-        # another layout may round differently
-        Y = np.empty_like(X)
-        for c in range(X.shape[1]):
-            x = X[:, c]
-            y = d * x
-            np.subtract.at(y, rows, vals * x[cols])
-            Y[:, c] = y
-        return Y
-
-    def dense_builder() -> np.ndarray:
-        L = np.diag(d.copy())
-        L[ii, jj] -= ww
-        L[jj, ii] -= ww
-        return L
-
-    # the same additions in the same order as degrees(): for the signed kind
-    # the radii equal d bit for bit, so the Gershgorin bound is exactly 0
-    radii = np.bincount(rows, np.abs(vals), minlength=g.n)
-    return SymmetricOperator(g.n, matmat, dense_builder, d, radii, g)
+    return SymmetricOperator(g, degrees(g, mode))
 
 
 def quadratic_form(op: SymmetricOperator, x: np.ndarray) -> float:

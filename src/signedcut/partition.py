@@ -33,7 +33,7 @@ from .errors import (
     MultiComponentError,
     SolverFailedError,
 )
-from .graph import SignedGraph, connected_in_absolute_value
+from .graph import SignedGraph, connected_in_absolute_value, nullify_negative
 from .laplacian import LaplacianKind, laplacian
 
 # Fiedler eigenvalues closer than this fraction of the spectrum spread to
@@ -138,6 +138,16 @@ def fiedler(
     if kind is LaplacianKind.STANDARD:
         return select_fiedler(dense_spectrum_deflated(op), kind)
     return select_fiedler(dense_spectrum(op), kind)
+
+
+def baseline_fiedler(g: SignedGraph) -> FiedlerResult:
+    """Standard-kind Fiedler pair of the edge-deleted baseline: g without its negative edges.
+
+    The baseline may be disconnected, which :func:`fiedler` rejects; the
+    ones-deflated dense spectrum stays defined.
+    """
+    op = laplacian(nullify_negative(g), LaplacianKind.STANDARD)
+    return select_fiedler(dense_spectrum_deflated(op), LaplacianKind.STANDARD)
 
 
 def select_fiedler(

@@ -70,6 +70,18 @@ def test_matmat_agrees_with_dense():
             np.testing.assert_allclose(op.matmat(X), op.dense() @ X, atol=1e-12)
 
 
+def test_dense_is_diagonal_minus_adjacency_without_negative_zeros():
+    rng = np.random.default_rng(4)
+    for _ in range(20):
+        g = random_graph(rng)
+        for kind in LaplacianKind:
+            op = laplacian(g, kind)
+            L = op.dense()
+            np.testing.assert_array_equal(L, np.diag(op.diagonal) - g.dense_adjacency())
+            # the entries off the edges are +0.0, as the scatter assembly wrote them
+            assert not np.signbit(L[L == 0.0]).any()
+
+
 def block_scatter(g, kind, X):
     """The 2-D ``np.subtract.at`` block product the column kernel replaced."""
     mode = "absolute-sum" if LaplacianKind(kind) is LaplacianKind.SIGNED else "signed-sum"
