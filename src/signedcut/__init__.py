@@ -45,7 +45,7 @@ from .io import (
     write_edge_csv,
     write_matrix_market,
 )
-from .laplacian import LaplacianKind, SymmetricOperator, laplacian, quadratic_form
+from .laplacian import LaplacianKind, SymmetricOperator, laplacian
 from .eigen import (
     IterationTrace,
     SolverConfig,

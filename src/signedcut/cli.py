@@ -206,24 +206,24 @@ def cmd_spectrum(args, outputs: list[str], warnings: list[str]) -> dict:
     op = laplacian(g, LaplacianKind(args.laplacian))
     if args.solver == "dense":
         s = (dense_spectrum_deflated if args.deflate_ones else dense_spectrum)(op)
-        evals = s.eigenvalues[: args.k]
-        evecs = s.eigenvectors[:, : args.k]
     else:
         s, _ = lobpcg_smallest(op, _solver_config(args, args.k, args.deflate_ones))
-        evals, evecs = s.eigenvalues, s.eigenvectors
-        if not s.converged.all():
+        # the spectrum holds the whole block; the first k pairs are the wanted ones
+        converged = s.converged[: args.k]
+        if not converged.all():
             warnings.append(
-                f"{int((~s.converged).sum())} of {args.k} eigenpairs unconverged "
+                f"{int((~converged).sum())} of {args.k} eigenpairs unconverged "
                 f"after {args.max_iter} iterations"
             )
+    evals, evecs = s.eigenvalues[: args.k], s.eigenvectors[:, : args.k]
     _emit_text(_modes_csv(evals, evecs), args.out, outputs)
     return {"eigenvalues": [float(v) for v in evals]}
 
 
 def cmd_partition(args, outputs: list[str], warnings: list[str]) -> dict:
     g = load_graph(args.graph)
-    # fiedler raises k to the pairs its kind needs
-    solver = None if args.solver == "dense" else _solver_config(args, 2)
+    # one wanted pair; fiedler raises the block to at least two columns
+    solver = None if args.solver == "dense" else _solver_config(args, 1)
     f = fiedler(g, LaplacianKind(args.laplacian), solver=solver)
     p = bisect(f, zero_policy=args.zero_policy)
     conf = confidence(f) if args.emit_confidence else None
@@ -231,6 +231,11 @@ def cmd_partition(args, outputs: list[str], warnings: list[str]) -> dict:
         warnings.append(
             "clustered eigenvalues: the Fiedler vector is numerically unstable "
             f"(gap {f.gap:.3e})"
+        )
+    if f.gap_converged is False:
+        warnings.append(
+            "the gap partner is unconverged: the gap is an upper estimate, "
+            "so clustered eigenvalues may go unflagged"
         )
     doc = partition_json(f, p, conf)
     _emit_json(doc, args.out, outputs)

@@ -70,16 +70,14 @@ class Spectrum:
     def k(self) -> int:
         return len(self.eigenvalues)
 
-    @property
-    def spread(self) -> float:
-        return float(self.eigenvalues[-1] - self.eigenvalues[0])
-
 
 @dataclass(frozen=True)
 class SolverConfig:
     """Configuration for the iterative block solver.
 
-    ``tol`` is an absolute residual tolerance scaled per column by
+    ``k`` is the number of wanted pairs, the smallest ones: the solve stops
+    when they have converged.  The block may hold more columns.  ``tol``
+    is an absolute residual tolerance scaled per column by
     max(1, |ritz value|).  ``deflate_ones`` keeps every iterate orthogonal
     to the all-ones vector, excluding the trivial constant eigenvector of a
     standard Laplacian from the search space.  ``precondition`` applies a
@@ -275,16 +273,21 @@ def multilevel_preconditioner(op: SymmetricOperator, k: int) -> Optional[Multile
     plus the non-negative diagonal ``excess = d - r - sigma_G + sigma``,
     whose diagonal is Jacobi's (``jacobi_preconditioner``).  For the
     signed kind, and for a graph without negative edges, that is the signed
-    Laplacian plus ``sigma I``.  The exception is a standard operator with
-    fewer negative edges than the ``k`` pairs wanted: each negative edge
-    adds one rank-one negative term to the Laplacian of the positive edges,
-    so at least one wanted pair is a non-negative, smooth mode, which the
-    shift to ``sigma_G = -2 max_i d-_i`` would blur.  There the matrix is
-    the signed Laplacian plus ``sigma I``, which differs from A only at the
-    ends of the negative edges, with the larger ``_SHIFT_REL_SIGNED``: that
-    matrix is no shift of A, so a smaller sigma does not bring the cycle
-    nearer A's shift-and-invert, and on the 3000-mass string it cost about
-    four times the iterations.
+    Laplacian plus ``sigma I``.
+
+    ``k`` is the number of wanted pairs (``SolverConfig.k``), not the block
+    size.  The exception is a standard operator with fewer negative edges
+    than the k wanted pairs: each negative edge adds one rank-one negative
+    term to the Laplacian of the positive edges, so at least one wanted
+    pair is a non-negative, smooth mode, which the shift to ``sigma_G = -2
+    max_i d-_i`` would blur.  There the matrix is the signed Laplacian plus
+    ``sigma I``, which differs from A only at the ends of the negative
+    edges, with the larger ``_SHIFT_REL_SIGNED``: that matrix is no shift of
+    A, so a smaller sigma does not bring the cycle nearer A's
+    shift-and-invert, and on the 3000-mass string it cost about four times
+    the iterations.  A Fiedler solve wants one pair and never takes this
+    branch; ``spectrum --k 2 --deflate-ones`` on a string with one negative
+    edge does.
 
     Vertices pair along strong edges (see ``_pair``); a partner takes the
     sign of its edge, so the Galerkin matrix ``P^T (L + E) P`` of a signed
@@ -474,9 +477,14 @@ def lobpcg_smallest(op: SymmetricOperator, cfg: SolverConfig) -> tuple[Spectrum,
 
     Each iteration performs a Rayleigh-Ritz projection onto the span of the
     current block X, the residual block W and the previous search
-    directions P, and applies the operator once, to W.  Converged leading
-    columns are locked.  Not converging within ``max_iter`` is not an
-    error: the returned spectrum carries per-column converged flags.
+    directions P, and applies the operator once, to W.  The stopping test
+    covers the k wanted columns only, and converged leading columns among
+    them are locked.  The returned spectrum holds the whole block's m Ritz
+    pairs in ascending order, the wanted ones first, each with its final
+    residual norm and converged flag.  A Ritz value is at least the
+    eigenvalue of its rank, so an unconverged column past the k-th still
+    bounds its eigenvalue from above.  Not converging within ``max_iter``
+    is not an error.
 
     The basis [X, P, W] stays orthonormal without re-projecting X or P.  W
     is orthonormalized against [ones, X, P] by CholQR2 with QR's drop rule
@@ -570,9 +578,6 @@ def lobpcg_smallest(op: SymmetricOperator, cfg: SolverConfig) -> tuple[Spectrum,
     residuals = np.sqrt(np.einsum("ij,ij->j", R, R))
     converged = residuals <= cfg.tol * np.maximum(1.0, np.abs(theta))
     spectrum = Spectrum(
-        eigenvalues=theta[: cfg.k].copy(),
-        eigenvectors=X[:, : cfg.k].copy(),
-        residual_norms=residuals[: cfg.k].copy(),
-        converged=converged[: cfg.k].copy(),
+        eigenvalues=theta, eigenvectors=X, residual_norms=residuals, converged=converged
     )
     return spectrum, trace

@@ -96,13 +96,3 @@ def laplacian(g: SignedGraph, kind: LaplacianKind | str = LaplacianKind.STANDARD
     kind = LaplacianKind(kind)
     mode = DegreeMode.ABSOLUTE_SUM if kind is LaplacianKind.SIGNED else DegreeMode.SIGNED_SUM
     return SymmetricOperator(g, degrees(g, mode))
-
-
-def quadratic_form(op: SymmetricOperator, x: np.ndarray) -> float:
-    """Return <x, op(x)>."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1 or x.shape[0] != op.n:
-        raise DimensionMismatchError(
-            f"expected a length-{op.n} vector, got shape {x.shape}"
-        )
-    return float(x @ op.matmat(x))

@@ -56,6 +56,10 @@ class FiedlerResult:
 
     ``eigenvalues`` are the ascending eigenvalues the selection saw: the
     whole computed spectrum, ones-deflated for the standard kind.
+    ``gap_converged`` is None for the dense oracle.  An iterative solve
+    sets it to whether the Fiedler pair's gap partner converged.  When it
+    did not, ``gap`` is an upper estimate, since the partner's Ritz value
+    is at least its eigenvalue.  ``clustered_warning`` may then be missed.
     """
 
     vector: np.ndarray
@@ -66,6 +70,7 @@ class FiedlerResult:
     clustered_warning: bool
     condition_number: float
     eigenvalues: np.ndarray
+    gap_converged: Optional[bool] = None
 
 
 @dataclass(frozen=True, eq=False)
@@ -121,8 +126,7 @@ def fiedler(
     """Fiedler vector of a connected signed graph for the given kind.
 
     ``solver=None`` uses the dense oracle; a :class:`SolverConfig` routes
-    the solve through the iterative eigensolver (with ones-deflation forced
-    for the standard kind).
+    the solve through the iterative eigensolver (see ``_fiedler_iterative``).
     """
     kind = LaplacianKind(kind)
     if g.n < 2:
@@ -132,9 +136,9 @@ def fiedler(
             "graph is disconnected in the absolute-value sense; "
             "the Fiedler vector is ambiguous"
         )
-    op = laplacian(g, kind)
     if solver is not None:
-        return _fiedler_iterative(op, kind, solver)
+        return _fiedler_iterative(g, kind, solver)
+    op = laplacian(g, kind)
     if kind is LaplacianKind.STANDARD:
         return select_fiedler(dense_spectrum_deflated(op), kind)
     return select_fiedler(dense_spectrum(op), kind)
@@ -165,7 +169,9 @@ def select_fiedler(
     spectrum.  The condition number is spread / gap, or +inf for a gap of
     at most ZERO_GAP_REL times the spread.  The vector has unit norm and
     ``bisect``'s sign: its first component of largest magnitude is
-    positive, so the sides follow its signs as returned.
+    positive, so the sides follow its signs as returned.  ``gap_converged``
+    is the partner column's converged flag, False when the spectrum has no
+    partner, and None for a spectrum without flags (the dense oracle).
     """
     lam = s.eigenvalues
     n = s.eigenvectors.shape[0]
@@ -181,6 +187,9 @@ def select_fiedler(
         top = max(top, largest_eigenvalue)
     spread = top - eigenvalue
     clustered = math.isfinite(gap) and spread > 0 and gap <= CLUSTERED_GAP_FRACTION * spread
+    gap_converged = None
+    if s.converged is not None:
+        gap_converged = idx + 1 < s.k and bool(s.converged[idx + 1])
     vector = s.eigenvectors[:, idx]
     vector = vector / np.linalg.norm(vector)
     # bisect's sign rule: the first component of largest magnitude is positive
@@ -195,26 +204,43 @@ def select_fiedler(
         clustered_warning=clustered,
         condition_number=math.inf if gap <= ZERO_GAP_REL * spread else spread / gap,
         eigenvalues=lam,
+        gap_converged=gap_converged,
     )
 
 
-def _fiedler_iterative(op, kind: LaplacianKind, solver: SolverConfig) -> FiedlerResult:
-    want = 2 if kind is LaplacianKind.STANDARD else 3
-    k = max(solver.k, want)
+def _fiedler_iterative(g: SignedGraph, kind: LaplacianKind, solver: SolverConfig) -> FiedlerResult:
+    """The Fiedler pair from one wanted LOBPCG pair in a block of at least two.
+
+    The solve stops when the Fiedler column has converged; the next column
+    gives the gap, as an upper estimate while it is unconverged.  The
+    standard kind deflates ones.  So does the signed kind of a graph
+    without negative edges, which is the same operator: it gets the
+    standard kind's solve and vector, and keeps its own kind.
+    """
+    deflate = kind is LaplacianKind.STANDARD or not (g.edge_arrays()[2] < 0).any()
+    op = laplacian(g, LaplacianKind.STANDARD if deflate else kind)
     cfg = replace(
         solver,
-        k=k,
-        block_size=max(solver.effective_block_size, k),
-        deflate_ones=kind is LaplacianKind.STANDARD,
+        k=1,
+        block_size=max(solver.effective_block_size, 2),
+        deflate_ones=deflate,
     )
     try:
         s, trace = lobpcg_smallest(op, cfg)
     except BasisDegenerateError as exc:
         raise SolverFailedError(str(exc)) from exc
     f = select_fiedler(s, kind, estimate_largest_eigenvalue(op, seed=cfg.seed))
-    if not s.converged[: int(f.skipped_constant) + 2].all():
+    if f.skipped_constant:
+        if not s.converged[1]:
+            # the stopping test covers column 0 alone
+            raise SolverFailedError(
+                "iterative solve skipped the near-constant column 0 and left the Fiedler "
+                f"pair in column 1 unconverged (residual {s.residual_norms[1]:.3e}) "
+                f"after {len(trace)} iterations"
+            )
+    elif not s.converged[0]:
         raise SolverFailedError(
-            "iterative solve left the leading eigenpairs unconverged after "
+            "iterative solve left the Fiedler pair unconverged after "
             f"{len(trace)} iterations (best residual {min(trace.max_residuals):.3e}); "
             "raise max_iter or loosen tol"
         )
@@ -301,6 +327,8 @@ def partition_json(f: FiedlerResult, p: Partition, conf: np.ndarray | None = Non
         "gap": float(f.gap) if math.isfinite(f.gap) else None,
         "clustered_warning": bool(f.clustered_warning),
     }
+    if f.gap_converged is not None:
+        doc["gap_converged"] = f.gap_converged
     if conf is not None:
         doc["confidence"] = [float(x) for x in conf]
     return doc

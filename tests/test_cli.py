@@ -9,6 +9,7 @@ from signedcut import (
     cobra,
     dumbbell,
     graph_from_edges,
+    laplacian,
     load_graph,
     path_string,
     save_graph,
@@ -257,8 +258,9 @@ class TestSolverWiring:
         assert code == 0
         assert len(configs) == 3
         assert all(cfg.precondition for cfg in configs)
-        # partition asks for k = 2; the signed kind needs three pairs
-        assert [cfg.k for cfg in configs] == [2, 3, 3]
+        # partition wants the Fiedler pair alone, in a block of two for its gap
+        assert [cfg.k for cfg in configs] == [1, 1, 3]
+        assert [cfg.effective_block_size for cfg in configs] == [2, 2, 3]
 
     def test_truncated_iteration_study_is_unpreconditioned(self, tmp_path, capsys, monkeypatch):
         configs = record_solver_configs(monkeypatch, signedcut.experiments)
@@ -297,6 +299,41 @@ class TestIterativeStringsAtDefaults:
         sure = np.abs(u) > 1e-6
         same = (np.asarray(dense["side"]) == np.asarray(lobpcg["side"]))[sure]
         assert same.all() or not same.any()
+
+
+class TestIterativeLongStringsAtDefaults:
+    """partition --solver lobpcg at the CLI defaults on the 3000-mass strings.
+
+    While the solve also converged the Fiedler pair's gap partner, the
+    standard kind stopped unconverged at 200 iterations (exit 4); the
+    Fiedler pair alone converges.  The reference is scipy's eigsh in
+    shift-invert mode just below the Gershgorin bound: in both kinds the
+    Fiedler pair is the smallest one, the only negative eigenvalue of the
+    standard kind and the switched ones vector of the signed kind.
+    """
+
+    @pytest.mark.parametrize("weight", ["-0.05", "-0.5", "-1"])
+    @pytest.mark.parametrize("kind", ["standard", "signed"])
+    def test_exits_0_and_matches_eigsh(self, tmp_path, capsys, kind, weight):
+        sparse = pytest.importorskip("scipy.sparse")
+        eigsh = pytest.importorskip("scipy.sparse.linalg").eigsh
+        gfile, out = str(tmp_path / "s3k.mtx"), tmp_path / "p.json"
+        assert run(capsys, "gen", "path", "--n", "3000", "--override", f"1500:{weight}",
+                   "--out", gfile)[0] == 0
+        code, _, report = run(capsys, "partition", gfile, "--laplacian", kind,
+                              "--solver", "lobpcg", "--out", str(out))
+        assert code == 0, report["error"]
+        doc = json.loads(out.read_text())
+        # an unconverged partner makes the gap an upper estimate, and stderr says so
+        warned = any("upper estimate" in w for w in report["warnings"])
+        assert warned is not doc["gap_converged"]
+        op = laplacian(load_graph(gfile), kind)
+        ii, jj, ww = op.graph.edge_arrays()
+        W = sparse.coo_matrix((ww, (ii, jj)), shape=(op.n, op.n))
+        L = (sparse.diags(op.diagonal) - W - W.T).tocsc()
+        lam, U = eigsh(L, k=1, sigma=op.gershgorin_lower - 1e-3, which="LM")
+        assert doc["eigenvalue"] == pytest.approx(lam[0], abs=1e-10)
+        assert abs(float(np.asarray(doc["fiedler"]) @ U[:, 0])) >= 1.0 - 1e-10
 
 
 class TestMetricsCmd:

@@ -21,6 +21,7 @@ from signedcut import (
     dense_spectrum,
     dumbbell,
     fiedler,
+    graph_from_arrays,
     graph_from_edges,
     laplacian,
     negate_weights,
@@ -119,7 +120,12 @@ class TestFiedler:
             f_iter = fiedler(g, kind, solver=cfg)
             assert f_iter.eigenvalue == pytest.approx(f_dense.eigenvalue, abs=1e-8)
             assert abs(abs(f_iter.vector @ f_dense.vector) - 1.0) <= 1e-6
-            assert bisect(f_iter).as_sets() == bisect(f_dense).as_sets()
+            # the signed vector is 0 at vertices 4 and 5 up to rounding, so
+            # rounding decides their side; compare the others up to a swap
+            sure = np.abs(f_dense.vector) > 1e-8
+            assert (np.abs(f_iter.vector[~sure]) <= 1e-8).all()
+            same = (bisect(f_iter).side == bisect(f_dense).side)[sure]
+            assert same.all() or not same.any()
 
     def test_preconditioned_lobpcg_route_matches_dense(self):
         g = dumbbell()
@@ -147,6 +153,67 @@ class TestFiedler:
         assert f.clustered_warning
         assert f.gap <= CLUSTERED_GAP_FRACTION * 4.0
         assert not fiedler(g, "standard").clustered_warning
+
+
+def positive_random_graph(seed):
+    """A seeded connected random graph whose weights are all positive."""
+    g = random_connected_graph(np.random.default_rng(seed))
+    ii, jj, ww = g.edge_arrays()
+    return graph_from_arrays(g.n, ii, jj, np.abs(ww))
+
+
+class TestIterativeRoute:
+    """One wanted pair: the Fiedler column converges, its partner gives the gap."""
+
+    CFG = SolverConfig(k=1, tol=1e-8, max_iter=1000, seed=3, precondition=True)
+
+    @pytest.mark.parametrize("g", [
+        pytest.param(path_string(StringSpec(4)), id="path-4"),
+        pytest.param(path_string(StringSpec(75)), id="path-75"),
+        pytest.param(positive_random_graph(7), id="positive-random"),
+    ])
+    def test_signed_without_negative_edges_is_the_standard_solve(self, g):
+        f_std = fiedler(g, "standard", solver=self.CFG)
+        f_sgn = fiedler(g, "signed", solver=self.CFG)
+        assert f_sgn.kind is LaplacianKind.SIGNED and f_std.kind is LaplacianKind.STANDARD
+        np.testing.assert_array_equal(f_sgn.vector, f_std.vector)
+        assert f_sgn.eigenvalue == f_std.eigenvalue
+        np.testing.assert_array_equal(bisect(f_sgn).side, bisect(f_std).side)
+
+    def test_unconverged_partner_gap_is_an_upper_estimate(self):
+        rng = np.random.default_rng(41)
+        graphs = [path_string(StringSpec(75, overrides=((36, w),))) for w in (-0.05, -0.5, -1.0)]
+        graphs += [random_connected_graph(rng) for _ in range(20)]
+        estimates = 0
+        for g in graphs:
+            if g.n < 3:
+                continue
+            for kind in LaplacianKind:
+                f = fiedler(g, kind, solver=self.CFG)
+                assert f.gap_converged is not None
+                dense = fiedler(g, kind)
+                assert dense.gap_converged is None
+                assert f.eigenvalue == pytest.approx(dense.eigenvalue, abs=1e-8)
+                if not f.gap_converged:
+                    estimates += 1
+                    assert f.gap >= dense.gap - 1e-10
+        assert estimates > 0
+
+    def test_skipped_near_constant_column_needs_column_1_converged(self):
+        # a ring with one tiny negative edge: the signed kind's column 0 is
+        # near-constant, and the solve stops once it converges
+        n = 30
+        g = graph_from_edges(n, [(i, i + 1, 1.0) for i in range(n - 1)] + [(0, n - 1, -1e-8)])
+        assert fiedler(g, "signed").skipped_constant
+        with pytest.raises(SolverFailedError, match=r"near-constant column 0 .* column 1 unconverged"):
+            fiedler(g, "signed", solver=self.CFG)
+
+    def test_partition_json_reports_gap_converged_only_when_iterative(self):
+        g = path_string(StringSpec(75, overrides=((36, -0.5),)))
+        f = fiedler(g, "standard", solver=self.CFG)
+        assert partition_json(f, bisect(f))["gap_converged"] is f.gap_converged
+        dense = fiedler(g, "standard")
+        assert "gap_converged" not in partition_json(dense, bisect(dense))
 
 
 SIGN_GRAPHS = {
