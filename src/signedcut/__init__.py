@@ -47,6 +47,7 @@ from .io import (
 )
 from .laplacian import LaplacianKind, SymmetricOperator, laplacian
 from .eigen import (
+    DenseEigenproblem,
     IterationTrace,
     SolverConfig,
     Spectrum,

@@ -143,7 +143,24 @@ def _emit_text(text: str, out: str | None, outputs: list[str]) -> None:
 
 
 def _emit_json(doc: dict, out: str | None, outputs: list[str]) -> None:
-    _emit_text(json.dumps(doc, indent=2) + "\n", out, outputs)
+    _emit_text(_json_text(doc) + "\n", out, outputs)
+
+
+def _json_text(obj, level: int = 0) -> str:
+    """``json.dumps(obj, indent=2)``, byte for byte, at nesting depth ``level``.
+
+    An indent makes ``json`` use its pure-Python encoder, slow on a long
+    list.  A non-empty list of scalars is written by the C encoder instead,
+    with the newline and indent as its item separator.  Dicts with string
+    keys recurse; anything else is the stdlib's own output, re-indented.
+    """
+    pad = "\n" + "  " * (level + 1)
+    if isinstance(obj, dict) and obj and all(isinstance(k, str) for k in obj):
+        items = (json.dumps(k) + ": " + _json_text(v, level + 1) for k, v in obj.items())
+        return "{" + pad + ("," + pad).join(items) + pad[:-2] + "}"
+    if isinstance(obj, (list, tuple)) and obj and not any(isinstance(x, (dict, list, tuple)) for x in obj):
+        return "[" + pad + json.dumps(obj, separators=("," + pad, ": "))[1:-1] + pad[:-2] + "]"
+    return json.dumps(obj, indent=2).replace("\n", "\n" + "  " * level)
 
 
 def _modes_csv(eigenvalues: np.ndarray, vectors: np.ndarray) -> str:
@@ -292,7 +309,7 @@ def _partition_block(
     try:
         p = bisect(f)
         m = cut_metrics(g, p)
-        block["side"] = [int(x) for x in p.side]
+        block["side"] = p.side.tolist()
         block["cut"] = m.cut
         block["signed_cut"] = m.signed_cut
         block["ratio_cut"] = m.ratio_cut

@@ -1,10 +1,16 @@
 """Eigensolvers for the smallest eigenpairs of a symmetric operator.
 
-Two routes to the smallest eigenpairs of a symmetric operator: a dense
-oracle built on ``numpy.linalg.eigh`` (for n up to the dense threshold), and
-an iterative locally optimal block conjugate-gradient solver that needs only
-matvec products, optionally preconditioned by a Jacobi diagonal or by a
-V-cycle over graphs contracted from the operator's own.
+Two routes to the smallest eigenpairs of a symmetric operator: a dense one
+for n up to the dense threshold, and an iterative locally optimal block
+conjugate-gradient solver that needs only matvec products, optionally
+preconditioned by a Jacobi diagonal or by a V-cycle over graphs contracted
+from the operator's own.  The dense route comes in two forms: the full
+eigenbasis from ``numpy.linalg.eigh`` (``dense_spectrum``,
+``dense_spectrum_deflated``), and every eigenvalue from
+``numpy.linalg.eigvalsh`` with single eigenvectors from shifted solves
+(``DenseEigenproblem``), which is all a Fiedler pair needs.  Both deflate
+the ones vector the same way, by a Householder reflector
+(``_ones_complement``).
 """
 
 from __future__ import annotations
@@ -26,13 +32,18 @@ _QR_DROP_TOL = 1e-8
 # to its own rounding (about sqrt(eps)) to decide a drop; QR decides instead.
 _CHOL_MIN_DIAG = 1e-5
 
-# An eigenvector whose overlap with the unit ones vector exceeds this carries
-# part of ones and is turned by the deflation; every other returned vector is
-# orthogonal to ones up to this bound.
-_ONES_OVERLAP_TOL = 1e-10
-
 # The deflation requires |A u| <= this times the largest absolute row sum.
 _ONES_RESIDUAL_REL = 1e-10
+
+# ``DenseEigenproblem``.  A second shifted solve is taken when the first
+# leaves a residual above _DENSE_RESIDUAL_REL times max(1, ||A||_inf).  An
+# exactly singular shift moves down by _NUDGE_ULPS**t ulps of ||A||_inf on
+# retry t, for up to _NUDGE_TRIES retries.  The rank-2 update that deflates
+# ones (``_ones_complement``) runs over blocks of _UPDATE_ROWS rows.
+_DENSE_RESIDUAL_REL = 1e-10
+_NUDGE_ULPS = 4
+_NUDGE_TRIES = 8
+_UPDATE_ROWS = 64
 
 # Multilevel preconditioner.  An edge is strong when |w_ij| is at least
 # _STRONG_EDGE times min(r_i, r_j), r the Gershgorin radii.  A pairing counts
@@ -57,8 +68,10 @@ _SMOOTH_WEIGHT = 0.6
 class Spectrum:
     """Ascending eigenvalues with column-orthonormal eigenvectors.
 
-    Only the iterative solver fills ``residual_norms`` and ``converged``;
-    the dense oracle leaves them ``None``.
+    ``eigenvectors`` may hold fewer columns than there are eigenvalues: the
+    leading ones, as the dense Fiedler route computes one or two.  Only the
+    iterative solver fills ``residual_norms`` and ``converged``; the dense
+    routes leave them ``None``.
     """
 
     eigenvalues: np.ndarray
@@ -132,39 +145,121 @@ def dense_spectrum(op: SymmetricOperator) -> Spectrum:
 def dense_spectrum_deflated(op: SymmetricOperator) -> Spectrum:
     """Dense spectrum restricted to the complement of the ones vector.
 
-    The ones vector must be an eigenvector of the operator, as it is for
-    every standard Laplacian; an operator that moves it by more than
-    rounding (``||A u||`` above ``_ONES_RESIDUAL_REL`` times the largest
-    absolute row sum, u = ones/sqrt(n)) raises ``ValueError``.
+    One ``eigh`` of the ones-complement M (see ``_ones_complement``) gives
+    the n-1 pairs; a vector y of M comes back as ``H [0; y]``.  The ones
+    vector must be an eigenvector of the operator, as it is for every
+    standard Laplacian; an operator that moves it by more than rounding
+    raises ``ValueError``.
+    """
+    M, w, beta = _ones_complement(op)
+    evals, Y = np.linalg.eigh(M)
+    return Spectrum(eigenvalues=evals, eigenvectors=_from_complement(w, beta, Y))
 
-    One ``eigh`` gives the full eigenbasis.  The columns whose overlap with
-    u exceeds ``_ONES_OVERLAP_TOL`` span u: one column for a connected
-    graph, one per component for a disconnected one.  A Householder
-    reflector turns that small block so that u becomes one of its columns,
-    which is dropped; the other block columns take the diagonal of the
-    turned eigenvalue block.  The n-1 pairs come back in eigenvalue order.
-    All other columns are returned untouched: on a graph without negative
-    edges, where the standard and signed Laplacians coincide, a block of one
-    column leaves both kinds with bit-identical eigenvectors.
+
+def _ones_complement(op: SymmetricOperator) -> tuple[np.ndarray, np.ndarray, float]:
+    """``(M, w, beta)``: the operator on the complement of the ones vector.
+
+    The ones vector must be an eigenvector of eigenvalue 0: an operator
+    with ``||A u||`` above ``_ONES_RESIDUAL_REL`` times its largest absolute
+    row sum, u = ones/sqrt(n), raises ``ValueError``.  H = I - beta w w^T is
+    the Householder reflector that maps u to -e_0, so H A H has row and
+    column 0 zero up to rounding, and M is ``(H A H)[1:, 1:]``, a view of
+    A minus a rank-2 update, formed in place in O(n^2).
     """
     A = op.dense()
     n = op.n
     u = np.full(n, 1.0 / math.sqrt(n))
     _require_ones_null(op, A @ u)
-    evals, evecs = np.linalg.eigh(A)
-    c = evecs.T @ u
-    block = np.flatnonzero(np.abs(c) > _ONES_OVERLAP_TOL)
-    a = c[block] / np.linalg.norm(c[block])
-    p = int(np.argmax(np.abs(a)))
-    w = a.copy()
-    w[p] += math.copysign(1.0, a[p])
-    # Q a = -sign(a_p) e_p, so column p of evecs[:, block] @ Q is -sign(a_p) u
-    Q = np.eye(len(a)) - np.outer(w, w) * (2.0 / float(w @ w))
-    evals[block] = np.einsum("ik,i,ik->k", Q, evals[block], Q)
-    evecs[:, block] = evecs[:, block] @ Q
-    keep = np.delete(np.arange(n), block[p])
-    keep = keep[np.argsort(evals[keep], kind="stable")]
-    return Spectrum(eigenvalues=evals[keep], eigenvectors=evecs[:, keep])
+    w = u.copy()
+    w[0] += 1.0
+    beta = 2.0 / float(w @ w)
+    # H A H = A - w q^T - q w^T, p = beta A w, q = p - (beta w^T p / 2) w; by
+    # row blocks, which keeps the temporaries small and the result exactly
+    # symmetric (w_i q_j + q_i w_j sums the same two products)
+    p = beta * (A @ w)
+    q = p - (0.5 * beta * float(w @ p)) * w
+    for r in range(0, n, _UPDATE_ROWS):
+        rows = slice(r, r + _UPDATE_ROWS)
+        A[rows] -= np.outer(w[rows], q) + np.outer(q[rows], w)
+    return A[1:, 1:], w, beta
+
+
+def _from_complement(w: np.ndarray, beta: float, Y: np.ndarray) -> np.ndarray:
+    """``H [0; Y]``: vectors of the ones-complement as n-vectors, orthogonal to ones."""
+    X = np.concatenate((np.zeros((1,) + Y.shape[1:]), Y))
+    return X - beta * np.multiply.outer(w, w[1:] @ Y)
+
+
+class DenseEigenproblem:
+    """Every eigenvalue of a dense operator, and eigenvectors one at a time.
+
+    ``eigenvalues`` are ascending, from one ``eigvalsh`` of the matrix M:
+    the operator, or with ``deflate_ones`` its ones-complement (see
+    ``_ones_complement``), whose n-1 eigenvalues come out already deflated.
+    ``vector(i)`` is the eigenvector of ``eigenvalues[i]`` from inverse
+    iteration: one solve of ``(M - lambda I) x = b`` from a fixed seeded
+    start, and a second from x when the residual ``||M x - lambda x||`` is
+    above ``_DENSE_RESIDUAL_REL`` times max(1, ``||A||_inf``) (Ipsen, SIAM
+    Review 1997).  An exactly singular shift is moved down by a few ulps of
+    ``||A||_inf`` and the solve retried.  The solves run on M scaled by a
+    power of two, exactly, so that they work at any weight scale.  A
+    vector of the ones-complement is returned as ``H [0; x]``, orthogonal
+    to ones by construction.  A component at or below ``n * eps`` times the
+    largest is rounding and is set to exactly 0, so that a zero policy, not
+    rounding, places it.
+    """
+
+    def __init__(self, op: SymmetricOperator, deflate_ones: bool = False):
+        if deflate_ones:
+            A, self._w, self._beta = _ones_complement(op)
+        else:
+            A, self._w = op.dense(), None
+        # a power of two brings ||A||_inf into [1/2, 1) without rounding, so
+        # that the shifted solves neither overflow nor underflow at any scale
+        self._unit = 2.0 ** -math.frexp(op.norm_inf)[1]
+        A *= self._unit
+        self._matrix = A
+        self._limit = _DENSE_RESIDUAL_REL * max(1.0, op.norm_inf) * self._unit
+        self.eigenvalues = np.linalg.eigvalsh(A) / self._unit
+
+    def vector(self, i: int, orthogonal_to: Optional[np.ndarray] = None) -> np.ndarray:
+        """Unit eigenvector of ``eigenvalues[i]``, projected off a unit vector if given."""
+        A, lam = self._matrix, float(self.eigenvalues[i]) * self._unit
+        x = np.random.default_rng(0).uniform(-1.0, 1.0, size=A.shape[0])
+        for _ in range(2):
+            x = self._shifted_solve(lam, x)
+            x /= np.linalg.norm(x)
+            if np.linalg.norm(A @ x - lam * x) <= self._limit:
+                break
+        if self._w is not None:
+            x = _from_complement(self._w, self._beta, x)
+        if orthogonal_to is not None:
+            x -= float(orthogonal_to @ x) * orthogonal_to
+        x /= np.linalg.norm(x)
+        x[np.abs(x) <= len(x) * np.finfo(float).eps * np.abs(x).max()] = 0.0
+        return x / np.linalg.norm(x)
+
+    def _shifted_solve(self, lam: float, b: np.ndarray) -> np.ndarray:
+        """Solve ``(M - sigma I) x = b``, sigma = lam or, if singular there, just below.
+
+        x comes back with largest component 1.
+        """
+        A = self._matrix
+        diag = A.diagonal().copy()
+        try:
+            for t in range(_NUDGE_TRIES + 1):
+                shift = lam - (_NUDGE_ULPS**t * np.finfo(float).eps if t else 0.0)
+                np.fill_diagonal(A, diag - shift)
+                try:
+                    x = np.linalg.solve(A, b)
+                except np.linalg.LinAlgError:
+                    continue
+                peak = float(np.abs(x).max())
+                if 0.0 < peak < math.inf:
+                    return x / peak
+        finally:
+            np.fill_diagonal(A, diag)
+        raise BasisDegenerateError(f"shifted solve at eigenvalue {lam / self._unit!r} stayed singular")
 
 
 def estimate_largest_eigenvalue(op: SymmetricOperator, seed: int = 0, iterations: int = 20) -> float:
@@ -464,8 +559,9 @@ def _require_ones_null(op: SymmetricOperator, Au: np.ndarray) -> None:
     eigenvalue 0 as for every standard Laplacian: ``||A u||`` must be at
     most ``_ONES_RESIDUAL_REL`` times the operator's largest absolute row sum.
     """
-    drift = float(np.linalg.norm(Au))
-    if drift > _ONES_RESIDUAL_REL * max(1.0, op.norm_inf):
+    scale = max(1.0, op.norm_inf)
+    drift = float(np.linalg.norm(Au / scale)) * scale  # the squares of Au may overflow
+    if drift > _ONES_RESIDUAL_REL * scale:
         raise ValueError(
             f"ones is not an eigenvector of the operator (|A u| = {drift:.3e}); "
             "it cannot be deflated"

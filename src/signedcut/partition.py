@@ -4,9 +4,11 @@ For the standard Laplacian the Fiedler vector is the eigenvector of the
 smallest eigenvalue restricted to the complement of the ones vector (the
 smallest eigenvalue may be negative).  For the signed Laplacian it is the
 smallest-eigenvalue eigenvector, skipping a leading eigenvector only when it
-matches the trivial constant vector.  Bisection assigns vertices by
-component sign; squared components of the unit-norm vector act as a
-per-vertex confidence.
+matches the trivial constant vector.  The dense route takes every
+eigenvalue from ``eigvalsh`` and only the vectors it selects from shifted
+solves (``DenseEigenproblem``); a component at rounding level comes back
+as an exact zero.  Bisection assigns vertices by component sign; squared
+components of the unit-norm vector act as a per-vertex confidence.
 """
 
 from __future__ import annotations
@@ -18,10 +20,10 @@ from typing import Optional
 import numpy as np
 
 from .eigen import (
+    DenseEigenproblem,
+    IterationTrace,
     SolverConfig,
     Spectrum,
-    dense_spectrum,
-    dense_spectrum_deflated,
     estimate_largest_eigenvalue,
     lobpcg_smallest,
 )
@@ -34,7 +36,7 @@ from .errors import (
     SolverFailedError,
 )
 from .graph import SignedGraph, connected_in_absolute_value, nullify_negative
-from .laplacian import LaplacianKind, laplacian
+from .laplacian import LaplacianKind, SymmetricOperator, laplacian
 
 # Fiedler eigenvalues closer than this fraction of the spectrum spread to
 # their nearest neighbor get flagged: the eigenvector is then essentially an
@@ -125,8 +127,11 @@ def fiedler(
 ) -> FiedlerResult:
     """Fiedler vector of a connected signed graph for the given kind.
 
-    ``solver=None`` uses the dense oracle; a :class:`SolverConfig` routes
-    the solve through the iterative eigensolver (see ``_fiedler_iterative``).
+    ``solver=None`` uses the dense route (see ``_fiedler_dense``); a
+    :class:`SolverConfig` routes the solve through the iterative
+    eigensolver (see ``_fiedler_iterative``).  On a graph without negative
+    edges both routes give the signed kind the standard kind's vector, since
+    the two Laplacians are then the same matrix.
     """
     kind = LaplacianKind(kind)
     if g.n < 2:
@@ -138,10 +143,14 @@ def fiedler(
         )
     if solver is not None:
         return _fiedler_iterative(g, kind, solver)
-    op = laplacian(g, kind)
     if kind is LaplacianKind.STANDARD:
-        return select_fiedler(dense_spectrum_deflated(op), kind)
-    return select_fiedler(dense_spectrum(op), kind)
+        return _fiedler_dense(laplacian(g, kind), kind)
+    if (g.edge_arrays()[2] < 0).any():
+        return _fiedler_dense(laplacian(g, kind), kind, deflate_ones=False)
+    # the signed spectrum is the standard one with the ones pair in front
+    f = _fiedler_dense(laplacian(g, LaplacianKind.STANDARD), LaplacianKind.STANDARD)
+    return replace(f, kind=kind, skipped_constant=True,
+                   eigenvalues=np.concatenate(([0.0], f.eigenvalues)))
 
 
 def baseline_fiedler(g: SignedGraph) -> FiedlerResult:
@@ -150,8 +159,28 @@ def baseline_fiedler(g: SignedGraph) -> FiedlerResult:
     The baseline may be disconnected, which :func:`fiedler` rejects; the
     ones-deflated dense spectrum stays defined.
     """
-    op = laplacian(nullify_negative(g), LaplacianKind.STANDARD)
-    return select_fiedler(dense_spectrum_deflated(op), LaplacianKind.STANDARD)
+    return _fiedler_dense(laplacian(nullify_negative(g), LaplacianKind.STANDARD),
+                          LaplacianKind.STANDARD)
+
+
+def _fiedler_dense(op: SymmetricOperator, kind: LaplacianKind, deflate_ones: bool = True) -> FiedlerResult:
+    """The Fiedler pair from all eigenvalues and one or two shifted solves.
+
+    Column 1 is computed, projected off column 0, only when column 0 is the
+    constant vector that ``select_fiedler`` skips.
+    """
+    problem = DenseEigenproblem(op, deflate_ones=deflate_ones)
+    v = problem.vector(0)
+    vectors = v[:, None]
+    if _is_constant(v):
+        vectors = np.column_stack((v, problem.vector(1, orthogonal_to=v)))
+    return select_fiedler(Spectrum(problem.eigenvalues, vectors), kind)
+
+
+def _is_constant(v: np.ndarray) -> bool:
+    """Whether a unit vector is the trivial constant one that ``select_fiedler`` skips."""
+    ones = np.ones(len(v)) / math.sqrt(len(v))
+    return abs(float(v @ ones)) >= TRIVIAL_ONES_CORRELATION
 
 
 def select_fiedler(
@@ -174,9 +203,7 @@ def select_fiedler(
     partner, and None for a spectrum without flags (the dense oracle).
     """
     lam = s.eigenvalues
-    n = s.eigenvectors.shape[0]
-    ones = np.ones(n) / math.sqrt(n)
-    skipped = abs(float(s.eigenvectors[:, 0] @ ones)) >= TRIVIAL_ONES_CORRELATION
+    skipped = _is_constant(s.eigenvectors[:, 0])
     idx = 1 if skipped else 0
     if idx >= s.k:
         raise InsufficientSpectrumError("spectrum too small after skipping the constant vector")
@@ -194,7 +221,7 @@ def select_fiedler(
     vector = vector / np.linalg.norm(vector)
     # bisect's sign rule: the first component of largest magnitude is positive
     if vector[np.argmax(np.abs(vector))] < 0:
-        vector = -vector
+        vector = 0.0 - vector  # an exact zero stays +0.0
     return FiedlerResult(
         vector=vector,
         eigenvalue=eigenvalue,
@@ -212,7 +239,10 @@ def _fiedler_iterative(g: SignedGraph, kind: LaplacianKind, solver: SolverConfig
     """The Fiedler pair from one wanted LOBPCG pair in a block of at least two.
 
     The solve stops when the Fiedler column has converged; the next column
-    gives the gap, as an upper estimate while it is unconverged.  The
+    gives the gap, as an upper estimate while it is unconverged.  When
+    ``select_fiedler`` skips a near-constant column 0, that column is the
+    one the stopping test covered; if column 1 is then unconverged, the
+    solve runs once more with two wanted pairs before it fails.  The
     standard kind deflates ones.  So does the signed kind of a graph
     without negative edges, which is the same operator: it gets the
     standard kind's solve and vector, and keeps its own kind.
@@ -225,14 +255,17 @@ def _fiedler_iterative(g: SignedGraph, kind: LaplacianKind, solver: SolverConfig
         block_size=max(solver.effective_block_size, 2),
         deflate_ones=deflate,
     )
-    try:
-        s, trace = lobpcg_smallest(op, cfg)
-    except BasisDegenerateError as exc:
-        raise SolverFailedError(str(exc)) from exc
-    f = select_fiedler(s, kind, estimate_largest_eigenvalue(op, seed=cfg.seed))
+    s, trace = _lobpcg(op, cfg)
+    top = estimate_largest_eigenvalue(op, seed=cfg.seed)
+    f = select_fiedler(s, kind, top)
+    if f.skipped_constant and not s.converged[1]:
+        # the stopping test covered column 0 alone: solve once more for two
+        # wanted pairs, with a third column for the gap where n allows
+        block = min(max(cfg.block_size, 3), op.n - 1)
+        s, trace = _lobpcg(op, replace(cfg, k=2, block_size=block))
+        f = select_fiedler(s, kind, top)
     if f.skipped_constant:
         if not s.converged[1]:
-            # the stopping test covers column 0 alone
             raise SolverFailedError(
                 "iterative solve skipped the near-constant column 0 and left the Fiedler "
                 f"pair in column 1 unconverged (residual {s.residual_norms[1]:.3e}) "
@@ -245,6 +278,14 @@ def _fiedler_iterative(g: SignedGraph, kind: LaplacianKind, solver: SolverConfig
             "raise max_iter or loosen tol"
         )
     return f
+
+
+def _lobpcg(op: SymmetricOperator, cfg: SolverConfig) -> tuple[Spectrum, IterationTrace]:
+    """``lobpcg_smallest``, with a lost basis reported as a failed solve."""
+    try:
+        return lobpcg_smallest(op, cfg)
+    except BasisDegenerateError as exc:
+        raise SolverFailedError(str(exc)) from exc
 
 
 def bisect(f: FiedlerResult, zero_policy: str = "positive-side") -> Partition:
@@ -320,8 +361,8 @@ def partition_json(f: FiedlerResult, p: Partition, conf: np.ndarray | None = Non
     """JSON-ready dict in the documented partition schema."""
     doc = {
         "n": p.n,
-        "side": [int(x) for x in p.side],
-        "fiedler": [float(x) for x in f.vector],
+        "side": p.side.tolist(),
+        "fiedler": f.vector.tolist(),
         "eigenvalue": float(f.eigenvalue),
         "kind": f.kind.value,
         "gap": float(f.gap) if math.isfinite(f.gap) else None,
@@ -330,5 +371,5 @@ def partition_json(f: FiedlerResult, p: Partition, conf: np.ndarray | None = Non
     if f.gap_converged is not None:
         doc["gap_converged"] = f.gap_converged
     if conf is not None:
-        doc["confidence"] = [float(x) for x in conf]
+        doc["confidence"] = conf.tolist()
     return doc

@@ -34,16 +34,17 @@ def mode_csv_eigenvalues(path) -> list[float]:
     return [float(x) for x in rows[1][1:]]
 
 
-def count_eigh(monkeypatch) -> list:
-    """Record the operand shape of every np.linalg.eigh call from now on."""
+def count_dense_eigensolves(monkeypatch) -> list:
+    """Record the name and operand shape of every np.linalg.eigh and eigvalsh call from now on."""
     calls = []
-    eigh = np.linalg.eigh
+    for name in ("eigh", "eigvalsh"):
+        solve = getattr(np.linalg, name)
 
-    def counting_eigh(a, *args, **kwargs):
-        calls.append(np.shape(a))
-        return eigh(a, *args, **kwargs)
+        def counting(a, *args, _name=name, _solve=solve, **kwargs):
+            calls.append((_name, np.shape(a)))
+            return _solve(a, *args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        monkeypatch.setattr(np.linalg, name, counting)
     return calls
 
 
@@ -177,7 +178,7 @@ class TestSpectrum:
         gfile = str(tmp_path / "neg.mtx")
         save_graph(path_string(StringSpec(6, overrides=((2, -1.0),))), gfile)
         out = tmp_path / "m.csv"
-        eigh_calls = count_eigh(monkeypatch)
+        solves = count_dense_eigensolves(monkeypatch)
         code, _, report = run(capsys, "spectrum", gfile, "--laplacian", "signed", "--k", "2",
                               "--solver", "lobpcg", "--deflate-ones", "--out", str(out))
         assert code == 2
@@ -185,7 +186,7 @@ class TestSpectrum:
         assert not report["warnings"]
         assert not out.exists()
         # rejected before the first Rayleigh-Ritz step
-        assert eigh_calls == []
+        assert solves == []
 
     def test_signed_negative_edge_lead_mode_piecewise(self, tmp_path, capsys):
         gfile = str(tmp_path / "neg.mtx")
@@ -395,6 +396,37 @@ class TestMetricsCmd:
         assert code == 2 and report["exit_code"] == 2 and report["error"]
 
 
+class TestJsonWriter:
+    """The JSON writer is json.dumps(doc, indent=2) byte for byte."""
+
+    @pytest.mark.parametrize("doc", [
+        {"n": 3, "side": [0, 1, 1], "fiedler": [0.5, -0.0, -1e-300], "gap": None, "ok": True},
+        {"empty": [], "empty_dict": {}, "nested": [[1, 2], [], [None, False]],
+         "deep": {"rows": [{"a": [0.1, 2.0]}, {"b": {"c": ["x, y", "\u00e9\n"]}}]},
+         "special": [float("inf"), float("nan")], "ints": (1, 2)},
+        {1: [1, 2], "k": {None: True, 2.5: [3]}},
+        [], {}, [[]], "text", 0.1,
+    ], ids=["partition-like", "nested", "non-string-keys", "empty-list", "empty-dict",
+            "list-of-empty", "string", "number"])
+    def test_synthetic_documents(self, doc):
+        assert signedcut.cli._json_text(doc) == json.dumps(doc, indent=2)
+
+    def test_partition_and_compare_files(self, tmp_path, capsys):
+        paths = []
+        for name, g in (("cobra", cobra()), ("neg", path_string(StringSpec(75, overrides=((36, -0.05),))))):
+            gfile = str(tmp_path / f"{name}.mtx")
+            save_graph(g, gfile)
+            for argv in (["partition", gfile, "--emit-confidence"], ["compare", gfile]):
+                out = str(tmp_path / f"{name}-{argv[0]}.json")
+                assert run(capsys, *argv, "--out", out)[0] == 0
+                paths.append(out)
+        texts = [open(p).read() for p in paths]
+        # cobra's signed block has no bisection: "side": null
+        assert any('"side": null' in text for text in texts)
+        for text in texts:
+            assert text == json.dumps(json.loads(text), indent=2) + "\n"
+
+
 class TestCompare:
     def test_all_positive_path_kinds_agree(self, tmp_path, capsys):
         gfile = str(tmp_path / "p.mtx")
@@ -417,10 +449,10 @@ class TestCompare:
         assert r["condition_signed_over_standard"] > 1.0
 
     def test_one_dense_solve_per_spectrum(self, tmp_path, capsys, monkeypatch):
-        """Standard, signed and baseline spectra: three eigh calls in all."""
+        """Standard, signed and baseline spectra: three eigh or eigvalsh calls in all."""
         gfile = str(tmp_path / "neg.mtx")
         save_graph(path_string(StringSpec(30, overrides=((12, -0.05),))), gfile)
-        calls = count_eigh(monkeypatch)
+        calls = count_dense_eigensolves(monkeypatch)
         code, _, _ = run(capsys, "compare", gfile)
         assert code == 0
         assert len(calls) == 3
@@ -452,8 +484,8 @@ class TestDemo:
             assert open(path).read()
 
     def test_cobra_one_dense_solve_per_spectrum(self, tmp_path, capsys, monkeypatch):
-        """Standard, nullified and signed spectra: three eigh calls in all."""
-        calls = count_eigh(monkeypatch)
+        """Standard, nullified and signed spectra: three eigh or eigvalsh calls in all."""
+        calls = count_dense_eigensolves(monkeypatch)
         code, _, _ = run(capsys, "demo", "cobra", "--out", str(tmp_path / "cobra"))
         assert code == 0
         assert len(calls) == 3

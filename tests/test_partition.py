@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from signedcut import (
     CLUSTERED_GAP_FRACTION,
@@ -13,7 +15,9 @@ from signedcut import (
     Partition,
     SolverConfig,
     SolverFailedError,
+    Spectrum,
     StringSpec,
+    baseline_fiedler,
     bisect,
     cobra,
     confidence,
@@ -32,6 +36,7 @@ from signedcut import (
     scale_weights,
 )
 
+import signedcut.partition
 from test_graph import random_graph
 
 
@@ -155,6 +160,11 @@ class TestFiedler:
         assert not fiedler(g, "standard").clustered_warning
 
 
+def near_constant_ring(n):
+    """A unit ring with one -1e-8 edge: the signed kind's lead vector is near-constant."""
+    return graph_from_edges(n, [(i, i + 1, 1.0) for i in range(n - 1)] + [(0, n - 1, -1e-8)])
+
+
 def positive_random_graph(seed):
     """A seeded connected random graph whose weights are all positive."""
     g = random_connected_graph(np.random.default_rng(seed))
@@ -199,14 +209,32 @@ class TestIterativeRoute:
                     assert f.gap >= dense.gap - 1e-10
         assert estimates > 0
 
-    def test_skipped_near_constant_column_needs_column_1_converged(self):
+    @pytest.mark.parametrize("n", [10, 30, 200])
+    def test_skipped_near_constant_column_reruns_for_two_pairs(self, n, monkeypatch):
         # a ring with one tiny negative edge: the signed kind's column 0 is
-        # near-constant, and the solve stops once it converges
-        n = 30
-        g = graph_from_edges(n, [(i, i + 1, 1.0) for i in range(n - 1)] + [(0, n - 1, -1e-8)])
-        assert fiedler(g, "signed").skipped_constant
+        # near-constant, and the first solve stops once it converges
+        g = near_constant_ring(n)
+        configs = []
+        solve = signedcut.partition.lobpcg_smallest
+
+        def recording(op, cfg):
+            configs.append(cfg)
+            return solve(op, cfg)
+
+        monkeypatch.setattr(signedcut.partition, "lobpcg_smallest", recording)
+        f = fiedler(g, "signed", solver=self.CFG)
+        dense = fiedler(g, "signed")
+        assert f.skipped_constant and dense.skipped_constant
+        assert [c.k for c in configs] == [1, 2]
+        assert f.eigenvalue == pytest.approx(dense.eigenvalue, abs=1e-8)
+        L = laplacian(g, "signed").dense()
+        assert np.linalg.norm(L @ f.vector - f.eigenvalue * f.vector) <= 2e-8 * max(1.0, f.eigenvalue)
+
+    def test_skipped_column_1_unconverged_after_the_rerun_raises(self):
+        g = near_constant_ring(30)
+        cfg = SolverConfig(k=1, tol=1e-8, max_iter=2, seed=3, precondition=True)
         with pytest.raises(SolverFailedError, match=r"near-constant column 0 .* column 1 unconverged"):
-            fiedler(g, "signed", solver=self.CFG)
+            fiedler(g, "signed", solver=cfg)
 
     def test_partition_json_reports_gap_converged_only_when_iterative(self):
         g = path_string(StringSpec(75, overrides=((36, -0.5),)))
@@ -355,6 +383,16 @@ class TestInvariants:
             p2 = bisect(fiedler(scale_weights(g, c), "standard"))
             assert p1.as_sets() == p2.as_sets()
 
+    @pytest.mark.parametrize("c", [1e-300, 1e-160, 1e160, 1e300])
+    @pytest.mark.parametrize("kind", list(LaplacianKind))
+    def test_extreme_weight_scales(self, c, kind):
+        """The dense route works at any weight scale: its solves run on a power-of-two rescaled matrix."""
+        g = graph_from_edges(5, [(0, 1, 1.0), (1, 2, -0.5), (2, 3, 2.0), (3, 4, 1.0), (0, 4, 0.25)])
+        for make in (lambda h: fiedler(h, kind), baseline_fiedler):
+            f1, fc = make(g), make(scale_weights(g, c))
+            assert fc.eigenvalue / c == pytest.approx(f1.eigenvalue, rel=1e-12)
+            assert abs(float(fc.vector @ f1.vector)) == pytest.approx(1.0, abs=1e-12)
+
     def test_permutation_equivariance(self):
         rng = np.random.default_rng(34)
         for _ in range(10):
@@ -426,6 +464,138 @@ class TestInvariants:
         assert sorted(set(doc["side"])) == [0, 1]
 
 
+@st.composite
+def connected_signed_graphs(draw):
+    """Connected signed graphs, n <= 40: a spanning path over a random order plus
+    random pairs.  Weights are uniform in +-2 or from a small set, which makes
+    repeated eigenvalues and exact ties; a third of the graphs have no
+    negative edge."""
+    n = draw(st.integers(2, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    order = rng.permutation(n)
+    a, b = rng.integers(0, n, size=(2, draw(st.integers(0, 2 * n))))
+    lo = np.concatenate([np.minimum(order[:-1], order[1:]), np.minimum(a, b)[a != b]])
+    hi = np.concatenate([np.maximum(order[:-1], order[1:]), np.maximum(a, b)[a != b]])
+    _, first = np.unique(lo * n + hi, return_index=True)
+    if draw(st.booleans()):
+        w = rng.uniform(0.05, 2.0, size=len(first)) * rng.choice([-1.0, 1.0], size=len(first))
+    else:
+        w = rng.choice([-1.0, 0.5, 1.0], size=len(first))
+    if draw(st.integers(0, 2)) == 0:
+        w = np.abs(w)
+    return graph_from_arrays(n, lo[first], hi[first], w)
+
+
+def assert_dense_fiedler_matches_eigh(f, op, reference):
+    """Eigenvalues, residual, angle and exact zeros of a dense-route Fiedler result.
+
+    ``reference`` is the eigh spectrum the result must reproduce: the full one
+    for the signed kind, the ones-deflated one for the standard kind.
+    """
+    scale = max(1.0, op.norm_inf)
+    np.testing.assert_allclose(f.eigenvalues, reference.eigenvalues, rtol=0, atol=1e-12 * scale)
+    v, lam = f.vector, f.eigenvalue
+    res = float(np.linalg.norm(op.matmat(v) - lam * v))
+    assert res <= 1e-10 * scale
+    assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-14)
+    idx = 1 if f.skipped_constant else 0
+    others = np.delete(reference.eigenvalues, idx)
+    gap = float(np.abs(others - reference.eigenvalues[idx]).min()) if len(others) else math.inf
+    # Davis-Kahan, with both vectors' rounding; a lone eigenvalue (gap inf) leaves rounding only
+    sin_bound = 2.0 * max(res, 1e-12 * scale) / gap + 1e-14 if gap > 0 else math.inf
+    if sin_bound < 1.0:
+        u = reference.eigenvectors[:, idx]
+        assert np.linalg.norm(v - (v @ u) * u) <= sin_bound
+    # every component is an exact zero or above rounding level
+    tiny = np.abs(v) <= 0.5 * len(v) * np.finfo(float).eps * np.abs(v).max()
+    assert (v[tiny] == 0.0).all()
+
+
+def record_singular_solves(monkeypatch) -> list:
+    """Record the operand shape of every np.linalg.solve call that finds its matrix singular."""
+    singular = []
+    solve = np.linalg.solve
+
+    def recording(a, b):
+        try:
+            return solve(a, b)
+        except np.linalg.LinAlgError:
+            singular.append(np.shape(a))
+            raise
+
+    monkeypatch.setattr(np.linalg, "solve", recording)
+    return singular
+
+
+def deflated_eigh(op):
+    """eigh of the operator on a QR-built orthonormal basis of the ones complement."""
+    n = op.n
+    Q = np.linalg.qr(np.column_stack([np.ones(n), np.eye(n)[:, : n - 1]]))[0][:, 1:]
+    evals, Y = np.linalg.eigh(Q.T @ op.dense() @ Q)
+    return Spectrum(eigenvalues=evals, eigenvectors=Q @ Y)
+
+
+class TestDenseRoute:
+    """All eigenvalues from eigvalsh, the Fiedler vector from a shifted solve."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(connected_signed_graphs(), st.sampled_from(list(LaplacianKind)))
+    def test_matches_eigh(self, g, kind):
+        f = fiedler(g, kind)
+        op = laplacian(g, kind)
+        if kind is LaplacianKind.STANDARD:
+            reference = deflated_eigh(op)
+            assert abs(f.vector.sum()) <= 1e-12 * math.sqrt(g.n)
+        else:
+            reference = dense_spectrum(op)
+        assert_dense_fiedler_matches_eigh(f, op, reference)
+
+    @settings(max_examples=30, deadline=None)
+    @given(connected_signed_graphs())
+    def test_baseline_matches_eigh(self, g):
+        op = laplacian(nullify_negative(g), "standard")
+        assert_dense_fiedler_matches_eigh(baseline_fiedler(g), op, deflated_eigh(op))
+
+    @pytest.mark.parametrize("kind", list(LaplacianKind))
+    def test_two_and_three_vertex_paths(self, kind, monkeypatch):
+        singular = record_singular_solves(monkeypatch)
+        f2 = fiedler(path_string(StringSpec(2)), kind)
+        # the 1-by-1 ones-complement of the 2-path minus its own eigenvalue is exactly 0
+        assert singular == [(1, 1)]
+        assert f2.eigenvalue == pytest.approx(2.0, abs=1e-14)
+        assert bisect(f2).as_sets() == frozenset([frozenset({0}), frozenset({1})])
+        f3 = fiedler(path_string(StringSpec(3)), kind)
+        assert f3.eigenvalue == pytest.approx(1.0, abs=1e-14)
+        np.testing.assert_allclose(np.abs(f3.vector), [math.sqrt(0.5), 0.0, math.sqrt(0.5)], atol=1e-15)
+        assert f3.vector[1] == 0.0  # rounding at the middle vertex became an exact zero
+
+    def test_single_negative_edge_signed_is_exactly_singular(self, monkeypatch):
+        singular = record_singular_solves(monkeypatch)
+        f = fiedler(graph_from_edges(2, [(0, 1, -1.0)]), "signed")
+        assert singular == [(2, 2)]
+        assert f.eigenvalue == 0.0
+        np.testing.assert_allclose(abs(f.vector), math.sqrt(0.5), atol=1e-15)
+        assert f.vector[0] * f.vector[1] < 0
+
+    def test_cobra_signed_vector_is_exactly_zero_at_vertex_1(self):
+        f = fiedler(cobra(), "signed")
+        assert f.vector[0] == 0.0 and not math.copysign(1.0, f.vector[0]) < 0
+        assert (f.vector[1:] > 0).all()
+        with pytest.raises(DegenerateVectorError):
+            bisect(f)
+        assert bisect(f, zero_policy="negative-side").set_b == frozenset({0})
+
+    @pytest.mark.parametrize("n", [10, 30, 200])
+    def test_near_constant_ring_skips_to_column_1(self, n):
+        g = near_constant_ring(n)
+        f = fiedler(g, "signed")
+        op = laplacian(g, "signed")
+        assert f.skipped_constant
+        assert_dense_fiedler_matches_eigh(f, op, dense_spectrum(op))
+        # projected off the near-constant column 0
+        assert abs(f.vector.sum()) <= 1e-6
+
+
 class TestKindsWithoutNegativeEdges:
     """Without negative edges the two Laplacians are one matrix, so both
     kinds must return the same vector and the same sides, bit for bit."""
@@ -435,6 +605,10 @@ class TestKindsWithoutNegativeEdges:
         fs, fg = fiedler(g, "standard"), fiedler(g, "signed")
         np.testing.assert_array_equal(fs.vector, fg.vector)
         np.testing.assert_array_equal(bisect(fs).side, bisect(fg).side)
+        assert fg.kind is LaplacianKind.SIGNED and fg.skipped_constant
+        assert fg.eigenvalue == fs.eigenvalue and fg.gap == fs.gap
+        # the signed spectrum keeps its ones pair, as an exact 0.0
+        np.testing.assert_array_equal(fg.eigenvalues, np.concatenate(([0.0], fs.eigenvalues)))
 
     def test_unit_paths(self):
         for n in range(3, 80):
@@ -450,6 +624,13 @@ class TestKindsWithoutNegativeEdges:
         self.assert_kinds_identical(
             graph_from_edges(n, [(i, j, w) for (i, j), w in edges.items()])
         )
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_seeded_positive_graphs(self, seed):
+        self.assert_kinds_identical(positive_random_graph(seed))
+
+    def test_dumbbell_without_negative_edges(self):
+        self.assert_kinds_identical(nullify_negative(dumbbell()))
 
 
 def test_cobra_three_partitions():
