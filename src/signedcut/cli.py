@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import hashlib
 import json
 import math
@@ -71,7 +72,9 @@ class _Parser(argparse.ArgumentParser):
         raise SignedCutError(f"{self.prog}: {message}")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process: ``parse_args`` leaves it unchanged."""
     parser = _Parser(
         prog="signedcut",
         description="Spectral bisection of signed graphs.",
@@ -237,6 +240,12 @@ def cmd_spectrum(args, outputs: list[str], warnings: list[str]) -> dict:
     return {"eigenvalues": [float(v) for v in evals]}
 
 
+def _side_sizes(p: Partition) -> tuple[int, int]:
+    """Vertex counts of sides A and B of a partition whose sides are 0 and 1."""
+    size_a = int(np.count_nonzero(p.side == 0))
+    return size_a, p.n - size_a
+
+
 def cmd_partition(args, outputs: list[str], warnings: list[str]) -> dict:
     g = load_graph(args.graph)
     # one wanted pair; fiedler raises the block to at least two columns
@@ -256,7 +265,8 @@ def cmd_partition(args, outputs: list[str], warnings: list[str]) -> dict:
         )
     doc = partition_json(f, p, conf)
     _emit_json(doc, args.out, outputs)
-    return {"side_a_size": len(p.set_a), "side_b_size": len(p.set_b)}
+    size_a, size_b = _side_sizes(p)
+    return {"side_a_size": size_a, "side_b_size": size_b}
 
 
 def cmd_metrics(args, outputs: list[str], warnings: list[str]) -> dict:
@@ -275,7 +285,8 @@ def cmd_metrics(args, outputs: list[str], warnings: list[str]) -> dict:
         raise SignedCutError("partition side values must be the integers 0 and 1")
     p = Partition(side=np.asarray(side, dtype=np.int8))
     m = cut_metrics(g, p)
-    doc = {"n": g.n, "size_a": len(p.set_a), "size_b": len(p.set_b), **dataclasses.asdict(m)}
+    size_a, size_b = _side_sizes(p)
+    doc = {"n": g.n, "size_a": size_a, "size_b": size_b, **dataclasses.asdict(m)}
     _emit_json(doc, args.out, outputs)
     return doc
 

@@ -32,6 +32,16 @@ _QR_DROP_TOL = 1e-8
 # to its own rounding (about sqrt(eps)) to decide a drop; QR decides instead.
 _CHOL_MIN_DIAG = 1e-5
 
+# ``_orthonormalize`` scales V by a power of two when its largest squared
+# column norm is outside [1/_GRAM_RANGE, _GRAM_RANGE], so that the Gram
+# matrix of every column that QR's drop rule could keep is a normal number.
+_GRAM_RANGE = 1e150
+
+# One Cholesky-QR pass is enough when the column-scaled factor's condition
+# bound is below this: its loss of orthogonality is O(kappa^2 eps), about
+# 2e-14 here (Yamamoto, Nakatsukasa, Yanagisawa & Fukaya, ETNA 2015).
+_ONE_PASS_COND = 10.0
+
 # The deflation requires |A u| <= this times the largest absolute row sum.
 _ONES_RESIDUAL_REL = 1e-10
 
@@ -235,9 +245,7 @@ class DenseEigenproblem:
             x = _from_complement(self._w, self._beta, x)
         if orthogonal_to is not None:
             x -= float(orthogonal_to @ x) * orthogonal_to
-        x /= np.linalg.norm(x)
-        x[np.abs(x) <= len(x) * np.finfo(float).eps * np.abs(x).max()] = 0.0
-        return x / np.linalg.norm(x)
+        return unit_with_exact_zeros(x)
 
     def _shifted_solve(self, lam: float, b: np.ndarray) -> np.ndarray:
         """Solve ``(M - sigma I) x = b``, sigma = lam or, if singular there, just below.
@@ -260,6 +268,14 @@ class DenseEigenproblem:
         finally:
             np.fill_diagonal(A, diag)
         raise BasisDegenerateError(f"shifted solve at eigenvalue {lam / self._unit!r} stayed singular")
+
+
+def unit_with_exact_zeros(x: np.ndarray) -> np.ndarray:
+    """``x`` scaled to unit norm, with each component at or below ``n * eps``
+    times the largest, which is rounding, set to exactly 0."""
+    x = x / np.linalg.norm(x)
+    x[np.abs(x) <= len(x) * np.finfo(float).eps * np.abs(x).max()] = 0.0
+    return x / np.linalg.norm(x)
 
 
 def estimate_largest_eigenvalue(op: SymmetricOperator, seed: int = 0, iterations: int = 20) -> float:
@@ -509,16 +525,32 @@ def _members(agg: np.ndarray) -> np.ndarray:
 def _orthonormalize(V: np.ndarray, guard: np.ndarray | None = None) -> np.ndarray:
     """Orthonormal basis of V's columns, orthogonal to an orthonormal guard.
 
-    Two passes of Cholesky-QR (CholQR2).  Each pass projects V off the
-    guard, factors the column-scaled Gram matrix ``D^-1 V^T V D^-1 = L L^T``
-    (D holding the column norms) and takes ``V D^-1 L^-T``.  Since
-    ``diag(L) * D`` is ``|diag R|`` of ``V = QR``, a column is dropped
-    exactly when QR would drop it: at or below ``_QR_DROP_TOL`` times the
-    largest.  A pass falls back to ``np.linalg.qr`` when the factorization
-    fails or a diagonal entry of L is at most ``_CHOL_MIN_DIAG``, where
-    rounding in the Gram matrix could decide the drop.
+    One or two passes of Cholesky-QR.  Each pass projects V off the guard,
+    factors the column-scaled Gram matrix ``D^-1 V^T V D^-1 = L L^T`` (D
+    holding the column norms) and takes ``V D^-1 L^-T``.  Since ``diag(L) *
+    D`` is ``|diag R|`` of ``V = QR``, a column is dropped exactly when QR
+    would drop it: at or below ``_QR_DROP_TOL`` times the largest.  A pass
+    falls back to ``np.linalg.qr`` when the factorization fails or a
+    diagonal entry of L is at most ``_CHOL_MIN_DIAG``, where rounding in the
+    Gram matrix could decide the drop.
+
+    The first pass is the last when it needs no repair: every column kept
+    at least half its squared norm through the projection, so one
+    projection left it orthogonal to the guard (Daniel, Gragg, Kaufman &
+    Stewart, Math. Comp. 1976); no column was dropped; and ``kappa(L) <=
+    sqrt(m) ||L^-1||_F`` is below ``_ONE_PASS_COND``.  Otherwise a second
+    pass runs (CholQR2).  A block whose squared column norms would leave
+    the normal range is first scaled by a power of two, exactly.
     """
-    for _ in range(2):
+    for first in (True, False):
+        if first:
+            before = np.einsum("ij,ij->j", V, V)
+            if not 1.0 / _GRAM_RANGE < before.max(initial=0.0) < _GRAM_RANGE:
+                peak = np.abs(V).max(initial=0.0)
+                if not 0.0 < peak < math.inf:
+                    return V[:, :0]
+                V = np.ldexp(V, -math.frexp(peak)[1])
+                before = np.einsum("ij,ij->j", V, V)
         if guard is not None:
             V = V - guard @ (guard.T @ V)
         G = V.T @ V
@@ -534,8 +566,13 @@ def _orthonormalize(V: np.ndarray, guard: np.ndarray | None = None) -> np.ndarra
                 pass
         if d.min() > _CHOL_MIN_DIAG:
             diag = d * norms
-            T = np.linalg.inv(L).T / norms[:, None]
-            V = V @ T[:, diag > _QR_DROP_TOL * diag.max()]
+            L_inv = np.linalg.inv(L)
+            keep = diag > _QR_DROP_TOL * diag.max()
+            V = V @ (L_inv.T / norms[:, None])[:, keep]
+            if (first and keep.all()
+                    and (np.diagonal(G) >= 0.5 * before).all()
+                    and math.sqrt(len(d)) * np.linalg.norm(L_inv) < _ONE_PASS_COND):
+                return V
         else:
             Q, R = np.linalg.qr(V)
             diag = np.abs(np.diagonal(R))
@@ -583,13 +620,14 @@ def lobpcg_smallest(op: SymmetricOperator, cfg: SolverConfig) -> tuple[Spectrum,
     is not an error.
 
     The basis [X, P, W] stays orthonormal without re-projecting X or P.  W
-    is orthonormalized against [ones, X, P] by CholQR2 with QR's drop rule
-    (see ``_orthonormalize``).  The Ritz coefficients Zk give the new X and
-    AX.  P spans what the new Ritz vectors gained over the old X (Hetmaniuk
-    & Lehoucq, 2006); its coefficients are an orthonormal basis of that
-    gain within the complement of Zk, from an SVD in the small projected
-    space (Duersch, Shao, Yang & Gu, 2018).  So P and AP come from the same
-    two block products as X and AX, and no normalization of a cancelled
+    is orthonormalized against [ones, X, P] by one or two passes of
+    Cholesky-QR with QR's drop rule (see ``_orthonormalize``).  The Ritz
+    coefficients Zk give the new X and AX.  P spans what the new Ritz
+    vectors gained over the old X (Hetmaniuk & Lehoucq, 2006); its
+    coefficients are an orthonormal basis of that gain within the
+    complement of Zk, from an SVD in the small projected space (Duersch,
+    Shao, Yang & Gu, 2018).  So P and AP come from the same two block
+    products as X and AX, and no normalization of a cancelled
     n-vector can amplify the rounding in the implicit AP.  The blocks live
     in column ranges of two preallocated buffers, one written while the
     other is read.

@@ -6,9 +6,10 @@ smallest eigenvalue may be negative).  For the signed Laplacian it is the
 smallest-eigenvalue eigenvector, skipping a leading eigenvector only when it
 matches the trivial constant vector.  The dense route takes every
 eigenvalue from ``eigvalsh`` and only the vectors it selects from shifted
-solves (``DenseEigenproblem``); a component at rounding level comes back
-as an exact zero.  Bisection assigns vertices by component sign; squared
-components of the unit-norm vector act as a per-vertex confidence.
+solves (``DenseEigenproblem``).  On both routes a component at rounding
+level comes back as an exact zero.  Bisection assigns vertices by
+component sign; squared components of the unit-norm vector act as a
+per-vertex confidence.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from .eigen import (
     Spectrum,
     estimate_largest_eigenvalue,
     lobpcg_smallest,
+    unit_with_exact_zeros,
 )
 from .errors import (
     BasisDegenerateError,
@@ -130,8 +132,9 @@ def fiedler(
     ``solver=None`` uses the dense route (see ``_fiedler_dense``); a
     :class:`SolverConfig` routes the solve through the iterative
     eigensolver (see ``_fiedler_iterative``).  On a graph without negative
-    edges both routes give the signed kind the standard kind's vector, since
-    the two Laplacians are then the same matrix.
+    edges the two Laplacians are the same matrix: both routes give the
+    signed kind the standard kind's solve and vector, and a spectrum with
+    an exact 0.0 in front for the ones pair, which it skips.
     """
     kind = LaplacianKind(kind)
     if g.n < 2:
@@ -141,16 +144,18 @@ def fiedler(
             "graph is disconnected in the absolute-value sense; "
             "the Fiedler vector is ambiguous"
         )
+    positive_signed = kind is LaplacianKind.SIGNED and not (g.edge_arrays()[2] < 0).any()
+    solve_kind = LaplacianKind.STANDARD if positive_signed else kind
+    op = laplacian(g, solve_kind)
     if solver is not None:
-        return _fiedler_iterative(g, kind, solver)
-    if kind is LaplacianKind.STANDARD:
-        return _fiedler_dense(laplacian(g, kind), kind)
-    if (g.edge_arrays()[2] < 0).any():
-        return _fiedler_dense(laplacian(g, kind), kind, deflate_ones=False)
-    # the signed spectrum is the standard one with the ones pair in front
-    f = _fiedler_dense(laplacian(g, LaplacianKind.STANDARD), LaplacianKind.STANDARD)
-    return replace(f, kind=kind, skipped_constant=True,
-                   eigenvalues=np.concatenate(([0.0], f.eigenvalues)))
+        f = _fiedler_iterative(op, solve_kind, solver)
+    else:
+        f = _fiedler_dense(op, solve_kind, deflate_ones=solve_kind is LaplacianKind.STANDARD)
+    if positive_signed:
+        # the signed spectrum is the standard one with the ones pair in front
+        f = replace(f, kind=kind, skipped_constant=True,
+                    eigenvalues=np.concatenate(([0.0], f.eigenvalues)))
+    return f
 
 
 def baseline_fiedler(g: SignedGraph) -> FiedlerResult:
@@ -235,7 +240,7 @@ def select_fiedler(
     )
 
 
-def _fiedler_iterative(g: SignedGraph, kind: LaplacianKind, solver: SolverConfig) -> FiedlerResult:
+def _fiedler_iterative(op: SymmetricOperator, kind: LaplacianKind, solver: SolverConfig) -> FiedlerResult:
     """The Fiedler pair from one wanted LOBPCG pair in a block of at least two.
 
     The solve stops when the Fiedler column has converged; the next column
@@ -243,17 +248,14 @@ def _fiedler_iterative(g: SignedGraph, kind: LaplacianKind, solver: SolverConfig
     ``select_fiedler`` skips a near-constant column 0, that column is the
     one the stopping test covered; if column 1 is then unconverged, the
     solve runs once more with two wanted pairs before it fails.  The
-    standard kind deflates ones.  So does the signed kind of a graph
-    without negative edges, which is the same operator: it gets the
-    standard kind's solve and vector, and keeps its own kind.
+    standard kind deflates ones.  A component at or below ``n * eps`` times
+    the largest comes back as an exact 0, as on the dense route.
     """
-    deflate = kind is LaplacianKind.STANDARD or not (g.edge_arrays()[2] < 0).any()
-    op = laplacian(g, LaplacianKind.STANDARD if deflate else kind)
     cfg = replace(
         solver,
         k=1,
         block_size=max(solver.effective_block_size, 2),
-        deflate_ones=deflate,
+        deflate_ones=kind is LaplacianKind.STANDARD,
     )
     s, trace = _lobpcg(op, cfg)
     top = estimate_largest_eigenvalue(op, seed=cfg.seed)
@@ -277,7 +279,8 @@ def _fiedler_iterative(g: SignedGraph, kind: LaplacianKind, solver: SolverConfig
             f"{len(trace)} iterations (best residual {min(trace.max_residuals):.3e}); "
             "raise max_iter or loosen tol"
         )
-    return f
+    # as on the dense route, a rounding-level component is an exact zero
+    return replace(f, vector=unit_with_exact_zeros(f.vector))
 
 
 def _lobpcg(op: SymmetricOperator, cfg: SolverConfig) -> tuple[Spectrum, IterationTrace]:

@@ -242,6 +242,12 @@ class TestPartitionCmd:
         code, _, _ = run(capsys, "partition", gfile, "--laplacian", "signed")
         assert code == 4
 
+    def test_degenerate_signed_exit_4_on_the_iterative_route(self, tmp_path, capsys):
+        gfile = str(tmp_path / "c.mtx")
+        save_graph(cobra(), gfile)
+        code, _, _ = run(capsys, "partition", gfile, "--laplacian", "signed", "--solver", "lobpcg")
+        assert code == 4
+
 
 class TestSolverWiring:
     """The CLI's iterative route is preconditioned; the paper's study is not."""
@@ -348,6 +354,8 @@ class TestMetricsCmd:
         assert code == 0
         doc = json.loads(out)
         assert doc["signed_cut"] == 2.0 and doc["cut"] == 0.0
+        assert (doc["size_a"], doc["size_b"]) == (2, 4)
+        assert type(doc["size_a"]) is int and type(doc["size_b"]) is int
 
     def test_dumbbell_split(self, tmp_path, capsys):
         gfile = str(tmp_path / "d.mtx")
@@ -536,3 +544,40 @@ def test_report_always_emitted(tmp_path, capsys):
     assert report["exit_code"] == 3
     assert report["command"][0] == "signedcut"
     assert "elapsed_s" in report
+
+
+class TestParserReuse:
+    """``main`` builds its parser once per process; no call may see another's arguments."""
+
+    def test_built_once(self):
+        assert signedcut.cli.build_parser() is signedcut.cli.build_parser()
+
+    def test_overrides_do_not_carry_into_the_next_call(self, tmp_path, capsys):
+        first, second = str(tmp_path / "a.mtx"), str(tmp_path / "b.mtx")
+        code, _, report = run(capsys, "gen", "path", "--n", "10", "--override", "3:-0.5",
+                              "--override", "7:0.25", "--out", first)
+        assert code == 0 and report["config"]["override"] == ["3:-0.5", "7:0.25"]
+        code, _, report = run(capsys, "gen", "path", "--n", "10", "--override", "5:-1",
+                              "--out", second)
+        assert code == 0 and report["config"]["override"] == ["5:-1"]
+        assert load_graph(second) == path_string(StringSpec(10, overrides=((4, -1.0),)))
+        code, _, report = run(capsys, "gen", "path", "--n", "10", "--out", first)
+        assert code == 0 and report["config"]["override"] == []
+        assert load_graph(first) == path_string(StringSpec(10))
+
+    def test_usage_error_after_a_good_call(self, tmp_path, capsys):
+        gfile = str(tmp_path / "p.mtx")
+        code, _, _ = run(capsys, "gen", "path", "--n", "20", "--out", gfile)
+        assert code == 0
+        code, out, report = run(capsys, "partition", gfile, "--solver", "nope")
+        assert code == 2 and out == ""
+        assert report["exit_code"] == 2 and "--solver" in report["error"]
+        code, _, report = run(capsys, "partition", gfile, "--out", str(tmp_path / "p.json"))
+        assert code == 0 and report["config"]["solver"] == "dense"
+
+    def test_version(self, capsys):
+        for _ in range(2):
+            with pytest.raises(SystemExit) as exit_info:
+                main(["--version"])
+            assert exit_info.value.code == 0
+            assert capsys.readouterr().out == f"signedcut {signedcut.__version__}\n"

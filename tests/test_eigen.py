@@ -297,6 +297,116 @@ class TestLobpcgMatvecCount:
         assert len(calls) <= len(trace) + 2
 
 
+def qr_kept_columns(V, guard):
+    """How many columns QR's drop rule keeps of V projected once off the guard."""
+    if guard is not None:
+        V = V - guard @ (guard.T @ V)
+    diag = np.abs(np.diagonal(np.linalg.qr(V, mode="r")))
+    return int((diag > signedcut.eigen._QR_DROP_TOL * diag.max()).sum()) if diag.max() > 0 else 0
+
+
+@st.composite
+def blocks_with_guards(draw):
+    """A block V and an orthonormal guard (or None) for ``_orthonormalize``.
+
+    Each column is random; nearly a combination of the columns before it;
+    nearly inside the guard's span; or tiny, 1e-20 to 1e-165 times the
+    others.  A near column sits exactly on (combinations only), 1e-13 off
+    (dropped) or 1e-3 off (kept), far from the drop tolerance, so that the
+    QR count does not depend on rounding.  The block is scaled by 10**e,
+    e in [-150, 150], and each column by a factor in [0.5, 2].
+    """
+    m = draw(st.integers(1, 5))
+    g = draw(st.integers(0, 3))
+    n = draw(st.integers(m + g + 3, 60))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    guard = np.linalg.qr(rng.standard_normal((n, g)))[0] if g else None
+    V = rng.standard_normal((n, m))
+    for j in range(m):
+        mode = draw(st.sampled_from(["random", "dependent", "guard", "tiny"]))
+        if mode == "tiny":
+            V[:, j] *= 10.0 ** -draw(st.integers(20, 165))
+            continue
+        if mode == "dependent" and j > 0:
+            base, eps = V[:, :j] @ rng.standard_normal(j), draw(st.sampled_from([0.0, 1e-13, 1e-3]))
+        elif mode == "guard" and g:
+            base, eps = guard @ rng.standard_normal(g), draw(st.sampled_from([1e-13, 1e-3]))
+        else:
+            continue
+        V[:, j] = base + eps * np.linalg.norm(base) * rng.standard_normal(n) / math.sqrt(n)
+    V *= 10.0 ** draw(st.integers(-150, 150)) * 2.0 ** rng.uniform(-1.0, 1.0, size=m)
+    return V, guard
+
+
+class TestOrthonormalize:
+    @settings(max_examples=300, deadline=None)
+    @given(blocks_with_guards())
+    def test_orthonormal_off_the_guard_with_qr_drops(self, case):
+        V, guard = case
+        Q = signedcut.eigen._orthonormalize(V, guard)
+        assert Q.shape == (V.shape[0], qr_kept_columns(V, guard))
+        assert np.abs(Q.T @ Q - np.eye(Q.shape[1])).max(initial=0.0) <= 1e-12
+        if guard is not None:
+            assert np.abs(guard.T @ Q).max(initial=0.0) <= 1e-12
+
+    @pytest.mark.parametrize("scale", [1e-300, 1e-150, 1.0, 1e150, 1e300])
+    def test_block_near_the_guard_at_any_scale(self, scale):
+        """Columns 1e-13 off the guard's span keep their directions at every scale."""
+        rng = np.random.default_rng(3)
+        guard = np.linalg.qr(rng.standard_normal((20, 2)))[0]
+        V = guard @ rng.standard_normal((2, 2)) + 1e-13 * rng.standard_normal((20, 2))
+        Q = signedcut.eigen._orthonormalize(V * scale, guard)
+        assert Q.shape == (20, 2)
+        assert np.abs(Q.T @ Q - np.eye(2)).max() <= 1e-12
+        assert np.abs(guard.T @ Q).max() <= 1e-12
+
+    @staticmethod
+    def count_cholesky(monkeypatch):
+        calls = []
+        factor = np.linalg.cholesky
+
+        def counting(a, *args, **kwargs):
+            calls.append(np.shape(a))
+            return factor(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "cholesky", counting)
+        return calls
+
+    def test_clean_block_takes_one_pass(self, monkeypatch):
+        rng = np.random.default_rng(7)
+        guard = np.linalg.qr(rng.standard_normal((50, 3)))[0]
+        V = rng.standard_normal((50, 4))
+        calls = self.count_cholesky(monkeypatch)
+        Q = signedcut.eigen._orthonormalize(V, guard)
+        assert len(calls) == 1 and Q.shape == (50, 4)
+        assert np.abs(Q.T @ Q - np.eye(4)).max() <= 1e-14
+        assert np.abs(guard.T @ Q).max() <= 1e-14
+
+    def test_dropped_column_takes_two_passes(self, monkeypatch):
+        """A column dropped as tiny, whose Gram entries lost precision, forces the second pass."""
+        rng = np.random.default_rng(0)
+        guard = np.linalg.qr(rng.standard_normal((20, 2)))[0]
+        V = rng.standard_normal((20, 3))
+        V[:, 0] *= 1e-160  # its squared norm is subnormal
+        calls = self.count_cholesky(monkeypatch)
+        Q = signedcut.eigen._orthonormalize(V, guard)
+        assert len(calls) == 2 and Q.shape == (20, 2)
+        assert np.abs(Q.T @ Q - np.eye(2)).max() <= 1e-14
+        assert np.abs(guard.T @ Q).max() <= 1e-14
+
+    def test_column_mostly_inside_the_guard_takes_two_passes(self, monkeypatch):
+        rng = np.random.default_rng(7)
+        guard = np.linalg.qr(rng.standard_normal((50, 3)))[0]
+        V = rng.standard_normal((50, 4))
+        # column 2 keeps about a tenth of its squared norm through the projection
+        V[:, 2] = guard @ rng.standard_normal(3) + 0.05 * rng.standard_normal(50)
+        calls = self.count_cholesky(monkeypatch)
+        Q = signedcut.eigen._orthonormalize(V, guard)
+        assert len(calls) == 2 and Q.shape == (50, 4)
+        assert np.abs(Q.T @ Q - np.eye(4)).max() <= 1e-14
+        assert np.abs(guard.T @ Q).max() <= 1e-14
+
+
 @st.composite
 def solver_cases(draw):
     """A signed graph with n in [3, 40] and a solver config, often with 3m >= n."""

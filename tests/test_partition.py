@@ -190,6 +190,30 @@ class TestIterativeRoute:
         assert f_sgn.eigenvalue == f_std.eigenvalue
         np.testing.assert_array_equal(bisect(f_sgn).side, bisect(f_std).side)
 
+    @pytest.mark.parametrize("g", [
+        *(pytest.param(path_string(StringSpec(n)), id=f"path-{n}") for n in (3, 4, 10, 75)),
+        pytest.param(positive_random_graph(7), id="positive-random"),
+    ])
+    def test_signed_without_negative_edges_matches_the_dense_route(self, g):
+        dense, iterative = fiedler(g, "signed"), fiedler(g, "signed", solver=self.CFG)
+        assert dense.skipped_constant and iterative.skipped_constant
+        assert iterative.eigenvalues[0] == dense.eigenvalues[0] == 0.0
+        tol = self.CFG.tol * max(1.0, abs(dense.eigenvalues[1]))
+        np.testing.assert_allclose(iterative.eigenvalues[:2], dense.eigenvalues[:2], rtol=0, atol=tol)
+        assert abs(iterative.eigenvalue - dense.eigenvalue) <= tol
+        assert abs(iterative.gap - dense.gap) <= tol
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("block", [None, 5])
+    def test_cobra_signed_vector_is_exactly_zero_at_vertex_1(self, seed, block):
+        """The paper's degenerate example has no bisection on either route."""
+        cfg = SolverConfig(k=1, block_size=block, seed=seed, precondition=True)
+        f = fiedler(cobra(), "signed", solver=cfg)
+        assert f.vector[0] == 0.0 and not math.copysign(1.0, f.vector[0]) < 0
+        assert (f.vector[1:] > 0).all()
+        with pytest.raises(DegenerateVectorError):
+            bisect(f)
+
     def test_unconverged_partner_gap_is_an_upper_estimate(self):
         rng = np.random.default_rng(41)
         graphs = [path_string(StringSpec(75, overrides=((36, w),))) for w in (-0.05, -0.5, -1.0)]
