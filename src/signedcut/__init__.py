@@ -55,15 +55,17 @@ from .eigen import (
     dense_spectrum_deflated,
     estimate_largest_eigenvalue,
     jacobi_preconditioner,
+    lobpcg_lockstep,
     lobpcg_smallest,
     multilevel_preconditioner,
 )
 from .partition import (
     CLUSTERED_GAP_FRACTION,
     CutMetrics,
+    FiedlerGap,
     FiedlerResult,
     Partition,
-    baseline_fiedler,
+    baseline_gap,
     bisect,
     confidence,
     cut_metrics,

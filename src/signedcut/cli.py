@@ -54,7 +54,7 @@ from .laplacian import LaplacianKind, laplacian
 from .partition import (
     FiedlerResult,
     Partition,
-    baseline_fiedler,
+    baseline_gap,
     bisect,
     confidence,
     cut_metrics,
@@ -335,7 +335,7 @@ def cmd_compare(args, outputs: list[str], warnings: list[str]) -> dict:
     doc = {"n": g.n, "edges": g.m}
     doc["standard"], f_std = _partition_block(g, LaplacianKind.STANDARD, warnings)
     doc["signed"], f_sgn = _partition_block(g, LaplacianKind.SIGNED, warnings)
-    f_base = baseline_fiedler(g)
+    f_base = baseline_gap(g)
     doc["baseline"] = _fiedler_block(f_base)
     doc["baseline"]["removed_edges"] = int((g.edge_arrays()[2] < 0).sum())
     doc["ratios"] = {

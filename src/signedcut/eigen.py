@@ -4,7 +4,9 @@ Two routes to the smallest eigenpairs of a symmetric operator: a dense one
 for n up to the dense threshold, and an iterative locally optimal block
 conjugate-gradient solver that needs only matvec products, optionally
 preconditioned by a Jacobi diagonal or by a V-cycle over graphs contracted
-from the operator's own.  The dense route comes in two forms: the full
+from the operator's own.  Its unpreconditioned single-vector form also
+runs for many start seeds at once, as independent columns in lock step
+(``lobpcg_lockstep``).  The dense route comes in two forms: the full
 eigenbasis from ``numpy.linalg.eigh`` (``dense_spectrum``,
 ``dense_spectrum_deflated``), and every eigenvalue from
 ``numpy.linalg.eigvalsh`` with single eigenvectors from shifted solves
@@ -17,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -715,3 +717,113 @@ def lobpcg_smallest(op: SymmetricOperator, cfg: SolverConfig) -> tuple[Spectrum,
         eigenvalues=theta, eigenvectors=X, residual_norms=residuals, converged=converged
     )
     return spectrum, trace
+
+
+def lobpcg_lockstep(
+    op: SymmetricOperator,
+    seeds: Sequence[int],
+    tol: float,
+    max_iter: int,
+    deflate_ones: bool = False,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Independent single-vector LOBPCG solves, one per seed, run in lock step.
+
+    Column b is, up to rounding, the unpreconditioned block-1 solve of
+    ``lobpcg_smallest`` for ``seeds[b]``: the same start, the same basis
+    [x, p, w], and the same test ``res <= tol * max(1, |theta|)`` before
+    each of at most ``max_iter`` updates.  A converged column stays as it
+    is while the others go on.  The columns share one block matvec per
+    iteration, and their 3-by-3 Rayleigh-Ritz problems share one stacked
+    ``eigh``.  They are not coupled: a block Rayleigh-Ritz over all of them
+    would be ``lobpcg_smallest`` with a larger block.
+
+    Each w is the residual projected off the ones vector (with
+    ``deflate_ones``), x and p of its own column, by the projection and
+    half-norm test of ``_orthonormalize`` (see ``_orthonormalize_columns``).
+    A column without p, as at the first iteration, carries a zero p whose
+    Rayleigh-Ritz diagonal is padded above the rest of its spectrum, so
+    that the pad is never the lowest Ritz pair.  p's coefficients are the
+    normalized gain of the new Ritz vector outside the old x, within the
+    complement of its own coefficients: what the SVD of ``lobpcg_smallest``
+    reduces to for one column, and, as there, a gain of exactly zero leaves
+    the column without p.
+
+    Returns the Ritz values (one per seed) and the unit Ritz vectors as the
+    columns of an (n, len(seeds)) array.
+    """
+    n = op.n
+    X = np.column_stack([np.random.default_rng(s).uniform(-1.0, 1.0, size=n) for s in seeds])
+    ones = np.broadcast_to(np.full((n, 1), 1.0 / math.sqrt(n)), X.shape)
+    if deflate_ones:
+        X = _orthonormalize_columns(X, [ones])
+        AUX = op.matmat(np.column_stack((ones[:, 0], X)))
+        _require_ones_null(op, AUX[:, 0])
+        AX = AUX[:, 1:]
+    else:
+        X = _orthonormalize_columns(X, [])
+        AX = op.matmat(X)
+    theta = np.einsum("ij,ij->j", X, AX)
+    P, AP = np.zeros_like(X), np.zeros_like(X)
+    has_p = np.zeros(X.shape[1], dtype=bool)
+    done = np.zeros(X.shape[1], dtype=bool)
+    for _ in range(max_iter):
+        a = np.flatnonzero(~done)
+        R = AX[:, a] - X[:, a] * theta[a]
+        res = np.sqrt(np.einsum("ij,ij->j", R, R))
+        conv = res <= tol * np.maximum(1.0, np.abs(theta[a]))
+        done[a[conv]] = True
+        a, R = a[~conv], R[:, ~conv]
+        if not len(a):
+            break
+        x, p = X[:, a], P[:, a]
+        guards = [ones[:, : len(a)], x, p] if deflate_ones else [x, p]
+        W = _orthonormalize_columns(R, guards)
+        S, AS = np.stack((x, p, W)), np.stack((AX[:, a], AP[:, a], op.matmat(W)))
+        H = np.matmul(S.transpose(2, 0, 1), AS.transpose(2, 1, 0))
+        # a zero p has a zero row and column; its diagonal goes above the
+        # column's other eigenvalues, which the sum of its absolute entries
+        # bounds, at the column's own scale
+        pad = ~has_p[a]
+        H[pad, 1, 1] = 2.0 * np.abs(H[pad]).sum(axis=(1, 2))
+        ritz, Z = np.linalg.eigh(H)
+        gain = np.einsum("bki,bk->bi", Z[:, 1:, 1:], Z[:, 1:, 0])
+        size = np.linalg.norm(gain, axis=1)
+        # with one singular value, the SVD's drop rule (at most _QR_DROP_TOL
+        # times the largest) drops only an exact zero
+        has_p[a] = size > 0.0
+        gain[has_p[a]] /= size[has_p[a], None]
+        coef = np.stack((Z[:, :, 0], np.einsum("bij,bj->bi", Z[:, :, 1:], gain)), axis=2)
+        X[:, a], P[:, a] = np.matmul(S.transpose(2, 1, 0), coef).transpose(2, 1, 0)
+        AX[:, a], AP[:, a] = np.matmul(AS.transpose(2, 1, 0), coef).transpose(2, 1, 0)
+        theta[a] = ritz[:, 0]
+    return theta, X
+
+
+def _orthonormalize_columns(W: np.ndarray, guards: list[np.ndarray]) -> np.ndarray:
+    """Each column of W projected off the same column of every guard, and normalized.
+
+    The guard columns that belong to one column of W are orthonormal, or
+    zero.  As in ``_orthonormalize``, a column that kept less than half its
+    squared norm through the projection is projected once more (Daniel,
+    Gragg, Kaufman & Stewart, Math. Comp. 1976).  Each column is first
+    scaled by a power of two, exactly, so that its squared norm stays a
+    normal number.  A column that vanishes raises ``BasisDegenerateError``.
+    """
+    W = np.ldexp(W, -np.frexp(np.abs(W).max(axis=0, initial=0.0))[1])
+    before = np.einsum("ij,ij->j", W, W)
+    W, after = _project_columns(W, guards)
+    again = after < 0.5 * before
+    if again.any():
+        W[:, again] = _project_columns(W[:, again], [G[:, again] for G in guards])[0]
+    return W
+
+
+def _project_columns(W: np.ndarray, guards: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """W projected column by column off the guards and normalized, with its squared norms before normalizing."""
+    coefficients = [np.einsum("ij,ij->j", G, W) for G in guards]
+    for G, c in zip(guards, coefficients):
+        W = W - G * c
+    squares = np.einsum("ij,ij->j", W, W)
+    if not ((0.0 < squares) & (squares < math.inf)).all():
+        raise BasisDegenerateError("a column vanished under its projection")
+    return W / np.sqrt(squares), squares

@@ -55,11 +55,24 @@ ZERO_GAP_REL = 1e-14
 
 
 @dataclass(frozen=True, eq=False)
-class FiedlerResult:
+class FiedlerGap:
+    """A Fiedler eigenvalue and its gap diagnostics (see ``_fiedler_gap``).
+
+    ``eigenvalues`` are the ascending eigenvalues they came from: the
+    whole computed spectrum, ones-deflated for the standard kind.
+    """
+
+    eigenvalue: float
+    gap: float
+    clustered_warning: bool
+    condition_number: float
+    eigenvalues: np.ndarray
+
+
+@dataclass(frozen=True, eq=False)
+class FiedlerResult(FiedlerGap):
     """Selected eigenpair plus gap diagnostics for one Laplacian kind.
 
-    ``eigenvalues`` are the ascending eigenvalues the selection saw: the
-    whole computed spectrum, ones-deflated for the standard kind.
     ``gap_converged`` is None for the dense oracle.  An iterative solve
     sets it to whether the Fiedler pair's gap partner converged.  When it
     did not, ``gap`` is an upper estimate, since the partner's Ritz value
@@ -67,13 +80,8 @@ class FiedlerResult:
     """
 
     vector: np.ndarray
-    eigenvalue: float
     kind: LaplacianKind
     skipped_constant: bool
-    gap: float
-    clustered_warning: bool
-    condition_number: float
-    eigenvalues: np.ndarray
     gap_converged: Optional[bool] = None
 
 
@@ -150,7 +158,7 @@ def fiedler(
     if solver is not None:
         f = _fiedler_iterative(op, solve_kind, solver)
     else:
-        f = _fiedler_dense(op, solve_kind, deflate_ones=solve_kind is LaplacianKind.STANDARD)
+        f = _fiedler_dense(op, solve_kind)
     if positive_signed:
         # the signed spectrum is the standard one with the ones pair in front
         f = replace(f, kind=kind, skipped_constant=True,
@@ -158,23 +166,26 @@ def fiedler(
     return f
 
 
-def baseline_fiedler(g: SignedGraph) -> FiedlerResult:
-    """Standard-kind Fiedler pair of the edge-deleted baseline: g without its negative edges.
+def baseline_gap(g: SignedGraph) -> FiedlerGap:
+    """Standard-kind Fiedler eigenvalue and gap of the edge-deleted baseline: g without its negative edges.
 
     The baseline may be disconnected, which :func:`fiedler` rejects; the
-    ones-deflated dense spectrum stays defined.
+    ones-deflated dense spectrum stays defined.  Its Fiedler eigenvalue is
+    the smallest one, since a ones-deflated spectrum has no constant vector
+    to skip, so no eigenvector is computed.
     """
-    return _fiedler_dense(laplacian(nullify_negative(g), LaplacianKind.STANDARD),
-                          LaplacianKind.STANDARD)
+    op = laplacian(nullify_negative(g), LaplacianKind.STANDARD)
+    return _fiedler_gap(DenseEigenproblem(op, deflate_ones=True).eigenvalues, 0)
 
 
-def _fiedler_dense(op: SymmetricOperator, kind: LaplacianKind, deflate_ones: bool = True) -> FiedlerResult:
+def _fiedler_dense(op: SymmetricOperator, kind: LaplacianKind) -> FiedlerResult:
     """The Fiedler pair from all eigenvalues and one or two shifted solves.
 
     Column 1 is computed, projected off column 0, only when column 0 is the
-    constant vector that ``select_fiedler`` skips.
+    constant vector that ``select_fiedler`` skips.  The standard kind
+    deflates ones.
     """
-    problem = DenseEigenproblem(op, deflate_ones=deflate_ones)
+    problem = DenseEigenproblem(op, deflate_ones=kind is LaplacianKind.STANDARD)
     v = problem.vector(0)
     vectors = v[:, None]
     if _is_constant(v):
@@ -197,28 +208,18 @@ def select_fiedler(
 
     Column 0 is skipped exactly when it is the constant vector; a
     ones-deflated spectrum never trips that test, so one rule serves both
-    kinds.  The gap is the distance to the next eigenvalue (+inf if there is
-    none).  The spread runs from the Fiedler eigenvalue to the largest
-    eigenvalue, which ``largest_eigenvalue`` completes for a partial
-    spectrum.  The condition number is spread / gap, or +inf for a gap of
-    at most ZERO_GAP_REL times the spread.  The vector has unit norm and
-    ``bisect``'s sign: its first component of largest magnitude is
-    positive, so the sides follow its signs as returned.  ``gap_converged``
+    kinds.  The gap, spread and condition number follow ``_fiedler_gap``,
+    with ``largest_eigenvalue`` completing a partial spectrum's spread.
+    The vector has unit norm and ``bisect``'s sign: its first component of
+    largest magnitude is positive, so the sides follow its signs as
+    returned.  ``gap_converged``
     is the partner column's converged flag, False when the spectrum has no
     partner, and None for a spectrum without flags (the dense oracle).
     """
-    lam = s.eigenvalues
     skipped = _is_constant(s.eigenvectors[:, 0])
     idx = 1 if skipped else 0
     if idx >= s.k:
         raise InsufficientSpectrumError("spectrum too small after skipping the constant vector")
-    eigenvalue = float(lam[idx])
-    gap = float(lam[idx + 1] - lam[idx]) if idx + 1 < s.k else math.inf
-    top = float(lam[-1])
-    if largest_eigenvalue is not None:
-        top = max(top, largest_eigenvalue)
-    spread = top - eigenvalue
-    clustered = math.isfinite(gap) and spread > 0 and gap <= CLUSTERED_GAP_FRACTION * spread
     gap_converged = None
     if s.converged is not None:
         gap_converged = idx + 1 < s.k and bool(s.converged[idx + 1])
@@ -229,14 +230,35 @@ def select_fiedler(
         vector = 0.0 - vector  # an exact zero stays +0.0
     return FiedlerResult(
         vector=vector,
-        eigenvalue=eigenvalue,
         kind=LaplacianKind(kind),
         skipped_constant=skipped,
+        gap_converged=gap_converged,
+        **vars(_fiedler_gap(s.eigenvalues, idx, largest_eigenvalue)),
+    )
+
+
+def _fiedler_gap(lam: np.ndarray, idx: int, largest_eigenvalue: float | None = None) -> FiedlerGap:
+    """The gap diagnostics of the Fiedler eigenvalue ``lam[idx]`` of ascending eigenvalues ``lam``.
+
+    The gap is the distance to the next eigenvalue (+inf if there is none).
+    The spread runs from the Fiedler eigenvalue to the largest eigenvalue,
+    which ``largest_eigenvalue`` completes for a partial spectrum.  The
+    condition number is spread / gap, or +inf for a gap of at most
+    ZERO_GAP_REL times the spread; the warning flags a gap of at most
+    CLUSTERED_GAP_FRACTION times the spread.
+    """
+    eigenvalue = float(lam[idx])
+    gap = float(lam[idx + 1] - lam[idx]) if idx + 1 < len(lam) else math.inf
+    top = float(lam[-1])
+    if largest_eigenvalue is not None:
+        top = max(top, largest_eigenvalue)
+    spread = top - eigenvalue
+    return FiedlerGap(
+        eigenvalue=eigenvalue,
         gap=gap,
-        clustered_warning=clustered,
+        clustered_warning=math.isfinite(gap) and spread > 0 and gap <= CLUSTERED_GAP_FRACTION * spread,
         condition_number=math.inf if gap <= ZERO_GAP_REL * spread else spread / gap,
         eigenvalues=lam,
-        gap_converged=gap_converged,
     )
 
 
@@ -244,17 +266,20 @@ def _fiedler_iterative(op: SymmetricOperator, kind: LaplacianKind, solver: Solve
     """The Fiedler pair from one wanted LOBPCG pair in a block of at least two.
 
     The solve stops when the Fiedler column has converged; the next column
-    gives the gap, as an upper estimate while it is unconverged.  When
-    ``select_fiedler`` skips a near-constant column 0, that column is the
-    one the stopping test covered; if column 1 is then unconverged, the
-    solve runs once more with two wanted pairs before it fails.  The
-    standard kind deflates ones.  A component at or below ``n * eps`` times
-    the largest comes back as an exact 0, as on the dense route.
+    gives the gap, as an upper estimate while it is unconverged.  An
+    operator with room for one column only (a 2-vertex graph) gets a block
+    of one, and so no gap partner: the gap is +inf and ``gap_converged``
+    False.  When ``select_fiedler`` skips a near-constant column 0, that
+    column is the one the stopping test covered; if column 1 is then
+    unconverged, the solve runs once more with two wanted pairs before it
+    fails.  The standard kind deflates ones.  A component at or below
+    ``n * eps`` times the largest comes back as an exact 0, as on the dense
+    route.
     """
     cfg = replace(
         solver,
         k=1,
-        block_size=max(solver.effective_block_size, 2),
+        block_size=max(solver.effective_block_size, min(2, op.n - 1)),
         deflate_ones=kind is LaplacianKind.STANDARD,
     )
     s, trace = _lobpcg(op, cfg)

@@ -16,7 +16,6 @@ from signedcut import (
 )
 import signedcut.cli
 import signedcut.eigen
-import signedcut.experiments
 import signedcut.partition
 from signedcut.cli import main
 
@@ -248,6 +247,27 @@ class TestPartitionCmd:
         code, _, _ = run(capsys, "partition", gfile, "--laplacian", "signed", "--solver", "lobpcg")
         assert code == 4
 
+    @pytest.mark.parametrize("override", [[], ["--override", "1:-1"]], ids=["positive", "negative"])
+    @pytest.mark.parametrize("kind", ["standard", "signed"])
+    def test_two_vertices_on_the_iterative_route(self, tmp_path, capsys, kind, override):
+        """The deflated operator has room for one column: the block is one, and there is no gap partner."""
+        gfile = str(tmp_path / "p2.mtx")
+        assert run(capsys, "gen", "path", "--n", "2", *override, "--out", gfile)[0] == 0
+        docs = {}
+        for solver in ("dense", "lobpcg"):
+            out = tmp_path / f"{solver}.json"
+            code, _, report = run(capsys, "partition", gfile, "--laplacian", kind,
+                                  "--solver", solver, "--out", str(out))
+            assert code == 0
+            docs[solver] = json.loads(out.read_text())
+        dense, lobpcg = docs["dense"], docs["lobpcg"]
+        assert lobpcg["eigenvalue"] == pytest.approx(dense["eigenvalue"], abs=1e-12)
+        # the one split of two vertices; which is A is decided by rounding,
+        # since the two components of the Fiedler vector tie in magnitude
+        assert sorted(lobpcg["side"]) == sorted(dense["side"]) == [0, 1]
+        assert lobpcg["gap"] is None and lobpcg["gap_converged"] is False
+        assert any("gap partner is unconverged" in w for w in report["warnings"])
+
 
 class TestSolverWiring:
     """The CLI's iterative route is preconditioned; the paper's study is not."""
@@ -270,11 +290,13 @@ class TestSolverWiring:
         assert [cfg.effective_block_size for cfg in configs] == [2, 2, 3]
 
     def test_truncated_iteration_study_is_unpreconditioned(self, tmp_path, capsys, monkeypatch):
-        configs = record_solver_configs(monkeypatch, signedcut.experiments)
+        def no_preconditioner(*args, **kwargs):
+            raise AssertionError("the truncated-iteration study built a preconditioner")
+
+        for name in ("multilevel_preconditioner", "jacobi_preconditioner"):
+            monkeypatch.setattr(signedcut.eigen, name, no_preconditioner)
         code, _, _ = run(capsys, "demo", "lobpcg-30", "--out", str(tmp_path / "trunc"))
         assert code == 0
-        assert len(configs) == 60
-        assert not any(cfg.precondition for cfg in configs)
 
 
 class TestIterativeStringsAtDefaults:

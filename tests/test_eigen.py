@@ -9,6 +9,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from signedcut import (
+    DEFAULT_SPECIAL_EDGE,
+    DEFAULT_STRING_LENGTH,
+    NEGATIVE_EDGE_WEIGHT,
     DimensionTooLargeError,
     InsufficientSpectrumError,
     SolverConfig,
@@ -22,9 +25,12 @@ from signedcut import (
     graph_from_edges,
     jacobi_preconditioner,
     laplacian,
+    lobpcg_lockstep,
     lobpcg_smallest,
     multilevel_preconditioner,
+    nullify_negative,
     path_string,
+    scale_weights,
     select_fiedler,
 )
 
@@ -295,6 +301,59 @@ class TestLobpcgMatvecCount:
         s, trace = lobpcg_smallest(op, cfg)
         assert s.converged[:3].all() and len(trace) > 5
         assert len(calls) <= len(trace) + 2
+
+
+def assert_lockstep_matches_serial(op, seeds, tol, max_iter, deflate_ones):
+    """Each lock-step column against lobpcg_smallest's block-1 solve of its seed; their iteration counts."""
+    theta, V = lobpcg_lockstep(op, seeds, tol, max_iter, deflate_ones=deflate_ones)
+    assert theta.shape == (len(seeds),) and V.shape == (op.n, len(seeds))
+    iterations = []
+    for b, seed in enumerate(seeds):
+        cfg = SolverConfig(k=1, block_size=1, tol=tol, max_iter=max_iter, seed=seed,
+                           deflate_ones=deflate_ones)
+        s, trace = lobpcg_smallest(op, cfg)
+        v = s.eigenvectors[:, 0]
+        assert theta[b] == pytest.approx(s.eigenvalues[0], abs=1e-12)
+        assert min(np.abs(V[:, b] - v).max(), np.abs(V[:, b] + v).max()) <= 1e-10
+        iterations.append(len(trace))
+    return iterations
+
+
+class TestLobpcgLockstep:
+    """Each column of the lock-step solve is, up to rounding, lobpcg_smallest's block-1 solve."""
+
+    @staticmethod
+    def study_operators():
+        g = path_string(StringSpec(DEFAULT_STRING_LENGTH,
+                                   overrides=((DEFAULT_SPECIAL_EDGE, NEGATIVE_EDGE_WEIGHT),)))
+        return [(laplacian(g, "standard"), True),
+                (laplacian(nullify_negative(g), "standard"), True),
+                (laplacian(g, "signed"), False)]
+
+    @pytest.mark.parametrize("max_iter", [30, 5])
+    def test_truncated_study_operators(self, max_iter):
+        for op, deflate in self.study_operators():
+            iterations = assert_lockstep_matches_serial(op, range(20), 1e-8, max_iter, deflate)
+            assert iterations == [max_iter] * 20
+
+    @pytest.mark.parametrize("kind", ["standard", "signed"])
+    def test_converged_columns_stay_frozen(self, kind):
+        op = laplacian(path_string(StringSpec(8, overrides=((3, -0.3),))), kind)
+        iterations = assert_lockstep_matches_serial(op, range(10), 1e-8, 200, kind == "standard")
+        # the columns converge at different iterations, all within the budget
+        assert len(set(iterations)) > 2 and max(iterations) < 200
+
+    def test_squared_norms_below_the_normal_range(self):
+        """At weights of 1e-155 a residual's squared norm is subnormal unless w is scaled first."""
+        g = scale_weights(path_string(StringSpec(8, overrides=((3, -0.3),))), 1e-155)
+        assert_lockstep_matches_serial(laplacian(g, "standard"), range(5), 1e-163, 200, True)
+
+    def test_one_block_matvec_per_iteration(self):
+        op, deflate = self.study_operators()[0]
+        calls = count_block_matvecs(op)
+        lobpcg_lockstep(op, range(20), 1e-8, 30, deflate_ones=deflate)
+        # the start block with ones in front, then one product per iteration
+        assert calls == [21] + [20] * 30
 
 
 def qr_kept_columns(V, guard):

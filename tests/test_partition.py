@@ -17,7 +17,7 @@ from signedcut import (
     SolverFailedError,
     Spectrum,
     StringSpec,
-    baseline_fiedler,
+    baseline_gap,
     bisect,
     cobra,
     confidence,
@@ -34,6 +34,7 @@ from signedcut import (
     partition_json,
     path_string,
     scale_weights,
+    select_fiedler,
 )
 
 import signedcut.partition
@@ -412,10 +413,12 @@ class TestInvariants:
     def test_extreme_weight_scales(self, c, kind):
         """The dense route works at any weight scale: its solves run on a power-of-two rescaled matrix."""
         g = graph_from_edges(5, [(0, 1, 1.0), (1, 2, -0.5), (2, 3, 2.0), (3, 4, 1.0), (0, 4, 0.25)])
-        for make in (lambda h: fiedler(h, kind), baseline_fiedler):
-            f1, fc = make(g), make(scale_weights(g, c))
-            assert fc.eigenvalue / c == pytest.approx(f1.eigenvalue, rel=1e-12)
-            assert abs(float(fc.vector @ f1.vector)) == pytest.approx(1.0, abs=1e-12)
+        f1, fc = fiedler(g, kind), fiedler(scale_weights(g, c), kind)
+        assert fc.eigenvalue / c == pytest.approx(f1.eigenvalue, rel=1e-12)
+        assert abs(float(fc.vector @ f1.vector)) == pytest.approx(1.0, abs=1e-12)
+        b1, bc = baseline_gap(g), baseline_gap(scale_weights(g, c))
+        assert bc.eigenvalue / c == pytest.approx(b1.eigenvalue, rel=1e-12)
+        assert bc.gap / c == pytest.approx(b1.gap, rel=1e-12)
 
     def test_permutation_equivariance(self):
         rng = np.random.default_rng(34)
@@ -577,8 +580,16 @@ class TestDenseRoute:
     @settings(max_examples=30, deadline=None)
     @given(connected_signed_graphs())
     def test_baseline_matches_eigh(self, g):
+        """The baseline's eigenvalues match eigh, and its diagnostics are select_fiedler's on them."""
         op = laplacian(nullify_negative(g), "standard")
-        assert_dense_fiedler_matches_eigh(baseline_fiedler(g), op, deflated_eigh(op))
+        reference = deflated_eigh(op)
+        b = baseline_gap(g)
+        scale = max(1.0, op.norm_inf)
+        np.testing.assert_allclose(b.eigenvalues, reference.eigenvalues, rtol=0, atol=1e-12 * scale)
+        f = select_fiedler(Spectrum(b.eigenvalues, reference.eigenvectors), "standard")
+        assert not f.skipped_constant
+        assert (b.eigenvalue, b.gap, b.condition_number, b.clustered_warning) == (
+            f.eigenvalue, f.gap, f.condition_number, f.clustered_warning)
 
     @pytest.mark.parametrize("kind", list(LaplacianKind))
     def test_two_and_three_vertex_paths(self, kind, monkeypatch):
