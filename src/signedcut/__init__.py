@@ -52,7 +52,6 @@ from .eigen import (
     SolverConfig,
     Spectrum,
     dense_spectrum,
-    dense_spectrum_deflated,
     estimate_largest_eigenvalue,
     jacobi_preconditioner,
     lobpcg_lockstep,

@@ -26,8 +26,8 @@ from . import __version__
 from .eigen import (
     SolverConfig,
     dense_spectrum,
-    dense_spectrum_deflated,
     lobpcg_smallest,
+    solve_space_dimension,
 )
 from .errors import (
     BasisDegenerateError,
@@ -219,13 +219,12 @@ def cmd_gen(args, outputs: list[str], warnings: list[str]) -> dict:
 
 def cmd_spectrum(args, outputs: list[str], warnings: list[str]) -> dict:
     g = load_graph(args.graph)
-    # the ones-deflated spectrum has n-1 pairs
-    top, name = (g.n - 1, "n-1") if args.deflate_ones else (g.n, "n")
+    top = solve_space_dimension(g.n, args.deflate_ones)
     if not 1 <= args.k <= top:
-        raise SignedCutError(f"k={args.k} outside [1, {name}={top}]")
+        raise SignedCutError(f"k={args.k} outside [1, {'n-1' if args.deflate_ones else 'n'}={top}]")
     op = laplacian(g, LaplacianKind(args.laplacian))
     if args.solver == "dense":
-        s = (dense_spectrum_deflated if args.deflate_ones else dense_spectrum)(op)
+        s = dense_spectrum(op, args.deflate_ones)
     else:
         s, _ = lobpcg_smallest(op, _solver_config(args, args.k, args.deflate_ones))
         # the spectrum holds the whole block; the first k pairs are the wanted ones

@@ -6,13 +6,13 @@ conjugate-gradient solver that needs only matvec products, optionally
 preconditioned by a Jacobi diagonal or by a V-cycle over graphs contracted
 from the operator's own.  Its unpreconditioned single-vector form also
 runs for many start seeds at once, as independent columns in lock step
-(``lobpcg_lockstep``).  The dense route comes in two forms: the full
-eigenbasis from ``numpy.linalg.eigh`` (``dense_spectrum``,
-``dense_spectrum_deflated``), and every eigenvalue from
-``numpy.linalg.eigvalsh`` with single eigenvectors from shifted solves
-(``DenseEigenproblem``), which is all a Fiedler pair needs.  Both deflate
-the ones vector the same way, by a Householder reflector
-(``_ones_complement``).
+(``lobpcg_lockstep``).  Both stop on one test, ``res <= tol *
+max(min(1, ||A||_inf), |theta|)`` (``_residual_check``).  The dense route
+comes in two forms: the full eigenbasis from ``numpy.linalg.eigh``
+(``dense_spectrum``), and every eigenvalue from ``numpy.linalg.eigvalsh``
+with single eigenvectors from shifted solves (``DenseEigenproblem``),
+which is all a Fiedler pair needs.  With ``deflate_ones`` both work on the
+ones-complement by a Householder reflector (``_dense_matrix``).
 """
 
 from __future__ import annotations
@@ -51,7 +51,7 @@ _ONES_RESIDUAL_REL = 1e-10
 # leaves a residual above _DENSE_RESIDUAL_REL times max(1, ||A||_inf).  An
 # exactly singular shift moves down by _NUDGE_ULPS**t ulps of ||A||_inf on
 # retry t, for up to _NUDGE_TRIES retries.  The rank-2 update that deflates
-# ones (``_ones_complement``) runs over blocks of _UPDATE_ROWS rows.
+# ones (``_dense_matrix``) runs over blocks of _UPDATE_ROWS rows.
 _DENSE_RESIDUAL_REL = 1e-10
 _NUDGE_ULPS = 4
 _NUDGE_TRIES = 8
@@ -101,9 +101,10 @@ class SolverConfig:
     """Configuration for the iterative block solver.
 
     ``k`` is the number of wanted pairs, the smallest ones: the solve stops
-    when they have converged.  The block may hold more columns.  ``tol``
-    is an absolute residual tolerance scaled per column by
-    max(1, |ritz value|).  ``deflate_ones`` keeps every iterate orthogonal
+    when they have converged.  The block may hold more columns, up to
+    ``solve_space_dimension``.  ``tol`` is a residual tolerance scaled per
+    column by max(min(1, ||A||_inf), |ritz value|), so it is relative at
+    every weight scale.  ``deflate_ones`` keeps every iterate orthogonal
     to the all-ones vector, excluding the trivial constant eigenvector of a
     standard Laplacian from the search space.  ``precondition`` applies a
     preconditioner to the residual block: the multilevel V-cycle
@@ -148,30 +149,23 @@ class IterationTrace:
         return len(self.ritz_values)
 
 
-def dense_spectrum(op: SymmetricOperator) -> Spectrum:
-    """Full spectrum via the dense oracle; requires n <= dense threshold."""
-    evals, evecs = np.linalg.eigh(op.dense())
-    return Spectrum(eigenvalues=evals, eigenvectors=evecs)
+def solve_space_dimension(n: int, deflate_ones: bool) -> int:
+    """The most pairs, or block columns, a solver can hold: n, less one with ones deflated."""
+    return n - int(deflate_ones)
 
 
-def dense_spectrum_deflated(op: SymmetricOperator) -> Spectrum:
-    """Dense spectrum restricted to the complement of the ones vector.
-
-    One ``eigh`` of the ones-complement M (see ``_ones_complement``) gives
-    the n-1 pairs; a vector y of M comes back as ``H [0; y]``.  The ones
-    vector must be an eigenvector of the operator, as it is for every
-    standard Laplacian; an operator that moves it by more than rounding
-    raises ``ValueError``.
-    """
-    M, w, beta = _ones_complement(op)
+def dense_spectrum(op: SymmetricOperator, deflate_ones: bool = False) -> Spectrum:
+    """Full spectrum via the dense oracle, one ``eigh`` of ``_dense_matrix``; requires n <= dense threshold."""
+    M, w, beta = _dense_matrix(op, deflate_ones)
     evals, Y = np.linalg.eigh(M)
     return Spectrum(eigenvalues=evals, eigenvectors=_from_complement(w, beta, Y))
 
 
-def _ones_complement(op: SymmetricOperator) -> tuple[np.ndarray, np.ndarray, float]:
-    """``(M, w, beta)``: the operator on the complement of the ones vector.
+def _dense_matrix(op: SymmetricOperator, deflate_ones: bool) -> tuple[np.ndarray, Optional[np.ndarray], float]:
+    """``(M, w, beta)``: the operator as a fresh dense matrix, or its ones-complement.
 
-    The ones vector must be an eigenvector of eigenvalue 0: an operator
+    Without ``deflate_ones`` M is ``op.dense()`` and w is None.  With it,
+    the ones vector must be an eigenvector of eigenvalue 0: an operator
     with ``||A u||`` above ``_ONES_RESIDUAL_REL`` times its largest absolute
     row sum, u = ones/sqrt(n), raises ``ValueError``.  H = I - beta w w^T is
     the Householder reflector that maps u to -e_0, so H A H has row and
@@ -179,6 +173,8 @@ def _ones_complement(op: SymmetricOperator) -> tuple[np.ndarray, np.ndarray, flo
     A minus a rank-2 update, formed in place in O(n^2).
     """
     A = op.dense()
+    if not deflate_ones:
+        return A, None, 0.0
     n = op.n
     u = np.full(n, 1.0 / math.sqrt(n))
     _require_ones_null(op, A @ u)
@@ -196,8 +192,10 @@ def _ones_complement(op: SymmetricOperator) -> tuple[np.ndarray, np.ndarray, flo
     return A[1:, 1:], w, beta
 
 
-def _from_complement(w: np.ndarray, beta: float, Y: np.ndarray) -> np.ndarray:
-    """``H [0; Y]``: vectors of the ones-complement as n-vectors, orthogonal to ones."""
+def _from_complement(w: Optional[np.ndarray], beta: float, Y: np.ndarray) -> np.ndarray:
+    """``H [0; Y]``: vectors of the ones-complement as n-vectors, orthogonal to ones; Y itself when w is None."""
+    if w is None:
+        return Y
     X = np.concatenate((np.zeros((1,) + Y.shape[1:]), Y))
     return X - beta * np.multiply.outer(w, w[1:] @ Y)
 
@@ -207,7 +205,7 @@ class DenseEigenproblem:
 
     ``eigenvalues`` are ascending, from one ``eigvalsh`` of the matrix M:
     the operator, or with ``deflate_ones`` its ones-complement (see
-    ``_ones_complement``), whose n-1 eigenvalues come out already deflated.
+    ``_dense_matrix``), whose n-1 eigenvalues come out already deflated.
     ``vector(i)`` is the eigenvector of ``eigenvalues[i]`` from inverse
     iteration: one solve of ``(M - lambda I) x = b`` from a fixed seeded
     start, and a second from x when the residual ``||M x - lambda x||`` is
@@ -222,10 +220,7 @@ class DenseEigenproblem:
     """
 
     def __init__(self, op: SymmetricOperator, deflate_ones: bool = False):
-        if deflate_ones:
-            A, self._w, self._beta = _ones_complement(op)
-        else:
-            A, self._w = op.dense(), None
+        A, self._w, self._beta = _dense_matrix(op, deflate_ones)
         # a power of two brings ||A||_inf into [1/2, 1) without rounding, so
         # that the shifted solves neither overflow nor underflow at any scale
         self._unit = 2.0 ** -math.frexp(op.norm_inf)[1]
@@ -243,8 +238,7 @@ class DenseEigenproblem:
             x /= np.linalg.norm(x)
             if np.linalg.norm(A @ x - lam * x) <= self._limit:
                 break
-        if self._w is not None:
-            x = _from_complement(self._w, self._beta, x)
+        x = _from_complement(self._w, self._beta, x)
         if orthogonal_to is not None:
             x -= float(orthogonal_to @ x) * orthogonal_to
         return unit_with_exact_zeros(x)
@@ -407,10 +401,10 @@ def multilevel_preconditioner(op: SymmetricOperator, k: int) -> Optional[Multile
     Laplacian L plus a diagonal E is again a signed Laplacian, of the
     contracted graph with parallel edges summed, plus a diagonal (see
     ``_contract``): every level is ``diag(r + excess) - W`` of its own
-    graph, with its own radii r and excess.  None when the graph's first
-    pairing leaves more than ``_MAX_SHRINK`` of its vertices (random
-    graphs, whose edges are rarely strong), or when a later level's first
-    pairing does before ``_COARSE_MAX`` vertices are left.
+    graph, with its own radii r and excess.  Each graph reached is paired
+    once.  None when the graph's pairing leaves more than ``_MAX_SHRINK``
+    of its vertices (random graphs, whose edges are rarely strong), or when
+    the pairing of a later graph does, the coarsest level's included.
     """
     g = op.graph
     scale = float(op.radii.mean())
@@ -421,29 +415,23 @@ def multilevel_preconditioner(op: SymmetricOperator, k: int) -> Optional[Multile
         excess = np.full(g.n, _SHIFT_REL_SIGNED * scale)
     else:
         excess = op.diagonal - op.radii - op.gershgorin_lower + _SHIFT_REL * scale
-    levels = []
-    while True:
-        pairing = _pair(g)
-        if pairing is None:
-            return None
+    levels, pairing = [], _pair(g)
+    while pairing is not None:
         level_op = SymmetricOperator(g, degrees(g, DegreeMode.ABSOLUTE_SUM) + excess)
         if g.n <= _COARSE_MAX:
             levels.append(Level(level_op))
             return MultilevelPreconditioner(levels)
-        coarse, coarse_excess = g, excess
         agg, sign = np.arange(g.n), np.ones(g.n)
         for _ in range(_PAIRINGS_PER_LEVEL):
             pair_agg, pair_sign = pairing
-            coarse, coarse_excess = _contract(coarse, coarse_excess, pair_agg, pair_sign)
+            g, excess = _contract(g, excess, pair_agg, pair_sign)
             sign *= pair_sign[agg]
             agg = pair_agg[agg]
-            if coarse.n <= _COARSE_MAX:
-                break
-            pairing = _pair(coarse)
-            if pairing is None:
+            pairing = _pair(g)
+            if pairing is None or g.n <= _COARSE_MAX:
                 break
         levels.append(Level(level_op, agg, sign))
-        g, excess = coarse, coarse_excess
+    return None
 
 
 def _pair(g: SignedGraph) -> Optional[tuple[np.ndarray, np.ndarray]]:
@@ -643,8 +631,9 @@ def lobpcg_smallest(op: SymmetricOperator, cfg: SolverConfig) -> tuple[Spectrum,
     """
     n = op.n
     m = cfg.effective_block_size
-    if m > n - 1:
-        raise ValueError(f"block_size {m} too large for operator dimension {n}")
+    dim = solve_space_dimension(n, cfg.deflate_ones)
+    if m > dim:
+        raise ValueError(f"block_size {m} too large for a solve space of dimension {dim}")
     rng = np.random.default_rng(cfg.seed)
     X = rng.uniform(-1.0, 1.0, size=(n, m))
     # column layout of both buffers: [ones (c) | X (m) | P (np_) | W (nw)]
@@ -665,16 +654,16 @@ def lobpcg_smallest(op: SymmetricOperator, cfg: SolverConfig) -> tuple[Spectrum,
     V2, AV2 = V.copy(order="F"), AV.copy(order="F")
     R = np.empty((n, m), order="F")
     precondition = _preconditioner(op, cfg.k) if cfg.precondition else None
+    norm_inf = op.norm_inf
     np_ = 0
     trace = IterationTrace()
     nlock = 0
     for _ in range(cfg.max_iter):
         np.multiply(V[:, c : c + m], theta, out=R)
         np.subtract(AV[:, c : c + m], R, out=R)
-        resnorms = np.sqrt(np.einsum("ij,ij->j", R, R))
+        resnorms, conv = _residual_check(R, theta, cfg.tol, norm_inf)
         trace.ritz_values.append(theta.copy())
         trace.max_residuals.append(float(resnorms[: cfg.k].max()))
-        conv = resnorms <= cfg.tol * np.maximum(1.0, np.abs(theta))
         if conv[: cfg.k].all():
             break
         prefix = 0
@@ -710,9 +699,7 @@ def lobpcg_smallest(op: SymmetricOperator, cfg: SolverConfig) -> tuple[Spectrum,
     order = np.argsort(theta, kind="stable")
     theta = theta[order]
     X = V[:, c : c + m][:, order]
-    R = op.matmat(X) - X * theta
-    residuals = np.sqrt(np.einsum("ij,ij->j", R, R))
-    converged = residuals <= cfg.tol * np.maximum(1.0, np.abs(theta))
+    residuals, converged = _residual_check(op.matmat(X) - X * theta, theta, cfg.tol, norm_inf)
     spectrum = Spectrum(
         eigenvalues=theta, eigenvectors=X, residual_norms=residuals, converged=converged
     )
@@ -730,9 +717,9 @@ def lobpcg_lockstep(
 
     Column b is, up to rounding, the unpreconditioned block-1 solve of
     ``lobpcg_smallest`` for ``seeds[b]``: the same start, the same basis
-    [x, p, w], and the same test ``res <= tol * max(1, |theta|)`` before
-    each of at most ``max_iter`` updates.  A converged column stays as it
-    is while the others go on.  The columns share one block matvec per
+    [x, p, w], and the same test (``_residual_check``) before each of at
+    most ``max_iter`` updates.  A converged column stays as it is while
+    the others go on.  The columns share one block matvec per
     iteration, and their 3-by-3 Rayleigh-Ritz problems share one stacked
     ``eigh``.  They are not coupled: a block Rayleigh-Ritz over all of them
     would be ``lobpcg_smallest`` with a larger block.
@@ -763,14 +750,14 @@ def lobpcg_lockstep(
         X = _orthonormalize_columns(X, [])
         AX = op.matmat(X)
     theta = np.einsum("ij,ij->j", X, AX)
+    norm_inf = op.norm_inf
     P, AP = np.zeros_like(X), np.zeros_like(X)
     has_p = np.zeros(X.shape[1], dtype=bool)
     done = np.zeros(X.shape[1], dtype=bool)
     for _ in range(max_iter):
         a = np.flatnonzero(~done)
         R = AX[:, a] - X[:, a] * theta[a]
-        res = np.sqrt(np.einsum("ij,ij->j", R, R))
-        conv = res <= tol * np.maximum(1.0, np.abs(theta[a]))
+        conv = _residual_check(R, theta[a], tol, norm_inf)[1]
         done[a[conv]] = True
         a, R = a[~conv], R[:, ~conv]
         if not len(a):
@@ -797,6 +784,20 @@ def lobpcg_lockstep(
         AX[:, a], AP[:, a] = np.matmul(AS.transpose(2, 1, 0), coef).transpose(2, 1, 0)
         theta[a] = ritz[:, 0]
     return theta, X
+
+
+def _residual_check(R: np.ndarray, theta: np.ndarray, tol: float,
+                    norm_inf: float) -> tuple[np.ndarray, np.ndarray]:
+    """The column norms of a residual block R and whether each is at most ``tol * max(min(1, norm_inf), |theta|)``.
+
+    The floor ``min(1, ||A||_inf)`` keeps ``tol`` relative below unit scale.
+    Each column is scaled by a power of two, exactly, before its squares
+    are summed, so that they neither underflow nor overflow.
+    """
+    e = np.frexp(np.abs(R).max(axis=0, initial=0.0))[1]
+    S = np.ldexp(R, -e)
+    norms = np.ldexp(np.sqrt(np.einsum("ij,ij->j", S, S)), e)
+    return norms, norms <= tol * np.maximum(min(1.0, norm_inf), np.abs(theta))
 
 
 def _orthonormalize_columns(W: np.ndarray, guards: list[np.ndarray]) -> np.ndarray:

@@ -27,6 +27,7 @@ from .eigen import (
     Spectrum,
     estimate_largest_eigenvalue,
     lobpcg_smallest,
+    solve_space_dimension,
     unit_with_exact_zeros,
 )
 from .errors import (
@@ -266,29 +267,27 @@ def _fiedler_iterative(op: SymmetricOperator, kind: LaplacianKind, solver: Solve
     """The Fiedler pair from one wanted LOBPCG pair in a block of at least two.
 
     The solve stops when the Fiedler column has converged; the next column
-    gives the gap, as an upper estimate while it is unconverged.  An
-    operator with room for one column only (a 2-vertex graph) gets a block
-    of one, and so no gap partner: the gap is +inf and ``gap_converged``
-    False.  When ``select_fiedler`` skips a near-constant column 0, that
-    column is the one the stopping test covered; if column 1 is then
-    unconverged, the solve runs once more with two wanted pairs before it
-    fails.  The standard kind deflates ones.  A component at or below
+    gives the gap, as an upper estimate while it is unconverged.  A solve
+    space with room for one column only (the ones-deflated 2-vertex graph)
+    gets a block of one, and so no gap partner: the gap is +inf and
+    ``gap_converged`` False.  When ``select_fiedler`` skips a near-constant
+    column 0, that column is the one the stopping test covered; if column 1
+    is then unconverged, the solve runs once more with two wanted pairs
+    before it fails.  The standard kind deflates ones.  A component at or below
     ``n * eps`` times the largest comes back as an exact 0, as on the dense
     route.
     """
-    cfg = replace(
-        solver,
-        k=1,
-        block_size=max(solver.effective_block_size, min(2, op.n - 1)),
-        deflate_ones=kind is LaplacianKind.STANDARD,
-    )
+    deflate = kind is LaplacianKind.STANDARD
+    dim = solve_space_dimension(op.n, deflate)
+    cfg = replace(solver, k=1, block_size=max(solver.effective_block_size, min(2, dim)),
+                  deflate_ones=deflate)
     s, trace = _lobpcg(op, cfg)
     top = estimate_largest_eigenvalue(op, seed=cfg.seed)
     f = select_fiedler(s, kind, top)
     if f.skipped_constant and not s.converged[1]:
         # the stopping test covered column 0 alone: solve once more for two
         # wanted pairs, with a third column for the gap where n allows
-        block = min(max(cfg.block_size, 3), op.n - 1)
+        block = min(max(cfg.block_size, 3), dim)
         s, trace = _lobpcg(op, replace(cfg, k=2, block_size=block))
         f = select_fiedler(s, kind, top)
     if f.skipped_constant:

@@ -250,7 +250,11 @@ class TestPartitionCmd:
     @pytest.mark.parametrize("override", [[], ["--override", "1:-1"]], ids=["positive", "negative"])
     @pytest.mark.parametrize("kind", ["standard", "signed"])
     def test_two_vertices_on_the_iterative_route(self, tmp_path, capsys, kind, override):
-        """The deflated operator has room for one column: the block is one, and there is no gap partner."""
+        """A deflated operator has room for one column: the block is one, and there is no gap partner.
+
+        The signed operator of the negative edge is not deflated: a block of
+        two fits, and both routes report the gap 2.0.
+        """
         gfile = str(tmp_path / "p2.mtx")
         assert run(capsys, "gen", "path", "--n", "2", *override, "--out", gfile)[0] == 0
         docs = {}
@@ -265,8 +269,13 @@ class TestPartitionCmd:
         # the one split of two vertices; which is A is decided by rounding,
         # since the two components of the Fiedler vector tie in magnitude
         assert sorted(lobpcg["side"]) == sorted(dense["side"]) == [0, 1]
-        assert lobpcg["gap"] is None and lobpcg["gap_converged"] is False
-        assert any("gap partner is unconverged" in w for w in report["warnings"])
+        if kind == "signed" and override:
+            assert dense["gap"] == pytest.approx(2.0, abs=1e-12)
+            assert lobpcg["gap"] == pytest.approx(2.0, abs=1e-12) and lobpcg["gap_converged"] is True
+            assert not any("gap partner is unconverged" in w for w in report["warnings"])
+        else:
+            assert lobpcg["gap"] is None and lobpcg["gap_converged"] is False
+            assert any("gap partner is unconverged" in w for w in report["warnings"])
 
 
 class TestSolverWiring:

@@ -18,7 +18,6 @@ from signedcut import (
     Spectrum,
     StringSpec,
     dense_spectrum,
-    dense_spectrum_deflated,
     estimate_largest_eigenvalue,
     fiedler,
     graph_from_arrays,
@@ -86,7 +85,7 @@ class TestDenseSpectrum:
 
     def test_dense_routes_leave_solver_fields_unset(self):
         op = laplacian(path_string(StringSpec(10)), "standard")
-        for s in (dense_spectrum(op), dense_spectrum_deflated(op)):
+        for s in (dense_spectrum(op), dense_spectrum(op, deflate_ones=True)):
             assert s.residual_norms is None and s.converged is None
 
     def test_dimension_guard(self):
@@ -95,7 +94,7 @@ class TestDenseSpectrum:
             dense_spectrum(op)
 
     def test_deflated_removes_trivial(self):
-        s = dense_spectrum_deflated(laplacian(path_string(StringSpec(10)), "standard"))
+        s = dense_spectrum(laplacian(path_string(StringSpec(10)), "standard"), deflate_ones=True)
         assert s.k == 9
         np.testing.assert_allclose(s.eigenvalues, path_eigenvalues(10)[1:], atol=1e-10)
         ones = np.ones(10) / math.sqrt(10)
@@ -148,7 +147,7 @@ class TestDeflatedSpectrum:
             raise AssertionError("the deflation must not run a QR factorization")
 
         monkeypatch.setattr(np.linalg, "qr", no_qr)
-        s = dense_spectrum_deflated(op)
+        s = dense_spectrum(op, deflate_ones=True)
         n = g.n
         assert s.k == n - 1 and s.eigenvectors.shape == (n, n - 1)
         scale = max(1.0, s.eigenvalues[-1] - s.eigenvalues[0])
@@ -166,7 +165,7 @@ class TestDeflatedSpectrum:
     def test_rejects_operator_without_ones_eigenvector(self):
         g = path_string(StringSpec(20, overrides=((7, -0.5),)))
         with pytest.raises(ValueError, match="not an eigenvector"):
-            dense_spectrum_deflated(laplacian(g, "signed"))
+            dense_spectrum(laplacian(g, "signed"), deflate_ones=True)
 
 
 class TestLobpcg:
@@ -244,9 +243,37 @@ class TestLobpcg:
         assert len(trace) == 3
 
     def test_block_size_must_fit(self):
+        """The block fits the solve space: n columns, or n - 1 with ones deflated."""
         op = laplacian(path_string(StringSpec(4)), "standard")
-        with pytest.raises(ValueError):
-            lobpcg_smallest(op, SolverConfig(k=4, block_size=4))
+        for block, deflate in ((5, False), (4, True)):
+            with pytest.raises(ValueError):
+                lobpcg_smallest(op, SolverConfig(k=block, block_size=block, deflate_ones=deflate))
+        s, _ = lobpcg_smallest(op, SolverConfig(k=4, block_size=4))
+        assert s.converged.all()
+        np.testing.assert_allclose(s.eigenvalues, path_eigenvalues(4), atol=1e-12)
+
+    def test_residual_norms_below_the_normal_range(self):
+        """At weights of 1e-165 a residual's squares underflow unless it is scaled first."""
+        g = path_string(StringSpec(8, overrides=((3, -0.3),)))
+        c = 1e-165
+        op = laplacian(scale_weights(g, c), "standard")
+        s, _ = lobpcg_smallest(op, SolverConfig(k=1, block_size=2, deflate_ones=True))
+        want = dense_spectrum(laplacian(g, "standard"), deflate_ones=True).eigenvalues[0]
+        assert s.converged[0] and s.eigenvalues[0] / c == pytest.approx(want, abs=1e-12)
+        # the reported norms are the residuals' own, taken here at unit scale
+        X = s.eigenvectors
+        R = (op.matmat(X) - X * s.eigenvalues) / c
+        np.testing.assert_allclose(s.residual_norms / c, np.linalg.norm(R, axis=0), rtol=1e-12)
+
+    @pytest.mark.parametrize("scale", [1e-14, 1e-10, 1e-6, 1e-2, 1.0, 1e3])
+    @pytest.mark.parametrize("kind", ["standard", "signed"])
+    def test_tolerance_is_relative_at_every_weight_scale(self, kind, scale):
+        """Below unit scale tol is relative to ||A||_inf, not absolute."""
+        g = scale_weights(path_string(StringSpec(75, overrides=((36, -0.05),))), scale)
+        want = fiedler(g, kind)
+        f = fiedler(g, kind, solver=SolverConfig(k=1, precondition=True))
+        assert abs(f.eigenvalue - want.eigenvalue) <= 1e-10 * scale
+        assert 1.0 - abs(float(f.vector @ want.vector)) <= 1e-10
 
     def test_residual_norms_and_orthonormality(self):
         op = laplacian(path_string(StringSpec(30)), "standard")
@@ -496,7 +523,7 @@ def test_lobpcg_matches_dense_on_generated_graphs(case):
     op = laplacian(g, kind)
     if cfg.deflate_ones:
         try:
-            oracle = dense_spectrum_deflated(op)
+            oracle = dense_spectrum(op, deflate_ones=True)
         except ValueError:
             with pytest.raises(ValueError, match="not an eigenvector"):
                 lobpcg_smallest(op, cfg)
@@ -677,6 +704,22 @@ class TestMultilevelPreconditioner:
             assert len(trace) == len(trace_jacobi)
             np.testing.assert_array_equal(s.eigenvalues, s_jacobi.eigenvalues)
             np.testing.assert_array_equal(s.eigenvectors, s_jacobi.eigenvectors)
+
+    @pytest.mark.parametrize("kind", ["standard", "signed"])
+    def test_each_graph_is_paired_once(self, kind, monkeypatch):
+        paired = []
+        pair = signedcut.eigen._pair
+
+        def counting_pair(graph):
+            paired.append(graph)
+            return pair(graph)
+
+        monkeypatch.setattr(signedcut.eigen, "_pair", counting_pair)
+        g = path_string(StringSpec(3000, overrides=((1499, -0.05),)))
+        h = multilevel_preconditioner(laplacian(g, kind), 1)
+        assert [lv.op.n for lv in h.levels] == [3000, 552, 177]
+        # every graph paired is the contraction of the one paired before it
+        assert [x.n for x in paired] == [3000, 1704, 971, 552, 313, 177]
 
     @pytest.mark.parametrize("kind", ["standard", "signed"])
     def test_3000_mass_string_converges(self, kind):
