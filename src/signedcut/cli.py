@@ -14,11 +14,13 @@ import argparse
 import dataclasses
 import functools
 import hashlib
+import itertools
 import json
 import math
 import os
 import sys
 import time
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -49,7 +51,7 @@ from .generators import (
     path_string,
 )
 from .graph import SignedGraph, nullify_negative
-from .io import load_graph, save_graph
+from .io import CHUNK_LINES, load_graph, save_graph
 from .laplacian import LaplacianKind, laplacian
 from .partition import (
     FiedlerResult,
@@ -136,45 +138,64 @@ def _digest(path: str) -> str:
     return h.hexdigest()
 
 
-def _emit_text(text: str, out: str | None, outputs: list[str]) -> None:
+def _emit_text(chunks: Iterable[str], out: str | None, outputs: list[str]) -> None:
+    """Write the text's pieces, as they are made, to ``out`` or to stdout."""
     if out is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
     else:
         with open(out, "w", newline="\n") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
         outputs.append(out)
 
 
 def _emit_json(doc: dict, out: str | None, outputs: list[str]) -> None:
-    _emit_text(_json_text(doc) + "\n", out, outputs)
+    _emit_text(itertools.chain(_json_chunks(doc), ("\n",)), out, outputs)
 
 
-def _json_text(obj, level: int = 0) -> str:
-    """``json.dumps(obj, indent=2)``, byte for byte, at nesting depth ``level``.
+def _json_chunks(obj, level: int = 0) -> Iterator[str]:
+    """``json.dumps(obj, indent=2)``, byte for byte, at nesting depth ``level``,
+    in pieces of at most ``CHUNK_LINES`` list items.
 
     An indent makes ``json`` use its pure-Python encoder, slow on a long
-    list.  A non-empty list of scalars is written by the C encoder instead,
-    with the newline and indent as its item separator.  Dicts with string
+    list.  A run of scalar list items is written by the C encoder instead,
+    with the newline and indent as its item separator; the run's item types,
+    not its items, are tested for containers.  Lists and dicts with string
     keys recurse; anything else is the stdlib's own output, re-indented.
     """
     pad = "\n" + "  " * (level + 1)
     if isinstance(obj, dict) and obj and all(isinstance(k, str) for k in obj):
-        items = (json.dumps(k) + ": " + _json_text(v, level + 1) for k, v in obj.items())
-        return "{" + pad + ("," + pad).join(items) + pad[:-2] + "}"
-    if isinstance(obj, (list, tuple)) and obj and not any(isinstance(x, (dict, list, tuple)) for x in obj):
-        return "[" + pad + json.dumps(obj, separators=("," + pad, ": "))[1:-1] + pad[:-2] + "]"
-    return json.dumps(obj, indent=2).replace("\n", "\n" + "  " * level)
+        sep = "{" + pad
+        for k, v in obj.items():
+            yield sep + json.dumps(k) + ": "
+            yield from _json_chunks(v, level + 1)
+            sep = "," + pad
+        yield pad[:-2] + "}"
+    elif isinstance(obj, (list, tuple)) and obj:
+        sep = "[" + pad
+        for start in range(0, len(obj), CHUNK_LINES):
+            part = obj[start : start + CHUNK_LINES]
+            if any(issubclass(t, (dict, list, tuple)) for t in set(map(type, part))):
+                for x in part:
+                    yield sep
+                    yield from _json_chunks(x, level + 1)
+                    sep = "," + pad
+            else:
+                yield sep + json.dumps(part, separators=("," + pad, ": "))[1:-1]
+                sep = "," + pad
+        yield pad[:-2] + "]"
+    else:
+        yield json.dumps(obj, indent=2).replace("\n", "\n" + "  " * level)
 
 
-def _modes_csv(eigenvalues: np.ndarray, vectors: np.ndarray) -> str:
+def _modes_csv(eigenvalues: np.ndarray, vectors: np.ndarray) -> Iterator[str]:
+    """The eigenmode CSV, in pieces of at most ``CHUNK_LINES`` vertex rows."""
     k = len(eigenvalues)
-    lines = ["vertex," + ",".join(f"mode_{c}" for c in range(k))]
-    lines.append("eigenvalue," + ",".join(repr(float(v)) for v in eigenvalues))
-    for row in range(vectors.shape[0]):
-        lines.append(
-            f"{row + 1}," + ",".join(repr(float(vectors[row, c])) for c in range(k))
-        )
-    return "\n".join(lines) + "\n"
+    yield "vertex," + ",".join(f"mode_{c}" for c in range(k)) + "\n"
+    yield "eigenvalue," + ",".join(map(repr, eigenvalues.tolist())) + "\n"
+    line = "%d" + ",%r" * k + "\n"
+    for start in range(0, vectors.shape[0], CHUNK_LINES):
+        rows = vectors[start : start + CHUNK_LINES, :k].tolist()
+        yield "".join(line % (start + r + 1, *row) for r, row in enumerate(rows))
 
 
 def _parse_edge_weight(text: str, flag: str) -> tuple[int, float]:

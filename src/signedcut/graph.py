@@ -107,6 +107,8 @@ def graph_from_arrays(n: int, i, j, w) -> SignedGraph:
     Raises on out-of-range indices, self-loops, nonfinite or zero weights,
     and duplicate pairs (after canonicalization).  The first faulty entry
     in input order is reported, with the first of those checks it fails.
+    The inputs are only read; besides them and the result, at most three
+    index arrays of their length are alive at once.
     """
     if not isinstance(n, (int, np.integer)) or n <= 0:
         raise IndexOutOfRangeError(f"vertex count must be a positive integer, got {n!r}")
@@ -116,18 +118,19 @@ def graph_from_arrays(n: int, i, j, w) -> SignedGraph:
         raise GraphError(
             f"i, j, w must be 1-D and of one length, got shapes {i.shape}, {j.shape}, {w.shape}"
         )
-    lo, hi = np.minimum(i, j), np.maximum(i, j)
-    key = lo * n + hi
-    order = np.argsort(key, kind="stable")
-    key = key[order]
-    # the stable sort puts each later entry of a pair right after the first;
+    fault = (i < 0) | (j < 0) | (i >= n) | (j >= n) | (i == j) | ~np.isfinite(w) | (w == 0.0)
+    key = np.minimum(i, j)
+    key *= n
+    key += np.maximum(i, j)
     # a flagged in-range entry repeats an earlier pair, or shares its key
     # with an earlier out-of-range entry, which is then the fault reported
-    repeat = np.zeros(len(key), dtype=bool)
-    repeat[order[1:]] = key[1:] == key[:-1]
-    fault = (lo < 0) | (hi >= n) | (i == j) | ~np.isfinite(w) | (w == 0.0) | repeat
+    order, key, repeat = sorted_repeats(key)
+    fault |= repeat
     if not fault.any():
-        return SignedGraph(n, (lo[order], hi[order], w[order]))
+        w = w[order]
+        del order
+        hi = np.remainder(key, n)
+        return SignedGraph(n, (np.floor_divide(key, n, out=key), hi, w))
     k = int(fault.argmax())
     i, j, w = int(i[k]), int(j[k]), float(w[k])
     if not (0 <= i < n and 0 <= j < n):
@@ -139,6 +142,20 @@ def graph_from_arrays(n: int, i, j, w) -> SignedGraph:
     if w == 0.0:
         raise ZeroWeightError(f"edge ({i}, {j}) has zero weight")
     raise DuplicateEdgeError(f"duplicate edge ({min(i, j)}, {max(i, j)})")
+
+
+def sorted_repeats(key: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The stable sorting order of ``key``, the sorted keys, and a flag on
+    each entry (in input order) whose key equals an earlier entry's.
+
+    The stable sort puts each later entry of a key right after the first.
+    ``key`` is only read; the caller may drop it to free its memory.
+    """
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    repeat = np.zeros(len(key), dtype=bool)
+    repeat[order[1:]] = key[1:] == key[:-1]
+    return order, key, repeat
 
 
 def degrees(g: SignedGraph, mode: DegreeMode | str = DegreeMode.SIGNED_SUM) -> np.ndarray:

@@ -300,7 +300,7 @@ def _fiedler_iterative(op: SymmetricOperator, kind: LaplacianKind, solver: Solve
     elif not s.converged[0]:
         raise SolverFailedError(
             "iterative solve left the Fiedler pair unconverged after "
-            f"{len(trace)} iterations (best residual {min(trace.max_residuals):.3e}); "
+            f"{len(trace)} iterations (residual {s.residual_norms[0]:.3e}); "
             "raise max_iter or loosen tol"
         )
     # as on the dense route, a rounding-level component is an exact zero

@@ -435,6 +435,10 @@ class TestMetricsCmd:
         assert code == 2 and report["exit_code"] == 2 and report["error"]
 
 
+def json_text(doc) -> str:
+    return "".join(signedcut.cli._json_chunks(doc))
+
+
 class TestJsonWriter:
     """The JSON writer is json.dumps(doc, indent=2) byte for byte."""
 
@@ -448,7 +452,23 @@ class TestJsonWriter:
     ], ids=["partition-like", "nested", "non-string-keys", "empty-list", "empty-dict",
             "list-of-empty", "string", "number"])
     def test_synthetic_documents(self, doc):
-        assert signedcut.cli._json_text(doc) == json.dumps(doc, indent=2)
+        assert json_text(doc) == json.dumps(doc, indent=2)
+
+    @pytest.mark.parametrize("kind", ["ints", "floats", "bools", "special", "mixed", "nested"])
+    def test_lists_longer_than_one_chunk(self, kind):
+        size = signedcut.cli.CHUNK_LINES + 3
+        rng = np.random.default_rng(0)
+        items = {
+            "ints": rng.integers(-5, 5, size).tolist(),
+            "floats": rng.standard_normal(size).tolist(),
+            "bools": (rng.random(size) < 0.5).tolist(),
+            "special": [float("nan"), float("inf"), -float("inf"), -0.0, None] * (size // 5 + 1),
+            # scalars, with one container in the second chunk only
+            "mixed": [0.5, 1, True, None, "x"] * (size // 5) + [[1.5, [2, {}]]] + [7],
+            "nested": [[k, {"k": [0.5]}] for k in range(size)] + [[], {}],
+        }[kind]
+        for doc in (items, {"a": {"b": items[:5], "c": items}}, [[items]]):
+            assert json_text(doc) == json.dumps(doc, indent=2)
 
     def test_partition_and_compare_files(self, tmp_path, capsys):
         paths = []
@@ -464,6 +484,17 @@ class TestJsonWriter:
         assert any('"side": null' in text for text in texts)
         for text in texts:
             assert text == json.dumps(json.loads(text), indent=2) + "\n"
+
+
+def test_modes_csv_longer_than_one_chunk():
+    rng = np.random.default_rng(0)
+    rows = signedcut.cli.CHUNK_LINES + 2
+    evals, vecs = rng.standard_normal(3), rng.standard_normal((rows, 3))
+    vecs[0, 0], vecs[-1, 2] = -0.0, 1e-300
+    # the one-string writer this replaces, as the reference
+    lines = ["vertex,mode_0,mode_1,mode_2", "eigenvalue," + ",".join(repr(float(v)) for v in evals)]
+    lines += [f"{r + 1}," + ",".join(repr(float(vecs[r, c])) for c in range(3)) for r in range(rows)]
+    assert "".join(signedcut.cli._modes_csv(evals, vecs)) == "\n".join(lines) + "\n"
 
 
 class TestCompare:

@@ -150,8 +150,25 @@ class TestFiedler:
     def test_lobpcg_unconverged_raises_solver_failed(self):
         g = path_string(StringSpec(60))
         cfg = SolverConfig(k=2, tol=1e-12, max_iter=2, seed=0)
-        with pytest.raises(SolverFailedError, match=r"unconverged after 2 iterations \(best residual \d"):
+        with pytest.raises(SolverFailedError, match=r"unconverged after 2 iterations \(residual \d"):
             fiedler(g, "standard", solver=cfg)
+
+    def test_unconverged_message_quotes_the_final_residual(self, monkeypatch):
+        # 2 vertices, one -1 edge, tol 1e-17: the loop's implicit residual
+        # passes the test (1.4e-31), the final explicit one does not
+        solve, finals = signedcut.partition.lobpcg_smallest, []
+
+        def recording(op, cfg):
+            s, trace = solve(op, cfg)
+            finals.append(s.residual_norms[0])
+            return s, trace
+
+        monkeypatch.setattr(signedcut.partition, "lobpcg_smallest", recording)
+        g = path_string(StringSpec(2, overrides=((0, -1.0),)))
+        with pytest.raises(SolverFailedError) as failed:
+            fiedler(g, "signed", solver=SolverConfig(k=1, tol=1e-17, seed=0, precondition=True))
+        assert finals[-1] > 1e-17
+        assert f"(residual {finals[-1]:.3e})" in str(failed.value)
 
     def test_noisy_string_signed_clustered_warning(self):
         g = noisy_string(12, (7, -0.5), 1e-2, seed=0)
