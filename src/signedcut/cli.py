@@ -210,16 +210,11 @@ def _parse_edge_weight(text: str, flag: str) -> tuple[int, float]:
     return idx - 1, w
 
 
-def _solver_config(args, k: int, deflate_ones: bool = False) -> SolverConfig:
-    return SolverConfig(
-        k=k,
-        block_size=args.block_size,
-        tol=args.tol,
-        max_iter=args.max_iter,
-        seed=args.seed,
-        deflate_ones=deflate_ones,
-        precondition=True,
-    )
+def _solver_config(args) -> SolverConfig | None:
+    """The LOBPCG settings, or None for ``--solver dense``; built, and so checked, on both routes."""
+    cfg = SolverConfig(block_size=args.block_size, tol=args.tol, max_iter=args.max_iter,
+                       seed=args.seed, precondition=True)
+    return cfg if args.solver == "lobpcg" else None
 
 
 def cmd_gen(args, outputs: list[str], warnings: list[str]) -> dict:
@@ -243,11 +238,12 @@ def cmd_spectrum(args, outputs: list[str], warnings: list[str]) -> dict:
     top = solve_space_dimension(g.n, args.deflate_ones)
     if not 1 <= args.k <= top:
         raise SignedCutError(f"k={args.k} outside [1, {'n-1' if args.deflate_ones else 'n'}={top}]")
+    solver = _solver_config(args)
     op = laplacian(g, LaplacianKind(args.laplacian))
-    if args.solver == "dense":
+    if solver is None:
         s = dense_spectrum(op, args.deflate_ones)
     else:
-        s, _ = lobpcg_smallest(op, _solver_config(args, args.k, args.deflate_ones))
+        s, _ = lobpcg_smallest(op, args.k, solver, args.deflate_ones)
         # the spectrum holds the whole block; the first k pairs are the wanted ones
         converged = s.converged[: args.k]
         if not converged.all():
@@ -268,9 +264,7 @@ def _side_sizes(p: Partition) -> tuple[int, int]:
 
 def cmd_partition(args, outputs: list[str], warnings: list[str]) -> dict:
     g = load_graph(args.graph)
-    # one wanted pair; fiedler raises the block to at least two columns
-    solver = None if args.solver == "dense" else _solver_config(args, 1)
-    f = fiedler(g, LaplacianKind(args.laplacian), solver=solver)
+    f = fiedler(g, LaplacianKind(args.laplacian), solver=_solver_config(args))
     p = bisect(f, zero_policy=args.zero_policy)
     conf = confidence(f) if args.emit_confidence else None
     if f.clustered_warning:

@@ -98,44 +98,32 @@ class Spectrum:
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Configuration for the iterative block solver.
+    """What a caller chooses for the iterative block solver.
 
-    ``k`` is the number of wanted pairs, the smallest ones: the solve stops
-    when they have converged.  The block may hold more columns, up to
-    ``solve_space_dimension``.  ``tol`` is a residual tolerance scaled per
-    column by max(min(1, ||A||_inf), |ritz value|), so it is relative at
-    every weight scale.  ``deflate_ones`` keeps every iterate orthogonal
-    to the all-ones vector, excluding the trivial constant eigenvector of a
-    standard Laplacian from the search space.  ``precondition`` applies a
-    preconditioner to the residual block: the multilevel V-cycle
-    (``multilevel_preconditioner``) where the operator's graph coarsens
-    along strong edges, else the Gershgorin-shifted Jacobi diagonal
-    (``jacobi_preconditioner``).
+    The problem, k wanted pairs and whether ones is deflated, goes to
+    ``lobpcg_smallest`` with the operator.  ``block_size`` is the block's
+    column count, at least k and at most ``solve_space_dimension``; None
+    takes k.  ``tol`` is a residual tolerance scaled per column by
+    max(min(1, ||A||_inf), |ritz value|), so it is relative at every weight
+    scale.  ``precondition`` applies a preconditioner to the residual
+    block: the multilevel V-cycle (``multilevel_preconditioner``) where the
+    operator's graph coarsens along strong edges, else the
+    Gershgorin-shifted Jacobi diagonal (``jacobi_preconditioner``).
     """
 
-    k: int
     block_size: Optional[int] = None
     tol: float = 1e-8
     max_iter: int = 200
     seed: int = 0
-    deflate_ones: bool = False
     precondition: bool = False
 
     def __post_init__(self):
-        if self.k < 1:
-            raise ValueError(f"k must be >= 1, got {self.k}")
-        if self.block_size is not None and self.block_size < self.k:
-            raise ValueError(
-                f"block_size {self.block_size} smaller than k {self.k}"
-            )
+        if self.block_size is not None and self.block_size < 1:
+            raise ValueError(f"block_size must be >= 1, got {self.block_size}")
         if not self.tol > 0:
             raise ValueError(f"tol must be positive, got {self.tol}")
         if self.max_iter < 1:
             raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
-
-    @property
-    def effective_block_size(self) -> int:
-        return self.block_size if self.block_size is not None else self.k
 
 
 @dataclass
@@ -381,17 +369,17 @@ def multilevel_preconditioner(op: SymmetricOperator, k: int) -> Optional[Multile
     signed kind, and for a graph without negative edges, that is the signed
     Laplacian plus ``sigma I``.
 
-    ``k`` is the number of wanted pairs (``SolverConfig.k``), not the block
-    size.  The exception is a standard operator with fewer negative edges
-    than the k wanted pairs: each negative edge adds one rank-one negative
-    term to the Laplacian of the positive edges, so at least one wanted
-    pair is a non-negative, smooth mode, which the shift to ``sigma_G = -2
-    max_i d-_i`` would blur.  There the matrix is the signed Laplacian plus
-    ``sigma I``, which differs from A only at the ends of the negative
-    edges, with the larger ``_SHIFT_REL_SIGNED``: that matrix is no shift of
-    A, so a smaller sigma does not bring the cycle nearer A's
-    shift-and-invert, and on the 3000-mass string it cost about four times
-    the iterations.  A Fiedler solve wants one pair and never takes this
+    ``k`` is the number of wanted pairs (the k of ``lobpcg_smallest``), not
+    the block size.  The exception is a standard operator with fewer
+    negative edges than the k wanted pairs: each negative edge adds one
+    rank-one negative term to the Laplacian of the positive edges, so at
+    least one wanted pair is a non-negative, smooth mode, which the shift
+    to ``sigma_G = -2 max_i d-_i`` would blur.  There the matrix is the
+    signed Laplacian plus ``sigma I``, which differs from A only at the
+    ends of the negative edges, with the larger ``_SHIFT_REL_SIGNED``: that
+    matrix is no shift of A, so a smaller sigma does not bring the cycle
+    nearer A's shift-and-invert, and on the 3000-mass string it cost about
+    four times the iterations.  A Fiedler solve wants one pair and never takes this
     branch; ``spectrum --k 2 --deflate-ones`` on a string with one negative
     edge does.
 
@@ -594,8 +582,14 @@ def _require_ones_null(op: SymmetricOperator, Au: np.ndarray) -> None:
         )
 
 
-def lobpcg_smallest(op: SymmetricOperator, cfg: SolverConfig) -> tuple[Spectrum, IterationTrace]:
+def lobpcg_smallest(op: SymmetricOperator, k: int, cfg: SolverConfig, deflate_ones: bool = False, *,
+                    gap_partner: bool = False) -> tuple[Spectrum, IterationTrace]:
     """Iteratively compute the k smallest eigenpairs of a symmetric operator.
+
+    The block has ``cfg.block_size`` columns, or k.  With ``gap_partner``
+    it has at least k + 1 where the solve space has room, so that the
+    column past the k-th bounds the gap of the k-th pair.  A block smaller
+    than k or larger than ``solve_space_dimension`` raises ``ValueError``.
 
     Each iteration performs a Rayleigh-Ritz projection onto the span of the
     current block X, the residual block W and the previous search
@@ -629,14 +623,20 @@ def lobpcg_smallest(op: SymmetricOperator, cfg: SolverConfig) -> tuple[Spectrum,
     first iteration.
     """
     n = op.n
-    m = cfg.effective_block_size
-    dim = solve_space_dimension(n, cfg.deflate_ones)
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+    dim = solve_space_dimension(n, deflate_ones)
+    m = k if cfg.block_size is None else cfg.block_size
+    if gap_partner:
+        m = max(m, min(k + 1, dim))
+    if m < k:
+        raise ValueError(f"block_size {m} smaller than k {k}")
     if m > dim:
         raise ValueError(f"block_size {m} too large for a solve space of dimension {dim}")
     rng = np.random.default_rng(cfg.seed)
     X = rng.uniform(-1.0, 1.0, size=(n, m))
     # column layout of both buffers: [ones (c) | X (m) | P (np_) | W (nw)]
-    c = int(cfg.deflate_ones)
+    c = int(deflate_ones)
     V = np.empty((n, c + 3 * m), order="F")
     V[:, :c] = 1.0 / math.sqrt(n)
     X = _orthonormalize(X, guard=V[:, :c] if c else None)
@@ -652,7 +652,7 @@ def lobpcg_smallest(op: SymmetricOperator, cfg: SolverConfig) -> tuple[Spectrum,
     AV[:, c : c + m] = AV[:, c : c + m] @ Z
     V2, AV2 = V.copy(order="F"), AV.copy(order="F")
     R = np.empty((n, m), order="F")
-    precondition = _preconditioner(op, cfg.k) if cfg.precondition else None
+    precondition = _preconditioner(op, k) if cfg.precondition else None
     norm_inf = op.norm_inf
     np_ = 0
     trace = IterationTrace()
@@ -662,7 +662,7 @@ def lobpcg_smallest(op: SymmetricOperator, cfg: SolverConfig) -> tuple[Spectrum,
         np.subtract(AV[:, c : c + m], R, out=R)
         conv = _residual_check(R, theta, cfg.tol, norm_inf)[1]
         trace.ritz_values.append(theta.copy())
-        if conv[: cfg.k].all():
+        if conv[:k].all():
             break
         prefix = 0
         while prefix < m and conv[prefix]:

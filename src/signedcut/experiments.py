@@ -70,15 +70,15 @@ def truncated_iteration_study(
     ``lobpcg_smallest`` solve of its seed, up to rounding.
     """
     g_neg = path_string(StringSpec(n=n, overrides=((edge_index, weight),)))
-    g_base = nullify_negative(g_neg)
     variants = {
-        "standard_negative": (laplacian(g_neg, LaplacianKind.STANDARD), True),
-        "baseline_zero": (laplacian(g_base, LaplacianKind.STANDARD), True),
-        "signed_negative": (laplacian(g_neg, LaplacianKind.SIGNED), False),
+        "standard_negative": (g_neg, LaplacianKind.STANDARD),
+        "baseline_zero": (nullify_negative(g_neg), LaplacianKind.STANDARD),
+        "signed_negative": (g_neg, LaplacianKind.SIGNED),
     }
     counts = {}
-    for name, (op, deflate) in variants.items():
-        _, V = lobpcg_lockstep(op, range(seeds), tol, iterations, deflate_ones=deflate)
+    for name, (g, kind) in variants.items():
+        op = laplacian(g, kind)
+        _, V = lobpcg_lockstep(op, range(seeds), tol, iterations, deflate_ones=kind.deflates_ones)
         counts[name] = int((V[edge_index] * V[edge_index + 1] < 0).sum())
     return {
         "n": n,

@@ -6,11 +6,12 @@ the signed Laplacian takes the absolute row sums and is always positive
 semi-definite.  The multilevel preconditioner's level matrices are the same
 operator with the absolute row sums plus a non-negative diagonal.  An
 operator keeps the edge list and d rather than an assembled matrix;
-applying it costs O(n + m) per vector.  A block product runs one 1-D
-scatter per column, bit-identical to the block form (one 2-D scatter over
-the whole block), because numpy's fast ``ufunc.at`` path serves only 1-D
-operands.  A dense materialization is available for n <= DENSE_MAX_DIM to
-feed the dense eigensolver oracle.
+applying it costs O(n + m) per vector.  A block product runs two 1-D
+scatters per column, the edges into rows i and then into rows j, on the
+graph's own edge arrays.  That is bit-identical to the block form (one 2-D
+scatter over the whole block), because numpy's fast ``ufunc.at`` path
+serves only 1-D operands.  A dense materialization is available for
+n <= DENSE_MAX_DIM to feed the dense eigensolver oracle.
 """
 
 from __future__ import annotations
@@ -26,6 +27,11 @@ from .graph import DegreeMode, SignedGraph, degrees
 class LaplacianKind(str, Enum):
     STANDARD = "standard"
     SIGNED = "signed"
+
+    @property
+    def deflates_ones(self) -> bool:
+        """Whether a solve of this kind leaves out ones, a null vector of every standard Laplacian."""
+        return self is LaplacianKind.STANDARD
 
 
 class SymmetricOperator:
@@ -45,11 +51,7 @@ class SymmetricOperator:
         # the same additions in the same order for d of the signed kind: the
         # radii equal it bit for bit, so its Gershgorin bound is exactly 0
         self.radii = degrees(graph, DegreeMode.ABSOLUTE_SUM)
-        ii, jj, ww = graph.edge_arrays()
-        # each edge scatters into row i, then row j: the order of the block form
-        self._rows = np.concatenate([ii, jj])
-        self._cols = np.concatenate([jj, ii])
-        self._vals = np.concatenate([ww, ww])
+        self._edges = graph.edge_arrays()
 
     @property
     def norm_inf(self) -> float:
@@ -74,10 +76,13 @@ class SymmetricOperator:
         # keeps X's memory layout, as the block form did: later matmuls on
         # another layout may round differently
         Y = np.empty_like(X)
+        ii, jj, ww = self._edges
         for c in range(X.shape[1]):
             x = X[:, c]
             y = self.diagonal * x
-            np.subtract.at(y, self._rows, self._vals * x[self._cols])
+            # every edge into row i, then every edge into row j: the order of the block form
+            np.subtract.at(y, ii, ww * x[jj])
+            np.subtract.at(y, jj, ww * x[ii])
             Y[:, c] = y
         return Y[:, 0] if single else Y
 

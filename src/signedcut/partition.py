@@ -27,7 +27,6 @@ from .eigen import (
     Spectrum,
     estimate_largest_eigenvalue,
     lobpcg_smallest,
-    solve_space_dimension,
     unit_with_exact_zeros,
 )
 from .errors import (
@@ -175,18 +174,19 @@ def baseline_gap(g: SignedGraph) -> FiedlerGap:
     the smallest one, since a ones-deflated spectrum has no constant vector
     to skip, so no eigenvector is computed.
     """
-    op = laplacian(nullify_negative(g), LaplacianKind.STANDARD)
-    return _fiedler_gap(DenseEigenproblem(op, deflate_ones=True).eigenvalues, 0)
+    kind = LaplacianKind.STANDARD
+    op = laplacian(nullify_negative(g), kind)
+    return _fiedler_gap(DenseEigenproblem(op, kind.deflates_ones).eigenvalues, 0)
 
 
 def _fiedler_dense(op: SymmetricOperator, kind: LaplacianKind) -> FiedlerResult:
     """The Fiedler pair from all eigenvalues and one or two shifted solves.
 
     Column 1 is computed, projected off column 0, only when column 0 is the
-    constant vector that ``select_fiedler`` skips.  The standard kind
-    deflates ones.
+    constant vector that ``select_fiedler`` skips.  Ones is deflated as
+    ``kind.deflates_ones`` says.
     """
-    problem = DenseEigenproblem(op, deflate_ones=kind is LaplacianKind.STANDARD)
+    problem = DenseEigenproblem(op, kind.deflates_ones)
     v = problem.vector(0)
     vectors = v[:, None]
     if _is_constant(v):
@@ -264,31 +264,26 @@ def _fiedler_gap(lam: np.ndarray, idx: int, largest_eigenvalue: float | None = N
 
 
 def _fiedler_iterative(op: SymmetricOperator, kind: LaplacianKind, solver: SolverConfig) -> FiedlerResult:
-    """The Fiedler pair from one wanted LOBPCG pair in a block of at least two.
+    """The Fiedler pair from one wanted LOBPCG pair and its gap partner.
 
-    The solve stops when the Fiedler column has converged; the next column
-    gives the gap, as an upper estimate while it is unconverged.  A solve
-    space with room for one column only (the ones-deflated 2-vertex graph)
-    gets a block of one, and so no gap partner: the gap is +inf and
+    The solve stops when the Fiedler column has converged; the partner, the
+    next column, gives the gap, as an upper estimate while it is
+    unconverged.  A solve space with room for one column only (the
+    ones-deflated 2-vertex graph) has no partner: the gap is +inf and
     ``gap_converged`` False.  When ``select_fiedler`` skips a near-constant
     column 0, that column is the one the stopping test covered; if column 1
     is then unconverged, the solve runs once more with two wanted pairs
-    before it fails.  The standard kind deflates ones.  A component at or below
-    ``n * eps`` times the largest comes back as an exact 0, as on the dense
-    route.
+    before it fails.  Ones is deflated as ``kind.deflates_ones`` says.  A
+    component at or below ``n * eps`` times the largest comes back as an
+    exact 0, as on the dense route.
     """
-    deflate = kind is LaplacianKind.STANDARD
-    dim = solve_space_dimension(op.n, deflate)
-    cfg = replace(solver, k=1, block_size=max(solver.effective_block_size, min(2, dim)),
-                  deflate_ones=deflate)
-    s, trace = _lobpcg(op, cfg)
-    top = estimate_largest_eigenvalue(op, seed=cfg.seed)
+    s, trace = _lobpcg(op, 1, solver, kind)
+    top = estimate_largest_eigenvalue(op, seed=solver.seed)
     f = select_fiedler(s, kind, top)
     if f.skipped_constant and not s.converged[1]:
         # the stopping test covered column 0 alone: solve once more for two
-        # wanted pairs, with a third column for the gap where n allows
-        block = min(max(cfg.block_size, 3), dim)
-        s, trace = _lobpcg(op, replace(cfg, k=2, block_size=block))
+        # wanted pairs, with their partner where n allows
+        s, trace = _lobpcg(op, 2, solver, kind)
         f = select_fiedler(s, kind, top)
     if f.skipped_constant:
         if not s.converged[1]:
@@ -307,10 +302,11 @@ def _fiedler_iterative(op: SymmetricOperator, kind: LaplacianKind, solver: Solve
     return replace(f, vector=unit_with_exact_zeros(f.vector))
 
 
-def _lobpcg(op: SymmetricOperator, cfg: SolverConfig) -> tuple[Spectrum, IterationTrace]:
-    """``lobpcg_smallest``, with a lost basis reported as a failed solve."""
+def _lobpcg(op: SymmetricOperator, k: int, solver: SolverConfig,
+            kind: LaplacianKind) -> tuple[Spectrum, IterationTrace]:
+    """``lobpcg_smallest`` for k pairs of the kind and a gap partner; a lost basis is a failed solve."""
     try:
-        return lobpcg_smallest(op, cfg)
+        return lobpcg_smallest(op, k, solver, kind.deflates_ones, gap_partner=True)
     except BasisDegenerateError as exc:
         raise SolverFailedError(str(exc)) from exc
 

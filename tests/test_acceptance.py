@@ -162,13 +162,12 @@ def test_criterion_7_lobpcg_matches_dense_oracle():
         op = laplacian(g, "standard")
         k = 4
         cfg = SolverConfig(
-            k=k,
             block_size=min(k + 2, g.n - 1),
             tol=1e-9,
             max_iter=2000,
             seed=int(rng.integers(1 << 20)),
         )
-        s, trace = lobpcg_smallest(op, cfg)
+        s, trace = lobpcg_smallest(op, k, cfg)
         oracle = dense_spectrum(op)
         for c in range(k):
             if not s.converged[c]:

@@ -47,18 +47,19 @@ def count_dense_eigensolves(monkeypatch) -> list:
     return calls
 
 
-def record_solver_configs(monkeypatch, *modules) -> list:
-    """Record the SolverConfig of every lobpcg_smallest call made through the modules."""
-    configs = []
+def record_solves(monkeypatch, *modules) -> list:
+    """Record (k, config, block columns) of every lobpcg_smallest call made through the modules."""
+    solves = []
     solve = signedcut.eigen.lobpcg_smallest
 
-    def recording(op, cfg):
-        configs.append(cfg)
-        return solve(op, cfg)
+    def recording(op, k, cfg, *args, **kwargs):
+        s, trace = solve(op, k, cfg, *args, **kwargs)
+        solves.append((k, cfg, s.eigenvectors.shape[1]))
+        return s, trace
 
     for module in modules:
         monkeypatch.setattr(module, "lobpcg_smallest", recording)
-    return configs
+    return solves
 
 
 class TestGen:
@@ -284,7 +285,7 @@ class TestSolverWiring:
     def test_partition_and_spectrum_precondition(self, tmp_path, capsys, monkeypatch):
         gfile = str(tmp_path / "neg.mtx")
         save_graph(path_string(StringSpec(30, overrides=((12, -0.05),))), gfile)
-        configs = record_solver_configs(monkeypatch, signedcut.cli, signedcut.partition)
+        solves = record_solves(monkeypatch, signedcut.cli, signedcut.partition)
         for kind in ("standard", "signed"):
             code, _, _ = run(capsys, "partition", gfile, "--laplacian", kind, "--solver", "lobpcg",
                              "--max-iter", "1000", "--out", str(tmp_path / f"p-{kind}.json"))
@@ -292,11 +293,11 @@ class TestSolverWiring:
         code, _, _ = run(capsys, "spectrum", gfile, "--solver", "lobpcg", "--k", "3",
                          "--out", str(tmp_path / "m.csv"))
         assert code == 0
-        assert len(configs) == 3
-        assert all(cfg.precondition for cfg in configs)
+        assert len(solves) == 3
+        assert all(cfg.precondition for _, cfg, _ in solves)
         # partition wants the Fiedler pair alone, in a block of two for its gap
-        assert [cfg.k for cfg in configs] == [1, 1, 3]
-        assert [cfg.effective_block_size for cfg in configs] == [2, 2, 3]
+        assert [k for k, _, _ in solves] == [1, 1, 3]
+        assert [block for _, _, block in solves] == [2, 2, 3]
 
     def test_truncated_iteration_study_is_unpreconditioned(self, tmp_path, capsys, monkeypatch):
         def no_preconditioner(*args, **kwargs):
@@ -598,6 +599,24 @@ def test_usage_error_exit_2_with_one_report(flags, tmp_path, capsys):
     assert len(reports) == 1
     assert reports[0]["exit_code"] == 2 and reports[0]["error"]
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("solver", ["dense", "lobpcg"])
+@pytest.mark.parametrize("command, flags, error", [
+    ("partition", ("--tol", "-1"), "tol must be positive, got -1.0"),
+    ("partition", ("--block-size", "0"), "block_size must be >= 1, got 0"),
+    ("spectrum", ("--max-iter", "0"), "max_iter must be >= 1, got 0"),
+])
+def test_invalid_solver_knobs_exit_2_on_both_routes(command, flags, error, solver, tmp_path, capsys):
+    gfile = str(tmp_path / "p.mtx")
+    save_graph(path_string(StringSpec(20)), gfile)
+    out = tmp_path / "out"
+    code = main([command, gfile, "--solver", solver, *flags, "--out", str(out)])
+    captured = capsys.readouterr()
+    reports = [json.loads(line) for line in captured.err.splitlines() if line.startswith("{")]
+    assert code == 2 and len(reports) == 1
+    assert reports[0]["exit_code"] == 2 and reports[0]["error"] == error
+    assert not out.exists()
 
 
 def test_report_always_emitted(tmp_path, capsys):

@@ -1,5 +1,6 @@
 import importlib.util
 import math
+import re
 import sys
 from pathlib import Path
 
@@ -171,8 +172,8 @@ class TestDeflatedSpectrum:
 class TestLobpcg:
     def test_unit_path_matches_oracle(self):
         op = laplacian(path_string(StringSpec(75)), "standard")
-        cfg = SolverConfig(k=5, block_size=8, tol=1e-8, max_iter=500, seed=3)
-        s, trace = lobpcg_smallest(op, cfg)
+        cfg = SolverConfig(block_size=8, tol=1e-8, max_iter=500, seed=3)
+        s, trace = lobpcg_smallest(op, 5, cfg)
         oracle = dense_spectrum(op)
         # the whole block of 8 comes back; the 5 wanted pairs lead
         assert s.k == 8 and s.converged[:5].all()
@@ -183,9 +184,8 @@ class TestLobpcg:
     def test_truncated_string_keeps_sign_change_at_negative_edge(self):
         g = path_string(StringSpec(75, overrides=((36, -0.05),)))
         op = laplacian(g, "standard")
-        cfg = SolverConfig(k=5, block_size=5, tol=1e-8, max_iter=30, seed=11,
-                           deflate_ones=True)
-        s, trace = lobpcg_smallest(op, cfg)
+        cfg = SolverConfig(block_size=5, tol=1e-8, max_iter=30, seed=11)
+        s, trace = lobpcg_smallest(op, 5, cfg, deflate_ones=True)
         assert not s.converged.all()
         lead = s.eigenvectors[:, 0]
         assert lead[36] * lead[37] < 0
@@ -193,8 +193,8 @@ class TestLobpcg:
     def test_negative_eigenvalue_2x2_with_deflation(self):
         g = graph_from_edges(2, [(0, 1, -1.0)])
         op = laplacian(g, "standard")
-        s, _ = lobpcg_smallest(op, SolverConfig(k=1, block_size=1, tol=1e-10,
-                                                max_iter=50, seed=0, deflate_ones=True))
+        s, _ = lobpcg_smallest(op, 1, SolverConfig(block_size=1, tol=1e-10, max_iter=50, seed=0),
+                               deflate_ones=True)
         assert s.eigenvalues[0] == pytest.approx(-2.0, abs=1e-10)
         v = s.eigenvectors[:, 0]
         assert abs(abs(v[0]) - abs(v[1])) < 1e-8 and v[0] * v[1] < 0
@@ -205,9 +205,9 @@ class TestLobpcg:
             g = random_graph(rng)
             op = laplacian(g, "standard")
             k = min(3, g.n - 1)
-            cfg = SolverConfig(k=k, block_size=k, tol=1e-8, max_iter=500,
-                               seed=int(rng.integers(1 << 20)), deflate_ones=True)
-            s, _ = lobpcg_smallest(op, cfg)
+            cfg = SolverConfig(block_size=k, tol=1e-8, max_iter=500,
+                               seed=int(rng.integers(1 << 20)))
+            s, _ = lobpcg_smallest(op, k, cfg, deflate_ones=True)
             ones = np.ones(g.n) / math.sqrt(g.n)
             assert np.abs(s.eigenvectors.T @ ones).max() <= 1e-8
 
@@ -217,18 +217,18 @@ class TestLobpcg:
             g = random_graph(rng)
             op = laplacian(g, "standard")
             k = min(4, g.n - 1)
-            cfg = SolverConfig(k=k, block_size=k, tol=1e-9, max_iter=300,
+            cfg = SolverConfig(block_size=k, tol=1e-9, max_iter=300,
                                seed=int(rng.integers(1 << 20)))
-            _, trace = lobpcg_smallest(op, cfg)
+            _, trace = lobpcg_smallest(op, k, cfg)
             ritz = np.array(trace.ritz_values)
             if len(ritz) > 1:
                 assert np.diff(ritz, axis=0).max() <= 1e-12
 
     def test_bitwise_deterministic(self):
         op = laplacian(path_string(StringSpec(40, overrides=((10, -0.3),))), "standard")
-        cfg = SolverConfig(k=3, block_size=4, tol=1e-9, max_iter=200, seed=42)
-        s1, t1 = lobpcg_smallest(op, cfg)
-        s2, t2 = lobpcg_smallest(op, cfg)
+        cfg = SolverConfig(block_size=4, tol=1e-9, max_iter=200, seed=42)
+        s1, t1 = lobpcg_smallest(op, 3, cfg)
+        s2, t2 = lobpcg_smallest(op, 3, cfg)
         assert s1.eigenvalues.tobytes() == s2.eigenvalues.tobytes()
         assert s1.eigenvectors.tobytes() == s2.eigenvectors.tobytes()
         assert len(t1) == len(t2)
@@ -237,8 +237,8 @@ class TestLobpcg:
 
     def test_unconverged_is_flagged_not_raised(self):
         op = laplacian(path_string(StringSpec(75)), "standard")
-        cfg = SolverConfig(k=3, block_size=3, tol=1e-12, max_iter=3, seed=0)
-        s, trace = lobpcg_smallest(op, cfg)
+        cfg = SolverConfig(block_size=3, tol=1e-12, max_iter=3, seed=0)
+        s, trace = lobpcg_smallest(op, 3, cfg)
         assert not s.converged.all()
         assert len(trace) == 3
 
@@ -247,17 +247,46 @@ class TestLobpcg:
         op = laplacian(path_string(StringSpec(4)), "standard")
         for block, deflate in ((5, False), (4, True)):
             with pytest.raises(ValueError):
-                lobpcg_smallest(op, SolverConfig(k=block, block_size=block, deflate_ones=deflate))
-        s, _ = lobpcg_smallest(op, SolverConfig(k=4, block_size=4))
+                lobpcg_smallest(op, block, SolverConfig(block_size=block), deflate)
+        s, _ = lobpcg_smallest(op, 4, SolverConfig(block_size=4))
         assert s.converged.all()
         np.testing.assert_allclose(s.eigenvalues, path_eigenvalues(4), atol=1e-12)
+
+    @pytest.mark.parametrize("knob", [{"block_size": 0}, {"tol": 0.0}, {"tol": math.nan},
+                                      {"max_iter": 0}])
+    def test_invalid_config_raises(self, knob):
+        with pytest.raises(ValueError):
+            SolverConfig(**knob)
+
+    @pytest.mark.parametrize("k, block, message", [
+        (0, None, "k must be >= 1, got 0"),
+        (3, 2, "block_size 2 smaller than k 3"),
+        (1, 11, "block_size 11 too large for a solve space of dimension 10"),
+    ])
+    def test_invalid_problem_raises(self, k, block, message):
+        op = laplacian(path_string(StringSpec(10)), "signed")
+        with pytest.raises(ValueError, match=re.escape(message)):
+            lobpcg_smallest(op, k, SolverConfig(block_size=block))
+
+    @pytest.mark.parametrize("n, deflate, k, block, columns", [
+        (10, False, 1, None, 2),
+        (10, True, 2, None, 3),
+        (10, False, 1, 5, 5),
+        (3, True, 2, None, 2),
+        (2, True, 1, None, 1),
+        (10, False, 2, 1, 3),
+    ])
+    def test_gap_partner_adds_a_column_where_there_is_room(self, n, deflate, k, block, columns):
+        op = laplacian(path_string(StringSpec(n)), "standard")
+        s, _ = lobpcg_smallest(op, k, SolverConfig(block_size=block), deflate, gap_partner=True)
+        assert s.k == columns
 
     def test_residual_norms_below_the_normal_range(self):
         """At weights of 1e-165 a residual's squares underflow unless it is scaled first."""
         g = path_string(StringSpec(8, overrides=((3, -0.3),)))
         c = 1e-165
         op = laplacian(scale_weights(g, c), "standard")
-        s, _ = lobpcg_smallest(op, SolverConfig(k=1, block_size=2, deflate_ones=True))
+        s, _ = lobpcg_smallest(op, 1, SolverConfig(block_size=2), deflate_ones=True)
         want = dense_spectrum(laplacian(g, "standard"), deflate_ones=True).eigenvalues[0]
         assert s.converged[0] and s.eigenvalues[0] / c == pytest.approx(want, abs=1e-12)
         # the reported norms are the residuals' own, taken here at unit scale
@@ -271,14 +300,14 @@ class TestLobpcg:
         """Below unit scale tol is relative to ||A||_inf, not absolute."""
         g = scale_weights(path_string(StringSpec(75, overrides=((36, -0.05),))), scale)
         want = fiedler(g, kind)
-        f = fiedler(g, kind, solver=SolverConfig(k=1, precondition=True))
+        f = fiedler(g, kind, solver=SolverConfig(precondition=True))
         assert abs(f.eigenvalue - want.eigenvalue) <= 1e-10 * scale
         assert 1.0 - abs(float(f.vector @ want.vector)) <= 1e-10
 
     def test_residual_norms_and_orthonormality(self):
         op = laplacian(path_string(StringSpec(30)), "standard")
-        cfg = SolverConfig(k=3, block_size=5, tol=1e-9, max_iter=400, seed=5)
-        s, _ = lobpcg_smallest(op, cfg)
+        cfg = SolverConfig(block_size=5, tol=1e-9, max_iter=400, seed=5)
+        s, _ = lobpcg_smallest(op, 3, cfg)
         # every column of the block, wanted or not, with its own residual
         assert s.residual_norms.shape == s.converged.shape == (5,)
         assert s.converged[:3].all()
@@ -313,9 +342,9 @@ class TestLobpcgMatvecCount:
         g = path_string(StringSpec(3000, overrides=((1499, -0.05),)))
         op = laplacian(g, kind)
         calls = count_block_matvecs(op)
-        cfg = SolverConfig(k=2 if kind == "standard" else 3, block_size=5, tol=1e-5,
-                           max_iter=200, seed=1, deflate_ones=kind == "standard")
-        _, trace = lobpcg_smallest(op, cfg)
+        cfg = SolverConfig(block_size=5, tol=1e-5, max_iter=200, seed=1)
+        _, trace = lobpcg_smallest(op, 2 if kind == "standard" else 3, cfg,
+                                   deflate_ones=kind == "standard")
         assert len(trace) == 200
         assert len(calls) <= len(trace) + 2
 
@@ -324,8 +353,8 @@ class TestLobpcgMatvecCount:
         g = random_graph(rng, n_max=200, density=0.05)
         op = laplacian(g, "standard")
         calls = count_block_matvecs(op)
-        cfg = SolverConfig(k=3, block_size=4, tol=1e-9, max_iter=300, seed=2, deflate_ones=True)
-        s, trace = lobpcg_smallest(op, cfg)
+        cfg = SolverConfig(block_size=4, tol=1e-9, max_iter=300, seed=2)
+        s, trace = lobpcg_smallest(op, 3, cfg, deflate_ones=True)
         assert s.converged[:3].all() and len(trace) > 5
         assert len(calls) <= len(trace) + 2
 
@@ -336,9 +365,8 @@ def assert_lockstep_matches_serial(op, seeds, tol, max_iter, deflate_ones):
     assert theta.shape == (len(seeds),) and V.shape == (op.n, len(seeds))
     iterations = []
     for b, seed in enumerate(seeds):
-        cfg = SolverConfig(k=1, block_size=1, tol=tol, max_iter=max_iter, seed=seed,
-                           deflate_ones=deflate_ones)
-        s, trace = lobpcg_smallest(op, cfg)
+        cfg = SolverConfig(block_size=1, tol=tol, max_iter=max_iter, seed=seed)
+        s, trace = lobpcg_smallest(op, 1, cfg, deflate_ones)
         v = s.eigenvectors[:, 0]
         assert theta[b] == pytest.approx(s.eigenvalues[0], abs=1e-12)
         assert min(np.abs(V[:, b] - v).max(), np.abs(V[:, b] + v).max()) <= 1e-10
@@ -506,10 +534,11 @@ def solver_cases(draw):
     g = graph_from_arrays(n, i[keep], j[keep], w)
     m = draw(st.integers(1, min(n - 1, 8)))
     k = draw(st.integers(1, m))
-    cfg = SolverConfig(k=k, block_size=m, tol=1e-9, max_iter=1000,
-                       seed=draw(st.integers(0, 2**20)), deflate_ones=draw(st.booleans()),
+    seed = draw(st.integers(0, 2**20))
+    deflate = draw(st.booleans())
+    cfg = SolverConfig(block_size=m, tol=1e-9, max_iter=1000, seed=seed,
                        precondition=draw(st.booleans()))
-    return g, draw(st.sampled_from(["standard", "signed"])), cfg
+    return g, draw(st.sampled_from(["standard", "signed"])), k, cfg, deflate
 
 
 @settings(max_examples=80, deadline=None)
@@ -519,19 +548,19 @@ def test_lobpcg_matches_dense_on_generated_graphs(case):
 
     The same bounds hold with and without the Jacobi preconditioner.
     """
-    g, kind, cfg = case
+    g, kind, k, cfg, deflate = case
     op = laplacian(g, kind)
-    if cfg.deflate_ones:
+    if deflate:
         try:
             oracle = dense_spectrum(op, deflate_ones=True)
         except ValueError:
             with pytest.raises(ValueError, match="not an eigenvector"):
-                lobpcg_smallest(op, cfg)
+                lobpcg_smallest(op, k, cfg, deflate_ones=True)
             return
     else:
         oracle = dense_spectrum(op)
-    s, trace = lobpcg_smallest(op, cfg)
-    for c in np.flatnonzero(s.converged[: cfg.k]):
+    s, trace = lobpcg_smallest(op, k, cfg, deflate)
+    for c in np.flatnonzero(s.converged[:k]):
         assert abs(s.eigenvalues[c] - oracle.eigenvalues[c]) <= 1e-7
         # the eigenspace of every oracle eigenvalue within the matching tolerance
         J = np.flatnonzero(np.abs(oracle.eigenvalues - s.eigenvalues[c]) <= 1e-7)
@@ -584,7 +613,7 @@ class TestJacobiPreconditioner:
 @settings(max_examples=60, deadline=None)
 @given(solver_cases())
 def test_gershgorin_shift_bounds_the_spectrum_from_below(case):
-    g, kind, _ = case
+    g, kind, *_ = case
     op = laplacian(g, kind)
     lam_min = float(np.linalg.eigvalsh(op.dense())[0])
     assert op.gershgorin_lower <= lam_min + 1e-12 * max(1.0, op.norm_inf)
@@ -693,14 +722,13 @@ class TestMultilevelPreconditioner:
         for kind in ("standard", "signed"):
             op = laplacian(g, kind)
             assert multilevel_preconditioner(op, 2) is None
-            cfg = SolverConfig(k=2, block_size=4, tol=1e-6, max_iter=60, seed=1,
-                               deflate_ones=kind == "standard", precondition=True)
-            s, trace = lobpcg_smallest(op, cfg)
+            cfg = SolverConfig(block_size=4, tol=1e-6, max_iter=60, seed=1, precondition=True)
+            s, trace = lobpcg_smallest(op, 2, cfg, kind == "standard")
             with monkeypatch.context() as mp:
                 # W = T R with T the Jacobi diagonal, as before the hierarchy existed
                 T = jacobi_preconditioner(op)[:, None]
                 mp.setattr(signedcut.eigen, "_preconditioner", lambda op, k: lambda R: T * R)
-                s_jacobi, trace_jacobi = lobpcg_smallest(op, cfg)
+                s_jacobi, trace_jacobi = lobpcg_smallest(op, 2, cfg, kind == "standard")
             assert len(trace) == len(trace_jacobi)
             np.testing.assert_array_equal(s.eigenvalues, s_jacobi.eigenvalues)
             np.testing.assert_array_equal(s.eigenvectors, s_jacobi.eigenvectors)
@@ -728,9 +756,8 @@ class TestMultilevelPreconditioner:
         op = laplacian(g, kind)
         assert multilevel_preconditioner(op, 2).levels[0].op.n == 3000
         k = 2 if kind == "standard" else 3
-        cfg = SolverConfig(k=k, block_size=5, tol=1e-5, max_iter=200, seed=1,
-                           deflate_ones=kind == "standard", precondition=True)
-        s, trace = lobpcg_smallest(op, cfg)
+        cfg = SolverConfig(block_size=5, tol=1e-5, max_iter=200, seed=1, precondition=True)
+        s, trace = lobpcg_smallest(op, k, cfg, deflate_ones=kind == "standard")
         assert s.converged[:k].all() and len(trace) < 100
         _, _, w = g.edge_arrays()
         lam = linalg.eigh_tridiagonal(op.diagonal, -w, eigvals_only=True,
@@ -763,7 +790,7 @@ def test_lobpcg_fiedler_matches_eigsh_above_dense_threshold(kind):
     eigsh = pytest.importorskip("scipy.sparse.linalg").eigsh
     n = 5000
     g = random_signed_arrays(n, 6 * n, seed=17)
-    f = fiedler(g, kind, solver=SolverConfig(k=2, block_size=5, tol=1e-8, max_iter=500, seed=4))
+    f = fiedler(g, kind, solver=SolverConfig(block_size=5, tol=1e-8, max_iter=500, seed=4))
     ii, jj, ww = g.edge_arrays()
     A = sparse.coo_matrix((ww, (ii, jj)), shape=(n, n)).tocsr()
     A = A + A.T

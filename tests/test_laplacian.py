@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from signedcut import (
     cobra,
     degrees,
     dumbbell,
+    graph_from_arrays,
     graph_from_edges,
     laplacian,
     negate_weights,
@@ -260,3 +263,27 @@ def test_degree_diagonal_matches_dense():
         np.testing.assert_allclose(
             np.diag(laplacian(g, "signed").dense()), degrees(g, "absolute-sum")
         )
+
+
+def test_only_the_standard_kind_deflates_ones():
+    """Ones is a null vector of every standard Laplacian; the signed kind keeps its whole spectrum."""
+    assert LaplacianKind.STANDARD.deflates_ones
+    assert not LaplacianKind.SIGNED.deflates_ones
+
+
+@pytest.mark.parametrize("kind", list(LaplacianKind))
+def test_operator_keeps_no_copy_of_the_edges(kind):
+    """The operator holds its diagonal and radii, 2n floats; the edges stay the graph's."""
+    n = 20000
+    v = np.arange(n)
+    i, j = np.tile(v, 6), np.concatenate([(v + d) % n for d in range(1, 7)])
+    g = graph_from_arrays(n, i, j, np.random.default_rng(0).uniform(-1.0, 1.0, len(i)))
+    tracemalloc.start()
+    try:
+        op = laplacian(g, kind)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    # a doubled (i, j, w) copy would be 48 bytes per edge
+    assert held <= 8 * g.m
+    assert op.matmat(np.ones(n)).shape == (n,)

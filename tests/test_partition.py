@@ -120,7 +120,7 @@ class TestFiedler:
 
     def test_lobpcg_solver_route_matches_dense(self):
         g = dumbbell()
-        cfg = SolverConfig(k=2, tol=1e-10, max_iter=500, seed=4)
+        cfg = SolverConfig(tol=1e-10, max_iter=500, seed=4)
         for kind in LaplacianKind:
             f_dense = fiedler(g, kind)
             f_iter = fiedler(g, kind, solver=cfg)
@@ -135,7 +135,7 @@ class TestFiedler:
 
     def test_preconditioned_lobpcg_route_matches_dense(self):
         g = dumbbell()
-        cfg = SolverConfig(k=2, tol=1e-10, max_iter=500, seed=4, precondition=True)
+        cfg = SolverConfig(tol=1e-10, max_iter=500, seed=4, precondition=True)
         for kind in LaplacianKind:
             f_dense = fiedler(g, kind)
             f_iter = fiedler(g, kind, solver=cfg)
@@ -149,7 +149,7 @@ class TestFiedler:
 
     def test_lobpcg_unconverged_raises_solver_failed(self):
         g = path_string(StringSpec(60))
-        cfg = SolverConfig(k=2, tol=1e-12, max_iter=2, seed=0)
+        cfg = SolverConfig(tol=1e-12, max_iter=2, seed=0)
         with pytest.raises(SolverFailedError, match=r"unconverged after 2 iterations \(residual \d"):
             fiedler(g, "standard", solver=cfg)
 
@@ -158,15 +158,15 @@ class TestFiedler:
         # passes the test (1.4e-31), the final explicit one does not
         solve, finals = signedcut.partition.lobpcg_smallest, []
 
-        def recording(op, cfg):
-            s, trace = solve(op, cfg)
+        def recording(*args, **kwargs):
+            s, trace = solve(*args, **kwargs)
             finals.append(s.residual_norms[0])
             return s, trace
 
         monkeypatch.setattr(signedcut.partition, "lobpcg_smallest", recording)
         g = path_string(StringSpec(2, overrides=((0, -1.0),)))
         with pytest.raises(SolverFailedError) as failed:
-            fiedler(g, "signed", solver=SolverConfig(k=1, tol=1e-17, seed=0, precondition=True))
+            fiedler(g, "signed", solver=SolverConfig(tol=1e-17, seed=0, precondition=True))
         assert finals[-1] > 1e-17
         assert f"(residual {finals[-1]:.3e})" in str(failed.value)
 
@@ -193,7 +193,7 @@ def positive_random_graph(seed):
 class TestIterativeRoute:
     """One wanted pair: the Fiedler column converges, its partner gives the gap."""
 
-    CFG = SolverConfig(k=1, tol=1e-8, max_iter=1000, seed=3, precondition=True)
+    CFG = SolverConfig(tol=1e-8, max_iter=1000, seed=3, precondition=True)
 
     @pytest.mark.parametrize("g", [
         pytest.param(path_string(StringSpec(4)), id="path-4"),
@@ -225,7 +225,7 @@ class TestIterativeRoute:
     @pytest.mark.parametrize("block", [None, 5])
     def test_cobra_signed_vector_is_exactly_zero_at_vertex_1(self, seed, block):
         """The paper's degenerate example has no bisection on either route."""
-        cfg = SolverConfig(k=1, block_size=block, seed=seed, precondition=True)
+        cfg = SolverConfig(block_size=block, seed=seed, precondition=True)
         f = fiedler(cobra(), "signed", solver=cfg)
         assert f.vector[0] == 0.0 and not math.copysign(1.0, f.vector[0]) < 0
         assert (f.vector[1:] > 0).all()
@@ -256,25 +256,25 @@ class TestIterativeRoute:
         # a ring with one tiny negative edge: the signed kind's column 0 is
         # near-constant, and the first solve stops once it converges
         g = near_constant_ring(n)
-        configs = []
+        wanted = []
         solve = signedcut.partition.lobpcg_smallest
 
-        def recording(op, cfg):
-            configs.append(cfg)
-            return solve(op, cfg)
+        def recording(op, k, *args, **kwargs):
+            wanted.append(k)
+            return solve(op, k, *args, **kwargs)
 
         monkeypatch.setattr(signedcut.partition, "lobpcg_smallest", recording)
         f = fiedler(g, "signed", solver=self.CFG)
         dense = fiedler(g, "signed")
         assert f.skipped_constant and dense.skipped_constant
-        assert [c.k for c in configs] == [1, 2]
+        assert wanted == [1, 2]
         assert f.eigenvalue == pytest.approx(dense.eigenvalue, abs=1e-8)
         L = laplacian(g, "signed").dense()
         assert np.linalg.norm(L @ f.vector - f.eigenvalue * f.vector) <= 2e-8 * max(1.0, f.eigenvalue)
 
     def test_skipped_column_1_unconverged_after_the_rerun_raises(self):
         g = near_constant_ring(30)
-        cfg = SolverConfig(k=1, tol=1e-8, max_iter=2, seed=3, precondition=True)
+        cfg = SolverConfig(tol=1e-8, max_iter=2, seed=3, precondition=True)
         with pytest.raises(SolverFailedError, match=r"near-constant column 0 .* column 1 unconverged"):
             fiedler(g, "signed", solver=cfg)
 
@@ -295,7 +295,7 @@ SIGN_GRAPHS = {
 
 
 @pytest.mark.parametrize("solver", [
-    None, SolverConfig(k=2, tol=1e-8, max_iter=1000, seed=0, precondition=True),
+    None, SolverConfig(tol=1e-8, max_iter=1000, seed=0, precondition=True),
 ], ids=["dense", "lobpcg"])
 @pytest.mark.parametrize("kind", ["standard", "signed"])
 @pytest.mark.parametrize("name", list(SIGN_GRAPHS))
