@@ -30,9 +30,9 @@ from .eigen import (
     dense_spectrum,
     lobpcg_smallest,
     solve_space_dimension,
+    unit_with_exact_zeros,
 )
 from .errors import (
-    BasisDegenerateError,
     DegenerateVectorError,
     MultiComponentError,
     SignedCutError,
@@ -262,6 +262,11 @@ def _side_sizes(p: Partition) -> tuple[int, int]:
     return size_a, p.n - size_a
 
 
+def _side_a(p: Partition) -> list[int]:
+    """The 1-based vertex labels of side A, ascending."""
+    return (np.flatnonzero(p.side == 0) + 1).tolist()
+
+
 def cmd_partition(args, outputs: list[str], warnings: list[str]) -> dict:
     g = load_graph(args.graph)
     f = fiedler(g, LaplacianKind(args.laplacian), solver=_solver_config(args))
@@ -427,7 +432,7 @@ def demo_noisy_string(args, outputs, warnings) -> dict:
         warnings.append("signed: two smallest eigenvalues form a cluster")
     return {
         "n": n,
-        "standard_side_a": sorted(v + 1 for v in p.set_a),
+        "standard_side_a": _side_a(p),
         "signed_clustered_warning": f_sgn.clustered_warning,
         "signed_gap": f_sgn.gap,
     }
@@ -440,14 +445,16 @@ def demo_cobra(args, outputs, warnings) -> dict:
     outputs.append(os.path.join(out, "cobra.mtx"))
     doc: dict = {"n": g.n}
     p_std = bisect(fiedler(g, LaplacianKind.STANDARD))
-    doc["standard_side_a"] = sorted(v + 1 for v in p_std.set_a)
+    doc["standard_side_a"] = _side_a(p_std)
     m = cut_metrics(g, p_std)
     doc["standard_metrics"] = {"cut": m.cut, "signed_cut": m.signed_cut}
     p_null = bisect(fiedler(nullify_negative(g), LaplacianKind.STANDARD))
-    doc["nullified_side_a"] = sorted(v + 1 for v in p_null.set_a)
+    doc["nullified_side_a"] = _side_a(p_null)
     s = dense_spectrum(laplacian(g, LaplacianKind.SIGNED))
+    f_sgn = select_fiedler(s, LaplacianKind.SIGNED)
     try:
-        bisect(select_fiedler(s, LaplacianKind.SIGNED))
+        # as in fiedler(), a rounding-level component is an exact zero, not a sign
+        bisect(dataclasses.replace(f_sgn, vector=unit_with_exact_zeros(f_sgn.vector)))
         doc["signed_first_bisects"] = True
     except DegenerateVectorError:
         doc["signed_first_bisects"] = False
@@ -468,8 +475,8 @@ def demo_dumbbell(args, outputs, warnings) -> dict:
     m = cut_metrics(g, p_std)
     doc = {
         "n": g.n,
-        "standard_side_a": sorted(v + 1 for v in p_std.set_a),
-        "signed_side_a": sorted(v + 1 for v in p_sgn.set_a),
+        "standard_side_a": _side_a(p_std),
+        "signed_side_a": _side_a(p_sgn),
         "standard_metrics": {
             "cut": m.cut,
             "cut_plus": m.cut_plus,
@@ -543,7 +550,7 @@ def main(argv: list[str] | None = None) -> int:
             print(json.dumps(summary))
     except MultiComponentError as exc:
         code, error = 5, str(exc)
-    except (SolverFailedError, BasisDegenerateError, DegenerateVectorError) as exc:
+    except (SolverFailedError, DegenerateVectorError) as exc:
         code, error = 4, str(exc)
     except (SignedCutError, ValueError) as exc:
         # includes usage errors, empty partition sides, size mismatches, bad flags

@@ -45,10 +45,6 @@ class DimensionTooLargeError(SignedCutError, ValueError):
     """Dense materialization requested above the dense threshold."""
 
 
-class BasisDegenerateError(SignedCutError, RuntimeError):
-    """Eigensolver search subspace lost rank and the restart failed."""
-
-
 class InsufficientSpectrumError(SignedCutError, ValueError):
     """Too few retained eigenvalues for the requested diagnostic."""
 
@@ -58,7 +54,12 @@ class MultiComponentError(SignedCutError, ValueError):
 
 
 class SolverFailedError(SignedCutError, RuntimeError):
-    """Iterative solve did not produce the converged eigenpairs needed."""
+    """A solve did not produce the converged eigenpairs needed."""
+
+
+class BasisDegenerateError(SolverFailedError):
+    """Eigensolver search subspace lost rank and the restart failed, or a
+    dense shifted solve stayed singular."""
 
 
 class DegenerateVectorError(SignedCutError, ValueError):

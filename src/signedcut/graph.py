@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -26,8 +25,6 @@ from .errors import (
     SelfLoopError,
     ZeroWeightError,
 )
-
-Edge = tuple[int, int, float]
 
 # Largest dimension for which n-by-n dense materializations are offered.
 DENSE_MAX_DIM = 2048
@@ -68,11 +65,6 @@ class SignedGraph:
     @property
     def m(self) -> int:
         return len(self._arrays[2])
-
-    @cached_property
-    def edges(self) -> tuple[Edge, ...]:
-        """The edges as (i, j, w) tuples of Python numbers, built on first use."""
-        return tuple(zip(*(a.tolist() for a in self._arrays)))
 
     def edge_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Return (i, j, w) as read-only numpy arrays."""

@@ -22,7 +22,6 @@ import numpy as np
 
 from .eigen import (
     DenseEigenproblem,
-    IterationTrace,
     SolverConfig,
     Spectrum,
     estimate_largest_eigenvalue,
@@ -30,7 +29,6 @@ from .eigen import (
     unit_with_exact_zeros,
 )
 from .errors import (
-    BasisDegenerateError,
     DegenerateVectorError,
     EmptySideError,
     InsufficientSpectrumError,
@@ -95,18 +93,6 @@ class Partition:
     def n(self) -> int:
         return len(self.side)
 
-    @property
-    def set_a(self) -> frozenset[int]:
-        return frozenset(int(v) for v in np.flatnonzero(self.side == 0))
-
-    @property
-    def set_b(self) -> frozenset[int]:
-        return frozenset(int(v) for v in np.flatnonzero(self.side == 1))
-
-    def as_sets(self) -> frozenset[frozenset[int]]:
-        """Label-free view, for comparisons up to an A/B swap."""
-        return frozenset((self.set_a, self.set_b))
-
 
 @dataclass(frozen=True)
 class CutMetrics:
@@ -142,7 +128,8 @@ def fiedler(
     eigensolver (see ``_fiedler_iterative``).  On a graph without negative
     edges the two Laplacians are the same matrix: both routes give the
     signed kind the standard kind's solve and vector, and a spectrum with
-    an exact 0.0 in front for the ones pair, which it skips.
+    an exact 0.0 in front for the ones pair, which it skips.  A failed
+    solve raises :class:`SolverFailedError` on both routes.
     """
     kind = LaplacianKind(kind)
     if g.n < 2:
@@ -277,13 +264,13 @@ def _fiedler_iterative(op: SymmetricOperator, kind: LaplacianKind, solver: Solve
     component at or below ``n * eps`` times the largest comes back as an
     exact 0, as on the dense route.
     """
-    s, trace = _lobpcg(op, 1, solver, kind)
+    s, trace = lobpcg_smallest(op, 1, solver, kind.deflates_ones, gap_partner=True)
     top = estimate_largest_eigenvalue(op, seed=solver.seed)
     f = select_fiedler(s, kind, top)
     if f.skipped_constant and not s.converged[1]:
         # the stopping test covered column 0 alone: solve once more for two
         # wanted pairs, with their partner where n allows
-        s, trace = _lobpcg(op, 2, solver, kind)
+        s, trace = lobpcg_smallest(op, 2, solver, kind.deflates_ones, gap_partner=True)
         f = select_fiedler(s, kind, top)
     if f.skipped_constant:
         if not s.converged[1]:
@@ -300,15 +287,6 @@ def _fiedler_iterative(op: SymmetricOperator, kind: LaplacianKind, solver: Solve
         )
     # as on the dense route, a rounding-level component is an exact zero
     return replace(f, vector=unit_with_exact_zeros(f.vector))
-
-
-def _lobpcg(op: SymmetricOperator, k: int, solver: SolverConfig,
-            kind: LaplacianKind) -> tuple[Spectrum, IterationTrace]:
-    """``lobpcg_smallest`` for k pairs of the kind and a gap partner; a lost basis is a failed solve."""
-    try:
-        return lobpcg_smallest(op, k, solver, kind.deflates_ones, gap_partner=True)
-    except BasisDegenerateError as exc:
-        raise SolverFailedError(str(exc)) from exc
 
 
 def bisect(f: FiedlerResult, zero_policy: str = "positive-side") -> Partition:

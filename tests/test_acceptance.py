@@ -30,6 +30,7 @@ from signedcut import (
     path_string,
     truncated_iteration_study,
 )
+from test_partition import same_split
 
 
 def _report(criterion: int, elapsed: float, detail: str) -> None:
@@ -103,7 +104,7 @@ def test_criterion_4_cobra_partitions():
     side = bisect(fiedler(g, "standard")).side
     assert side[0] == side[1] and side[2] == side[3] and side[0] != side[2]
     p_deleted = bisect(fiedler(nullify_negative(g), "standard"))
-    assert p_deleted.as_sets() == frozenset([frozenset({0, 1, 2, 3}), frozenset({4, 5})])
+    assert same_split(p_deleted, [0, 0, 0, 0, 1, 1])
     v2 = dense_spectrum(laplacian(g, "signed")).eigenvectors[:, 1]
     if v2[np.argmax(np.abs(v2))] < 0:
         v2 = -v2
@@ -117,7 +118,7 @@ def test_criterion_5_dumbbell_partitions():
     t0 = time.perf_counter()
     g = dumbbell()
     p = bisect(fiedler(g, "standard"))
-    assert p.as_sets() == frozenset([frozenset(range(6)), frozenset(range(6, 13))])
+    assert same_split(p, [0] * 6 + [1] * 7)
     v = fiedler(g, "signed").vector
     if v[np.argmax(np.abs(v))] < 0:
         v = -v
@@ -211,13 +212,13 @@ def test_criterion_8_truncated_iteration_dominance():
 
 def test_criterion_9_noisy_string_outcomes():
     t0 = time.perf_counter()
-    expected = frozenset([frozenset(range(8)), frozenset(range(8, 12))])
+    expected = [0] * 8 + [1] * 4
     good_partition = 0
     warned = 0
     for seed in range(100):
         g = noisy_string(12, (7, -0.5), 1e-2, seed=seed)
         p = bisect(fiedler(g, "standard"))
-        good_partition += p.as_sets() == expected
+        good_partition += same_split(p, expected)
         warned += fiedler(g, "signed").clustered_warning
     assert good_partition >= 95
     assert warned >= 90

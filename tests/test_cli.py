@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 
 from signedcut import (
+    BasisDegenerateError,
+    Spectrum,
     StringSpec,
     cobra,
     dumbbell,
@@ -82,13 +84,33 @@ class TestGen:
         out = str(tmp_path / "tiny.csv")
         code, _, _ = run(capsys, "gen", "path", "--n", "2", "--out", out)
         assert code == 0
-        assert load_graph(out).edges == ((0, 1, 1.0),)
+        assert load_graph(out) == graph_from_edges(2, [(0, 1, 1.0)])
 
     def test_bad_params_exit_2(self, tmp_path, capsys):
         code, _, report = run(capsys, "gen", "path", "--n", "75",
                               "--override", "99:0.0", "--out", str(tmp_path / "x.mtx"))
         assert code == 2
         assert report["error"]
+
+    def test_dumbbell(self, tmp_path, capsys):
+        out = str(tmp_path / "dumbbell.mtx")
+        code, stdout, _ = run(capsys, "gen", "dumbbell", "--out", out)
+        assert code == 0
+        assert load_graph(out) == dumbbell()
+        assert json.loads(stdout) == {"n": 13, "edges": 40}
+
+    @pytest.mark.parametrize("override, error", [
+        ("37", "--override expects EDGE:WEIGHT, got '37'"),
+        ("x:-0.5", "--override expects EDGE:WEIGHT, got 'x:-0.5'"),
+        ("37:heavy", "--override expects EDGE:WEIGHT, got '37:heavy'"),
+        ("0:-0.5", "--override edge numbers are 1-based, got 0"),
+    ])
+    def test_malformed_override_exit_2(self, override, error, tmp_path, capsys):
+        out = tmp_path / "x.mtx"
+        code, _, report = run(capsys, "gen", "path", "--override", override, "--out", str(out))
+        assert code == 2
+        assert report["error"] == error and report["exit_code"] == 2
+        assert not out.exists()
 
     def test_io_failure_exit_3(self, tmp_path, capsys):
         code, _, _ = run(capsys, "gen", "cobra", "--out",
@@ -241,6 +263,36 @@ class TestPartitionCmd:
         save_graph(cobra(), gfile)
         code, _, _ = run(capsys, "partition", gfile, "--laplacian", "signed")
         assert code == 4
+
+    def test_one_vertex_exit_5(self, tmp_path, capsys):
+        gfile = tmp_path / "one.mtx"
+        gfile.write_text("%%MatrixMarket matrix coordinate real symmetric\n1 1 0\n")
+        code, _, report = run(capsys, "partition", str(gfile))
+        assert code == 5
+        assert report["error"] == "need at least two vertices to bisect"
+
+    def test_singular_dense_shift_exit_4(self, tmp_path, capsys, monkeypatch):
+        def singular(a, b):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        gfile = str(tmp_path / "c.mtx")
+        save_graph(cobra(), gfile)
+        monkeypatch.setattr(signedcut.eigen.np.linalg, "solve", singular)
+        code, _, report = run(capsys, "partition", gfile)
+        assert code == 4
+        assert report["error"].startswith("shifted solve at eigenvalue ")
+        assert report["error"].endswith(" stayed singular")
+
+    def test_lost_basis_exit_4_on_the_iterative_route(self, tmp_path, capsys, monkeypatch):
+        def lost(*args, **kwargs):
+            raise BasisDegenerateError("random initial block lost rank")
+
+        gfile = str(tmp_path / "c.mtx")
+        save_graph(cobra(), gfile)
+        monkeypatch.setattr(signedcut.partition, "lobpcg_smallest", lost)
+        code, _, report = run(capsys, "partition", gfile, "--solver", "lobpcg")
+        assert code == 4
+        assert report["error"] == "random initial block lost rank"
 
     def test_degenerate_signed_exit_4_on_the_iterative_route(self, tmp_path, capsys):
         gfile = str(tmp_path / "c.mtx")
@@ -560,6 +612,28 @@ class TestDemo:
         code, _, _ = run(capsys, "demo", "cobra", "--out", str(tmp_path / "cobra"))
         assert code == 0
         assert len(calls) == 3
+
+    def test_cobra_signed_flag_is_not_the_sign_of_rounding(self, tmp_path, capsys, monkeypatch):
+        """eigh leaves rounding at vertex 1 of cobra's signed Fiedler vector
+        (+2.75e-18 with one LAPACK); a negative one must not make it bisect."""
+        spectrum = signedcut.cli.dense_spectrum
+
+        def negative_rounding(op, *args, **kwargs):
+            s = spectrum(op, *args, **kwargs)
+            v = s.eigenvectors.copy()
+            lead = v[:, 0]
+            lead *= np.sign(lead[np.argmax(np.abs(lead))])
+            assert abs(lead[0]) <= 1e-15 and (lead[1:] > 0).all()
+            lead[0] = -2.75e-18
+            return Spectrum(s.eigenvalues, v)
+
+        monkeypatch.setattr(signedcut.cli, "dense_spectrum", negative_rounding)
+        out = tmp_path / "cobra"
+        code, _, report = run(capsys, "demo", "cobra", "--out", str(out))
+        assert code == 0
+        doc = json.loads((out / "cobra.json").read_text())
+        assert doc["signed_first_bisects"] is False
+        assert report["warnings"] == ["signed: first eigenvector has one sign, bisection degenerate"]
 
     def test_gap_study_demo(self, tmp_path, capsys):
         out = str(tmp_path / "gap")

@@ -121,7 +121,8 @@ def component_count(g):
             v = root[v]
         return v
 
-    for i, j, _ in g.edges:
+    ii, jj, _ = g.edge_arrays()
+    for i, j in zip(ii.tolist(), jj.tolist()):
         root[find(i)] = find(j)
     return len({find(v) for v in range(g.n)})
 

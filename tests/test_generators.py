@@ -10,6 +10,7 @@ from signedcut import (
     cobra,
     degrees,
     dumbbell,
+    graph_from_edges,
     laplacian,
     noisy_string,
     nullify_negative,
@@ -20,7 +21,7 @@ from signedcut import (
 class TestPathString:
     def test_single_edge(self):
         g = path_string(StringSpec(2))
-        assert g.edges == ((0, 1, 1.0),)
+        assert g == graph_from_edges(2, [(0, 1, 1.0)])
 
     @pytest.mark.parametrize("n", [3, 4, 20, 75])
     def test_tridiagonal_pattern(self, n):
@@ -31,10 +32,7 @@ class TestPathString:
 
     def test_override(self):
         g = path_string(StringSpec(75, overrides=((36, -0.05),)))
-        weights = {(i, j): w for i, j, w in g.edges}
-        assert weights[(36, 37)] == -0.05
-        assert g.m == 74
-        assert sum(1 for w in weights.values() if w != 1.0) == 1
+        assert g == graph_from_edges(75, [(k, k + 1, -0.05 if k == 36 else 1.0) for k in range(74)])
 
     def test_bad_override_index(self):
         with pytest.raises(IndexOutOfRangeError):
@@ -84,6 +82,18 @@ class TestNoisyString:
         with pytest.raises(IndexOutOfRangeError):
             noisy_string(12, (11, -0.5), 1e-2, seed=0)
 
+    @pytest.mark.parametrize("n", [2, 0])
+    def test_too_short(self, n):
+        with pytest.raises(GraphError) as info:
+            noisy_string(n, (0, -0.5), 1e-2, seed=0)
+        assert type(info.value) is GraphError
+        assert str(info.value) == f"noisy string needs at least 3 vertices, got {n}"
+
+    def test_negative_noise_amplitude(self):
+        with pytest.raises(ValueError) as info:
+            noisy_string(12, (7, -0.5), -1e-2, seed=0)
+        assert str(info.value) == "noise_amp must be >= 0, got -0.01"
+
 
 class TestCobra:
     def test_adjacency(self):
@@ -106,18 +116,16 @@ class TestDumbbell:
         assert dumbbell().m == 15 + 21 + 4
 
     def test_cross_edges_average_to_zero(self):
-        g = dumbbell()
-        cross = [w for i, j, w in g.edges if i < 6 <= j]
+        ii, jj, ww = dumbbell().edge_arrays()
+        cross = ww[(ii < 6) & (jj >= 6)].tolist()
         assert len(cross) == 4
         assert sum(cross) == 0.0
 
     def test_within_clique_weights_are_unit(self):
-        g = dumbbell()
-        for i, j, w in g.edges:
-            if (i < 6 and j < 6) or (i >= 6 and j >= 6):
-                assert w == 1.0
+        ii, jj, ww = dumbbell().edge_arrays()
+        assert (ww[(ii < 6) == (jj < 6)] == 1.0).all()
 
     def test_negative_edges_are_1_7_and_2_8(self):
-        g = dumbbell()
-        negs = sorted((i, j) for i, j, w in g.edges if w < 0)
+        ii, jj, ww = dumbbell().edge_arrays()
+        negs = sorted(zip(ii[ww < 0].tolist(), jj[ww < 0].tolist()))
         assert negs == [(0, 6), (1, 7)]

@@ -1,3 +1,4 @@
+import json
 import re
 import tracemalloc
 
@@ -6,6 +7,7 @@ import pytest
 
 from signedcut import (
     AsymmetricMatrixError,
+    DuplicateEdgeError,
     FormatError,
     SelfLoopError,
     cobra,
@@ -20,6 +22,7 @@ from signedcut import (
     write_edge_csv,
     write_matrix_market,
 )
+from signedcut.cli import main
 from signedcut.io import CHUNK_LINES
 
 from test_graph import random_graph
@@ -40,8 +43,8 @@ def test_round_trip_preserves_awkward_floats(tmp_path):
     path = tmp_path / "g.mtx"
     write_matrix_market(g, path)
     back = read_matrix_market(path)
-    for (_, _, w1), (_, _, w2) in zip(g.edges, back.edges):
-        assert w1 == w2 and np.float64(w1).tobytes() == np.float64(w2).tobytes()
+    assert back == g
+    assert back.edge_arrays()[2].tobytes() == g.edge_arrays()[2].tobytes()
 
 
 def test_cobra_round_trip(tmp_path):
@@ -70,7 +73,7 @@ def test_reader_accepts_general_and_symmetrizes(tmp_path):
         "3 2 -1.0\n"
     )
     g = read_matrix_market(path)
-    assert g.edges == ((0, 1, 2.0), (1, 2, -1.0))
+    assert g == graph_from_edges(3, [(0, 1, 2.0), (1, 2, -1.0)])
 
 
 def test_reader_rejects_asymmetric_general(tmp_path):
@@ -118,7 +121,7 @@ def test_reader_skips_comments_and_blank_lines(tmp_path):
         "\n"
         "2 1 1.0\n"
     )
-    assert read_matrix_market(path).edges == ((0, 1, 1.0),)
+    assert read_matrix_market(path) == graph_from_edges(2, [(0, 1, 1.0)])
 
 def test_reader_rejects_rectangular(tmp_path):
     path = tmp_path / "g.mtx"
@@ -149,7 +152,7 @@ def test_edge_csv_without_count_line(tmp_path):
     path = tmp_path / "g.csv"
     path.write_text("i,j,w\n0,1,1.0\n1,2,-0.5\n")
     g = read_edge_csv(path)
-    assert g.n == 3 and g.edges == ((0, 1, 1.0), (1, 2, -0.5))
+    assert g == graph_from_edges(3, [(0, 1, 1.0), (1, 2, -0.5)])
 
 
 @pytest.mark.parametrize("row", ["0,1.5,1.0", "0,1,heavy", "x,1,1.0"])
@@ -166,6 +169,76 @@ def test_matrix_market_bad_entry_is_format_error(tmp_path, entry):
     path.write_text(f"%%MatrixMarket matrix coordinate real symmetric\n3 3 1\n{entry}\n")
     with pytest.raises(FormatError, match=re.escape(entry)):
         read_matrix_market(path)
+
+
+_BANNER = "%%MatrixMarket matrix coordinate real symmetric\n"
+
+# (file name, contents, error class, message) of files every reader check rejects
+MALFORMED = [
+    ("no-banner.mtx", "2 2 1\n2 1 1.0\n", FormatError, "missing MatrixMarket banner"),
+    ("short-banner.mtx", "%%MatrixMarket matrix coordinate real\n2 2 1\n2 1 1.0\n", FormatError,
+     "malformed banner: '%%MatrixMarket matrix coordinate real'"),
+    ("array.mtx", "%%MatrixMarket matrix array real symmetric\n2 2\n1.0\n", FormatError,
+     "unsupported object/format: matrix array"),
+    ("vector.mtx", "%%MatrixMarket vector coordinate real symmetric\n2 2 1\n2 1 1.0\n", FormatError,
+     "unsupported object/format: vector coordinate"),
+    ("complex.mtx", "%%MatrixMarket matrix coordinate complex symmetric\n2 2 1\n2 1 1.0 0.0\n",
+     FormatError, "unsupported field type: complex"),
+    ("pattern.mtx", "%%MatrixMarket matrix coordinate pattern symmetric\n2 2 1\n2 1\n", FormatError,
+     "unsupported field type: pattern"),
+    ("skew.mtx", "%%MatrixMarket matrix coordinate real skew-symmetric\n2 2 1\n2 1 1.0\n", FormatError,
+     "unsupported symmetry: skew-symmetric"),
+    ("size-line.mtx", _BANNER + "2 2\n2 1 1.0\n", FormatError, "malformed size line: '2 2'"),
+    ("no-size-line.mtx", _BANNER + "% only a comment\n", FormatError, "malformed size line: ''"),
+    ("outside.mtx", _BANNER + "3 3 2\n2 1 1.0\n4 1 1.0\n", FormatError, "entry (4, 1) outside matrix"),
+    ("index-zero.mtx", _BANNER + "3 3 1\n0 1 1.0\n", FormatError, "entry (0, 1) outside matrix"),
+    ("repeated.mtx", _BANNER + "3 3 2\n2 1 1.0\n2 1 2.0\n", DuplicateEdgeError, "repeated coordinate (2, 1)"),
+    ("count.mtx", _BANNER + "3 3 3\n2 1 1.0\n3 2 1.0\n", FormatError, "expected 3 entries, found 2"),
+    ("count-line.csv", "# n=abc\ni,j,w\n0,1,1.0\n", FormatError, "malformed vertex count line: '# n=abc'"),
+    ("empty.csv", "", FormatError, "empty edge-list CSV"),
+    ("count-only.csv", "# n=3\n", FormatError, "empty edge-list CSV"),
+    ("no-edges.csv", "i,j,w\n", FormatError, "edge-list CSV has no edges; vertex count is unknown"),
+]
+
+
+@pytest.mark.parametrize("name, text, error, message", MALFORMED, ids=[m[0] for m in MALFORMED])
+def test_malformed_file_is_rejected(tmp_path, name, text, error, message):
+    path = tmp_path / name
+    path.write_text(text)
+    with pytest.raises(error) as info:
+        load_graph(path)
+    assert type(info.value) is error and str(info.value) == message
+
+
+@pytest.mark.parametrize("name, text, error, message",
+                         [m for m in MALFORMED if m[0] in ("no-banner.mtx", "empty.csv")])
+def test_malformed_file_exits_2_with_one_report(tmp_path, capsys, name, text, error, message):
+    path = tmp_path / name
+    path.write_text(text)
+    code = main(["partition", str(path)])
+    captured = capsys.readouterr()
+    reports = [json.loads(line) for line in captured.err.splitlines() if line.startswith("{")]
+    assert code == 2 and captured.out == ""
+    assert len(reports) == 1
+    assert reports[0]["exit_code"] == 2 and reports[0]["error"] == message
+
+
+@pytest.mark.parametrize("text", [
+    _BANNER + "3 3 3\n2 1 1.0\n3 2 0.0\n3 1 -0.0\n",
+    "%%MatrixMarket matrix coordinate real general\n3 3 4\n1 2 1.0\n2 1 1.0\n2 3 0.0\n3 2 0.0\n",
+])
+def test_explicit_zero_entries_are_dropped(tmp_path, text):
+    path = tmp_path / "g.mtx"
+    path.write_text(text)
+    assert read_matrix_market(path) == graph_from_edges(3, [(0, 1, 1.0)])
+
+
+def test_save_graph_rejects_an_unknown_extension(tmp_path):
+    path = tmp_path / "g.txt"
+    with pytest.raises(FormatError) as info:
+        save_graph(cobra(), path)
+    assert str(info.value) == "unknown graph file extension '.txt' (use .mtx, .mm, or .csv)"
+    assert not path.exists()
 
 
 def test_load_graph_dispatches_on_extension(tmp_path):

@@ -25,7 +25,7 @@ from test_graph import random_graph
 def edge_sum_quadratic(g, x, signed):
     """Independent oracle: sum the quadratic form edge by edge."""
     total = 0.0
-    for i, j, w in g.edges:
+    for i, j, w in zip(*(a.tolist() for a in g.edge_arrays())):
         if signed:
             total += abs(w) * (x[i] - np.sign(w) * x[j]) ** 2
         else:
@@ -211,7 +211,7 @@ def test_shift_identity():
     for g in EXAMPLES:
         diff = laplacian(g, "signed").dense() - laplacian(g, "standard").dense()
         r = np.zeros(g.n)
-        for i, j, w in g.edges:
+        for i, j, w in zip(*(a.tolist() for a in g.edge_arrays())):
             if w < 0:
                 r[i] += -w
                 r[j] += -w
@@ -243,7 +243,8 @@ def test_standard_laplacian_psd_when_nonnegative():
     rng = np.random.default_rng(7)
     for _ in range(20):
         g = random_graph(rng)
-        g = graph_from_edges(g.n, [(i, j, abs(w)) for i, j, w in g.edges])
+        ii, jj, ww = g.edge_arrays()
+        g = graph_from_arrays(g.n, ii, jj, np.abs(ww))
         evals = np.linalg.eigvalsh(laplacian(g, "standard").dense())
         assert evals.min() >= -1e-10
 
