@@ -341,20 +341,34 @@ class MultilevelPreconditioner:
         self._members = [_members(lv.agg) for lv in levels[:-1]]
 
     def __call__(self, R: np.ndarray) -> np.ndarray:
-        return self._cycle(0, np.ascontiguousarray(R))
+        # the cycle's products are elementwise or by column, so their bits do
+        # not depend on R's layout; the result is C-ordered, as the block
+        # products that read it round by layout
+        return np.ascontiguousarray(self._cycle(0, R))
 
     def _cycle(self, depth: int, b: np.ndarray) -> np.ndarray:
         if depth == len(self.levels) - 1:
-            return self._coarse_inv @ b
+            return self._coarse_inv @ np.ascontiguousarray(b)
         lv, smooth, members = self.levels[depth], self._smoothers[depth], self._members[depth]
         n, k = b.shape
         x = smooth * b
-        # P^T r: signed residual rows gathered by aggregate, row n padding with 0
+        # P^T r: signed residual rows summed by aggregate, row n padding with
+        # 0; each n-by-k temporary is freed before the next is made
         r = np.zeros((n + 1, k))
-        np.multiply(b - lv.op.matmat(x), lv.sign[:, None], out=r[:n])
-        rc = np.take(r, members.ravel(), axis=0).reshape(*members.shape, k).sum(axis=0)
-        x += lv.sign[:, None] * np.take(self._cycle(depth + 1, rc), lv.agg, axis=0)
-        x += smooth * (b - lv.op.matmat(x))
+        np.subtract(b, lv.op.matmat(x), out=r[:n])
+        r[:n] *= lv.sign[:, None]
+        rc = r[members[0]]
+        for row in members[1:]:
+            rc += r[row]
+        del r
+        correction = np.take(self._cycle(depth + 1, rc), lv.agg, axis=0)
+        correction *= lv.sign[:, None]
+        x += correction
+        del correction
+        residual = lv.op.matmat(x)
+        np.subtract(b, residual, out=residual)
+        residual *= smooth
+        x += residual
         return x
 
 
@@ -529,7 +543,8 @@ def _orthonormalize(V: np.ndarray, guard: np.ndarray | None = None) -> np.ndarra
                 V = np.ldexp(V, -math.frexp(peak)[1])
                 before = np.einsum("ij,ij->j", V, V)
         if guard is not None:
-            V = V - guard @ (guard.T @ V)
+            projection = guard @ (guard.T @ V)
+            V = np.subtract(V, projection, out=projection)
         G = V.T @ V
         norms = np.sqrt(np.diagonal(G))
         if not 0.0 < norms.max(initial=0.0) < math.inf:
@@ -611,9 +626,17 @@ def lobpcg_smallest(op: SymmetricOperator, k: int, cfg: SolverConfig, deflate_on
     complement of Zk, from an SVD in the small projected space (Duersch,
     Shao, Yang & Gu, 2018).  So P and AP come from the same two block
     products as X and AX, and no normalization of a cancelled
-    n-vector can amplify the rounding in the implicit AP.  The blocks live
-    in column ranges of two preallocated buffers, one written while the
-    other is read.
+    n-vector can amplify the rounding in the implicit AP.
+
+    The blocks live in column ranges of one pair of buffers, V = [ones, X,
+    P, W] and AV, 2 (c + 3m) n-vectors with c = 1 where ones is deflated.
+    The new [X, P] and [AX, AP] are products of those columns, so each goes
+    to a scratch block first and is then copied in; locked columns stay in
+    place.  The preconditioner is built before the buffers and the final
+    explicit residual is taken after they are freed, so a solve's peak is
+    the buffers, R (m n-vectors), the preconditioner and one step's
+    temporaries: about 53-56 n-vectors at block 5 on a random graph with
+    6n edges (``tracemalloc``).
 
     With ``precondition`` W starts from B R instead of R: B is the V-cycle
     of ``multilevel_preconditioner`` when it builds one, else the diagonal T
@@ -633,10 +656,31 @@ def lobpcg_smallest(op: SymmetricOperator, k: int, cfg: SolverConfig, deflate_on
         raise ValueError(f"block_size {m} smaller than k {k}")
     if m > dim:
         raise ValueError(f"block_size {m} too large for a solve space of dimension {dim}")
+    # built first, so that its temporaries are freed before the work buffers exist
+    precondition = _preconditioner(op, k) if cfg.precondition else None
+    theta, X, trace = _lobpcg_iterate(op, k, m, cfg, int(deflate_ones), precondition)
+    # the work buffers were freed on return: the explicit residual A X - X theta needs X alone
+    R = op.matmat(X)
+    R -= X * theta
+    residuals, converged = _residual_check(R, theta, cfg.tol, op.norm_inf)
+    spectrum = Spectrum(
+        eigenvalues=theta, eigenvectors=X, residual_norms=residuals, converged=converged
+    )
+    return spectrum, trace
+
+
+def _lobpcg_iterate(op: SymmetricOperator, k: int, m: int, cfg: SolverConfig, c: int,
+                    precondition: Optional[Callable[[np.ndarray], np.ndarray]]
+                    ) -> tuple[np.ndarray, np.ndarray, IterationTrace]:
+    """The iterations of ``lobpcg_smallest`` with a block of m columns, c = 1 deflating ones.
+
+    Returns the Ritz values in ascending order, their Ritz vectors as a
+    fresh (n, m) array, and the trace.
+    """
+    n = op.n
     rng = np.random.default_rng(cfg.seed)
     X = rng.uniform(-1.0, 1.0, size=(n, m))
-    # column layout of both buffers: [ones (c) | X (m) | P (np_) | W (nw)]
-    c = int(deflate_ones)
+    # column layout of V and AV: [ones (c) | X (m) | P (np_) | W (nw)]
     V = np.empty((n, c + 3 * m), order="F")
     V[:, :c] = 1.0 / math.sqrt(n)
     X = _orthonormalize(X, guard=V[:, :c] if c else None)
@@ -649,10 +693,9 @@ def lobpcg_smallest(op: SymmetricOperator, k: int, cfg: SolverConfig, deflate_on
         _require_ones_null(op, AV[:, 0])
     theta, Z = np.linalg.eigh(X.T @ AV[:, c : c + m])
     V[:, c : c + m] = X @ Z
+    del X
     AV[:, c : c + m] = AV[:, c : c + m] @ Z
-    V2, AV2 = V.copy(order="F"), AV.copy(order="F")
     R = np.empty((n, m), order="F")
-    precondition = _preconditioner(op, k) if cfg.precondition else None
     norm_inf = op.norm_inf
     np_ = 0
     trace = IterationTrace()
@@ -678,7 +721,8 @@ def lobpcg_smallest(op: SymmetricOperator, k: int, cfg: SolverConfig, deflate_on
                 "residual block vanished before reaching the tolerance"
             )
         V[:, w0 : w0 + nw] = W
-        AV[:, w0 : w0 + nw] = op.matmat(W)
+        del W  # V holds it now
+        AV[:, w0 : w0 + nw] = op.matmat(V[:, w0 : w0 + nw])
         S, AS = V[:, x0 : w0 + nw], AV[:, x0 : w0 + nw]
         ritz, Z = np.linalg.eigh(S.T @ AS)
         # P's coefficients: an orthonormal basis, within the complement of
@@ -687,21 +731,24 @@ def lobpcg_smallest(op: SymmetricOperator, k: int, cfg: SolverConfig, deflate_on
         U = U[:, sv > _QR_DROP_TOL * sv.max(initial=0.0)]
         np_ = U.shape[1]
         coef = np.concatenate((Z[:, :na], Z[:, na:] @ U), axis=1)
-        np.matmul(S, coef, out=V2[:, x0 : c + m + np_])
-        np.matmul(AS, coef, out=AV2[:, x0 : c + m + np_])
-        if nlock:
-            V2[:, c:x0] = V[:, c:x0]
-            AV2[:, c:x0] = AV[:, c:x0]
-        V, V2, AV, AV2 = V2, V, AV2, AV
+        # the locked columns c:x0 stay where they are
+        _product_into(V[:, x0 : c + m + np_], S, coef)
+        _product_into(AV[:, x0 : c + m + np_], AS, coef)
         theta[nlock:] = ritz[:na]
     order = np.argsort(theta, kind="stable")
-    theta = theta[order]
-    X = V[:, c : c + m][:, order]
-    residuals, converged = _residual_check(op.matmat(X) - X * theta, theta, cfg.tol, norm_inf)
-    spectrum = Spectrum(
-        eigenvalues=theta, eigenvectors=X, residual_norms=residuals, converged=converged
-    )
-    return spectrum, trace
+    return theta[order], V[:, c : c + m][:, order], trace
+
+
+def _product_into(dest: np.ndarray, S: np.ndarray, coef: np.ndarray) -> None:
+    """``dest[...] = S @ coef``, where S may read dest's own columns.
+
+    The product is formed in a fresh F-ordered array of dest's shape, the
+    layout of dest itself (a column range of an F-ordered buffer), so the
+    GEMM rounds as it would writing into dest.
+    """
+    new = np.empty(dest.shape, order="F")
+    np.matmul(S, coef, out=new)
+    dest[...] = new
 
 
 def lobpcg_lockstep(

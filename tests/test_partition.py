@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -539,6 +540,17 @@ def connected_signed_graphs(draw):
     return graph_from_arrays(n, lo[first], hi[first], w)
 
 
+def orientation_is_rounding(v, tol):
+    """Whether rounding decides the side of v's exact zeros.
+
+    ``bisect`` turns v so that its largest component is positive, and the
+    exact zeros go with that side.  Where a component of the other sign is
+    within ``tol`` of the largest magnitude, the turn is decided by rounding.
+    """
+    near = np.abs(v) >= np.abs(v).max() - tol
+    return bool((v == 0.0).any() and (v[near] > 0.0).any() and (v[near] < 0.0).any())
+
+
 def sides_or_none(f):
     """bisect's sides of a Fiedler result, or None when its components have one sign."""
     try:
@@ -578,10 +590,51 @@ class TestGeneratedInvariants:
         # a nonzero component within the error of 0 has a rounding sign
         assume(not ((np.abs(v1) <= tol) & (v1 != 0)).any())
         assume(not ((np.abs(v2) <= tol) & (v2 != 0)).any())
+        # an exact zero's side follows the largest component's sign, which is
+        # rounding where a component of the other sign ties with it (see
+        # test_automorphic_triangle_takes_one_of_its_two_splits)
+        assume(not orientation_is_rounding(v1, tol) and not orientation_is_rounding(v2, tol))
         s1, s2 = sides_or_none(f1), sides_or_none(f2)
         assert (s1 is None) == (s2 is None)
         if s1 is not None:
             assert same_split(Partition(s2[perm]), s1)
+
+    @pytest.mark.parametrize("perm", list(itertools.permutations(range(3))))
+    def test_automorphic_triangle_takes_one_of_its_two_splits(self, perm):
+        """The triangle (0,1,0.5), (0,2,0.5), (1,2,-1), standard kind, under each labelling.
+
+        Its Fiedler vector is (0, -a, a) up to rounding, and swapping
+        vertices 1 and 2 is an automorphism, so no rule on labels can place
+        vertex 0 equivariantly: rounding picks {0,1}|{2} or {0,2}|{1}, and
+        either is a right answer.
+        """
+        p = np.array(perm)
+        g = graph_from_arrays(3, p[[0, 0, 1]], p[[1, 2, 2]], np.array([0.5, 0.5, -1.0]))
+        f = fiedler(g, "standard")
+        assert orientation_is_rounding(f.vector, 1e-14)
+        side = bisect(f).side[p]
+        assert same_split(Partition(side), [0, 0, 1]) or same_split(Partition(side), [0, 1, 0])
+
+    @settings(max_examples=100, deadline=None)
+    @given(connected_signed_graphs())
+    def test_standard_negation_duality(self, g):
+        """Negating every weight negates the standard Laplacian exactly: each
+        degree is the same sum of the negated weights, in the same order."""
+        negated = laplacian(negate_weights(g), "standard").dense()
+        assert np.array_equal(negated, -laplacian(g, "standard").dense())
+
+    @settings(max_examples=100, deadline=None)
+    @given(connected_signed_graphs(), st.randoms(use_true_random=False))
+    def test_cut_identities(self, g, rnd):
+        """The three cut identities of acceptance criterion 3 on random two-sided partitions."""
+        side = np.array([rnd.randint(0, 1) for _ in range(g.n)], dtype=np.int8)
+        a = rnd.randrange(g.n)
+        side[a], side[(a + 1 + rnd.randrange(g.n - 1)) % g.n] = 0, 1
+        m = cut_metrics(g, Partition(side=side))
+        tol = 1e-12 * float(np.abs(g.edge_arrays()[2]).sum())
+        assert abs(m.cut - (m.cut_plus - m.cut_minus_cross)) <= tol
+        assert abs(m.signed_cut - (2 * m.cut_plus + m.cut_minus_within_a + m.cut_minus_within_b)) <= tol
+        assert abs(m.signed_cut - (2 * m.cut_plus - m.cut_minus_cross + m.total_negative)) <= tol
 
     @settings(max_examples=100, deadline=None)
     @given(connected_signed_graphs(), st.sampled_from(list(LaplacianKind)), st.integers(-100, 100))
