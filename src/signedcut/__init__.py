@@ -48,7 +48,6 @@ from .io import (
 from .laplacian import LaplacianKind, SymmetricOperator, laplacian
 from .eigen import (
     DenseEigenproblem,
-    IterationTrace,
     SolverConfig,
     Spectrum,
     dense_spectrum,
@@ -63,7 +62,6 @@ from .partition import (
     CutMetrics,
     FiedlerGap,
     FiedlerResult,
-    Partition,
     baseline_gap,
     bisect,
     confidence,

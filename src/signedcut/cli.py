@@ -30,7 +30,6 @@ from .eigen import (
     dense_spectrum,
     lobpcg_smallest,
     solve_space_dimension,
-    unit_with_exact_zeros,
 )
 from .errors import (
     DegenerateVectorError,
@@ -55,7 +54,6 @@ from .io import CHUNK_LINES, load_graph, save_graph
 from .laplacian import LaplacianKind, laplacian
 from .partition import (
     FiedlerResult,
-    Partition,
     baseline_gap,
     bisect,
     confidence,
@@ -256,21 +254,21 @@ def cmd_spectrum(args, outputs: list[str], warnings: list[str]) -> dict:
     return {"eigenvalues": [float(v) for v in evals]}
 
 
-def _side_sizes(p: Partition) -> tuple[int, int]:
-    """Vertex counts of sides A and B of a partition whose sides are 0 and 1."""
-    size_a = int(np.count_nonzero(p.side == 0))
-    return size_a, p.n - size_a
+def _side_sizes(side: np.ndarray) -> tuple[int, int]:
+    """Vertex counts of sides A and B of a side array of 0s and 1s."""
+    size_a = int(np.count_nonzero(side == 0))
+    return size_a, len(side) - size_a
 
 
-def _side_a(p: Partition) -> list[int]:
+def _side_a(side: np.ndarray) -> list[int]:
     """The 1-based vertex labels of side A, ascending."""
-    return (np.flatnonzero(p.side == 0) + 1).tolist()
+    return (np.flatnonzero(side == 0) + 1).tolist()
 
 
 def cmd_partition(args, outputs: list[str], warnings: list[str]) -> dict:
     g = load_graph(args.graph)
     f = fiedler(g, LaplacianKind(args.laplacian), solver=_solver_config(args))
-    p = bisect(f, zero_policy=args.zero_policy)
+    side = bisect(f, zero_policy=args.zero_policy)
     conf = confidence(f) if args.emit_confidence else None
     if f.clustered_warning:
         warnings.append(
@@ -282,9 +280,9 @@ def cmd_partition(args, outputs: list[str], warnings: list[str]) -> dict:
             "the gap partner is unconverged: the gap is an upper estimate, "
             "so clustered eigenvalues may go unflagged"
         )
-    doc = partition_json(f, p, conf)
+    doc = partition_json(f, side, conf)
     _emit_json(doc, args.out, outputs)
-    size_a, size_b = _side_sizes(p)
+    size_a, size_b = _side_sizes(side)
     return {"side_a_size": size_a, "side_b_size": size_b}
 
 
@@ -294,17 +292,17 @@ def cmd_metrics(args, outputs: list[str], warnings: list[str]) -> dict:
         pdoc = json.load(fh)
     if not isinstance(pdoc, dict):
         raise SignedCutError("partition file must hold a JSON object")
-    side = pdoc.get("side")
-    if not isinstance(side, list) or pdoc.get("n") != g.n or len(side) != g.n:
+    labels = pdoc.get("side")
+    if not isinstance(labels, list) or pdoc.get("n") != g.n or len(labels) != g.n:
         raise SignedCutError(
             f"partition file does not match graph size n={g.n}"
         )
     # bool is an int subclass: the type test rejects true and false too
-    if not all(type(s) is int and s in (0, 1) for s in side):
+    if not all(type(s) is int and s in (0, 1) for s in labels):
         raise SignedCutError("partition side values must be the integers 0 and 1")
-    p = Partition(side=np.asarray(side, dtype=np.int8))
-    m = cut_metrics(g, p)
-    size_a, size_b = _side_sizes(p)
+    side = np.asarray(labels, dtype=np.int8)
+    m = cut_metrics(g, side)
+    size_a, size_b = _side_sizes(side)
     doc = {"n": g.n, "size_a": size_a, "size_b": size_b, **dataclasses.asdict(m)}
     _emit_json(doc, args.out, outputs)
     return doc
@@ -337,9 +335,9 @@ def _partition_block(
     if f.clustered_warning:
         warnings.append(f"{kind.value}: clustered eigenvalues, unstable Fiedler vector")
     try:
-        p = bisect(f)
-        m = cut_metrics(g, p)
-        block["side"] = p.side.tolist()
+        side = bisect(f)
+        m = cut_metrics(g, side)
+        block["side"] = side.tolist()
         block["cut"] = m.cut
         block["signed_cut"] = m.signed_cut
         block["ratio_cut"] = m.ratio_cut
@@ -425,14 +423,14 @@ def demo_noisy_string(args, outputs, warnings) -> dict:
     _write_modes(g, LaplacianKind.SIGNED, 2,
                  os.path.join(out, "noisy-string-signed.csv"), outputs)
     f_std = fiedler(g, LaplacianKind.STANDARD)
-    p = bisect(f_std)
-    _emit_json(partition_json(f_std, p), os.path.join(out, "noisy-string-partition.json"), outputs)
+    side = bisect(f_std)
+    _emit_json(partition_json(f_std, side), os.path.join(out, "noisy-string-partition.json"), outputs)
     f_sgn = fiedler(g, LaplacianKind.SIGNED)
     if f_sgn.clustered_warning:
         warnings.append("signed: two smallest eigenvalues form a cluster")
     return {
         "n": n,
-        "standard_side_a": _side_a(p),
+        "standard_side_a": _side_a(side),
         "signed_clustered_warning": f_sgn.clustered_warning,
         "signed_gap": f_sgn.gap,
     }
@@ -444,17 +442,16 @@ def demo_cobra(args, outputs, warnings) -> dict:
     save_graph(g, os.path.join(out, "cobra.mtx"))
     outputs.append(os.path.join(out, "cobra.mtx"))
     doc: dict = {"n": g.n}
-    p_std = bisect(fiedler(g, LaplacianKind.STANDARD))
-    doc["standard_side_a"] = _side_a(p_std)
-    m = cut_metrics(g, p_std)
+    side_std = bisect(fiedler(g, LaplacianKind.STANDARD))
+    doc["standard_side_a"] = _side_a(side_std)
+    m = cut_metrics(g, side_std)
     doc["standard_metrics"] = {"cut": m.cut, "signed_cut": m.signed_cut}
-    p_null = bisect(fiedler(nullify_negative(g), LaplacianKind.STANDARD))
-    doc["nullified_side_a"] = _side_a(p_null)
+    side_null = bisect(fiedler(nullify_negative(g), LaplacianKind.STANDARD))
+    doc["nullified_side_a"] = _side_a(side_null)
     s = dense_spectrum(laplacian(g, LaplacianKind.SIGNED))
-    f_sgn = select_fiedler(s, LaplacianKind.SIGNED)
     try:
-        # as in fiedler(), a rounding-level component is an exact zero, not a sign
-        bisect(dataclasses.replace(f_sgn, vector=unit_with_exact_zeros(f_sgn.vector)))
+        # select_fiedler makes a rounding-level component an exact zero, not a sign
+        bisect(select_fiedler(s, LaplacianKind.SIGNED))
         doc["signed_first_bisects"] = True
     except DegenerateVectorError:
         doc["signed_first_bisects"] = False
@@ -470,13 +467,13 @@ def demo_dumbbell(args, outputs, warnings) -> dict:
     out = _demo_dir(args)
     save_graph(g, os.path.join(out, "dumbbell.mtx"))
     outputs.append(os.path.join(out, "dumbbell.mtx"))
-    p_std = bisect(fiedler(g, LaplacianKind.STANDARD))
-    p_sgn = bisect(fiedler(g, LaplacianKind.SIGNED))
-    m = cut_metrics(g, p_std)
+    side_std = bisect(fiedler(g, LaplacianKind.STANDARD))
+    side_sgn = bisect(fiedler(g, LaplacianKind.SIGNED))
+    m = cut_metrics(g, side_std)
     doc = {
         "n": g.n,
-        "standard_side_a": _side_a(p_std),
-        "signed_side_a": _side_a(p_sgn),
+        "standard_side_a": _side_a(side_std),
+        "signed_side_a": _side_a(side_sgn),
         "standard_metrics": {
             "cut": m.cut,
             "cut_plus": m.cut_plus,
@@ -550,7 +547,8 @@ def main(argv: list[str] | None = None) -> int:
             print(json.dumps(summary))
     except MultiComponentError as exc:
         code, error = 5, str(exc)
-    except (SolverFailedError, DegenerateVectorError) as exc:
+    except (SolverFailedError, DegenerateVectorError, np.linalg.LinAlgError) as exc:
+        # a LAPACK failure is a solver failure, not a bad parameter
         code, error = 4, str(exc)
     except (SignedCutError, ValueError) as exc:
         # includes usage errors, empty partition sides, size mismatches, bad flags

@@ -7,7 +7,8 @@ preconditioned by a Jacobi diagonal or by a V-cycle over graphs contracted
 from the operator's own.  Its unpreconditioned single-vector form also
 runs for many start seeds at once, as independent columns in lock step
 (``lobpcg_lockstep``).  Both stop on one test, ``res <= tol *
-max(min(1, ||A||_inf), |theta|)`` (``_residual_check``).  The dense route
+max(min(1, ||A||_inf), |theta|)`` or at the operator's rounding level
+(``_residual_check``).  The dense route
 comes in two forms: the full eigenbasis from ``numpy.linalg.eigh``
 (``dense_spectrum``), and every eigenvalue from ``numpy.linalg.eigvalsh``
 with single eigenvectors from shifted solves (``DenseEigenproblem``),
@@ -18,7 +19,7 @@ ones-complement by a Householder reflector (``_dense_matrix``).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -46,6 +47,12 @@ _ONE_PASS_COND = 10.0
 
 # The deflation requires |A u| <= this times the largest absolute row sum.
 _ONES_RESIDUAL_REL = 1e-10
+
+# A residual column of norm at most this times sqrt(n) eps ||A||_inf is at the
+# operator's rounding level and counts as converged (``_residual_check``).  On
+# the -0.05 strings with n = 75 to 10000, preconditioned solves with a tol no
+# residual reaches stalled at 0.04 to 2.7 times sqrt(n) eps ||A||_inf.
+_ROUNDING_RESIDUAL = 4.0
 
 # ``DenseEigenproblem``.  A second shifted solve is taken when the first
 # leaves a residual above _DENSE_RESIDUAL_REL times max(1, ||A||_inf).  An
@@ -126,16 +133,6 @@ class SolverConfig:
             raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
 
 
-@dataclass
-class IterationTrace:
-    """Per-iteration Ritz values."""
-
-    ritz_values: list[np.ndarray] = field(default_factory=list)
-
-    def __len__(self) -> int:
-        return len(self.ritz_values)
-
-
 def solve_space_dimension(n: int, deflate_ones: bool) -> int:
     """The most pairs, or block columns, a solver can hold: n, less one with ones deflated."""
     return n - int(deflate_ones)
@@ -201,9 +198,9 @@ class DenseEigenproblem:
     ``||A||_inf`` and the solve retried.  The solves run on M scaled by a
     power of two, exactly, so that they work at any weight scale.  A
     vector of the ones-complement is returned as ``H [0; x]``, orthogonal
-    to ones by construction.  A component at or below ``n * eps`` times the
-    largest is rounding and is set to exactly 0, so that a zero policy, not
-    rounding, places it.
+    to ones by construction.  The vector comes back as computed, unit up
+    to rounding: ``select_fiedler`` sets its exact norm, its sign and its
+    exact zeros.
     """
 
     def __init__(self, op: SymmetricOperator, deflate_ones: bool = False):
@@ -217,7 +214,7 @@ class DenseEigenproblem:
         self.eigenvalues = np.linalg.eigvalsh(A) / self._unit
 
     def vector(self, i: int, orthogonal_to: Optional[np.ndarray] = None) -> np.ndarray:
-        """Unit eigenvector of ``eigenvalues[i]``, projected off a unit vector if given."""
+        """Eigenvector of ``eigenvalues[i]``, of norm 1 up to rounding, projected off a unit vector if given."""
         A, lam = self._matrix, float(self.eigenvalues[i]) * self._unit
         x = np.random.default_rng(0).uniform(-1.0, 1.0, size=A.shape[0])
         for _ in range(2):
@@ -228,7 +225,7 @@ class DenseEigenproblem:
         x = _from_complement(self._w, self._beta, x)
         if orthogonal_to is not None:
             x -= float(orthogonal_to @ x) * orthogonal_to
-        return unit_with_exact_zeros(x)
+        return x
 
     def _shifted_solve(self, lam: float, b: np.ndarray) -> np.ndarray:
         """Solve ``(M - sigma I) x = b``, sigma = lam or, if singular there, just below.
@@ -253,14 +250,6 @@ class DenseEigenproblem:
         raise BasisDegenerateError(f"shifted solve at eigenvalue {lam / self._unit!r} stayed singular")
 
 
-def unit_with_exact_zeros(x: np.ndarray) -> np.ndarray:
-    """``x`` scaled to unit norm, with each component at or below ``n * eps``
-    times the largest, which is rounding, set to exactly 0."""
-    x = x / np.linalg.norm(x)
-    x[np.abs(x) <= len(x) * np.finfo(float).eps * np.abs(x).max()] = 0.0
-    return x / np.linalg.norm(x)
-
-
 def estimate_largest_eigenvalue(op: SymmetricOperator, seed: int = 0, iterations: int = 20) -> float:
     """Lanczos estimate of the largest eigenvalue.
 
@@ -268,7 +257,8 @@ def estimate_largest_eigenvalue(op: SymmetricOperator, seed: int = 0, iterations
     reorthogonalization; the estimate is the largest eigenvalue of the
     tridiagonal matrix, a Ritz value, so it exceeds the true one by at most
     rounding.  A step whose residual vanishes has found an invariant
-    subspace and ends the run.
+    subspace and ends the run.  Each residual is scaled by a power of two,
+    exactly, before its norm is taken, so that every weight scale works.
     """
     rng = np.random.default_rng(np.random.SeedSequence([int(seed) & 0x7FFFFFFF, 0x9E37]))
     q = rng.uniform(-1.0, 1.0, size=op.n)
@@ -279,7 +269,9 @@ def estimate_largest_eigenvalue(op: SymmetricOperator, seed: int = 0, iterations
         y = op.matmat(q)
         alpha.append(float(q @ y))
         y -= alpha[-1] * q + beta[-1] * q_prev
-        b = float(np.linalg.norm(y))
+        # scaled by a power of two, exactly, so that the squares cannot overflow
+        e = math.frexp(float(np.abs(y).max()))[1]
+        b = math.ldexp(float(np.linalg.norm(np.ldexp(y, -e))), e)
         if b == 0.0:
             break
         beta.append(b)
@@ -598,7 +590,7 @@ def _require_ones_null(op: SymmetricOperator, Au: np.ndarray) -> None:
 
 
 def lobpcg_smallest(op: SymmetricOperator, k: int, cfg: SolverConfig, deflate_ones: bool = False, *,
-                    gap_partner: bool = False) -> tuple[Spectrum, IterationTrace]:
+                    gap_partner: bool = False) -> tuple[Spectrum, list[np.ndarray]]:
     """Iteratively compute the k smallest eigenpairs of a symmetric operator.
 
     The block has ``cfg.block_size`` columns, or k.  With ``gap_partner``
@@ -615,7 +607,8 @@ def lobpcg_smallest(op: SymmetricOperator, k: int, cfg: SolverConfig, deflate_on
     residual norm and converged flag.  A Ritz value is at least the
     eigenvalue of its rank, so an unconverged column past the k-th still
     bounds its eigenvalue from above.  Not converging within ``max_iter``
-    is not an error.
+    is not an error.  Returns the spectrum and the list of the block's
+    Ritz values at each iteration, whose length is the iteration count.
 
     The basis [X, P, W] stays orthonormal without re-projecting X or P.  W
     is orthonormalized against [ones, X, P] by one or two passes of
@@ -671,11 +664,11 @@ def lobpcg_smallest(op: SymmetricOperator, k: int, cfg: SolverConfig, deflate_on
 
 def _lobpcg_iterate(op: SymmetricOperator, k: int, m: int, cfg: SolverConfig, c: int,
                     precondition: Optional[Callable[[np.ndarray], np.ndarray]]
-                    ) -> tuple[np.ndarray, np.ndarray, IterationTrace]:
+                    ) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
     """The iterations of ``lobpcg_smallest`` with a block of m columns, c = 1 deflating ones.
 
     Returns the Ritz values in ascending order, their Ritz vectors as a
-    fresh (n, m) array, and the trace.
+    fresh (n, m) array, and the per-iteration Ritz values.
     """
     n = op.n
     rng = np.random.default_rng(cfg.seed)
@@ -698,13 +691,13 @@ def _lobpcg_iterate(op: SymmetricOperator, k: int, m: int, cfg: SolverConfig, c:
     R = np.empty((n, m), order="F")
     norm_inf = op.norm_inf
     np_ = 0
-    trace = IterationTrace()
+    trace = []
     nlock = 0
     for _ in range(cfg.max_iter):
         np.multiply(V[:, c : c + m], theta, out=R)
         np.subtract(AV[:, c : c + m], R, out=R)
         conv = _residual_check(R, theta, cfg.tol, norm_inf)[1]
-        trace.ritz_values.append(theta.copy())
+        trace.append(theta.copy())
         if conv[:k].all():
             break
         prefix = 0
@@ -833,16 +826,23 @@ def lobpcg_lockstep(
 
 def _residual_check(R: np.ndarray, theta: np.ndarray, tol: float,
                     norm_inf: float) -> tuple[np.ndarray, np.ndarray]:
-    """The column norms of a residual block R and whether each is at most ``tol * max(min(1, norm_inf), |theta|)``.
+    """The column norms of a residual block R and whether each has converged.
 
-    The floor ``min(1, ||A||_inf)`` keeps ``tol`` relative below unit scale.
-    Each column is scaled by a power of two, exactly, before its squares
-    are summed, so that they neither underflow nor overflow.
+    A column has converged when its norm is at most ``tol * max(min(1,
+    norm_inf), |theta|)``, or at most the rounding level ``_ROUNDING_RESIDUAL
+    * sqrt(n) * eps * norm_inf`` that no residual can go below.  The floor
+    ``min(1, ||A||_inf)`` keeps ``tol`` relative below unit scale.  The
+    rounding level serves a |theta| tiny against ``||A||_inf``, as the
+    signed kind's Fiedler value at a large weight scale, where ``tol *
+    |theta|`` is below rounding.  Each column is scaled by a power of two,
+    exactly, before its squares are summed, so that they neither underflow
+    nor overflow.
     """
     e = np.frexp(np.abs(R).max(axis=0, initial=0.0))[1]
     S = np.ldexp(R, -e)
     norms = np.ldexp(np.sqrt(np.einsum("ij,ij->j", S, S)), e)
-    return norms, norms <= tol * np.maximum(min(1.0, norm_inf), np.abs(theta))
+    rounding = _ROUNDING_RESIDUAL * math.sqrt(R.shape[0]) * np.finfo(float).eps * norm_inf
+    return norms, norms <= np.maximum(tol * np.maximum(min(1.0, norm_inf), np.abs(theta)), rounding)
 
 
 def _orthonormalize_columns(W: np.ndarray, guards: list[np.ndarray]) -> np.ndarray:

@@ -6,10 +6,10 @@ smallest eigenvalue may be negative).  For the signed Laplacian it is the
 smallest-eigenvalue eigenvector, skipping a leading eigenvector only when it
 matches the trivial constant vector.  The dense route takes every
 eigenvalue from ``eigvalsh`` and only the vectors it selects from shifted
-solves (``DenseEigenproblem``).  On both routes a component at rounding
-level comes back as an exact zero.  Bisection assigns vertices by
-component sign; squared components of the unit-norm vector act as a
-per-vertex confidence.
+solves (``DenseEigenproblem``).  ``select_fiedler`` finishes the vector
+on both routes: unit norm, one sign, and a component at rounding level
+as an exact zero.  Bisection assigns vertices by component sign; squared
+components of the unit-norm vector act as a per-vertex confidence.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ from .eigen import (
     Spectrum,
     estimate_largest_eigenvalue,
     lobpcg_smallest,
-    unit_with_exact_zeros,
 )
 from .errors import (
     DegenerateVectorError,
@@ -81,17 +80,6 @@ class FiedlerResult(FiedlerGap):
     kind: LaplacianKind
     skipped_constant: bool
     gap_converged: Optional[bool] = None
-
-
-@dataclass(frozen=True, eq=False)
-class Partition:
-    """Two-way vertex assignment; side 0 is A, side 1 is B."""
-
-    side: np.ndarray
-
-    @property
-    def n(self) -> int:
-        return len(self.side)
 
 
 @dataclass(frozen=True)
@@ -177,7 +165,7 @@ def _fiedler_dense(op: SymmetricOperator, kind: LaplacianKind) -> FiedlerResult:
     v = problem.vector(0)
     vectors = v[:, None]
     if _is_constant(v):
-        vectors = np.column_stack((v, problem.vector(1, orthogonal_to=v)))
+        vectors = np.column_stack((v, problem.vector(1, orthogonal_to=v / np.linalg.norm(v))))
     return select_fiedler(Spectrum(problem.eigenvalues, vectors), kind)
 
 
@@ -198,11 +186,13 @@ def select_fiedler(
     ones-deflated spectrum never trips that test, so one rule serves both
     kinds.  The gap, spread and condition number follow ``_fiedler_gap``,
     with ``largest_eigenvalue`` completing a partial spectrum's spread.
-    The vector has unit norm and ``bisect``'s sign: its first component of
-    largest magnitude is positive, so the sides follow its signs as
-    returned.  ``gap_converged``
-    is the partner column's converged flag, False when the spectrum has no
-    partner, and None for a spectrum without flags (the dense oracle).
+    This is the one place a Fiedler vector is finished, on both routes:
+    it is scaled to unit norm, oriented by ``_oriented`` (``bisect``'s
+    rule), and its rounding-level components are set to exact zeros
+    (``_unit_with_exact_zeros``), so that a zero policy, not rounding,
+    places those vertices.  ``gap_converged`` is the partner column's
+    converged flag, False when the spectrum has no partner, and None for a
+    spectrum without flags (the dense oracle).
     """
     skipped = _is_constant(s.eigenvectors[:, 0])
     idx = 1 if skipped else 0
@@ -211,18 +201,30 @@ def select_fiedler(
     gap_converged = None
     if s.converged is not None:
         gap_converged = idx + 1 < s.k and bool(s.converged[idx + 1])
-    vector = s.eigenvectors[:, idx]
-    vector = vector / np.linalg.norm(vector)
-    # bisect's sign rule: the first component of largest magnitude is positive
-    if vector[np.argmax(np.abs(vector))] < 0:
-        vector = 0.0 - vector  # an exact zero stays +0.0
+    v = s.eigenvectors[:, idx]
     return FiedlerResult(
-        vector=vector,
+        vector=_unit_with_exact_zeros(_oriented(v / np.linalg.norm(v))),
         kind=LaplacianKind(kind),
         skipped_constant=skipped,
         gap_converged=gap_converged,
         **vars(_fiedler_gap(s.eigenvalues, idx, largest_eigenvalue)),
     )
+
+
+def _oriented(v: np.ndarray) -> np.ndarray:
+    """v with the one sign rule: its first component of largest magnitude is positive.
+
+    An exact zero stays +0.0.
+    """
+    return 0.0 - v if v[np.argmax(np.abs(v))] < 0 else v
+
+
+def _unit_with_exact_zeros(x: np.ndarray) -> np.ndarray:
+    """``x`` scaled to unit norm, with each component at or below ``n * eps``
+    times the largest, which is rounding, set to exactly 0."""
+    x = x / np.linalg.norm(x)
+    x[np.abs(x) <= len(x) * np.finfo(float).eps * np.abs(x).max()] = 0.0
+    return x / np.linalg.norm(x)
 
 
 def _fiedler_gap(lam: np.ndarray, idx: int, largest_eigenvalue: float | None = None) -> FiedlerGap:
@@ -260,9 +262,7 @@ def _fiedler_iterative(op: SymmetricOperator, kind: LaplacianKind, solver: Solve
     ``gap_converged`` False.  When ``select_fiedler`` skips a near-constant
     column 0, that column is the one the stopping test covered; if column 1
     is then unconverged, the solve runs once more with two wanted pairs
-    before it fails.  Ones is deflated as ``kind.deflates_ones`` says.  A
-    component at or below ``n * eps`` times the largest comes back as an
-    exact 0, as on the dense route.
+    before it fails.  Ones is deflated as ``kind.deflates_ones`` says.
     """
     s, trace = lobpcg_smallest(op, 1, solver, kind.deflates_ones, gap_partner=True)
     top = estimate_largest_eigenvalue(op, seed=solver.seed)
@@ -285,35 +285,29 @@ def _fiedler_iterative(op: SymmetricOperator, kind: LaplacianKind, solver: Solve
             f"{len(trace)} iterations (residual {s.residual_norms[0]:.3e}); "
             "raise max_iter or loosen tol"
         )
-    # as on the dense route, a rounding-level component is an exact zero
-    return replace(f, vector=unit_with_exact_zeros(f.vector))
+    return f
 
 
-def bisect(f: FiedlerResult, zero_policy: str = "positive-side") -> Partition:
+def bisect(f: FiedlerResult, zero_policy: str = "positive-side") -> np.ndarray:
     """Split vertices by the signs of the Fiedler components.
 
-    The global sign is normalized so the component of largest magnitude is
-    positive; exact zeros then follow ``zero_policy`` (``positive-side`` or
-    ``negative-side``).
+    Returns the int8 side of each vertex: 0 for side A, 1 for side B.  The
+    vector is oriented by ``select_fiedler``'s rule (``_oriented``), so a
+    vector and its negation give the same sides; exact zeros then follow
+    ``zero_policy`` (``positive-side`` or ``negative-side``).
     """
     if zero_policy not in ("positive-side", "negative-side"):
         raise ValueError(f"unknown zero_policy {zero_policy!r}")
-    v = np.asarray(f.vector, dtype=np.float64)
-    peak = np.argmax(np.abs(v))
-    if v[peak] == 0.0:
+    v = _oriented(np.asarray(f.vector, dtype=np.float64))
+    if not v.any():
         raise DegenerateVectorError("zero vector cannot define a bisection")
-    if v[peak] < 0:
-        v = -v
-    if zero_policy == "positive-side":
-        on_a = v >= 0.0
-    else:
-        on_a = v > 0.0
+    on_a = v >= 0.0 if zero_policy == "positive-side" else v > 0.0
     side = np.where(on_a, 0, 1).astype(np.int8)
     if not (side == 0).any() or not (side == 1).any():
         raise DegenerateVectorError(
             "all components fall on one side; bisection is meaningless"
         )
-    return Partition(side=side)
+    return side
 
 
 def confidence(f: FiedlerResult) -> np.ndarray:
@@ -321,13 +315,13 @@ def confidence(f: FiedlerResult) -> np.ndarray:
     return np.asarray(f.vector, dtype=np.float64) ** 2
 
 
-def cut_metrics(g: SignedGraph, p: Partition) -> CutMetrics:
-    """All cut quality numbers for a two-way partition of a signed graph."""
-    if p.n != g.n:
+def cut_metrics(g: SignedGraph, side: np.ndarray) -> CutMetrics:
+    """All cut quality numbers for a two-way partition of a signed graph, given as its side array (0 for A, 1 for B)."""
+    side = np.asarray(side)
+    if len(side) != g.n:
         raise EmptySideError(
-            f"partition covers {p.n} vertices, graph has {g.n}"
+            f"partition covers {len(side)} vertices, graph has {g.n}"
         )
-    side = np.asarray(p.side)
     size_a = int((side == 0).sum())
     size_b = int((side == 1).sum())
     if size_a == 0 or size_b == 0:
@@ -358,11 +352,11 @@ def cut_metrics(g: SignedGraph, p: Partition) -> CutMetrics:
     )
 
 
-def partition_json(f: FiedlerResult, p: Partition, conf: np.ndarray | None = None) -> dict:
-    """JSON-ready dict in the documented partition schema."""
+def partition_json(f: FiedlerResult, side: np.ndarray, conf: np.ndarray | None = None) -> dict:
+    """JSON-ready dict in the documented partition schema, for ``bisect``'s side array."""
     doc = {
-        "n": p.n,
-        "side": p.side.tolist(),
+        "n": len(side),
+        "side": side.tolist(),
         "fiedler": f.vector.tolist(),
         "eigenvalue": float(f.eigenvalue),
         "kind": f.kind.value,

@@ -11,7 +11,6 @@ import time
 import numpy as np
 
 from signedcut import (
-    Partition,
     SolverConfig,
     StringSpec,
     bisect,
@@ -89,7 +88,7 @@ def test_criterion_3_signed_cut_identities():
         side = rng.integers(0, 2, size=g.n).astype(np.int8)
         if side.sum() in (0, g.n):
             continue
-        m = cut_metrics(g, Partition(side=side))
+        m = cut_metrics(g, side)
         assert abs(m.cut - (m.cut_plus - m.cut_minus_cross)) <= 1e-12
         assert abs(m.signed_cut - (2 * m.cut_plus + m.cut_minus_within_a + m.cut_minus_within_b)) <= 1e-12
         assert abs(m.signed_cut - (2 * m.cut_plus - m.cut_minus_cross + m.total_negative)) <= 1e-12
@@ -101,7 +100,7 @@ def test_criterion_3_signed_cut_identities():
 def test_criterion_4_cobra_partitions():
     t0 = time.perf_counter()
     g = cobra()
-    side = bisect(fiedler(g, "standard")).side
+    side = bisect(fiedler(g, "standard"))
     assert side[0] == side[1] and side[2] == side[3] and side[0] != side[2]
     p_deleted = bisect(fiedler(nullify_negative(g), "standard"))
     assert same_split(p_deleted, [0, 0, 0, 0, 1, 1])
@@ -185,7 +184,7 @@ def test_criterion_7_lobpcg_matches_dense_oracle():
             angle = math.asin(min(1.0, float(np.linalg.norm(s.eigenvectors[:, c] - proj))))
             worst_angle = max(worst_angle, angle)
             assert angle <= 1e-5
-        ritz = np.array(trace.ritz_values)
+        ritz = np.array(trace)
         if len(ritz) > 1:
             assert np.diff(ritz, axis=0).max() <= 1e-12
     elapsed = time.perf_counter() - t0

@@ -10,6 +10,7 @@ from signedcut import (
     StringSpec,
     cobra,
     dumbbell,
+    graph_from_arrays,
     graph_from_edges,
     laplacian,
     load_graph,
@@ -283,6 +284,17 @@ class TestPartitionCmd:
         assert report["error"].startswith("shifted solve at eigenvalue ")
         assert report["error"].endswith(" stayed singular")
 
+    def test_lapack_failure_exit_4(self, tmp_path, capsys, monkeypatch):
+        def failed(a, *args, **kwargs):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        gfile = str(tmp_path / "c.mtx")
+        save_graph(cobra(), gfile)
+        monkeypatch.setattr(np.linalg, "eigvalsh", failed)
+        code, _, report = run(capsys, "partition", gfile)
+        assert code == 4
+        assert report["error"] == "Eigenvalues did not converge"
+
     def test_lost_basis_exit_4_on_the_iterative_route(self, tmp_path, capsys, monkeypatch):
         def lost(*args, **kwargs):
             raise BasisDegenerateError("random initial block lost rank")
@@ -361,6 +373,26 @@ class TestSolverWiring:
         assert code == 0
 
 
+def assert_routes_agree(tmp_path, capsys, gfile, kind, scale=1.0):
+    """partition on both routes at the CLI defaults exits 0 with the same Fiedler pair and split."""
+    docs = {}
+    for solver in ("dense", "lobpcg"):
+        out = tmp_path / f"{solver}.json"
+        code, _, report = run(capsys, "partition", gfile, "--laplacian", kind,
+                              "--solver", solver, "--out", str(out))
+        assert code == 0, report["error"]
+        docs[solver] = json.loads(out.read_text())
+    dense, lobpcg = docs["dense"], docs["lobpcg"]
+    assert lobpcg["eigenvalue"] / scale == pytest.approx(dense["eigenvalue"] / scale, abs=1e-10)
+    u, v = np.asarray(dense["fiedler"]), np.asarray(lobpcg["fiedler"])
+    assert abs(float(u @ v)) >= 1.0 - 1e-10
+    # the same split; which side is A may differ, since the strings' vectors'
+    # largest magnitudes tie between mirror-image vertices
+    sure = np.abs(u) > 1e-6
+    same = (np.asarray(dense["side"]) == np.asarray(lobpcg["side"]))[sure]
+    assert same.all() or not same.any()
+
+
 class TestIterativeStringsAtDefaults:
     """partition --solver lobpcg at the CLI defaults on the 75-mass strings.
 
@@ -374,22 +406,28 @@ class TestIterativeStringsAtDefaults:
     def test_converges_and_matches_dense(self, tmp_path, capsys, kind, override):
         gfile = str(tmp_path / "path.mtx")
         assert run(capsys, "gen", "path", "--n", "75", *override, "--out", gfile)[0] == 0
-        docs = {}
-        for solver in ("dense", "lobpcg"):
-            out = tmp_path / f"{solver}.json"
-            code, _, _ = run(capsys, "partition", gfile, "--laplacian", kind,
-                             "--solver", solver, "--out", str(out))
-            assert code == 0
-            docs[solver] = json.loads(out.read_text())
-        dense, lobpcg = docs["dense"], docs["lobpcg"]
-        assert lobpcg["eigenvalue"] == pytest.approx(dense["eigenvalue"], abs=1e-10)
-        u, v = np.asarray(dense["fiedler"]), np.asarray(lobpcg["fiedler"])
-        assert abs(float(u @ v)) >= 1.0 - 1e-10
-        # the same split; which side is A may differ, since these vectors'
-        # largest magnitudes tie between mirror-image vertices
-        sure = np.abs(u) > 1e-6
-        same = (np.asarray(dense["side"]) == np.asarray(lobpcg["side"]))[sure]
-        assert same.all() or not same.any()
+        assert_routes_agree(tmp_path, capsys, gfile, kind)
+
+
+class TestIterativeStringsAtLargeScales:
+    """partition --solver lobpcg at the CLI defaults on the 75-mass -0.05 string, weights scaled by 2**e.
+
+    A power of two scales the eigenpairs exactly, so both routes agree at
+    every scale.  The signed kind's Fiedler value is tiny against
+    ``||A||_inf``: from 2**25 on, ``tol * |theta|`` lies below the
+    residual's rounding level, which the stopping test accepts.  From about
+    2**512 on, the squares of the Lanczos estimate's residual norms would
+    overflow without their power-of-two scaling.
+    """
+
+    @pytest.mark.parametrize("e", [25, 200, 600, 1000])
+    @pytest.mark.parametrize("kind", ["standard", "signed"])
+    def test_converges_and_matches_dense(self, tmp_path, capsys, kind, e):
+        c = 2.0 ** e
+        ii, jj, ww = path_string(StringSpec(75, overrides=((36, -0.05),))).edge_arrays()
+        gfile = str(tmp_path / "scaled.mtx")
+        save_graph(graph_from_arrays(75, ii, jj, ww * c), gfile)
+        assert_routes_agree(tmp_path, capsys, gfile, kind, scale=c)
 
 
 class TestIterativeLongStringsAtDefaults:

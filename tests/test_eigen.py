@@ -222,7 +222,7 @@ class TestLobpcg:
             cfg = SolverConfig(block_size=k, tol=1e-9, max_iter=300,
                                seed=int(rng.integers(1 << 20)))
             _, trace = lobpcg_smallest(op, k, cfg)
-            ritz = np.array(trace.ritz_values)
+            ritz = np.array(trace)
             if len(ritz) > 1:
                 assert np.diff(ritz, axis=0).max() <= 1e-12
 
@@ -234,7 +234,7 @@ class TestLobpcg:
         assert s1.eigenvalues.tobytes() == s2.eigenvalues.tobytes()
         assert s1.eigenvectors.tobytes() == s2.eigenvectors.tobytes()
         assert len(t1) == len(t2)
-        for a, b in zip(t1.ritz_values, t2.ritz_values):
+        for a, b in zip(t1, t2):
             assert a.tobytes() == b.tobytes()
 
     def test_unconverged_is_flagged_not_raised(self):
@@ -569,7 +569,7 @@ def test_lobpcg_matches_dense_on_generated_graphs(case):
         basis = oracle.eigenvectors[:, J]
         v = s.eigenvectors[:, c]
         assert math.asin(min(1.0, float(np.linalg.norm(v - basis @ (basis.T @ v))))) <= 1e-5
-    ritz = np.array(trace.ritz_values)
+    ritz = np.array(trace)
     if len(ritz) > 1:
         assert np.diff(ritz, axis=0).max() <= 1e-12
 

@@ -15,7 +15,6 @@ from signedcut import (
     FiedlerResult,
     LaplacianKind,
     MultiComponentError,
-    Partition,
     SolverConfig,
     SolverFailedError,
     Spectrum,
@@ -64,17 +63,17 @@ def random_connected_graph(rng, n_max=30):
             return g
 
 
-def same_split(p, side):
-    """Whether p splits the vertices as the 0/1 labels ``side`` do, up to an A/B swap."""
+def same_split(got, side):
+    """Whether the side array ``got`` splits the vertices as the 0/1 labels ``side`` do, up to an A/B swap."""
     side = np.asarray(side)
-    return np.array_equal(p.side, side) or np.array_equal(p.side, 1 - side)
+    return np.array_equal(got, side) or np.array_equal(got, 1 - side)
 
 
 def random_partition(rng, n):
     while True:
         side = rng.integers(0, 2, size=n).astype(np.int8)
         if 0 < side.sum() < n:
-            return Partition(side=side)
+            return side
 
 
 class TestFiedler:
@@ -145,7 +144,7 @@ class TestFiedler:
             # rounding decides their side; compare the others up to a swap
             sure = np.abs(f_dense.vector) > 1e-8
             assert (np.abs(f_iter.vector[~sure]) <= 1e-8).all()
-            same = (bisect(f_iter).side == bisect(f_dense).side)[sure]
+            same = (bisect(f_iter) == bisect(f_dense))[sure]
             assert same.all() or not same.any()
 
     def test_preconditioned_lobpcg_route_matches_dense(self):
@@ -159,7 +158,7 @@ class TestFiedler:
             # two components of the signed vector are exactly zero, so
             # rounding decides their side; compare the others up to a swap
             sure = np.abs(f_dense.vector) > 1e-8
-            same = (bisect(f_iter).side == bisect(f_dense).side)[sure]
+            same = (bisect(f_iter) == bisect(f_dense))[sure]
             assert same.all() or not same.any()
 
     def test_lobpcg_unconverged_raises_solver_failed(self):
@@ -169,21 +168,30 @@ class TestFiedler:
             fiedler(g, "standard", solver=cfg)
 
     def test_unconverged_message_quotes_the_final_residual(self, monkeypatch):
-        # 2 vertices, one -1 edge, tol 1e-17: the loop's implicit residual
-        # passes the test (1.4e-31), the final explicit one does not
+        # one iteration: the loop tests the start block's residual, then
+        # updates the block; the message quotes the updated block's final
+        # explicit residual, not the loop's last tested one
         solve, finals = signedcut.partition.lobpcg_smallest, []
+        check, tested = signedcut.eigen._residual_check, []
 
         def recording(*args, **kwargs):
             s, trace = solve(*args, **kwargs)
             finals.append(s.residual_norms[0])
             return s, trace
 
+        def recording_check(*args):
+            norms, converged = check(*args)
+            tested.append(norms[0])
+            return norms, converged
+
         monkeypatch.setattr(signedcut.partition, "lobpcg_smallest", recording)
-        g = path_string(StringSpec(2, overrides=((0, -1.0),)))
+        monkeypatch.setattr(signedcut.eigen, "_residual_check", recording_check)
+        g = path_string(StringSpec(60, overrides=((29, -0.05),)))
         with pytest.raises(SolverFailedError) as failed:
-            fiedler(g, "signed", solver=SolverConfig(tol=1e-17, seed=0, precondition=True))
-        assert finals[-1] > 1e-17
+            fiedler(g, "signed", solver=SolverConfig(tol=1e-12, max_iter=1, seed=0, precondition=True))
+        assert finals[-1] == tested[-1] > 1e-12
         assert f"(residual {finals[-1]:.3e})" in str(failed.value)
+        assert f"{tested[-2]:.3e}" not in str(failed.value)
 
     def test_noisy_string_signed_clustered_warning(self):
         g = noisy_string(12, (7, -0.5), 1e-2, seed=0)
@@ -221,7 +229,7 @@ class TestIterativeRoute:
         assert f_sgn.kind is LaplacianKind.SIGNED and f_std.kind is LaplacianKind.STANDARD
         np.testing.assert_array_equal(f_sgn.vector, f_std.vector)
         assert f_sgn.eigenvalue == f_std.eigenvalue
-        np.testing.assert_array_equal(bisect(f_sgn).side, bisect(f_std).side)
+        np.testing.assert_array_equal(bisect(f_sgn), bisect(f_std))
 
     @pytest.mark.parametrize("g", [
         *(pytest.param(path_string(StringSpec(n)), id=f"path-{n}") for n in (3, 4, 10, 75)),
@@ -330,17 +338,23 @@ def test_written_fiedler_sign_matches_sides(name, kind, solver):
 class TestBisect:
     def test_simple_split(self):
         p = bisect(make_result([0.6, 0.5, -0.5, -0.6]))
-        assert p.side.tolist() == [0, 0, 1, 1]
+        assert p.tolist() == [0, 0, 1, 1]
 
     def test_zero_policy(self):
         f = make_result([1.0, 0.0, -1.0])
-        assert bisect(f, "positive-side").side.tolist() == [0, 0, 1]
-        assert bisect(f, "negative-side").side.tolist() == [0, 1, 1]
+        assert bisect(f, "positive-side").tolist() == [0, 0, 1]
+        assert bisect(f, "negative-side").tolist() == [0, 1, 1]
 
     def test_global_sign_normalization(self):
-        p1 = bisect(make_result([0.6, 0.5, -0.5, -0.6]))
-        p2 = bisect(make_result([-0.6, -0.5, 0.5, 0.6]))
-        np.testing.assert_array_equal(p1.side, p2.side)
+        # a vector and its negation give the same int8 side array, also where
+        # the largest magnitude ties (vertices 1 and 3: the first one sets the
+        # sign) and the exact zero is -0.0 in one of the two
+        for v in ([0.6, 0.5, -0.5, -0.6], [0.2, -0.7, 0.0, 0.7, -0.1]):
+            for zero_policy in ("positive-side", "negative-side"):
+                side = bisect(make_result(v), zero_policy)
+                assert isinstance(side, np.ndarray) and side.dtype == np.int8
+                np.testing.assert_array_equal(bisect(make_result(-np.asarray(v)), zero_policy), side)
+        assert bisect(make_result([0.2, -0.7, 0.0, 0.7, -0.1]), "negative-side").tolist() == [1, 0, 1, 1, 0]
 
     def test_one_sign_raises(self):
         with pytest.raises(DegenerateVectorError):
@@ -352,6 +366,25 @@ class TestBisect:
 
     def test_dumbbell_standard_expected_split(self):
         assert same_split(bisect(fiedler(dumbbell(), "standard")), [0] * 6 + [1] * 7)
+
+
+class TestFinisher:
+    """select_fiedler alone finishes a Fiedler vector: unit norm, bisect's sign, exact zeros."""
+
+    @pytest.mark.parametrize("converged", [None, np.array([True, False])], ids=["dense", "iterative"])
+    def test_select_fiedler_orients_and_sets_exact_zeros(self, converged):
+        v = np.array([0.3, -0.8, 1e-18, 0.5])
+        partner = np.array([0.5, 0.5, -0.5, -0.5])
+        residuals = None if converged is None else np.array([1e-12, 1e-3])
+        s = Spectrum(np.array([0.25, 1.0]), np.column_stack((v, partner)), residuals, converged)
+        f = select_fiedler(s, "standard")
+        assert not f.skipped_constant
+        assert f.gap_converged is (None if converged is None else False)
+        assert np.linalg.norm(f.vector) == pytest.approx(1.0, abs=1e-15)
+        # the largest component, -0.8, is made positive; 1e-18 is rounding
+        np.testing.assert_allclose(f.vector, np.array([-0.3, 0.8, 0.0, -0.5]) / math.sqrt(0.98), rtol=1e-15)
+        assert f.vector[2] == 0.0 and math.copysign(1.0, f.vector[2]) == 1.0
+        assert bisect(f).tolist() == [1, 0, 0, 1]
 
 
 class TestConfidence:
@@ -380,7 +413,7 @@ class TestConfidence:
 
 class TestCutMetrics:
     def test_cobra_split_12(self):
-        p = Partition(side=np.array([0, 0, 1, 1, 1, 1], dtype=np.int8))
+        p = np.array([0, 0, 1, 1, 1, 1], dtype=np.int8)
         m = cut_metrics(cobra(), p)
         assert m.cut == 0.0
         assert m.cut_plus == 1.0
@@ -391,7 +424,7 @@ class TestCutMetrics:
 
     def test_dumbbell_expected_split(self):
         side = np.array([0] * 6 + [1] * 7, dtype=np.int8)
-        m = cut_metrics(dumbbell(), Partition(side=side))
+        m = cut_metrics(dumbbell(), side)
         assert m.cut == 0.0
         assert m.cut_plus == 2.0
         assert m.cut_minus_cross == 2.0
@@ -400,11 +433,11 @@ class TestCutMetrics:
 
     def test_empty_side(self):
         with pytest.raises(EmptySideError):
-            cut_metrics(cobra(), Partition(side=np.zeros(6, dtype=np.int8)))
+            cut_metrics(cobra(), np.zeros(6, dtype=np.int8))
 
     def test_size_mismatch(self):
         with pytest.raises(EmptySideError):
-            cut_metrics(cobra(), Partition(side=np.array([0, 1], dtype=np.int8)))
+            cut_metrics(cobra(), np.array([0, 1], dtype=np.int8))
 
     def test_identities_on_random_graphs(self):
         rng = np.random.default_rng(32)
@@ -422,7 +455,7 @@ class TestCutMetrics:
                 m.signed_cut
                 - (2 * m.cut_plus + m.cut_minus_within_a + m.cut_minus_within_b)
             ) <= 1e-12
-            sizes = 1 / np.count_nonzero(p.side == 0) + 1 / np.count_nonzero(p.side == 1)
+            sizes = 1 / np.count_nonzero(p == 0) + 1 / np.count_nonzero(p == 1)
             assert m.ratio_cut == pytest.approx(m.cut * sizes, abs=1e-12)
             assert m.signed_ratio_cut == pytest.approx(m.signed_cut * sizes, abs=1e-12)
 
@@ -435,7 +468,7 @@ class TestInvariants:
             c = float(rng.uniform(0.1, 10.0))
             p1 = bisect(fiedler(g, "standard"))
             p2 = bisect(fiedler(scale_weights(g, c), "standard"))
-            assert same_split(p2, p1.side)
+            assert same_split(p2, p1)
 
     @pytest.mark.parametrize("c", [1e-300, 1e-160, 1e160, 1e300])
     @pytest.mark.parametrize("kind", list(LaplacianKind))
@@ -458,8 +491,8 @@ class TestInvariants:
             g2 = graph_from_arrays(g.n, perm[ii], perm[jj], ww)
             p1 = bisect(fiedler(g, "standard"))
             p2 = bisect(fiedler(g2, "standard"))
-            image = np.empty_like(p1.side)
-            image[perm] = p1.side
+            image = np.empty_like(p1)
+            image[perm] = p1
             assert same_split(p2, image)
 
     def test_standard_partition_always_nontrivial(self):
@@ -467,7 +500,7 @@ class TestInvariants:
         for _ in range(100):
             g = random_connected_graph(rng)
             p = bisect(fiedler(g, "standard"))
-            assert (p.side == 0).any() and (p.side == 1).any()
+            assert (p == 0).any() and (p == 1).any()
 
     def test_piecewise_constant_null_vector(self):
         """The +/-1 step vector annihilates both the signed Laplacian of the
@@ -486,7 +519,7 @@ class TestInvariants:
         f_neg = fiedler(negate_weights(g), "standard")
         p = bisect(f)
         p_neg = bisect(f_neg)
-        assert not same_split(p_neg, p.side)
+        assert not same_split(p_neg, p)
         # spectra mirror exactly: the negated Fiedler value is minus the top
         # of the ones-orthogonal spectrum of the original
         top = dense_spectrum(laplacian(g, "standard")).eigenvalues[-1]
@@ -554,7 +587,7 @@ def orientation_is_rounding(v, tol):
 def sides_or_none(f):
     """bisect's sides of a Fiedler result, or None when its components have one sign."""
     try:
-        return bisect(f).side
+        return bisect(f)
     except DegenerateVectorError:
         return None
 
@@ -597,7 +630,7 @@ class TestGeneratedInvariants:
         s1, s2 = sides_or_none(f1), sides_or_none(f2)
         assert (s1 is None) == (s2 is None)
         if s1 is not None:
-            assert same_split(Partition(s2[perm]), s1)
+            assert same_split(s2[perm], s1)
 
     @pytest.mark.parametrize("perm", list(itertools.permutations(range(3))))
     def test_automorphic_triangle_takes_one_of_its_two_splits(self, perm):
@@ -612,8 +645,8 @@ class TestGeneratedInvariants:
         g = graph_from_arrays(3, p[[0, 0, 1]], p[[1, 2, 2]], np.array([0.5, 0.5, -1.0]))
         f = fiedler(g, "standard")
         assert orientation_is_rounding(f.vector, 1e-14)
-        side = bisect(f).side[p]
-        assert same_split(Partition(side), [0, 0, 1]) or same_split(Partition(side), [0, 1, 0])
+        side = bisect(f)[p]
+        assert same_split(side, [0, 0, 1]) or same_split(side, [0, 1, 0])
 
     @settings(max_examples=100, deadline=None)
     @given(connected_signed_graphs())
@@ -630,7 +663,7 @@ class TestGeneratedInvariants:
         side = np.array([rnd.randint(0, 1) for _ in range(g.n)], dtype=np.int8)
         a = rnd.randrange(g.n)
         side[a], side[(a + 1 + rnd.randrange(g.n - 1)) % g.n] = 0, 1
-        m = cut_metrics(g, Partition(side=side))
+        m = cut_metrics(g, side)
         tol = 1e-12 * float(np.abs(g.edge_arrays()[2]).sum())
         assert abs(m.cut - (m.cut_plus - m.cut_minus_cross)) <= tol
         assert abs(m.signed_cut - (2 * m.cut_plus + m.cut_minus_within_a + m.cut_minus_within_b)) <= tol
@@ -774,7 +807,7 @@ class TestDenseRoute:
         assert (f.vector[1:] > 0).all()
         with pytest.raises(DegenerateVectorError):
             bisect(f)
-        assert bisect(f, zero_policy="negative-side").side.tolist() == [1, 0, 0, 0, 0, 0]
+        assert bisect(f, zero_policy="negative-side").tolist() == [1, 0, 0, 0, 0, 0]
 
     @pytest.mark.parametrize("n", [10, 30, 200])
     def test_near_constant_ring_skips_to_column_1(self, n):
@@ -795,7 +828,7 @@ class TestKindsWithoutNegativeEdges:
     def assert_kinds_identical(g):
         fs, fg = fiedler(g, "standard"), fiedler(g, "signed")
         np.testing.assert_array_equal(fs.vector, fg.vector)
-        np.testing.assert_array_equal(bisect(fs).side, bisect(fg).side)
+        np.testing.assert_array_equal(bisect(fs), bisect(fg))
         assert fg.kind is LaplacianKind.SIGNED and fg.skipped_constant
         assert fg.eigenvalue == fs.eigenvalue and fg.gap == fs.gap
         # the signed spectrum keeps its ones pair, as an exact 0.0
@@ -828,8 +861,7 @@ def test_cobra_three_partitions():
     """Standard: split 1,2 vs 3,4; edge-deleted: cut the weak tail; signed
     second eigenvector: cut vertex 3 off from 1 and 2 (1-based labels)."""
     g = cobra()
-    p_std = bisect(fiedler(g, "standard"))
-    side = p_std.side
+    side = bisect(fiedler(g, "standard"))
     assert side[0] == side[1] != side[2] == side[3]
 
     p_null = bisect(fiedler(nullify_negative(g), "standard"))
