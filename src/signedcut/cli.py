@@ -373,6 +373,18 @@ def _demo_dir(args) -> str:
     return out
 
 
+def _special_edge_length(args, default: int) -> int:
+    """The string length of a demo with the special edge: ``--n``, long enough to hold that edge."""
+    n = args.n or default
+    edge = DEFAULT_SPECIAL_EDGE + 1  # 1-based, as --override counts
+    if n <= edge:
+        raise ValueError(
+            f"demo {args.name} needs --n >= {edge + 1}: its special edge {edge} (1-based) "
+            f"joins vertices {edge} and {edge + 1}; got --n {n}"
+        )
+    return n
+
+
 def _write_modes(g: SignedGraph, kind: LaplacianKind, k: int, path: str,
                  outputs: list[str]) -> np.ndarray:
     s = dense_spectrum(laplacian(g, kind))
@@ -389,7 +401,7 @@ def demo_string_modes(args, outputs, warnings) -> dict:
 
 
 def demo_weak_link(args, outputs, warnings) -> dict:
-    n = args.n or DEFAULT_STRING_LENGTH
+    n = _special_edge_length(args, DEFAULT_STRING_LENGTH)
     g = path_string(StringSpec(n=n, overrides=((DEFAULT_SPECIAL_EDGE, WEAK_LINK_WEIGHT),)))
     ev = _write_modes(g, LaplacianKind.STANDARD, 5,
                       os.path.join(_demo_dir(args), "weak-link-modes.csv"), outputs)
@@ -397,7 +409,7 @@ def demo_weak_link(args, outputs, warnings) -> dict:
 
 
 def demo_negative_edge(args, outputs, warnings) -> dict:
-    n = args.n or DEFAULT_STRING_LENGTH
+    n = _special_edge_length(args, DEFAULT_STRING_LENGTH)
     g = path_string(StringSpec(n=n, overrides=((DEFAULT_SPECIAL_EDGE, NEGATIVE_EDGE_WEIGHT),)))
     out = _demo_dir(args)
     ev_std = _write_modes(g, LaplacianKind.STANDARD, 5,
@@ -486,7 +498,7 @@ def demo_dumbbell(args, outputs, warnings) -> dict:
 
 
 def demo_gap_study(args, outputs, warnings) -> dict:
-    n = args.n or 100
+    n = _special_edge_length(args, 100)
     doc = gap_study(n, DEFAULT_SPECIAL_EDGE, (-0.01, -0.05, -0.1))
     _emit_json(doc, os.path.join(_demo_dir(args), "gap-study.json"), outputs)
     return {
@@ -500,7 +512,7 @@ def demo_gap_study(args, outputs, warnings) -> dict:
 
 
 def demo_lobpcg_30(args, outputs, warnings) -> dict:
-    n = args.n or DEFAULT_STRING_LENGTH
+    n = _special_edge_length(args, DEFAULT_STRING_LENGTH)
     doc = truncated_iteration_study(n, DEFAULT_SPECIAL_EDGE, NEGATIVE_EDGE_WEIGHT)
     _emit_json(doc, os.path.join(_demo_dir(args), "lobpcg-30.json"), outputs)
     return doc["sign_change_counts"]

@@ -5,15 +5,17 @@ for n up to the dense threshold, and an iterative locally optimal block
 conjugate-gradient solver that needs only matvec products, optionally
 preconditioned by a Jacobi diagonal or by a V-cycle over graphs contracted
 from the operator's own.  Its unpreconditioned single-vector form also
-runs for many start seeds at once, as independent columns in lock step
-(``lobpcg_lockstep``).  Both stop on one test, ``res <= tol *
-max(min(1, ||A||_inf), |theta|)`` or at the operator's rounding level
-(``_residual_check``).  The dense route
-comes in two forms: the full eigenbasis from ``numpy.linalg.eigh``
-(``dense_spectrum``), and every eigenvalue from ``numpy.linalg.eigvalsh``
-with single eigenvectors from shifted solves (``DenseEigenproblem``),
-which is all a Fiedler pair needs.  With ``deflate_ones`` both work on the
-ones-complement by a Householder reflector (``_dense_matrix``).
+runs for many start seeds on several operators of one n at once, as
+independent columns in lock step that share every step but each
+operator's block matvec (``lobpcg_lockstep``).  Both stop on one test,
+``res <= tol * max(min(1, ||A||_inf), |theta|)`` or at the operator's
+rounding level (``_residual_check``), each column at its own operator's
+``||A||_inf``.  The dense route comes in two forms: the full eigenbasis
+from ``numpy.linalg.eigh`` (``dense_spectrum``), and every eigenvalue from
+``numpy.linalg.eigvalsh`` with single eigenvectors from shifted solves
+(``DenseEigenproblem``), which is all a Fiedler pair needs.  With
+``deflate_ones`` both work on the ones-complement by a Householder
+reflector (``_dense_matrix``).
 """
 
 from __future__ import annotations
@@ -745,65 +747,92 @@ def _product_into(dest: np.ndarray, S: np.ndarray, coef: np.ndarray) -> None:
 
 
 def lobpcg_lockstep(
-    op: SymmetricOperator,
+    problems: Sequence[tuple[SymmetricOperator, bool]],
     seeds: Sequence[int],
     tol: float,
     max_iter: int,
-    deflate_ones: bool = False,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Independent single-vector LOBPCG solves, one per seed, run in lock step.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Independent single-vector LOBPCG solves, one per operator and seed, run in lock step.
 
-    Column b is, up to rounding, the unpreconditioned block-1 solve of
-    ``lobpcg_smallest`` for ``seeds[b]``: the same start, the same basis
-    [x, p, w], and the same test (``_residual_check``) before each of at
-    most ``max_iter`` updates.  A converged column stays as it is while
-    the others go on.  The columns share one block matvec per
-    iteration, and their 3-by-3 Rayleigh-Ritz problems share one stacked
-    ``eigh``.  They are not coupled: a block Rayleigh-Ritz over all of them
-    would be ``lobpcg_smallest`` with a larger block.
+    ``problems`` lists operators of one n, each with its ``deflate_ones``
+    flag.  The columns are operator-major: column ``i * len(seeds) + b`` is,
+    up to rounding, the unpreconditioned block-1 solve of
+    ``lobpcg_smallest`` on operator i for ``seeds[b]``: the same start, the
+    same basis [x, p, w], and the same test (``_residual_check``, at its
+    operator's ``||A||_inf``) before each of at most ``max_iter`` updates.
+    A converged column stays as it is while the others go on.  Each
+    iteration applies every operator once, as one block matvec of its
+    active columns; everything else, from the residual test to the
+    coefficient products, runs once over all active columns, and their
+    3-by-3 Rayleigh-Ritz problems share one stacked ``eigh``.  The columns
+    are not coupled: a block Rayleigh-Ritz over them would be
+    ``lobpcg_smallest`` with a larger block.
 
-    Each w is the residual projected off the ones vector (with
-    ``deflate_ones``), x and p of its own column, by the projection and
-    half-norm test of ``_orthonormalize`` (see ``_orthonormalize_columns``).
-    A column without p, as at the first iteration, carries a zero p whose
-    Rayleigh-Ritz diagonal is padded above the rest of its spectrum, so
-    that the pad is never the lowest Ritz pair.  p's coefficients are the
-    normalized gain of the new Ritz vector outside the old x, within the
-    complement of its own coefficients: what the SVD of ``lobpcg_smallest``
-    reduces to for one column, and, as there, a gain of exactly zero leaves
-    the column without p.
+    Each w is the residual projected off the ones vector, x and p of its
+    own column, by the projection and half-norm test of ``_orthonormalize``
+    (see ``_orthonormalize_columns``); the ones guard of a column whose
+    operator keeps ones is zero.  A column without p, as at the first
+    iteration, carries a zero p whose Rayleigh-Ritz diagonal is padded
+    above the rest of its spectrum, so that the pad is never the lowest
+    Ritz pair.  p's coefficients are the normalized gain of the new Ritz
+    vector outside the old x, within the complement of its own
+    coefficients: what the SVD of ``lobpcg_smallest`` reduces to for one
+    column, and, as there, a gain of exactly zero leaves the column
+    without p.
 
-    Returns the Ritz values (one per seed) and the unit Ritz vectors as the
-    columns of an (n, len(seeds)) array.
+    Returns the Ritz values, the unit Ritz vectors as the columns of an
+    (n, len(problems) * len(seeds)) array, and each column's iteration
+    count: its number of residual tests, the length of
+    ``lobpcg_smallest``'s trace.  No operators, no seeds or operators of
+    unequal n raise ``ValueError``.
     """
-    n = op.n
-    X = np.column_stack([np.random.default_rng(s).uniform(-1.0, 1.0, size=n) for s in seeds])
-    ones = np.broadcast_to(np.full((n, 1), 1.0 / math.sqrt(n)), X.shape)
-    if deflate_ones:
-        X = _orthonormalize_columns(X, [ones])
-        AUX = op.matmat(np.column_stack((ones[:, 0], X)))
-        _require_ones_null(op, AUX[:, 0])
-        AX = AUX[:, 1:]
-    else:
-        X = _orthonormalize_columns(X, [])
-        AX = op.matmat(X)
+    seeds = list(seeds)
+    if not problems:
+        raise ValueError("lobpcg_lockstep needs at least one operator")
+    if not seeds:
+        raise ValueError("lobpcg_lockstep needs at least one seed")
+    sizes = [op.n for op, _ in problems]
+    if len(set(sizes)) > 1:
+        raise ValueError(f"lobpcg_lockstep needs operators of one n, got n = {sizes}")
+    n, s = sizes[0], len(seeds)
+    X = np.tile(np.column_stack([np.random.default_rng(b).uniform(-1.0, 1.0, size=n) for b in seeds]),
+                len(problems))
+    # each column's ones guard: the unit ones vector where its operator deflates ones, else zero
+    ones = np.broadcast_to(np.repeat([1.0 / math.sqrt(n) if d else 0.0 for _, d in problems], s), X.shape)
+    X = _orthonormalize_columns(X, [ones])
+    AX = np.empty_like(X)
+    for i, (op, deflate_ones) in enumerate(problems):
+        block = slice(i * s, (i + 1) * s)
+        if deflate_ones:
+            AUX = op.matmat(np.column_stack((ones[:, i * s], X[:, block])))
+            _require_ones_null(op, AUX[:, 0])
+            AX[:, block] = AUX[:, 1:]
+        else:
+            AX[:, block] = op.matmat(X[:, block])
     theta = np.einsum("ij,ij->j", X, AX)
-    norm_inf = op.norm_inf
+    norm_inf = np.repeat([op.norm_inf for op, _ in problems], s)
     P, AP = np.zeros_like(X), np.zeros_like(X)
     has_p = np.zeros(X.shape[1], dtype=bool)
+    iterations = np.zeros(X.shape[1], dtype=int)
     done = np.zeros(X.shape[1], dtype=bool)
     for _ in range(max_iter):
         a = np.flatnonzero(~done)
+        iterations[a] += 1
         R = AX[:, a] - X[:, a] * theta[a]
-        conv = _residual_check(R, theta[a], tol, norm_inf)[1]
+        conv = _residual_check(R, theta[a], tol, norm_inf[a])[1]
         done[a[conv]] = True
         a, R = a[~conv], R[:, ~conv]
         if not len(a):
             break
         x, p = X[:, a], P[:, a]
-        guards = [ones[:, : len(a)], x, p] if deflate_ones else [x, p]
-        W = _orthonormalize_columns(R, guards)
-        S, AS = np.stack((x, p, W)), np.stack((AX[:, a], AP[:, a], op.matmat(W)))
+        W = _orthonormalize_columns(R, [ones[:, a], x, p])
+        # one block matvec per operator, of its active columns: a[lo:hi]
+        cuts = np.searchsorted(a, np.arange(len(problems) + 1) * s)
+        AW = np.empty_like(W)
+        for (op, _), lo, hi in zip(problems, cuts[:-1], cuts[1:]):
+            if lo < hi:
+                AW[:, lo:hi] = op.matmat(W[:, lo:hi])
+        S, AS = np.stack((x, p, W)), np.stack((AX[:, a], AP[:, a], AW))
         H = np.matmul(S.transpose(2, 0, 1), AS.transpose(2, 1, 0))
         # a zero p has a zero row and column; its diagonal goes above the
         # column's other eigenvalues, which the sum of its absolute entries
@@ -821,16 +850,17 @@ def lobpcg_lockstep(
         X[:, a], P[:, a] = np.matmul(S.transpose(2, 1, 0), coef).transpose(2, 1, 0)
         AX[:, a], AP[:, a] = np.matmul(AS.transpose(2, 1, 0), coef).transpose(2, 1, 0)
         theta[a] = ritz[:, 0]
-    return theta, X
+    return theta, X, iterations
 
 
 def _residual_check(R: np.ndarray, theta: np.ndarray, tol: float,
-                    norm_inf: float) -> tuple[np.ndarray, np.ndarray]:
+                    norm_inf: float | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The column norms of a residual block R and whether each has converged.
 
     A column has converged when its norm is at most ``tol * max(min(1,
     norm_inf), |theta|)``, or at most the rounding level ``_ROUNDING_RESIDUAL
-    * sqrt(n) * eps * norm_inf`` that no residual can go below.  The floor
+    * sqrt(n) * eps * norm_inf`` that no residual can go below.  ``norm_inf``
+    is the operator's ``||A||_inf``, or one per column.  The floor
     ``min(1, ||A||_inf)`` keeps ``tol`` relative below unit scale.  The
     rounding level serves a |theta| tiny against ``||A||_inf``, as the
     signed kind's Fiedler value at a large weight scale, where ``tol *
@@ -842,7 +872,7 @@ def _residual_check(R: np.ndarray, theta: np.ndarray, tol: float,
     S = np.ldexp(R, -e)
     norms = np.ldexp(np.sqrt(np.einsum("ij,ij->j", S, S)), e)
     rounding = _ROUNDING_RESIDUAL * math.sqrt(R.shape[0]) * np.finfo(float).eps * norm_inf
-    return norms, norms <= np.maximum(tol * np.maximum(min(1.0, norm_inf), np.abs(theta)), rounding)
+    return norms, norms <= np.maximum(tol * np.maximum(np.minimum(1.0, norm_inf), np.abs(theta)), rounding)
 
 
 def _orthonormalize_columns(W: np.ndarray, guards: list[np.ndarray]) -> np.ndarray:

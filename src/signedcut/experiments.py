@@ -65,9 +65,10 @@ def truncated_iteration_study(
     a fixed number of iterations on the negative-weight standard Laplacian,
     the edge-deleted baseline, and the signed Laplacian, from the same
     random start, and the study counts how often the lead nontrivial Ritz
-    vector changes sign across the special edge.  The seeds of one operator
-    run in lock step (``lobpcg_lockstep``): each column is the block-1
-    ``lobpcg_smallest`` solve of its seed, up to rounding.
+    vector changes sign across the special edge.  All three operators' seeds
+    run in one lock-step solve (``lobpcg_lockstep``): each column is the
+    block-1 ``lobpcg_smallest`` solve of its operator and seed, up to
+    rounding.
     """
     g_neg = path_string(StringSpec(n=n, overrides=((edge_index, weight),)))
     variants = {
@@ -75,11 +76,11 @@ def truncated_iteration_study(
         "baseline_zero": (nullify_negative(g_neg), LaplacianKind.STANDARD),
         "signed_negative": (g_neg, LaplacianKind.SIGNED),
     }
-    counts = {}
-    for name, (g, kind) in variants.items():
-        op = laplacian(g, kind)
-        _, V = lobpcg_lockstep(op, range(seeds), tol, iterations, deflate_ones=kind.deflates_ones)
-        counts[name] = int((V[edge_index] * V[edge_index + 1] < 0).sum())
+    problems = [(laplacian(g, kind), kind.deflates_ones) for g, kind in variants.values()]
+    _, V, _ = lobpcg_lockstep(problems, range(seeds), tol, iterations)
+    # the columns are operator-major: one row of seeds per operator
+    changes = (V[edge_index] * V[edge_index + 1] < 0).reshape(len(variants), seeds)
+    counts = {name: int(row.sum()) for name, row in zip(variants, changes)}
     return {
         "n": n,
         "edge": edge_index + 1,

@@ -644,6 +644,16 @@ class TestDemo:
         for path in report["outputs"]:
             assert open(path).read()
 
+    @pytest.mark.parametrize("name", ["weak-link", "negative-edge", "gap-study", "lobpcg-30"])
+    def test_special_edge_demos_name_n_when_it_is_too_short(self, name, tmp_path, capsys):
+        """The special edge is 37 (1-based): a 30-mass string has none, and the error says so in --n terms."""
+        out = tmp_path / name
+        code, stdout, report = run(capsys, "demo", name, "--n", "30", "--out", str(out))
+        assert code == 2 and report["exit_code"] == 2 and not stdout
+        assert report["error"] == (f"demo {name} needs --n >= 38: its special edge 37 (1-based) "
+                                   "joins vertices 37 and 38; got --n 30")
+        assert not out.exists() and report["outputs"] == []
+
     def test_cobra_one_dense_solve_per_spectrum(self, tmp_path, capsys, monkeypatch):
         """Standard, nullified and signed spectra: three eigh or eigvalsh calls in all."""
         calls = count_dense_eigensolves(monkeypatch)

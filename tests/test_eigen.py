@@ -33,9 +33,11 @@ from signedcut import (
     path_string,
     scale_weights,
     select_fiedler,
+    truncated_iteration_study,
 )
 
 import signedcut.eigen
+import signedcut.experiments
 from test_graph import random_graph
 
 
@@ -361,19 +363,33 @@ class TestLobpcgMatvecCount:
         assert len(calls) <= len(trace) + 2
 
 
-def assert_lockstep_matches_serial(op, seeds, tol, max_iter, deflate_ones):
-    """Each lock-step column against lobpcg_smallest's block-1 solve of its seed; their iteration counts."""
-    theta, V = lobpcg_lockstep(op, seeds, tol, max_iter, deflate_ones=deflate_ones)
-    assert theta.shape == (len(seeds),) and V.shape == (op.n, len(seeds))
-    iterations = []
-    for b, seed in enumerate(seeds):
-        cfg = SolverConfig(block_size=1, tol=tol, max_iter=max_iter, seed=seed)
-        s, trace = lobpcg_smallest(op, 1, cfg, deflate_ones)
-        v = s.eigenvectors[:, 0]
-        assert theta[b] == pytest.approx(s.eigenvalues[0], abs=1e-12)
-        assert min(np.abs(V[:, b] - v).max(), np.abs(V[:, b] + v).max()) <= 1e-10
-        iterations.append(len(trace))
-    return iterations
+def assert_lockstep_matches_serial(problems, seeds, tol, max_iter):
+    """Each lock-step column against lobpcg_smallest's block-1 solve of its operator and seed.
+
+    Returns the iteration counts of each operator's columns, one list per
+    operator, after asserting that each equals the serial trace length.
+    """
+    theta, V, iterations = lobpcg_lockstep(problems, seeds, tol, max_iter)
+    columns = len(problems) * len(seeds)
+    assert theta.shape == iterations.shape == (columns,) and V.shape == (problems[0][0].n, columns)
+    counts = []
+    for i, (op, deflate_ones) in enumerate(problems):
+        for b, seed in enumerate(seeds):
+            col = i * len(seeds) + b
+            cfg = SolverConfig(block_size=1, tol=tol, max_iter=max_iter, seed=seed)
+            s, trace = lobpcg_smallest(op, 1, cfg, deflate_ones)
+            v = s.eigenvectors[:, 0]
+            assert theta[col] == pytest.approx(s.eigenvalues[0], abs=1e-12)
+            assert min(np.abs(V[:, col] - v).max(), np.abs(V[:, col] + v).max()) <= 1e-10
+            assert iterations[col] == len(trace)
+        counts.append(iterations[i * len(seeds) : (i + 1) * len(seeds)].tolist())
+    return counts
+
+
+def eight_mass_string(kind, scale=1.0):
+    """The 8-mass string with edge 4 at -0.3, every weight times scale; its operator and deflate flag."""
+    g = scale_weights(path_string(StringSpec(8, overrides=((3, -0.3),))), scale)
+    return laplacian(g, kind), kind == "standard"
 
 
 class TestLobpcgLockstep:
@@ -389,28 +405,64 @@ class TestLobpcgLockstep:
 
     @pytest.mark.parametrize("max_iter", [30, 5])
     def test_truncated_study_operators(self, max_iter):
-        for op, deflate in self.study_operators():
-            iterations = assert_lockstep_matches_serial(op, range(20), 1e-8, max_iter, deflate)
-            assert iterations == [max_iter] * 20
+        counts = assert_lockstep_matches_serial(self.study_operators(), range(20), 1e-8, max_iter)
+        assert counts == [[max_iter] * 20] * 3
 
     @pytest.mark.parametrize("kind", ["standard", "signed"])
     def test_converged_columns_stay_frozen(self, kind):
-        op = laplacian(path_string(StringSpec(8, overrides=((3, -0.3),))), kind)
-        iterations = assert_lockstep_matches_serial(op, range(10), 1e-8, 200, kind == "standard")
+        [iterations] = assert_lockstep_matches_serial([eight_mass_string(kind)], range(10), 1e-8, 200)
         # the columns converge at different iterations, all within the budget
         assert len(set(iterations)) > 2 and max(iterations) < 200
 
+    def test_each_column_tests_at_its_own_scale(self):
+        """Operators 2^1000 apart in one call: each column stops as in its one-operator run."""
+        problems = [eight_mass_string(kind, 2.0**e) for kind in ("standard", "signed") for e in (-500, 500)]
+        seeds = range(10)
+        _, V, iterations = lobpcg_lockstep(problems, seeds, 1e-8, 200)
+        for i, problem in enumerate(problems):
+            _, v, alone = lobpcg_lockstep([problem], seeds, 1e-8, 200)
+            cols = slice(i * len(seeds), (i + 1) * len(seeds))
+            assert iterations[cols].tolist() == alone.tolist() and alone.max() < 200
+            assert np.minimum(np.abs(V[:, cols] - v).max(axis=0), np.abs(V[:, cols] + v).max(axis=0)).max() <= 1e-10
+
     def test_squared_norms_below_the_normal_range(self):
         """At weights of 1e-155 a residual's squared norm is subnormal unless w is scaled first."""
-        g = scale_weights(path_string(StringSpec(8, overrides=((3, -0.3),))), 1e-155)
-        assert_lockstep_matches_serial(laplacian(g, "standard"), range(5), 1e-163, 200, True)
+        assert_lockstep_matches_serial([eight_mass_string("standard", 1e-155)], range(5), 1e-163, 200)
 
     def test_one_block_matvec_per_iteration(self):
-        op, deflate = self.study_operators()[0]
-        calls = count_block_matvecs(op)
-        lobpcg_lockstep(op, range(20), 1e-8, 30, deflate_ones=deflate)
-        # the start block with ones in front, then one product per iteration
-        assert calls == [21] + [20] * 30
+        problems = self.study_operators()
+        calls = [count_block_matvecs(op) for op, _ in problems]
+        lobpcg_lockstep(problems, range(20), 1e-8, 30)
+        # the start block, with ones in front where ones is deflated, then
+        # one product of the active columns per iteration
+        assert calls == [[21] + [20] * 30, [21] + [20] * 30, [20] + [20] * 30]
+
+    def test_truncated_iteration_study_is_one_lockstep_solve(self, monkeypatch):
+        calls = []
+
+        def recording(problems, *args):
+            calls.append(len(problems))
+            return lobpcg_lockstep(problems, *args)
+
+        monkeypatch.setattr(signedcut.experiments, "lobpcg_lockstep", recording)
+        doc = truncated_iteration_study(DEFAULT_STRING_LENGTH, DEFAULT_SPECIAL_EDGE, NEGATIVE_EDGE_WEIGHT)
+        assert calls == [3]
+        assert doc["sign_change_counts"] == {
+            "standard_negative": 19, "baseline_zero": 15, "signed_negative": 14,
+        }
+
+    def test_operators_of_unequal_n(self):
+        problems = [eight_mass_string("signed"), (laplacian(path_string(StringSpec(9)), "signed"), False)]
+        with pytest.raises(ValueError, match=r"operators of one n, got n = \[8, 9\]"):
+            lobpcg_lockstep(problems, range(3), 1e-8, 10)
+
+    def test_no_operators(self):
+        with pytest.raises(ValueError, match="at least one operator"):
+            lobpcg_lockstep([], range(3), 1e-8, 10)
+
+    def test_no_seeds(self):
+        with pytest.raises(ValueError, match="at least one seed"):
+            lobpcg_lockstep([eight_mass_string("standard")], [], 1e-8, 10)
 
 
 def qr_kept_columns(V, guard):
