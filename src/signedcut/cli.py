@@ -16,7 +16,6 @@ import functools
 import hashlib
 import itertools
 import json
-import math
 import os
 import sys
 import time
@@ -37,7 +36,7 @@ from .errors import (
     SignedCutError,
     SolverFailedError,
 )
-from .experiments import gap_study, truncated_iteration_study
+from .experiments import compare, gap_study, truncated_iteration_study
 from .generators import (
     DEFAULT_SPECIAL_EDGE,
     DEFAULT_STRING_LENGTH,
@@ -53,8 +52,6 @@ from .graph import SignedGraph, nullify_negative
 from .io import CHUNK_LINES, load_graph, save_graph
 from .laplacian import LaplacianKind, laplacian
 from .partition import (
-    FiedlerResult,
-    baseline_gap,
     bisect,
     confidence,
     cut_metrics,
@@ -196,8 +193,8 @@ def _modes_csv(eigenvalues: np.ndarray, vectors: np.ndarray) -> Iterator[str]:
         yield "".join(line % (start + r + 1, *row) for r, row in enumerate(rows))
 
 
-def _parse_edge_weight(text: str, flag: str) -> tuple[int, float]:
-    """Parse a 1-based EDGE:WEIGHT argument into a 0-based edge index."""
+def _parse_edge_weight(text: str, flag: str, n: int) -> tuple[int, float]:
+    """Parse a 1-based EDGE:WEIGHT argument, an edge of an n-vertex string, into a 0-based edge index."""
     try:
         idx_s, w_s = text.split(":", 1)
         idx, w = int(idx_s), float(w_s)
@@ -205,6 +202,8 @@ def _parse_edge_weight(text: str, flag: str) -> tuple[int, float]:
         raise SignedCutError(f"{flag} expects EDGE:WEIGHT, got {text!r}") from None
     if idx < 1:
         raise SignedCutError(f"{flag} edge numbers are 1-based, got {idx}")
+    if idx > n - 1 >= 1:  # a string with no edge at all is the generator's error
+        raise SignedCutError(f"{flag} edge {idx} outside [1, {n - 1}] for --n {n}")
     return idx - 1, w
 
 
@@ -217,11 +216,12 @@ def _solver_config(args) -> SolverConfig | None:
 
 def cmd_gen(args, outputs: list[str], warnings: list[str]) -> dict:
     if args.kind == "path":
-        overrides = tuple(_parse_edge_weight(o, "--override") for o in args.override)
-        g = path_string(StringSpec(n=args.n or DEFAULT_STRING_LENGTH, overrides=overrides))
+        n = args.n or DEFAULT_STRING_LENGTH
+        overrides = tuple(_parse_edge_weight(o, "--override", n) for o in args.override)
+        g = path_string(StringSpec(n=n, overrides=overrides))
     elif args.kind == "noisy-string":
-        idx, w = _parse_edge_weight(args.neg_edge, "--neg-edge")
-        g = noisy_string(args.n or 12, (idx, w), args.noise_amp, args.seed)
+        n = args.n or 12
+        g = noisy_string(n, _parse_edge_weight(args.neg_edge, "--neg-edge", n), args.noise_amp, args.seed)
     elif args.kind == "cobra":
         g = cobra()
     else:
@@ -231,7 +231,7 @@ def cmd_gen(args, outputs: list[str], warnings: list[str]) -> dict:
     return {"n": g.n, "edges": g.m}
 
 
-def cmd_spectrum(args, outputs: list[str], warnings: list[str]) -> dict:
+def cmd_spectrum(args, outputs: list[str], warnings: list[str]) -> None:
     g = load_graph(args.graph)
     top = solve_space_dimension(g.n, args.deflate_ones)
     if not 1 <= args.k <= top:
@@ -251,13 +251,6 @@ def cmd_spectrum(args, outputs: list[str], warnings: list[str]) -> dict:
             )
     evals, evecs = s.eigenvalues[: args.k], s.eigenvectors[:, : args.k]
     _emit_text(_modes_csv(evals, evecs), args.out, outputs)
-    return {"eigenvalues": [float(v) for v in evals]}
-
-
-def _side_sizes(side: np.ndarray) -> tuple[int, int]:
-    """Vertex counts of sides A and B of a side array of 0s and 1s."""
-    size_a = int(np.count_nonzero(side == 0))
-    return size_a, len(side) - size_a
 
 
 def _side_a(side: np.ndarray) -> list[int]:
@@ -265,7 +258,7 @@ def _side_a(side: np.ndarray) -> list[int]:
     return (np.flatnonzero(side == 0) + 1).tolist()
 
 
-def cmd_partition(args, outputs: list[str], warnings: list[str]) -> dict:
+def cmd_partition(args, outputs: list[str], warnings: list[str]) -> None:
     g = load_graph(args.graph)
     f = fiedler(g, LaplacianKind(args.laplacian), solver=_solver_config(args))
     side = bisect(f, zero_policy=args.zero_policy)
@@ -280,13 +273,10 @@ def cmd_partition(args, outputs: list[str], warnings: list[str]) -> dict:
             "the gap partner is unconverged: the gap is an upper estimate, "
             "so clustered eigenvalues may go unflagged"
         )
-    doc = partition_json(f, side, conf)
-    _emit_json(doc, args.out, outputs)
-    size_a, size_b = _side_sizes(side)
-    return {"side_a_size": size_a, "side_b_size": size_b}
+    _emit_json(partition_json(f, side, conf), args.out, outputs)
 
 
-def cmd_metrics(args, outputs: list[str], warnings: list[str]) -> dict:
+def cmd_metrics(args, outputs: list[str], warnings: list[str]) -> None:
     g = load_graph(args.graph)
     with open(args.partition) as fh:
         pdoc = json.load(fh)
@@ -302,66 +292,13 @@ def cmd_metrics(args, outputs: list[str], warnings: list[str]) -> dict:
         raise SignedCutError("partition side values must be the integers 0 and 1")
     side = np.asarray(labels, dtype=np.int8)
     m = cut_metrics(g, side)
-    size_a, size_b = _side_sizes(side)
-    doc = {"n": g.n, "size_a": size_a, "size_b": size_b, **dataclasses.asdict(m)}
+    size_a = int(np.count_nonzero(side == 0))
+    doc = {"n": g.n, "size_a": size_a, "size_b": g.n - size_a, **dataclasses.asdict(m)}
     _emit_json(doc, args.out, outputs)
-    return doc
 
 
-def _finite_or_null(x: float) -> float | None:
-    """JSON has no infinity or NaN: a non-finite number is written as null."""
-    return float(x) if math.isfinite(x) else None
-
-
-def _ratio(a: float, b: float) -> float | None:
-    return _finite_or_null(a / b) if b else None
-
-
-def _fiedler_block(f: FiedlerResult) -> dict:
-    return {
-        "fiedler_eigenvalue": f.eigenvalue,
-        "gap": _finite_or_null(f.gap),
-        "condition_number": _finite_or_null(f.condition_number),
-        "smallest_eigenvalues": [float(v) for v in f.eigenvalues[:5]],
-    }
-
-
-def _partition_block(
-    g: SignedGraph, kind: LaplacianKind, warnings: list[str]
-) -> tuple[dict, FiedlerResult]:
-    f = fiedler(g, kind)
-    block = _fiedler_block(f)
-    block["clustered_warning"] = f.clustered_warning
-    if f.clustered_warning:
-        warnings.append(f"{kind.value}: clustered eigenvalues, unstable Fiedler vector")
-    try:
-        side = bisect(f)
-        m = cut_metrics(g, side)
-        block["side"] = side.tolist()
-        block["cut"] = m.cut
-        block["signed_cut"] = m.signed_cut
-        block["ratio_cut"] = m.ratio_cut
-    except DegenerateVectorError:
-        block["side"] = None
-        warnings.append(f"{kind.value}: Fiedler components all one sign; no bisection")
-    return block, f
-
-
-def cmd_compare(args, outputs: list[str], warnings: list[str]) -> dict:
-    g = load_graph(args.graph)
-    doc = {"n": g.n, "edges": g.m}
-    doc["standard"], f_std = _partition_block(g, LaplacianKind.STANDARD, warnings)
-    doc["signed"], f_sgn = _partition_block(g, LaplacianKind.SIGNED, warnings)
-    f_base = baseline_gap(g)
-    doc["baseline"] = _fiedler_block(f_base)
-    doc["baseline"]["removed_edges"] = int((g.edge_arrays()[2] < 0).sum())
-    doc["ratios"] = {
-        "gap_standard_over_baseline": _ratio(f_std.gap, f_base.gap),
-        "gap_signed_over_baseline": _ratio(f_sgn.gap, f_base.gap),
-        "condition_signed_over_standard": _ratio(f_sgn.condition_number, f_std.condition_number),
-    }
-    _emit_json(doc, args.out, outputs)
-    return doc["ratios"]
+def cmd_compare(args, outputs: list[str], warnings: list[str]) -> None:
+    _emit_json(compare(load_graph(args.graph), warnings), args.out, outputs)
 
 
 # --- demos -----------------------------------------------------------------
@@ -373,10 +310,11 @@ def _demo_dir(args) -> str:
     return out
 
 
-def _special_edge_length(args, default: int) -> int:
-    """The string length of a demo with the special edge: ``--n``, long enough to hold that edge."""
+def _special_edge_length(args, default: int, edge_index: int) -> int:
+    """The string length of a demo whose special edge is ``edge_index`` (0-based): ``--n``,
+    long enough to hold that edge."""
     n = args.n or default
-    edge = DEFAULT_SPECIAL_EDGE + 1  # 1-based, as --override counts
+    edge = edge_index + 1  # 1-based, as --override and --neg-edge count
     if n <= edge:
         raise ValueError(
             f"demo {args.name} needs --n >= {edge + 1}: its special edge {edge} (1-based) "
@@ -401,7 +339,7 @@ def demo_string_modes(args, outputs, warnings) -> dict:
 
 
 def demo_weak_link(args, outputs, warnings) -> dict:
-    n = _special_edge_length(args, DEFAULT_STRING_LENGTH)
+    n = _special_edge_length(args, DEFAULT_STRING_LENGTH, DEFAULT_SPECIAL_EDGE)
     g = path_string(StringSpec(n=n, overrides=((DEFAULT_SPECIAL_EDGE, WEAK_LINK_WEIGHT),)))
     ev = _write_modes(g, LaplacianKind.STANDARD, 5,
                       os.path.join(_demo_dir(args), "weak-link-modes.csv"), outputs)
@@ -409,7 +347,7 @@ def demo_weak_link(args, outputs, warnings) -> dict:
 
 
 def demo_negative_edge(args, outputs, warnings) -> dict:
-    n = _special_edge_length(args, DEFAULT_STRING_LENGTH)
+    n = _special_edge_length(args, DEFAULT_STRING_LENGTH, DEFAULT_SPECIAL_EDGE)
     g = path_string(StringSpec(n=n, overrides=((DEFAULT_SPECIAL_EDGE, NEGATIVE_EDGE_WEIGHT),)))
     out = _demo_dir(args)
     ev_std = _write_modes(g, LaplacianKind.STANDARD, 5,
@@ -425,7 +363,7 @@ def demo_negative_edge(args, outputs, warnings) -> dict:
 
 
 def demo_noisy_string(args, outputs, warnings) -> dict:
-    n = args.n or 12
+    n = _special_edge_length(args, 12, 7)
     g = noisy_string(n, (7, -0.5), 1e-2, args.seed)
     out = _demo_dir(args)
     save_graph(g, os.path.join(out, "noisy-string.mtx"))
@@ -498,7 +436,7 @@ def demo_dumbbell(args, outputs, warnings) -> dict:
 
 
 def demo_gap_study(args, outputs, warnings) -> dict:
-    n = _special_edge_length(args, 100)
+    n = _special_edge_length(args, 100, DEFAULT_SPECIAL_EDGE)
     doc = gap_study(n, DEFAULT_SPECIAL_EDGE, (-0.01, -0.05, -0.1))
     _emit_json(doc, os.path.join(_demo_dir(args), "gap-study.json"), outputs)
     return {
@@ -512,7 +450,7 @@ def demo_gap_study(args, outputs, warnings) -> dict:
 
 
 def demo_lobpcg_30(args, outputs, warnings) -> dict:
-    n = _special_edge_length(args, DEFAULT_STRING_LENGTH)
+    n = _special_edge_length(args, DEFAULT_STRING_LENGTH, DEFAULT_SPECIAL_EDGE)
     doc = truncated_iteration_study(n, DEFAULT_SPECIAL_EDGE, NEGATIVE_EDGE_WEIGHT)
     _emit_json(doc, os.path.join(_demo_dir(args), "lobpcg-30.json"), outputs)
     return doc["sign_change_counts"]
@@ -555,7 +493,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
         summary = _HANDLERS[args.command](args, outputs, warnings)
-        if args.command in ("gen", "demo") and summary:
+        if summary is not None:
             print(json.dumps(summary))
     except MultiComponentError as exc:
         code, error = 5, str(exc)

@@ -112,11 +112,11 @@ class SolverConfig:
     The problem, k wanted pairs and whether ones is deflated, goes to
     ``lobpcg_smallest`` with the operator.  ``block_size`` is the block's
     column count, at least k and at most ``solve_space_dimension``; None
-    takes k.  ``tol`` is a residual tolerance scaled per column by
-    max(min(1, ||A||_inf), |ritz value|), so it is relative at every weight
-    scale.  ``precondition`` applies a preconditioner to the residual
-    block: the multilevel V-cycle (``multilevel_preconditioner``) where the
-    operator's graph coarsens along strong edges, else the
+    takes k.  ``tol`` is a finite positive residual tolerance, scaled per
+    column by max(min(1, ||A||_inf), |ritz value|), so it is relative at
+    every weight scale.  ``precondition`` applies a preconditioner to the
+    residual block: the multilevel V-cycle (``multilevel_preconditioner``)
+    where the operator's graph coarsens along strong edges, else the
     Gershgorin-shifted Jacobi diagonal (``jacobi_preconditioner``).
     """
 
@@ -131,6 +131,8 @@ class SolverConfig:
             raise ValueError(f"block_size must be >= 1, got {self.block_size}")
         if not self.tol > 0:
             raise ValueError(f"tol must be positive, got {self.tol}")
+        if not math.isfinite(self.tol):
+            raise ValueError(f"tol must be finite, got {self.tol}")
         if self.max_iter < 1:
             raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
 

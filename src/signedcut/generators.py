@@ -69,7 +69,7 @@ def noisy_string(
     idx, w = int(neg_edge[0]), float(neg_edge[1])
     if not 0 <= idx < n - 1:
         raise IndexOutOfRangeError(f"edge {idx} outside [0, {n - 1})")
-    if noise_amp < 0:
+    if not noise_amp >= 0:
         raise ValueError(f"noise_amp must be >= 0, got {noise_amp}")
     W = np.zeros((n, n))
     for i in range(n - 1):

@@ -113,6 +113,32 @@ class TestGen:
         assert report["error"] == error and report["exit_code"] == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv, error", [
+        (["path", "--n", "5", "--override", "5:-1"], "--override edge 5 outside [1, 4] for --n 5"),
+        (["noisy-string", "--n", "12", "--neg-edge", "12:-1"],
+         "--neg-edge edge 12 outside [1, 11] for --n 12"),
+        (["noisy-string", "--n", "5"], "--neg-edge edge 8 outside [1, 4] for --n 5"),
+    ], ids=["override", "neg-edge", "default-neg-edge"])
+    def test_edge_past_the_string_is_named_1_based(self, argv, error, tmp_path, capsys):
+        """The error quotes the flag, the edge as given and the 1-based range of the string's edges."""
+        out = tmp_path / "x.mtx"
+        code, stdout, report = run(capsys, "gen", *argv, "--out", str(out))
+        assert code == 2 and report["exit_code"] == 2 and not stdout
+        assert report["error"] == error
+        assert not out.exists() and report["outputs"] == []
+
+    def test_last_edge_is_in_range(self, tmp_path, capsys):
+        out = str(tmp_path / "x.mtx")
+        code, _, _ = run(capsys, "gen", "path", "--n", "5", "--override", "4:-1", "--out", out)
+        assert code == 0
+        assert load_graph(out) == path_string(StringSpec(5, overrides=((3, -1.0),)))
+
+    def test_nan_noise_amplitude_exit_2(self, tmp_path, capsys):
+        out = tmp_path / "x.mtx"
+        code, _, report = run(capsys, "gen", "noisy-string", "--noise-amp", "nan", "--out", str(out))
+        assert code == 2 and report["error"] == "noise_amp must be >= 0, got nan"
+        assert not out.exists()
+
     def test_io_failure_exit_3(self, tmp_path, capsys):
         code, _, _ = run(capsys, "gen", "cobra", "--out",
                          str(tmp_path / "missing-dir" / "x.mtx"))
@@ -654,6 +680,15 @@ class TestDemo:
                                    "joins vertices 37 and 38; got --n 30")
         assert not out.exists() and report["outputs"] == []
 
+    def test_noisy_string_names_n_when_it_is_too_short(self, tmp_path, capsys):
+        """The noisy string's negative edge is 8 (1-based): an 8-mass string has none."""
+        out = tmp_path / "noisy"
+        code, stdout, report = run(capsys, "demo", "noisy-string", "--n", "8", "--out", str(out))
+        assert code == 2 and report["exit_code"] == 2 and not stdout
+        assert report["error"] == ("demo noisy-string needs --n >= 9: its special edge 8 (1-based) "
+                                   "joins vertices 8 and 9; got --n 8")
+        assert not out.exists() and report["outputs"] == []
+
     def test_cobra_one_dense_solve_per_spectrum(self, tmp_path, capsys, monkeypatch):
         """Standard, nullified and signed spectra: three eigh or eigvalsh calls in all."""
         calls = count_dense_eigensolves(monkeypatch)
@@ -728,6 +763,9 @@ def test_usage_error_exit_2_with_one_report(flags, tmp_path, capsys):
     ("partition", ("--tol", "-1"), "tol must be positive, got -1.0"),
     ("partition", ("--block-size", "0"), "block_size must be >= 1, got 0"),
     ("spectrum", ("--max-iter", "0"), "max_iter must be >= 1, got 0"),
+    # an infinite tol would pass every residual test at once, the random start included
+    ("partition", ("--tol", "inf"), "tol must be finite, got inf"),
+    ("spectrum", ("--tol", "inf"), "tol must be finite, got inf"),
 ])
 def test_invalid_solver_knobs_exit_2_on_both_routes(command, flags, error, solver, tmp_path, capsys):
     gfile = str(tmp_path / "p.mtx")

@@ -94,6 +94,11 @@ class TestNoisyString:
             noisy_string(12, (7, -0.5), -1e-2, seed=0)
         assert str(info.value) == "noise_amp must be >= 0, got -0.01"
 
+    def test_nan_noise_amplitude(self):
+        with pytest.raises(ValueError) as info:
+            noisy_string(12, (7, -0.5), float("nan"), seed=0)
+        assert str(info.value) == "noise_amp must be >= 0, got nan"
+
 
 class TestCobra:
     def test_adjacency(self):
