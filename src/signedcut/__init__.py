@@ -26,7 +26,6 @@ from .errors import (
     ZeroWeightError,
 )
 from .graph import (
-    DENSE_MAX_DIM,
     DegreeMode,
     SignedGraph,
     connected_in_absolute_value,
@@ -45,7 +44,7 @@ from .io import (
     write_edge_csv,
     write_matrix_market,
 )
-from .laplacian import LaplacianKind, SymmetricOperator, laplacian
+from .laplacian import DENSE_MAX_DIM, LaplacianKind, SymmetricOperator, laplacian
 from .eigen import (
     DenseEigenproblem,
     SolverConfig,

@@ -216,11 +216,11 @@ def _solver_config(args) -> SolverConfig | None:
 
 def cmd_gen(args, outputs: list[str], warnings: list[str]) -> dict:
     if args.kind == "path":
-        n = args.n or DEFAULT_STRING_LENGTH
+        n = DEFAULT_STRING_LENGTH if args.n is None else args.n
         overrides = tuple(_parse_edge_weight(o, "--override", n) for o in args.override)
         g = path_string(StringSpec(n=n, overrides=overrides))
     elif args.kind == "noisy-string":
-        n = args.n or 12
+        n = 12 if args.n is None else args.n
         g = noisy_string(n, _parse_edge_weight(args.neg_edge, "--neg-edge", n), args.noise_amp, args.seed)
     elif args.kind == "cobra":
         g = cobra()
@@ -313,7 +313,7 @@ def _demo_dir(args) -> str:
 def _special_edge_length(args, default: int, edge_index: int) -> int:
     """The string length of a demo whose special edge is ``edge_index`` (0-based): ``--n``,
     long enough to hold that edge."""
-    n = args.n or default
+    n = default if args.n is None else args.n
     edge = edge_index + 1  # 1-based, as --override and --neg-edge count
     if n <= edge:
         raise ValueError(
@@ -331,7 +331,7 @@ def _write_modes(g: SignedGraph, kind: LaplacianKind, k: int, path: str,
 
 
 def demo_string_modes(args, outputs, warnings) -> dict:
-    n = args.n or DEFAULT_STRING_LENGTH
+    n = DEFAULT_STRING_LENGTH if args.n is None else args.n
     g = path_string(StringSpec(n=n))
     ev = _write_modes(g, LaplacianKind.STANDARD, 5,
                       os.path.join(_demo_dir(args), "string-modes.csv"), outputs)

@@ -66,6 +66,9 @@ _NUDGE_ULPS = 4
 _NUDGE_TRIES = 8
 _UPDATE_ROWS = 64
 
+# ``estimate_largest_eigenvalue`` takes this many Lanczos steps at most.
+_LANCZOS_STEPS = 20
+
 # Multilevel preconditioner.  An edge is strong when |w_ij| is at least
 # _STRONG_EDGE times min(r_i, r_j), r the Gershgorin radii.  A pairing counts
 # only when it leaves at most _MAX_SHRINK of the vertices.  Each level
@@ -254,22 +257,22 @@ class DenseEigenproblem:
         raise BasisDegenerateError(f"shifted solve at eigenvalue {lam / self._unit!r} stayed singular")
 
 
-def estimate_largest_eigenvalue(op: SymmetricOperator, seed: int = 0, iterations: int = 20) -> float:
+def estimate_largest_eigenvalue(op: SymmetricOperator, seed: int = 0) -> float:
     """Lanczos estimate of the largest eigenvalue.
 
-    ``iterations`` Lanczos steps from a seeded random start, without
-    reorthogonalization; the estimate is the largest eigenvalue of the
-    tridiagonal matrix, a Ritz value, so it exceeds the true one by at most
-    rounding.  A step whose residual vanishes has found an invariant
-    subspace and ends the run.  Each residual is scaled by a power of two,
-    exactly, before its norm is taken, so that every weight scale works.
+    ``_LANCZOS_STEPS`` (20) Lanczos steps from a seeded random start,
+    without reorthogonalization; the estimate is the largest eigenvalue of
+    the tridiagonal matrix, a Ritz value, so it exceeds the true one by at
+    most rounding.  A step whose residual vanishes has found an invariant
+    subspace and ends the run early.  Each residual is scaled by a power of
+    two, exactly, before its norm is taken, so that every weight scale works.
     """
     rng = np.random.default_rng(np.random.SeedSequence([int(seed) & 0x7FFFFFFF, 0x9E37]))
     q = rng.uniform(-1.0, 1.0, size=op.n)
     q /= np.linalg.norm(q)
     q_prev = np.zeros(op.n)
     alpha, beta = [], [0.0]
-    for _ in range(iterations):
+    for _ in range(_LANCZOS_STEPS):
         y = op.matmat(q)
         alpha.append(float(q @ y))
         y -= alpha[-1] * q + beta[-1] * q_prev
@@ -728,24 +731,13 @@ def _lobpcg_iterate(op: SymmetricOperator, k: int, m: int, cfg: SolverConfig, c:
         U = U[:, sv > _QR_DROP_TOL * sv.max(initial=0.0)]
         np_ = U.shape[1]
         coef = np.concatenate((Z[:, :na], Z[:, na:] @ U), axis=1)
-        # the locked columns c:x0 stay where they are
-        _product_into(V[:, x0 : c + m + np_], S, coef)
-        _product_into(AV[:, x0 : c + m + np_], AS, coef)
+        # the locked columns c:x0 stay where they are; S reads the columns
+        # it overwrites, so numpy buffers the product before writing it
+        np.matmul(S, coef, out=V[:, x0 : c + m + np_])
+        np.matmul(AS, coef, out=AV[:, x0 : c + m + np_])
         theta[nlock:] = ritz[:na]
     order = np.argsort(theta, kind="stable")
     return theta[order], V[:, c : c + m][:, order], trace
-
-
-def _product_into(dest: np.ndarray, S: np.ndarray, coef: np.ndarray) -> None:
-    """``dest[...] = S @ coef``, where S may read dest's own columns.
-
-    The product is formed in a fresh F-ordered array of dest's shape, the
-    layout of dest itself (a column range of an F-ordered buffer), so the
-    GEMM rounds as it would writing into dest.
-    """
-    new = np.empty(dest.shape, order="F")
-    np.matmul(S, coef, out=new)
-    dest[...] = new
 
 
 def lobpcg_lockstep(

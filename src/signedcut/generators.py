@@ -12,8 +12,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DuplicateEdgeError, GraphError, IndexOutOfRangeError, ZeroWeightError
+from .errors import (
+    DimensionTooLargeError,
+    DuplicateEdgeError,
+    GraphError,
+    IndexOutOfRangeError,
+    ZeroWeightError,
+)
 from .graph import SignedGraph, graph_from_arrays, graph_from_edges
+from .laplacian import DENSE_MAX_DIM
 
 # Defaults used by the figure-reproduction demos: a 75-mass string with the
 # special edge between (1-based) vertices 37 and 38.
@@ -62,15 +69,22 @@ def noisy_string(
     The noise matrix has independent uniform(0, noise_amp) entries drawn
     from the seeded generator, a zeroed diagonal, and is symmetrized as
     (R + R^T)/2 before being added to the adjacency.  Entries that end up
-    exactly zero are dropped.
+    exactly zero are dropped.  The construction is dense, every pair gets
+    noise, so n is at most DENSE_MAX_DIM; noise_amp is finite and >= 0.
     """
     if n < 3:
         raise GraphError(f"noisy string needs at least 3 vertices, got {n}")
+    if n > DENSE_MAX_DIM:
+        raise DimensionTooLargeError(
+            f"noisy string is dense: n={n} exceeds dense threshold {DENSE_MAX_DIM}"
+        )
     idx, w = int(neg_edge[0]), float(neg_edge[1])
     if not 0 <= idx < n - 1:
         raise IndexOutOfRangeError(f"edge {idx} outside [0, {n - 1})")
     if not noise_amp >= 0:
         raise ValueError(f"noise_amp must be >= 0, got {noise_amp}")
+    if not np.isfinite(noise_amp):
+        raise ValueError(f"noise_amp must be finite, got {noise_amp}")
     W = np.zeros((n, n))
     for i in range(n - 1):
         W[i, i + 1] = W[i + 1, i] = w if i == idx else 1.0

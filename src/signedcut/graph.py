@@ -17,7 +17,6 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import (
-    DimensionTooLargeError,
     DuplicateEdgeError,
     GraphError,
     IndexOutOfRangeError,
@@ -25,9 +24,6 @@ from .errors import (
     SelfLoopError,
     ZeroWeightError,
 )
-
-# Largest dimension for which n-by-n dense materializations are offered.
-DENSE_MAX_DIM = 2048
 
 # One (i, j, w) edge record: the parse target of edge input and graph files.
 EDGE_DTYPE = np.dtype([("i", np.intp), ("j", np.intp), ("w", np.float64)])
@@ -44,7 +40,8 @@ class SignedGraph:
 
     Construct through :func:`graph_from_edges` or :func:`graph_from_arrays`,
     which canonicalize and validate arbitrary edge input; the constructor
-    trusts its arrays and makes them read-only.
+    trusts its arrays and makes them read-only.  The graph has no dense
+    form: its Laplacian operator's ``dense`` holds -W off the diagonal.
     """
 
     n: int
@@ -69,18 +66,6 @@ class SignedGraph:
     def edge_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Return (i, j, w) as read-only numpy arrays."""
         return self._arrays
-
-    def dense_adjacency(self) -> np.ndarray:
-        """Dense symmetric adjacency matrix (n <= DENSE_MAX_DIM only)."""
-        if self.n > DENSE_MAX_DIM:
-            raise DimensionTooLargeError(
-                f"n={self.n} exceeds dense threshold {DENSE_MAX_DIM}"
-            )
-        W = np.zeros((self.n, self.n))
-        ii, jj, ww = self.edge_arrays()
-        W[ii, jj] = ww
-        W[jj, ii] = ww
-        return W
 
 
 def graph_from_edges(n: int, edges: Iterable[Sequence]) -> SignedGraph:

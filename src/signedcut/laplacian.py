@@ -10,8 +10,8 @@ applying it costs O(n + m) per vector.  A block product runs two 1-D
 scatters per column, the edges into rows i and then into rows j, on the
 graph's own edge arrays.  That is bit-identical to the block form (one 2-D
 scatter over the whole block), because numpy's fast ``ufunc.at`` path
-serves only 1-D operands.  A dense materialization is available for
-n <= DENSE_MAX_DIM to feed the dense eigensolver oracle.
+serves only 1-D operands.  The dense n-by-n matrix, which feeds the dense
+eigensolver oracle, is offered up to the dense threshold DENSE_MAX_DIM.
 """
 
 from __future__ import annotations
@@ -20,8 +20,11 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import DimensionMismatchError
+from .errors import DimensionMismatchError, DimensionTooLargeError
 from .graph import DegreeMode, SignedGraph, degrees
+
+# Largest dimension for which n-by-n dense matrices are built.
+DENSE_MAX_DIM = 2048
 
 
 class LaplacianKind(str, Enum):
@@ -87,11 +90,15 @@ class SymmetricOperator:
         return Y[:, 0] if single else Y
 
     def dense(self) -> np.ndarray:
-        """Dense n-by-n materialization; only offered for n <= DENSE_MAX_DIM."""
-        L = self.graph.dense_adjacency()
-        # 0 - w, in place: the entries off the edges stay +0.0, as they
-        # would not under negation, and no second n-by-n array is made
-        np.subtract(0.0, L, out=L)
+        """The n-by-n matrix ``diag(diagonal) - W``, for n <= DENSE_MAX_DIM only:
+        -w at an edge's two entries, +0.0 off the edges and the diagonal."""
+        if self.n > DENSE_MAX_DIM:
+            raise DimensionTooLargeError(
+                f"n={self.n} exceeds dense threshold {DENSE_MAX_DIM}"
+            )
+        L = np.zeros((self.n, self.n))
+        ii, jj, ww = self._edges
+        L[ii, jj] = L[jj, ii] = -ww
         np.fill_diagonal(L, self.diagonal)
         return L
 

@@ -139,6 +139,33 @@ class TestGen:
         assert code == 2 and report["error"] == "noise_amp must be >= 0, got nan"
         assert not out.exists()
 
+    @pytest.mark.parametrize("kind, error", [
+        ("path", "a string needs at least 2 vertices, got 0"),
+        ("noisy-string", "noisy string needs at least 3 vertices, got 0"),
+    ])
+    def test_zero_n_exit_2(self, kind, error, tmp_path, capsys):
+        """--n 0 is a string of no vertices, not a missing --n."""
+        out = tmp_path / "x.mtx"
+        code, stdout, report = run(capsys, "gen", kind, "--n", "0", "--out", str(out))
+        assert code == 2 and report["exit_code"] == 2 and not stdout
+        assert report["error"] == error
+        assert not out.exists() and report["outputs"] == []
+
+    def test_infinite_noise_amplitude_exit_2(self, tmp_path, capsys):
+        out = tmp_path / "x.mtx"
+        code, _, report = run(capsys, "gen", "noisy-string", "--noise-amp", "inf", "--out", str(out))
+        assert code == 2 and report["exit_code"] == 2
+        assert report["error"] == "noise_amp must be finite, got inf"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("n", ["4096", "1048576"])
+    def test_noisy_string_above_the_dense_threshold_exit_2(self, n, tmp_path, capsys):
+        out = tmp_path / "x.mtx"
+        code, _, report = run(capsys, "gen", "noisy-string", "--n", n, "--out", str(out))
+        assert code == 2 and report["exit_code"] == 2
+        assert report["error"] == f"noisy string is dense: n={n} exceeds dense threshold 2048"
+        assert not out.exists()
+
     def test_io_failure_exit_3(self, tmp_path, capsys):
         code, _, _ = run(capsys, "gen", "cobra", "--out",
                          str(tmp_path / "missing-dir" / "x.mtx"))
@@ -687,6 +714,26 @@ class TestDemo:
         assert code == 2 and report["exit_code"] == 2 and not stdout
         assert report["error"] == ("demo noisy-string needs --n >= 9: its special edge 8 (1-based) "
                                    "joins vertices 8 and 9; got --n 8")
+        assert not out.exists() and report["outputs"] == []
+
+    @pytest.mark.parametrize("name, error", [
+        ("string-modes", "a string needs at least 2 vertices, got 0"),
+        ("gap-study", "demo gap-study needs --n >= 38: its special edge 37 (1-based) "
+                      "joins vertices 37 and 38; got --n 0"),
+    ])
+    def test_zero_n_exit_2(self, name, error, tmp_path, capsys):
+        """--n 0 is a string of no vertices, not a missing --n."""
+        out = tmp_path / name
+        code, stdout, report = run(capsys, "demo", name, "--n", "0", "--out", str(out))
+        assert code == 2 and report["exit_code"] == 2 and not stdout
+        assert report["error"] == error
+        assert not out.exists() and report["outputs"] == []
+
+    def test_noisy_string_above_the_dense_threshold_exit_2(self, tmp_path, capsys):
+        out = tmp_path / "noisy"
+        code, stdout, report = run(capsys, "demo", "noisy-string", "--n", "4096", "--out", str(out))
+        assert code == 2 and report["exit_code"] == 2 and not stdout
+        assert report["error"] == "noisy string is dense: n=4096 exceeds dense threshold 2048"
         assert not out.exists() and report["outputs"] == []
 
     def test_cobra_one_dense_solve_per_spectrum(self, tmp_path, capsys, monkeypatch):

@@ -1,7 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from signedcut import (
+    DENSE_MAX_DIM,
+    DimensionTooLargeError,
     DuplicateEdgeError,
     GraphError,
     IndexOutOfRangeError,
@@ -67,12 +71,16 @@ class TestNoisyString:
     def test_noise_is_symmetric_and_bounded(self):
         amp = 1e-2
         g = noisy_string(12, (7, -0.5), amp, seed=3)
-        W = g.dense_adjacency()
+        # W is diag(L) - L, for L the Laplacian's dense matrix
+        L = laplacian(g).dense()
+        W = np.diag(L.diagonal()) - L
         np.testing.assert_array_equal(W, W.T)
-        base = path_string(StringSpec(12, overrides=((7, -0.5),))).dense_adjacency()
-        noise = W - base
+        L = laplacian(path_string(StringSpec(12, overrides=((7, -0.5),)))).dense()
+        noise = W - (np.diag(L.diagonal()) - L)
         assert noise.min() >= 0.0 and noise.max() <= amp
-        assert np.abs(np.diag(W)).max() == 0.0
+        # the noise's diagonal is zeroed: no self-loops
+        ii, jj, _ = g.edge_arrays()
+        assert (ii < jj).all()
 
     def test_noise_couples_all_pairs(self):
         g = noisy_string(12, (7, -0.5), 1e-2, seed=3)
@@ -99,13 +107,32 @@ class TestNoisyString:
             noisy_string(12, (7, -0.5), float("nan"), seed=0)
         assert str(info.value) == "noise_amp must be >= 0, got nan"
 
+    def test_infinite_noise_amplitude(self):
+        with pytest.raises(ValueError) as info:
+            noisy_string(12, (7, -0.5), float("inf"), seed=0)
+        assert str(info.value) == "noise_amp must be finite, got inf"
+
+    @pytest.mark.parametrize("n", [DENSE_MAX_DIM + 1, 2**20])
+    def test_above_the_dense_threshold_raises_before_allocating(self, n):
+        """Every pair gets noise: an n-by-n build, refused above the dense threshold."""
+        tracemalloc.start()
+        try:
+            with pytest.raises(DimensionTooLargeError) as info:
+                noisy_string(n, (7, -0.5), 1e-2, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(info.value) == f"noisy string is dense: n={n} exceeds dense threshold {DENSE_MAX_DIM}"
+        assert peak < 2**20
+
 
 class TestCobra:
     def test_adjacency(self):
         expected = np.zeros((6, 6))
         for i, j, w in [(0, 1, 1), (0, 2, -1), (1, 3, 1), (2, 3, 1), (3, 4, 0.2), (4, 5, 1)]:
             expected[i, j] = expected[j, i] = w
-        np.testing.assert_array_equal(cobra().dense_adjacency(), expected)
+        L = laplacian(cobra()).dense()
+        np.testing.assert_array_equal(np.diag(L.diagonal()) - L, expected)
 
     def test_signed_degrees(self):
         np.testing.assert_allclose(

@@ -14,6 +14,7 @@ from signedcut import (
     degrees,
     graph_from_arrays,
     graph_from_edges,
+    laplacian,
     negate_weights,
     nullify_negative,
     scale_weights,
@@ -52,7 +53,9 @@ class TestConstruction:
                 [0, 0, 0, 0, 1, 0],
             ]
         )
-        np.testing.assert_array_equal(g.dense_adjacency(), expected)
+        # W is diag(L) - L, for L the Laplacian's dense matrix
+        L = laplacian(g).dense()
+        np.testing.assert_array_equal(np.diag(L.diagonal()) - L, expected)
 
     def test_duplicate_after_canonicalization(self):
         with pytest.raises(DuplicateEdgeError):
@@ -134,7 +137,8 @@ class TestWeightTransforms:
         assert negate_weights(g) == graph_from_edges(3, [(0, 1, -1.0), (1, 2, -1.0)])
 
     def test_negate_cobra_flips_repulsive_edge(self):
-        W = negate_weights(cobra()).dense_adjacency()
+        # off the diagonal, -L is W
+        W = -laplacian(negate_weights(cobra())).dense()
         assert W[0, 2] == 1.0
         assert W[0, 1] == -1.0
 

@@ -79,7 +79,12 @@ def test_dense_is_diagonal_minus_adjacency_without_negative_zeros():
         for kind in LaplacianKind:
             op = laplacian(g, kind)
             L = op.dense()
-            np.testing.assert_array_equal(L, np.diag(op.diagonal) - g.dense_adjacency())
+            ii, jj, ww = g.edge_arrays()
+            np.testing.assert_array_equal(L.diagonal(), op.diagonal)
+            np.testing.assert_array_equal(L[ii, jj], -ww)
+            np.testing.assert_array_equal(L[jj, ii], -ww)
+            # and nothing else off the diagonal
+            assert np.count_nonzero(L - np.diag(L.diagonal())) == 2 * g.m
             # the entries off the edges are +0.0, as the scatter assembly wrote them
             assert not np.signbit(L[L == 0.0]).any()
 
