@@ -323,9 +323,12 @@ def _special_edge_length(args, default: int, edge_index: int) -> int:
     return n
 
 
-def _write_modes(g: SignedGraph, kind: LaplacianKind, k: int, path: str,
+def _write_modes(g: SignedGraph, kind: LaplacianKind, k: int, args, name: str,
                  outputs: list[str]) -> np.ndarray:
+    """Write the k smallest modes to ``name`` in the demo's directory, made only
+    once the dense solve has succeeded."""
     s = dense_spectrum(laplacian(g, kind))
+    path = os.path.join(_demo_dir(args), name)
     _emit_text(_modes_csv(s.eigenvalues[:k], s.eigenvectors[:, :k]), path, outputs)
     return s.eigenvalues[:k]
 
@@ -333,27 +336,22 @@ def _write_modes(g: SignedGraph, kind: LaplacianKind, k: int, path: str,
 def demo_string_modes(args, outputs, warnings) -> dict:
     n = DEFAULT_STRING_LENGTH if args.n is None else args.n
     g = path_string(StringSpec(n=n))
-    ev = _write_modes(g, LaplacianKind.STANDARD, 5,
-                      os.path.join(_demo_dir(args), "string-modes.csv"), outputs)
+    ev = _write_modes(g, LaplacianKind.STANDARD, 5, args, "string-modes.csv", outputs)
     return {"n": n, "eigenvalues": [float(v) for v in ev]}
 
 
 def demo_weak_link(args, outputs, warnings) -> dict:
     n = _special_edge_length(args, DEFAULT_STRING_LENGTH, DEFAULT_SPECIAL_EDGE)
     g = path_string(StringSpec(n=n, overrides=((DEFAULT_SPECIAL_EDGE, WEAK_LINK_WEIGHT),)))
-    ev = _write_modes(g, LaplacianKind.STANDARD, 5,
-                      os.path.join(_demo_dir(args), "weak-link-modes.csv"), outputs)
+    ev = _write_modes(g, LaplacianKind.STANDARD, 5, args, "weak-link-modes.csv", outputs)
     return {"n": n, "weak_weight": WEAK_LINK_WEIGHT, "eigenvalues": [float(v) for v in ev]}
 
 
 def demo_negative_edge(args, outputs, warnings) -> dict:
     n = _special_edge_length(args, DEFAULT_STRING_LENGTH, DEFAULT_SPECIAL_EDGE)
     g = path_string(StringSpec(n=n, overrides=((DEFAULT_SPECIAL_EDGE, NEGATIVE_EDGE_WEIGHT),)))
-    out = _demo_dir(args)
-    ev_std = _write_modes(g, LaplacianKind.STANDARD, 5,
-                          os.path.join(out, "negative-edge-standard.csv"), outputs)
-    ev_sgn = _write_modes(g, LaplacianKind.SIGNED, 5,
-                          os.path.join(out, "negative-edge-signed.csv"), outputs)
+    ev_std = _write_modes(g, LaplacianKind.STANDARD, 5, args, "negative-edge-standard.csv", outputs)
+    ev_sgn = _write_modes(g, LaplacianKind.SIGNED, 5, args, "negative-edge-signed.csv", outputs)
     return {
         "n": n,
         "negative_weight": NEGATIVE_EDGE_WEIGHT,
@@ -368,10 +366,8 @@ def demo_noisy_string(args, outputs, warnings) -> dict:
     out = _demo_dir(args)
     save_graph(g, os.path.join(out, "noisy-string.mtx"))
     outputs.append(os.path.join(out, "noisy-string.mtx"))
-    _write_modes(g, LaplacianKind.STANDARD, 3,
-                 os.path.join(out, "noisy-string-standard.csv"), outputs)
-    _write_modes(g, LaplacianKind.SIGNED, 2,
-                 os.path.join(out, "noisy-string-signed.csv"), outputs)
+    _write_modes(g, LaplacianKind.STANDARD, 3, args, "noisy-string-standard.csv", outputs)
+    _write_modes(g, LaplacianKind.SIGNED, 2, args, "noisy-string-signed.csv", outputs)
     f_std = fiedler(g, LaplacianKind.STANDARD)
     side = bisect(f_std)
     _emit_json(partition_json(f_std, side), os.path.join(out, "noisy-string-partition.json"), outputs)

@@ -121,6 +121,7 @@ class SolverConfig:
     residual block: the multilevel V-cycle (``multilevel_preconditioner``)
     where the operator's graph coarsens along strong edges, else the
     Gershgorin-shifted Jacobi diagonal (``jacobi_preconditioner``).
+    ``seed`` draws the random start block and is >= 0.
     """
 
     block_size: Optional[int] = None
@@ -138,6 +139,8 @@ class SolverConfig:
             raise ValueError(f"tol must be finite, got {self.tol}")
         if self.max_iter < 1:
             raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 def solve_space_dimension(n: int, deflate_ones: bool) -> int:
@@ -337,7 +340,6 @@ class MultilevelPreconditioner:
         inv = np.linalg.inv(levels[-1].op.dense())
         self._coarse_inv = (inv + inv.T) / 2.0
         self._smoothers = [(_SMOOTH_WEIGHT / lv.op.diagonal)[:, None] for lv in levels[:-1]]
-        self._members = [_members(lv.agg) for lv in levels[:-1]]
 
     def __call__(self, R: np.ndarray) -> np.ndarray:
         # the cycle's products are elementwise or by column, so their bits do
@@ -348,17 +350,15 @@ class MultilevelPreconditioner:
     def _cycle(self, depth: int, b: np.ndarray) -> np.ndarray:
         if depth == len(self.levels) - 1:
             return self._coarse_inv @ np.ascontiguousarray(b)
-        lv, smooth, members = self.levels[depth], self._smoothers[depth], self._members[depth]
-        n, k = b.shape
+        lv, smooth = self.levels[depth], self._smoothers[depth]
         x = smooth * b
-        # P^T r: signed residual rows summed by aggregate, row n padding with
-        # 0; each n-by-k temporary is freed before the next is made
-        r = np.zeros((n + 1, k))
-        np.subtract(b, lv.op.matmat(x), out=r[:n])
-        r[:n] *= lv.sign[:, None]
-        rc = r[members[0]]
-        for row in members[1:]:
-            rc += r[row]
+        # P^T r: signed residual rows summed by aggregate in vertex order; each
+        # n-by-k temporary is freed before the next is made
+        r = lv.op.matmat(x)
+        np.subtract(b, r, out=r)
+        r *= lv.sign[:, None]
+        nc = self.levels[depth + 1].op.n
+        rc = np.stack([np.bincount(lv.agg, column, minlength=nc) for column in r.T], axis=1)
         del r
         correction = np.take(self._cycle(depth + 1, rc), lv.agg, axis=0)
         correction *= lv.sign[:, None]
@@ -499,17 +499,6 @@ def _contract(g: SignedGraph, excess: np.ndarray, agg: np.ndarray,
                      + np.bincount(hi, cancelled, minlength=nc))
     keep = total != 0.0
     return graph_from_arrays(nc, lo[keep], hi[keep], total[keep]), coarse_excess
-
-
-def _members(agg: np.ndarray) -> np.ndarray:
-    """Column c lists the vertices of aggregate c, padded with len(agg)."""
-    n = len(agg)
-    order = np.argsort(agg, kind="stable")
-    counts = np.bincount(agg)
-    position = np.arange(n) - np.repeat(np.cumsum(counts) - counts, counts)
-    members = np.full((counts.max(), len(counts)), n)
-    members[position, agg[order]] = order
-    return members
 
 
 def _orthonormalize(V: np.ndarray, guard: np.ndarray | None = None) -> np.ndarray:

@@ -19,7 +19,7 @@ from .errors import (
     IndexOutOfRangeError,
     ZeroWeightError,
 )
-from .graph import SignedGraph, graph_from_arrays, graph_from_edges
+from .graph import SignedGraph, graph_from_arrays
 from .laplacian import DENSE_MAX_DIM
 
 # Defaults used by the figure-reproduction demos: a 75-mass string with the
@@ -57,8 +57,9 @@ def path_string(spec: StringSpec) -> SignedGraph:
         if float(w) == 0.0:
             raise ZeroWeightError(f"override edge {idx} has zero weight")
         weights[idx] = float(w)
-    edges = [(i, i + 1, weights.get(i, 1.0)) for i in range(spec.n - 1)]
-    return graph_from_edges(spec.n, edges)
+    i, w = np.arange(spec.n - 1), np.ones(spec.n - 1)
+    w[list(weights)] = list(weights.values())
+    return graph_from_arrays(spec.n, i, i + 1, w)
 
 
 def noisy_string(
@@ -70,7 +71,8 @@ def noisy_string(
     from the seeded generator, a zeroed diagonal, and is symmetrized as
     (R + R^T)/2 before being added to the adjacency.  Entries that end up
     exactly zero are dropped.  The construction is dense, every pair gets
-    noise, so n is at most DENSE_MAX_DIM; noise_amp is finite and >= 0.
+    noise, so n is at most DENSE_MAX_DIM; noise_amp is finite and >= 0,
+    and seed is >= 0.
     """
     if n < 3:
         raise GraphError(f"noisy string needs at least 3 vertices, got {n}")
@@ -85,9 +87,11 @@ def noisy_string(
         raise ValueError(f"noise_amp must be >= 0, got {noise_amp}")
     if not np.isfinite(noise_amp):
         raise ValueError(f"noise_amp must be finite, got {noise_amp}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
+    i = np.arange(n - 1)
     W = np.zeros((n, n))
-    for i in range(n - 1):
-        W[i, i + 1] = W[i + 1, i] = w if i == idx else 1.0
+    W[i, i + 1] = W[i + 1, i] = np.where(i == idx, w, 1.0)
     rng = np.random.default_rng(seed)
     R = rng.uniform(0.0, noise_amp, size=(n, n)) if noise_amp > 0 else np.zeros((n, n))
     np.fill_diagonal(R, 0.0)
@@ -103,15 +107,8 @@ def cobra() -> SignedGraph:
     1-based edges: (1,2,+1), (1,3,-1), (2,4,+1), (3,4,+1), (4,5,+0.2),
     (5,6,+1).
     """
-    edges = [
-        (0, 1, 1.0),
-        (0, 2, -1.0),
-        (1, 3, 1.0),
-        (2, 3, 1.0),
-        (3, 4, 0.2),
-        (4, 5, 1.0),
-    ]
-    return graph_from_edges(6, edges)
+    return graph_from_arrays(6, [0, 0, 1, 2, 3, 4], [1, 2, 3, 3, 4, 5],
+                             [1.0, -1.0, 1.0, 1.0, 0.2, 1.0])
 
 
 def dumbbell() -> SignedGraph:
@@ -121,12 +118,9 @@ def dumbbell() -> SignedGraph:
     1-based cross edges: (3,9,+1), (4,10,+1), (1,7,-1), (2,8,-1); the four
     cross weights average to zero.
     """
-    edges = []
-    for i in range(6):
-        for j in range(i + 1, 6):
-            edges.append((i, j, 1.0))
-    for i in range(6, 13):
-        for j in range(i + 1, 13):
-            edges.append((i, j, 1.0))
-    edges += [(2, 8, 1.0), (3, 9, 1.0), (0, 6, -1.0), (1, 7, -1.0)]
-    return graph_from_edges(13, edges)
+    a, b = np.triu_indices(6, 1)
+    c, d = np.triu_indices(7, 1)
+    i = np.concatenate([a, c + 6, [2, 3, 0, 1]])
+    j = np.concatenate([b, d + 6, [8, 9, 6, 7]])
+    w = np.concatenate([np.ones(len(a) + len(c)), [1.0, 1.0, -1.0, -1.0]])
+    return graph_from_arrays(13, i, j, w)

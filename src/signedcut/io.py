@@ -11,10 +11,12 @@ one at a time, then hands the open file to one ``numpy.loadtxt`` call,
 which parses the entry lines as it reads them; the lines are read back as
 strings only to find the first one that does not parse.  The entries are
 then checked as arrays.  Of several faults, a line that does not parse is
-reported first, then range and repeats, count, asymmetry, diagonal, graph
-checks.  Each writer formats and writes ``CHUNK_LINES`` lines at a time.
-So reading and writing need memory in proportion to the numpy edge
-arrays, not one Python string per edge.
+reported first, then range, nonfinite weight and repeats (in a symmetric
+file, (i, j) and (j, i) are one pair), count, asymmetry, diagonal, graph
+checks; the reader's own messages quote the file's 1-based coordinates.
+Each writer formats and writes ``CHUNK_LINES`` lines at a time.  So
+reading and writing need memory in proportion to the numpy edge arrays, not
+one Python string per edge.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from .errors import (
     AsymmetricMatrixError,
     DuplicateEdgeError,
     FormatError,
+    NonfiniteWeightError,
     SelfLoopError,
 )
 from .graph import EDGE_DTYPE, SignedGraph, graph_from_arrays, sorted_repeats
@@ -121,13 +124,23 @@ def read_matrix_market(path: str | os.PathLike) -> SignedGraph:
     r, c, w = entries["i"], entries["j"], entries["w"]
     r -= 1
     c -= 1
-    fault = (r < 0) | (r >= rows) | (c < 0) | (c >= cols)
-    fault |= sorted_repeats(r * cols + c)[2]
+    fault = (r < 0) | (r >= rows) | (c < 0) | (c >= cols) | ~np.isfinite(w)
+    if symmetry == "symmetric":
+        fault |= sorted_repeats(np.minimum(r, c) * cols + np.maximum(r, c))[2]
+    else:
+        fault |= sorted_repeats(r * cols + c)[2]
     if fault.any():
+        # every entry before k is in range and unrepeated: a repeat of k's pair is k's own
+        # coordinate or, in a symmetric file, its mirror
         k = int(fault.argmax())
+        a, b = r[k] + 1, c[k] + 1
         if not (0 <= r[k] < rows and 0 <= c[k] < cols):
-            raise FormatError(f"entry ({r[k] + 1}, {c[k] + 1}) outside matrix")
-        raise DuplicateEdgeError(f"repeated coordinate ({r[k] + 1}, {c[k] + 1})")
+            raise FormatError(f"entry ({a}, {b}) outside matrix")
+        if not np.isfinite(w[k]):
+            raise NonfiniteWeightError(f"entry ({a}, {b}) has nonfinite weight {float(w[k])!r}")
+        if ((r[:k] == r[k]) & (c[:k] == c[k])).any():
+            raise DuplicateEdgeError(f"repeated coordinate ({a}, {b})")
+        raise DuplicateEdgeError(f"entries ({b}, {a}) and ({a}, {b}) store one pair of a symmetric matrix")
     if len(w) != nnz:
         raise FormatError(f"expected {nnz} entries, found {len(w)}")
 
@@ -142,12 +155,6 @@ def read_matrix_market(path: str | os.PathLike) -> SignedGraph:
         raise SelfLoopError(f"diagonal entry at vertex {diagonal[0] + 1}")
     if not keep.all():
         r, c, w = r[keep], c[keep], w[keep]
-    if symmetry == "symmetric":
-        # graph_from_arrays quotes its inputs in a fault message: (min, max) order
-        lo = np.minimum(r, c)
-        np.maximum(r, c, out=c)
-        r[...] = lo
-        del lo
     return graph_from_arrays(rows, r, c, w)
 
 
@@ -158,9 +165,8 @@ def _symmetrize(n: int, r: np.ndarray, c: np.ndarray, w: np.ndarray):
     above, below = np.zeros(len(pairs)), np.zeros(len(pairs))
     above[slot[upper]] = w[upper]
     below[slot[~upper]] = w[~upper]
-    with np.errstate(invalid="ignore"):  # inf - inf is NaN, as in Python floats
-        asym = np.abs(above - below) > ASYMMETRY_TOL * np.maximum(1.0, np.abs(above))
-        avg = (above + below) / 2.0
+    asym = np.abs(above - below) > ASYMMETRY_TOL * np.maximum(1.0, np.abs(above))
+    avg = (above + below) / 2.0
     if asym.any():
         k = int(asym.argmax())
         a, b = pairs[k] // n + 1, pairs[k] % n + 1

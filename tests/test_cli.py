@@ -158,6 +158,13 @@ class TestGen:
         assert report["error"] == "noise_amp must be finite, got inf"
         assert not out.exists()
 
+    def test_noisy_string_negative_seed_exit_2(self, tmp_path, capsys):
+        out = tmp_path / "x.mtx"
+        code, _, report = run(capsys, "gen", "noisy-string", "--seed", "-1", "--out", str(out))
+        assert code == 2 and report["exit_code"] == 2
+        assert report["error"] == "seed must be >= 0, got -1"
+        assert not out.exists()
+
     @pytest.mark.parametrize("n", ["4096", "1048576"])
     def test_noisy_string_above_the_dense_threshold_exit_2(self, n, tmp_path, capsys):
         out = tmp_path / "x.mtx"
@@ -736,6 +743,22 @@ class TestDemo:
         assert report["error"] == "noisy string is dense: n=4096 exceeds dense threshold 2048"
         assert not out.exists() and report["outputs"] == []
 
+    @pytest.mark.parametrize("name", ["string-modes", "weak-link", "negative-edge"])
+    def test_mode_demos_above_the_dense_threshold_make_no_directory(self, name, tmp_path, capsys):
+        """The dense solve is refused before the output directory is made."""
+        out = tmp_path / name
+        code, stdout, report = run(capsys, "demo", name, "--n", "3000", "--out", str(out))
+        assert code == 2 and report["exit_code"] == 2 and not stdout
+        assert report["error"] == "n=3000 exceeds dense threshold 2048"
+        assert not out.exists() and report["outputs"] == []
+
+    def test_noisy_string_negative_seed_exit_2(self, tmp_path, capsys):
+        out = tmp_path / "noisy"
+        code, stdout, report = run(capsys, "demo", "noisy-string", "--seed", "-1", "--out", str(out))
+        assert code == 2 and report["exit_code"] == 2 and not stdout
+        assert report["error"] == "seed must be >= 0, got -1"
+        assert not out.exists() and report["outputs"] == []
+
     def test_cobra_one_dense_solve_per_spectrum(self, tmp_path, capsys, monkeypatch):
         """Standard, nullified and signed spectra: three eigh or eigvalsh calls in all."""
         calls = count_dense_eigensolves(monkeypatch)
@@ -813,6 +836,9 @@ def test_usage_error_exit_2_with_one_report(flags, tmp_path, capsys):
     # an infinite tol would pass every residual test at once, the random start included
     ("partition", ("--tol", "inf"), "tol must be finite, got inf"),
     ("spectrum", ("--tol", "inf"), "tol must be finite, got inf"),
+    # the dense route never draws, so it would ignore the seed; numpy's own refusal names no flag
+    ("partition", ("--seed", "-1"), "seed must be >= 0, got -1"),
+    ("spectrum", ("--seed", "-1"), "seed must be >= 0, got -1"),
 ])
 def test_invalid_solver_knobs_exit_2_on_both_routes(command, flags, error, solver, tmp_path, capsys):
     gfile = str(tmp_path / "p.mtx")

@@ -705,6 +705,25 @@ def small_hierarchy(g, kind, k):
         return multilevel_preconditioner(laplacian(g, kind), k)
 
 
+def reference_v_cycle(h, R):
+    """The V(1,1)-cycle from its definition: damped Jacobi smoothing, the dense
+    prolongation P (``P[i, agg[i]] = sign[i]``), and the symmetrized inverse of
+    the last level's matrix."""
+    def cycle(depth, b):
+        lv = h.levels[depth]
+        if depth == len(h.levels) - 1:
+            inv = np.linalg.inv(lv.op.dense())
+            return (inv + inv.T) / 2.0 @ b
+        S = (signedcut.eigen._SMOOTH_WEIGHT / lv.op.diagonal)[:, None]
+        P = np.zeros((lv.op.n, h.levels[depth + 1].op.n))
+        P[np.arange(lv.op.n), lv.agg] = lv.sign
+        x = S * b
+        x = x + P @ cycle(depth + 1, P.T @ (b - lv.op.matmat(x)))
+        return x + S * (b - lv.op.matmat(x))
+
+    return cycle(0, R)
+
+
 class TestMultilevelPreconditioner:
     """The aggregation hierarchy, its V-cycle and the route rule."""
 
@@ -754,6 +773,24 @@ class TestMultilevelPreconditioner:
         x, y = rng.standard_normal((2, g.n))
         assert abs(x @ h(y[:, None])[:, 0] - y @ h(x[:, None])[:, 0]) <= 1e-12 * scale * g.n
         assert np.linalg.eigvalsh((B + B.T) / 2.0)[0] > 0.0
+
+    @settings(max_examples=40, deadline=None)
+    @given(coarsening_graphs(), st.sampled_from(["standard", "signed"]), st.integers(1, 3))
+    def test_v_cycle_matches_its_definition(self, g, kind, k):
+        h = small_hierarchy(g, kind, k)
+        assume(h is not None and len(h.levels) > 1)
+        R = np.random.default_rng(g.n).standard_normal((g.n, 3))
+        want = reference_v_cycle(h, R)
+        np.testing.assert_allclose(h(R), want, rtol=0, atol=1e-12 * np.abs(want).max())
+
+    @pytest.mark.parametrize("kind", ["standard", "signed"])
+    def test_v_cycle_matches_its_definition_on_the_3000_mass_string(self, kind):
+        g = path_string(StringSpec(3000, overrides=((1499, -0.05),)))
+        h = multilevel_preconditioner(laplacian(g, kind), 1)
+        assert len(h.levels) == 3
+        R = np.random.default_rng(0).standard_normal((g.n, 5))
+        want = reference_v_cycle(h, R)
+        np.testing.assert_allclose(h(R), want, rtol=0, atol=1e-12 * np.abs(want).max())
 
     def test_one_level_is_the_exact_shifted_inverse(self):
         g = path_string(StringSpec(75, overrides=((36, -0.05),)))

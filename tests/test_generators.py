@@ -52,6 +52,17 @@ class TestPathString:
         with pytest.raises(GraphError):
             path_string(StringSpec(1))
 
+    def test_long_string_is_built_as_arrays(self):
+        """200k edges: the traced peak stays near the graph's own 4.8 MB, with no Python tuple per edge."""
+        tracemalloc.start()
+        try:
+            g = path_string(StringSpec(200000, overrides=((99999, -0.05),)))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert g.m == 199999 and g.edge_arrays()[2][99999] == -0.05
+        assert peak < 16 * 2**20
+
 
 class TestNoisyString:
     def test_zero_noise_is_plain_replaced_path(self):
@@ -111,6 +122,11 @@ class TestNoisyString:
         with pytest.raises(ValueError) as info:
             noisy_string(12, (7, -0.5), float("inf"), seed=0)
         assert str(info.value) == "noise_amp must be finite, got inf"
+
+    def test_negative_seed(self):
+        with pytest.raises(ValueError) as info:
+            noisy_string(12, (7, -0.5), 1e-2, seed=-1)
+        assert str(info.value) == "seed must be >= 0, got -1"
 
     @pytest.mark.parametrize("n", [DENSE_MAX_DIM + 1, 2**20])
     def test_above_the_dense_threshold_raises_before_allocating(self, n):

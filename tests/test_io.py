@@ -9,6 +9,7 @@ from signedcut import (
     AsymmetricMatrixError,
     DuplicateEdgeError,
     FormatError,
+    NonfiniteWeightError,
     SelfLoopError,
     cobra,
     dumbbell,
@@ -194,6 +195,13 @@ MALFORMED = [
     ("index-zero.mtx", _BANNER + "3 3 1\n0 1 1.0\n", FormatError, "entry (0, 1) outside matrix"),
     ("repeated.mtx", _BANNER + "3 3 2\n2 1 1.0\n2 1 2.0\n", DuplicateEdgeError, "repeated coordinate (2, 1)"),
     ("count.mtx", _BANNER + "3 3 3\n2 1 1.0\n3 2 1.0\n", FormatError, "expected 3 entries, found 2"),
+    # the reader's checks quote the file's 1-based coordinates; the pair of a symmetric file is one edge
+    ("nan.mtx", _BANNER + "2 2 1\n2 1 nan\n", NonfiniteWeightError, "entry (2, 1) has nonfinite weight nan"),
+    ("mirrored.mtx", _BANNER + "2 2 2\n2 1 1.0\n1 2 1.0\n", DuplicateEdgeError,
+     "entries (2, 1) and (1, 2) store one pair of a symmetric matrix"),
+    ("nan-general.mtx", "%%MatrixMarket matrix coordinate real general\n2 2 2\n1 2 nan\n2 1 nan\n",
+     NonfiniteWeightError, "entry (1, 2) has nonfinite weight nan"),
+    ("nan.csv", "# n=2\ni,j,w\n0,1,nan\n", NonfiniteWeightError, "edge (0, 1) has nonfinite weight nan"),
     ("count-line.csv", "# n=abc\ni,j,w\n0,1,1.0\n", FormatError, "malformed vertex count line: '# n=abc'"),
     ("empty.csv", "", FormatError, "empty edge-list CSV"),
     ("count-only.csv", "# n=3\n", FormatError, "empty edge-list CSV"),
@@ -211,7 +219,7 @@ def test_malformed_file_is_rejected(tmp_path, name, text, error, message):
 
 
 @pytest.mark.parametrize("name, text, error, message",
-                         [m for m in MALFORMED if m[0] in ("no-banner.mtx", "empty.csv")])
+                         [m for m in MALFORMED if m[0] in ("no-banner.mtx", "empty.csv", "nan.mtx")])
 def test_malformed_file_exits_2_with_one_report(tmp_path, capsys, name, text, error, message):
     path = tmp_path / name
     path.write_text(text)
