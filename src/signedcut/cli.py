@@ -19,13 +19,14 @@ import json
 import os
 import sys
 import time
-from typing import Iterable, Iterator
+from typing import Iterator
 
 import numpy as np
 
 from . import __version__
 from .eigen import (
     SolverConfig,
+    Spectrum,
     dense_spectrum,
     lobpcg_smallest,
     solve_space_dimension,
@@ -36,19 +37,16 @@ from .errors import (
     SignedCutError,
     SolverFailedError,
 )
-from .experiments import compare, gap_study, truncated_iteration_study
+from .experiments import DEMOS, compare
 from .generators import (
-    DEFAULT_SPECIAL_EDGE,
     DEFAULT_STRING_LENGTH,
-    NEGATIVE_EDGE_WEIGHT,
-    WEAK_LINK_WEIGHT,
     StringSpec,
     cobra,
     dumbbell,
     noisy_string,
     path_string,
 )
-from .graph import SignedGraph, nullify_negative
+from .graph import SignedGraph
 from .io import CHUNK_LINES, load_graph, save_graph
 from .laplacian import LaplacianKind, laplacian
 from .partition import (
@@ -57,7 +55,6 @@ from .partition import (
     cut_metrics,
     fiedler,
     partition_json,
-    select_fiedler,
 )
 
 class _Parser(argparse.ArgumentParser):
@@ -118,7 +115,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_met.add_argument("--out", default=None)
 
     p_demo = sub.add_parser("demo", help="run a named end-to-end experiment")
-    p_demo.add_argument("name", choices=list(_DEMOS))
+    p_demo.add_argument("name", choices=list(DEMOS))
     p_demo.add_argument("--out", default=None, help="output directory (default: demo-<name>)")
     p_demo.add_argument("--n", type=int, default=None, help="string length where applicable")
     p_demo.add_argument("--seed", type=int, default=0)
@@ -133,18 +130,23 @@ def _digest(path: str) -> str:
     return h.hexdigest()
 
 
-def _emit_text(chunks: Iterable[str], out: str | None, outputs: list[str]) -> None:
-    """Write the text's pieces, as they are made, to ``out`` or to stdout."""
+def _emit(content: SignedGraph | Spectrum | dict, out: str | None, outputs: list[str]) -> None:
+    """Write a graph file, or an eigenmode CSV or JSON document, as it is made, to
+    ``out``; without ``out`` the text goes to stdout."""
+    if isinstance(content, SignedGraph):
+        save_graph(content, out)
+        outputs.append(out)
+        return
+    if isinstance(content, Spectrum):
+        chunks = _modes_csv(content.eigenvalues, content.eigenvectors)
+    else:
+        chunks = itertools.chain(_json_chunks(content), ("\n",))
     if out is None:
         sys.stdout.writelines(chunks)
     else:
         with open(out, "w", newline="\n") as fh:
             fh.writelines(chunks)
         outputs.append(out)
-
-
-def _emit_json(doc: dict, out: str | None, outputs: list[str]) -> None:
-    _emit_text(itertools.chain(_json_chunks(doc), ("\n",)), out, outputs)
 
 
 def _json_chunks(obj, level: int = 0) -> Iterator[str]:
@@ -226,8 +228,7 @@ def cmd_gen(args, outputs: list[str], warnings: list[str]) -> dict:
         g = cobra()
     else:
         g = dumbbell()
-    save_graph(g, args.out)
-    outputs.append(args.out)
+    _emit(g, args.out, outputs)
     return {"n": g.n, "edges": g.m}
 
 
@@ -249,13 +250,7 @@ def cmd_spectrum(args, outputs: list[str], warnings: list[str]) -> None:
                 f"{int((~converged).sum())} of {args.k} eigenpairs unconverged "
                 f"after {args.max_iter} iterations"
             )
-    evals, evecs = s.eigenvalues[: args.k], s.eigenvectors[:, : args.k]
-    _emit_text(_modes_csv(evals, evecs), args.out, outputs)
-
-
-def _side_a(side: np.ndarray) -> list[int]:
-    """The 1-based vertex labels of side A, ascending."""
-    return (np.flatnonzero(side == 0) + 1).tolist()
+    _emit(Spectrum(s.eigenvalues[: args.k], s.eigenvectors[:, : args.k]), args.out, outputs)
 
 
 def cmd_partition(args, outputs: list[str], warnings: list[str]) -> None:
@@ -273,7 +268,7 @@ def cmd_partition(args, outputs: list[str], warnings: list[str]) -> None:
             "the gap partner is unconverged: the gap is an upper estimate, "
             "so clustered eigenvalues may go unflagged"
         )
-    _emit_json(partition_json(f, side, conf), args.out, outputs)
+    _emit(partition_json(f, side, conf), args.out, outputs)
 
 
 def cmd_metrics(args, outputs: list[str], warnings: list[str]) -> None:
@@ -294,178 +289,30 @@ def cmd_metrics(args, outputs: list[str], warnings: list[str]) -> None:
     m = cut_metrics(g, side)
     size_a = int(np.count_nonzero(side == 0))
     doc = {"n": g.n, "size_a": size_a, "size_b": g.n - size_a, **dataclasses.asdict(m)}
-    _emit_json(doc, args.out, outputs)
+    _emit(doc, args.out, outputs)
 
 
 def cmd_compare(args, outputs: list[str], warnings: list[str]) -> None:
-    _emit_json(compare(load_graph(args.graph), warnings), args.out, outputs)
+    _emit(compare(load_graph(args.graph), warnings), args.out, outputs)
 
 
-# --- demos -----------------------------------------------------------------
-
-
-def _demo_dir(args) -> str:
-    out = args.out or f"demo-{args.name}"
-    os.makedirs(out, exist_ok=True)
-    return out
-
-
-def _special_edge_length(args, default: int, edge_index: int) -> int:
-    """The string length of a demo whose special edge is ``edge_index`` (0-based): ``--n``,
-    long enough to hold that edge."""
-    n = default if args.n is None else args.n
-    edge = edge_index + 1  # 1-based, as --override and --neg-edge count
-    if n <= edge:
+def cmd_demo(args, outputs: list[str], warnings: list[str]) -> dict:
+    """Check ``--n``, run the demo's experiment, and only then make the
+    directory and write the experiment's artifacts in order."""
+    run, default_n, special_edge = DEMOS[args.name]
+    n = default_n if args.n is None else args.n
+    if special_edge is not None and n <= special_edge + 1:
+        edge = special_edge + 1  # 1-based, as --override and --neg-edge count
         raise ValueError(
             f"demo {args.name} needs --n >= {edge + 1}: its special edge {edge} (1-based) "
             f"joins vertices {edge} and {edge + 1}; got --n {n}"
         )
-    return n
-
-
-def _write_modes(g: SignedGraph, kind: LaplacianKind, k: int, args, name: str,
-                 outputs: list[str]) -> np.ndarray:
-    """Write the k smallest modes to ``name`` in the demo's directory, made only
-    once the dense solve has succeeded."""
-    s = dense_spectrum(laplacian(g, kind))
-    path = os.path.join(_demo_dir(args), name)
-    _emit_text(_modes_csv(s.eigenvalues[:k], s.eigenvectors[:, :k]), path, outputs)
-    return s.eigenvalues[:k]
-
-
-def demo_string_modes(args, outputs, warnings) -> dict:
-    n = DEFAULT_STRING_LENGTH if args.n is None else args.n
-    g = path_string(StringSpec(n=n))
-    ev = _write_modes(g, LaplacianKind.STANDARD, 5, args, "string-modes.csv", outputs)
-    return {"n": n, "eigenvalues": [float(v) for v in ev]}
-
-
-def demo_weak_link(args, outputs, warnings) -> dict:
-    n = _special_edge_length(args, DEFAULT_STRING_LENGTH, DEFAULT_SPECIAL_EDGE)
-    g = path_string(StringSpec(n=n, overrides=((DEFAULT_SPECIAL_EDGE, WEAK_LINK_WEIGHT),)))
-    ev = _write_modes(g, LaplacianKind.STANDARD, 5, args, "weak-link-modes.csv", outputs)
-    return {"n": n, "weak_weight": WEAK_LINK_WEIGHT, "eigenvalues": [float(v) for v in ev]}
-
-
-def demo_negative_edge(args, outputs, warnings) -> dict:
-    n = _special_edge_length(args, DEFAULT_STRING_LENGTH, DEFAULT_SPECIAL_EDGE)
-    g = path_string(StringSpec(n=n, overrides=((DEFAULT_SPECIAL_EDGE, NEGATIVE_EDGE_WEIGHT),)))
-    ev_std = _write_modes(g, LaplacianKind.STANDARD, 5, args, "negative-edge-standard.csv", outputs)
-    ev_sgn = _write_modes(g, LaplacianKind.SIGNED, 5, args, "negative-edge-signed.csv", outputs)
-    return {
-        "n": n,
-        "negative_weight": NEGATIVE_EDGE_WEIGHT,
-        "standard_eigenvalues": [float(v) for v in ev_std],
-        "signed_eigenvalues": [float(v) for v in ev_sgn],
-    }
-
-
-def demo_noisy_string(args, outputs, warnings) -> dict:
-    n = _special_edge_length(args, 12, 7)
-    g = noisy_string(n, (7, -0.5), 1e-2, args.seed)
-    out = _demo_dir(args)
-    save_graph(g, os.path.join(out, "noisy-string.mtx"))
-    outputs.append(os.path.join(out, "noisy-string.mtx"))
-    _write_modes(g, LaplacianKind.STANDARD, 3, args, "noisy-string-standard.csv", outputs)
-    _write_modes(g, LaplacianKind.SIGNED, 2, args, "noisy-string-signed.csv", outputs)
-    f_std = fiedler(g, LaplacianKind.STANDARD)
-    side = bisect(f_std)
-    _emit_json(partition_json(f_std, side), os.path.join(out, "noisy-string-partition.json"), outputs)
-    f_sgn = fiedler(g, LaplacianKind.SIGNED)
-    if f_sgn.clustered_warning:
-        warnings.append("signed: two smallest eigenvalues form a cluster")
-    return {
-        "n": n,
-        "standard_side_a": _side_a(side),
-        "signed_clustered_warning": f_sgn.clustered_warning,
-        "signed_gap": f_sgn.gap,
-    }
-
-
-def demo_cobra(args, outputs, warnings) -> dict:
-    g = cobra()
-    out = _demo_dir(args)
-    save_graph(g, os.path.join(out, "cobra.mtx"))
-    outputs.append(os.path.join(out, "cobra.mtx"))
-    doc: dict = {"n": g.n}
-    side_std = bisect(fiedler(g, LaplacianKind.STANDARD))
-    doc["standard_side_a"] = _side_a(side_std)
-    m = cut_metrics(g, side_std)
-    doc["standard_metrics"] = {"cut": m.cut, "signed_cut": m.signed_cut}
-    side_null = bisect(fiedler(nullify_negative(g), LaplacianKind.STANDARD))
-    doc["nullified_side_a"] = _side_a(side_null)
-    s = dense_spectrum(laplacian(g, LaplacianKind.SIGNED))
-    try:
-        # select_fiedler makes a rounding-level component an exact zero, not a sign
-        bisect(select_fiedler(s, LaplacianKind.SIGNED))
-        doc["signed_first_bisects"] = True
-    except DegenerateVectorError:
-        doc["signed_first_bisects"] = False
-        warnings.append("signed: first eigenvector has one sign, bisection degenerate")
-    second = s.eigenvectors[:, 1]
-    doc["signed_second_signs"] = [int(v) for v in np.sign(np.round(second, 12))]
-    _emit_json(doc, os.path.join(out, "cobra.json"), outputs)
-    return doc
-
-
-def demo_dumbbell(args, outputs, warnings) -> dict:
-    g = dumbbell()
-    out = _demo_dir(args)
-    save_graph(g, os.path.join(out, "dumbbell.mtx"))
-    outputs.append(os.path.join(out, "dumbbell.mtx"))
-    side_std = bisect(fiedler(g, LaplacianKind.STANDARD))
-    side_sgn = bisect(fiedler(g, LaplacianKind.SIGNED))
-    m = cut_metrics(g, side_std)
-    doc = {
-        "n": g.n,
-        "standard_side_a": _side_a(side_std),
-        "signed_side_a": _side_a(side_sgn),
-        "standard_metrics": {
-            "cut": m.cut,
-            "cut_plus": m.cut_plus,
-            "cut_minus_cross": m.cut_minus_cross,
-            "signed_cut": m.signed_cut,
-        },
-    }
-    _emit_json(doc, os.path.join(out, "dumbbell.json"), outputs)
-    return doc
-
-
-def demo_gap_study(args, outputs, warnings) -> dict:
-    n = _special_edge_length(args, 100, DEFAULT_SPECIAL_EDGE)
-    doc = gap_study(n, DEFAULT_SPECIAL_EDGE, (-0.01, -0.05, -0.1))
-    _emit_json(doc, os.path.join(_demo_dir(args), "gap-study.json"), outputs)
-    return {
-        "n": n,
-        "ratios_at_-0.05": {
-            k: v
-            for k, v in doc["sweep"][1].items()
-            if k.startswith(("gap_s", "condition_s"))
-        },
-    }
-
-
-def demo_lobpcg_30(args, outputs, warnings) -> dict:
-    n = _special_edge_length(args, DEFAULT_STRING_LENGTH, DEFAULT_SPECIAL_EDGE)
-    doc = truncated_iteration_study(n, DEFAULT_SPECIAL_EDGE, NEGATIVE_EDGE_WEIGHT)
-    _emit_json(doc, os.path.join(_demo_dir(args), "lobpcg-30.json"), outputs)
-    return doc["sign_change_counts"]
-
-
-_DEMOS = {
-    "string-modes": demo_string_modes,
-    "weak-link": demo_weak_link,
-    "negative-edge": demo_negative_edge,
-    "noisy-string": demo_noisy_string,
-    "cobra": demo_cobra,
-    "dumbbell": demo_dumbbell,
-    "gap-study": demo_gap_study,
-    "lobpcg-30": demo_lobpcg_30,
-}
-
-
-def cmd_demo(args, outputs: list[str], warnings: list[str]) -> dict:
-    return _DEMOS[args.name](args, outputs, warnings)
+    summary, artifacts = run(n, args.seed, warnings)
+    out = args.out or f"demo-{args.name}"
+    os.makedirs(out, exist_ok=True)
+    for name, content in artifacts:
+        _emit(content, os.path.join(out, name), outputs)
+    return summary
 
 
 _HANDLERS = {

@@ -1,22 +1,34 @@
-"""End-to-end experiment drivers shared by the CLI and the tests.
+"""The paper's experiments, shared by the CLI and the tests.
 
-Both experiments compare the standard Laplacian with a negative edge
-against the edge-deleted baseline and the signed Laplacian: one through
-exact dense spectra (``compare``, gaps and condition numbers, and
-``gap_study``, its rows over a sweep of edge weights), the other under a
-truncated iteration budget (where does the lead Ritz vector change sign).
+Both studies compare the standard Laplacian with a negative edge against
+the edge-deleted baseline and the signed Laplacian: one through exact
+dense spectra (``compare``, gaps and condition numbers, and ``gap_study``,
+its rows over a sweep of edge weights), the other under a truncated
+iteration budget (where does the lead Ritz vector change sign).
+
+Each demo in ``DEMOS`` is an experiment ``(n, seed, warnings)`` that
+returns its summary and its artifacts, ``(file name, content)`` in write
+order: a ``SignedGraph``, a ``Spectrum`` (an eigenmode CSV) or a JSON
+dict.  No experiment touches the filesystem.
 """
 
 from __future__ import annotations
 
 import math
+from functools import partial
 
-from .eigen import lobpcg_lockstep
+import numpy as np
+
+from .eigen import Spectrum, dense_spectrum, lobpcg_lockstep
 from .errors import DegenerateVectorError
-from .generators import StringSpec, path_string
+from .generators import (DEFAULT_SPECIAL_EDGE, DEFAULT_STRING_LENGTH, NEGATIVE_EDGE_WEIGHT,
+                         WEAK_LINK_WEIGHT, StringSpec, cobra, dumbbell, noisy_string, path_string)
 from .graph import SignedGraph, nullify_negative
 from .laplacian import LaplacianKind, laplacian
-from .partition import FiedlerGap, baseline_gap, bisect, cut_metrics, fiedler
+from .partition import (FiedlerGap, baseline_gap, bisect, cut_metrics, fiedler, finish_vector,
+                        partition_json, select_fiedler)
+
+Artifact = tuple[str, SignedGraph | Spectrum | dict]
 
 
 def _finite_or_null(x: float) -> float | None:
@@ -143,3 +155,133 @@ def truncated_iteration_study(
         "seeds": seeds,
         "sign_change_counts": counts,
     }
+
+
+def _side_a(side: np.ndarray) -> list[int]:
+    """The 1-based vertex labels of side A, ascending."""
+    return (np.flatnonzero(side == 0) + 1).tolist()
+
+
+def _modes(g: SignedGraph, kind: LaplacianKind, k: int) -> Spectrum:
+    """The k smallest eigenpairs of g's Laplacian of this kind, from its dense spectrum."""
+    s = dense_spectrum(laplacian(g, kind))
+    return Spectrum(s.eigenvalues[:k], s.eigenvectors[:, :k].copy())
+
+
+# The eigenmode demos.  Each row: the special edge's weight by its summary
+# key, if the string has one; k; and, per spectrum written, its Laplacian
+# kind, CSV file and summary key.
+_MODE_DEMOS = {
+    "string-modes": ({}, 5, ((LaplacianKind.STANDARD, "string-modes.csv", "eigenvalues"),)),
+    "weak-link": ({"weak_weight": WEAK_LINK_WEIGHT}, 5,
+                  ((LaplacianKind.STANDARD, "weak-link-modes.csv", "eigenvalues"),)),
+    "negative-edge": ({"negative_weight": NEGATIVE_EDGE_WEIGHT}, 5,
+                      ((LaplacianKind.STANDARD, "negative-edge-standard.csv", "standard_eigenvalues"),
+                       (LaplacianKind.SIGNED, "negative-edge-signed.csv", "signed_eigenvalues"))),
+}
+
+
+def string_modes_demo(name: str, n: int, seed: int, warnings: list[str]) -> tuple[dict, list[Artifact]]:
+    """The k smallest modes of the n-mass string of the ``_MODE_DEMOS`` row ``name``."""
+    weight, k, spectra = _MODE_DEMOS[name]
+    g = path_string(StringSpec(n=n, overrides=tuple((DEFAULT_SPECIAL_EDGE, w) for w in weight.values())))
+    summary, artifacts = {"n": n, **weight}, []
+    for kind, file, key in spectra:
+        s = _modes(g, kind, k)
+        summary[key] = s.eigenvalues.tolist()
+        artifacts.append((file, s))
+    return summary, artifacts
+
+
+NOISY_EDGE = 7  # 0-based: the noisy string's negative edge joins vertices 8 and 9
+
+
+def noisy_string_demo(n: int, seed: int, warnings: list[str]) -> tuple[dict, list[Artifact]]:
+    """The seeded noisy string's graph, modes and standard partition; a clustered
+    signed Fiedler eigenvalue goes to the summary and to ``warnings``."""
+    g = noisy_string(n, (NOISY_EDGE, -0.5), 1e-2, seed)
+    f_std = fiedler(g, LaplacianKind.STANDARD)
+    side = bisect(f_std)
+    f_sgn = fiedler(g, LaplacianKind.SIGNED)
+    if f_sgn.clustered_warning:
+        warnings.append("signed: two smallest eigenvalues form a cluster")
+    summary = {
+        "n": n,
+        "standard_side_a": _side_a(side),
+        "signed_clustered_warning": f_sgn.clustered_warning,
+        "signed_gap": f_sgn.gap,
+    }
+    return summary, [
+        ("noisy-string.mtx", g),
+        ("noisy-string-standard.csv", _modes(g, LaplacianKind.STANDARD, 3)),
+        ("noisy-string-signed.csv", _modes(g, LaplacianKind.SIGNED, 2)),
+        ("noisy-string-partition.json", partition_json(f_std, side)),
+    ]
+
+
+def cobra_demo(n: int | None, seed: int, warnings: list[str]) -> tuple[dict, list[Artifact]]:
+    """The cobra graph's standard split, with and without its negative edge, and
+    its signed spectrum: whether the first eigenvector bisects, and the signs
+    of the second, finished as ``select_fiedler`` finishes a Fiedler vector."""
+    g = cobra()
+    side_std = bisect(fiedler(g, LaplacianKind.STANDARD))
+    m = cut_metrics(g, side_std)
+    doc: dict = {
+        "n": g.n,
+        "standard_side_a": _side_a(side_std),
+        "standard_metrics": {"cut": m.cut, "signed_cut": m.signed_cut},
+        "nullified_side_a": _side_a(bisect(fiedler(nullify_negative(g), LaplacianKind.STANDARD))),
+    }
+    s = dense_spectrum(laplacian(g, LaplacianKind.SIGNED))
+    try:
+        # select_fiedler makes a rounding-level component an exact zero, not a sign
+        bisect(select_fiedler(s, LaplacianKind.SIGNED))
+        doc["signed_first_bisects"] = True
+    except DegenerateVectorError:
+        doc["signed_first_bisects"] = False
+        warnings.append("signed: first eigenvector has one sign, bisection degenerate")
+    doc["signed_second_signs"] = [int(v) for v in np.sign(finish_vector(s.eigenvectors[:, 1]))]
+    return doc, [("cobra.mtx", g), ("cobra.json", doc)]
+
+
+def dumbbell_demo(n: int | None, seed: int, warnings: list[str]) -> tuple[dict, list[Artifact]]:
+    """The dumbbell's standard and signed splits, and the standard split's cut metrics."""
+    g = dumbbell()
+    side_std = bisect(fiedler(g, LaplacianKind.STANDARD))
+    side_sgn = bisect(fiedler(g, LaplacianKind.SIGNED))
+    m = cut_metrics(g, side_std)
+    doc = {
+        "n": g.n,
+        "standard_side_a": _side_a(side_std),
+        "signed_side_a": _side_a(side_sgn),
+        "standard_metrics": {k: getattr(m, k) for k in ("cut", "cut_plus", "cut_minus_cross", "signed_cut")},
+    }
+    return doc, [("dumbbell.mtx", g), ("dumbbell.json", doc)]
+
+
+def gap_study_demo(n: int, seed: int, warnings: list[str]) -> tuple[dict, list[Artifact]]:
+    """``gap_study`` of the special edge at weights -0.01, -0.05 and -0.1; the
+    summary holds the gap and condition ratios at -0.05."""
+    doc = gap_study(n, DEFAULT_SPECIAL_EDGE, (-0.01, -0.05, -0.1))
+    ratios = {k: v for k, v in doc["sweep"][1].items() if k.startswith(("gap_s", "condition_s"))}
+    return {"n": n, "ratios_at_-0.05": ratios}, [("gap-study.json", doc)]
+
+
+def lobpcg_30_demo(n: int, seed: int, warnings: list[str]) -> tuple[dict, list[Artifact]]:
+    """``truncated_iteration_study`` of the negative special edge; the summary is its counts."""
+    doc = truncated_iteration_study(n, DEFAULT_SPECIAL_EDGE, NEGATIVE_EDGE_WEIGHT)
+    return doc["sign_change_counts"], [("lobpcg-30.json", doc)]
+
+
+# Each demo: its experiment, its default string length, and the 0-based
+# special edge that a given length must hold, where it has them.
+DEMOS = {
+    "string-modes": (partial(string_modes_demo, "string-modes"), DEFAULT_STRING_LENGTH, None),
+    "weak-link": (partial(string_modes_demo, "weak-link"), DEFAULT_STRING_LENGTH, DEFAULT_SPECIAL_EDGE),
+    "negative-edge": (partial(string_modes_demo, "negative-edge"), DEFAULT_STRING_LENGTH, DEFAULT_SPECIAL_EDGE),
+    "noisy-string": (noisy_string_demo, 12, NOISY_EDGE),
+    "cobra": (cobra_demo, None, None),
+    "dumbbell": (dumbbell_demo, None, None),
+    "gap-study": (gap_study_demo, 100, DEFAULT_SPECIAL_EDGE),
+    "lobpcg-30": (lobpcg_30_demo, DEFAULT_STRING_LENGTH, DEFAULT_SPECIAL_EDGE),
+}

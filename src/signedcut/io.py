@@ -165,8 +165,12 @@ def _symmetrize(n: int, r: np.ndarray, c: np.ndarray, w: np.ndarray):
     above, below = np.zeros(len(pairs)), np.zeros(len(pairs))
     above[slot[upper]] = w[upper]
     below[slot[~upper]] = w[~upper]
-    asym = np.abs(above - below) > ASYMMETRY_TOL * np.maximum(1.0, np.abs(above))
-    avg = (above + below) / 2.0
+    with np.errstate(over="ignore"):
+        # near the float limit: an inf difference is asymmetric, an inf sum is halved term by term
+        asym = np.abs(above - below) > ASYMMETRY_TOL * np.maximum(1.0, np.abs(above))
+        avg = (above + below) / 2.0
+    over = np.isinf(avg)
+    avg[over] = above[over] / 2.0 + below[over] / 2.0
     if asym.any():
         k = int(asym.argmax())
         a, b = pairs[k] // n + 1, pairs[k] % n + 1

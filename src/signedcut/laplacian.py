@@ -20,7 +20,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import DimensionMismatchError, DimensionTooLargeError
+from .errors import DimensionMismatchError, DimensionTooLargeError, GraphError
 from .graph import DegreeMode, SignedGraph, degrees
 
 # Largest dimension for which n-by-n dense matrices are built.
@@ -104,7 +104,13 @@ class SymmetricOperator:
 
 
 def laplacian(g: SignedGraph, kind: LaplacianKind | str = LaplacianKind.STANDARD) -> SymmetricOperator:
-    """Laplacian operator of the requested kind for a signed graph."""
+    """Laplacian operator of the requested kind for a signed graph; raises ``GraphError``,
+    naming the first vertex, if an absolute row sum |a_ii| + r_i overflows."""
     kind = LaplacianKind(kind)
     mode = DegreeMode.ABSOLUTE_SUM if kind is LaplacianKind.SIGNED else DegreeMode.SIGNED_SUM
-    return SymmetricOperator(g, degrees(g, mode))
+    with np.errstate(over="ignore"):
+        op = SymmetricOperator(g, degrees(g, mode))
+        finite = np.isfinite(np.abs(op.diagonal) + op.radii)
+    if not finite.all():
+        raise GraphError(f"the Laplacian's absolute row sum at vertex {int(finite.argmin())} (0-based) overflows")
+    return op

@@ -186,11 +186,8 @@ def select_fiedler(
     ones-deflated spectrum never trips that test, so one rule serves both
     kinds.  The gap, spread and condition number follow ``_fiedler_gap``,
     with ``largest_eigenvalue`` completing a partial spectrum's spread.
-    This is the one place a Fiedler vector is finished, on both routes:
-    it is scaled to unit norm, oriented by ``_oriented`` (``bisect``'s
-    rule), and its rounding-level components are set to exact zeros
-    (``_unit_with_exact_zeros``), so that a zero policy, not rounding,
-    places those vertices.  ``gap_converged`` is the partner column's
+    This is the one place a Fiedler vector is finished, on both routes,
+    by ``finish_vector``.  ``gap_converged`` is the partner column's
     converged flag, False when the spectrum has no partner, and None for a
     spectrum without flags (the dense oracle).
     """
@@ -201,9 +198,8 @@ def select_fiedler(
     gap_converged = None
     if s.converged is not None:
         gap_converged = idx + 1 < s.k and bool(s.converged[idx + 1])
-    v = s.eigenvectors[:, idx]
     return FiedlerResult(
-        vector=_unit_with_exact_zeros(_oriented(v / np.linalg.norm(v))),
+        vector=finish_vector(s.eigenvectors[:, idx]),
         kind=LaplacianKind(kind),
         skipped_constant=skipped,
         gap_converged=gap_converged,
@@ -219,9 +215,11 @@ def _oriented(v: np.ndarray) -> np.ndarray:
     return 0.0 - v if v[np.argmax(np.abs(v))] < 0 else v
 
 
-def _unit_with_exact_zeros(x: np.ndarray) -> np.ndarray:
-    """``x`` scaled to unit norm, with each component at or below ``n * eps``
-    times the largest, which is rounding, set to exactly 0."""
+def finish_vector(v: np.ndarray) -> np.ndarray:
+    """``v`` scaled to unit norm, oriented by ``_oriented`` (``bisect``'s rule),
+    with each component at or below ``n * eps`` times the largest, which is
+    rounding, set to exactly 0: so a zero policy, not rounding, places that vertex."""
+    x = _oriented(v / np.linalg.norm(v))
     x = x / np.linalg.norm(x)
     x[np.abs(x) <= len(x) * np.finfo(float).eps * np.abs(x).max()] = 0.0
     return x / np.linalg.norm(x)

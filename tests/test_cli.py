@@ -19,6 +19,7 @@ from signedcut import (
 )
 import signedcut.cli
 import signedcut.eigen
+import signedcut.experiments
 import signedcut.partition
 from signedcut.cli import main
 
@@ -769,7 +770,7 @@ class TestDemo:
     def test_cobra_signed_flag_is_not_the_sign_of_rounding(self, tmp_path, capsys, monkeypatch):
         """eigh leaves rounding at vertex 1 of cobra's signed Fiedler vector
         (+2.75e-18 with one LAPACK); a negative one must not make it bisect."""
-        spectrum = signedcut.cli.dense_spectrum
+        spectrum = signedcut.experiments.dense_spectrum
 
         def negative_rounding(op, *args, **kwargs):
             s = spectrum(op, *args, **kwargs)
@@ -780,7 +781,7 @@ class TestDemo:
             lead[0] = -2.75e-18
             return Spectrum(s.eigenvalues, v)
 
-        monkeypatch.setattr(signedcut.cli, "dense_spectrum", negative_rounding)
+        monkeypatch.setattr(signedcut.experiments, "dense_spectrum", negative_rounding)
         out = tmp_path / "cobra"
         code, _, report = run(capsys, "demo", "cobra", "--out", str(out))
         assert code == 0

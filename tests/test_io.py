@@ -1,6 +1,7 @@
 import json
 import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -87,6 +88,34 @@ def test_reader_rejects_asymmetric_general(tmp_path):
     )
     with pytest.raises(AsymmetricMatrixError):
         read_matrix_market(path)
+
+
+LIMIT_PAIR = "%%MatrixMarket matrix coordinate real general\n2 2 2\n1 2 1.5e308\n2 1 1.5e308\n"
+
+
+def test_reader_averages_a_pair_near_the_float_limit(tmp_path):
+    """The pair's sum overflows; its average, 1.5e308, does not, and no numpy warning is raised."""
+    path = tmp_path / "limit.mtx"
+    path.write_text(LIMIT_PAIR)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        g = read_matrix_market(path)
+    assert g == graph_from_edges(2, [(0, 1, 1.5e308)])
+
+
+@pytest.mark.parametrize("argv", [["partition"], ["partition", "--laplacian", "signed"], ["compare"],
+                                  ["spectrum", "--k", "2"]])
+def test_laplacian_row_sum_overflow_exits_2(tmp_path, capsys, argv):
+    """The pair loads, but the Laplacian's absolute row sums, 1.5e308 + 1.5e308, overflow."""
+    path = tmp_path / "limit.mtx"
+    path.write_text(LIMIT_PAIR)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main([argv[0], str(path), *argv[1:]])
+    captured = capsys.readouterr()
+    report = json.loads(captured.err.splitlines()[-1])
+    assert code == 2 and captured.out == "" and report["exit_code"] == 2
+    assert report["error"] == "the Laplacian's absolute row sum at vertex 0 (0-based) overflows"
 
 
 def test_reader_tolerates_tiny_asymmetry(tmp_path):
@@ -201,6 +230,9 @@ MALFORMED = [
      "entries (2, 1) and (1, 2) store one pair of a symmetric matrix"),
     ("nan-general.mtx", "%%MatrixMarket matrix coordinate real general\n2 2 2\n1 2 nan\n2 1 nan\n",
      NonfiniteWeightError, "entry (1, 2) has nonfinite weight nan"),
+    # the difference of a finite pair near the float limit overflows, without a numpy warning
+    ("limit-asymmetric.mtx", "%%MatrixMarket matrix coordinate real general\n2 2 2\n1 2 1.5e308\n2 1 -1.5e308\n",
+     AsymmetricMatrixError, "entries (1,2)=1.5e+308 and (2,1)=-1.5e+308 disagree"),
     ("nan.csv", "# n=2\ni,j,w\n0,1,nan\n", NonfiniteWeightError, "edge (0, 1) has nonfinite weight nan"),
     ("count-line.csv", "# n=abc\ni,j,w\n0,1,1.0\n", FormatError, "malformed vertex count line: '# n=abc'"),
     ("empty.csv", "", FormatError, "empty edge-list CSV"),

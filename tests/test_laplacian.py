@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from signedcut import (
     DimensionMismatchError,
     DimensionTooLargeError,
+    GraphError,
     LaplacianKind,
     StringSpec,
     cobra,
@@ -168,6 +170,17 @@ def test_dense_threshold():
     op = laplacian(graph_from_edges(3000, [(0, 1, 1.0)]), "standard")
     with pytest.raises(DimensionTooLargeError):
         op.dense()
+
+
+@pytest.mark.parametrize("kind", ["standard", "signed"])
+def test_overflowing_absolute_row_sum_is_refused(kind):
+    """The star's centre, vertex 2, has plain row sum 0, but its absolute one, 2e308,
+    overflows; each leaf's |a_ii| + r_i is 1e308."""
+    g = graph_from_edges(5, [(2, j, w) for j, w in zip((0, 1, 3, 4), (5e307, -5e307, 5e307, -5e307))])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(GraphError, match=r"^the Laplacian's absolute row sum at vertex 2 \(0-based\) overflows$"):
+            laplacian(g, kind)
 
 
 def test_operator_symmetry():

@@ -17,3 +17,5 @@ def test_library_quick_tour_runs():
     exec(compile(readme_block("Library quick tour"), "<README.md quick tour>", "exec"), namespace)
     s = namespace["s"]
     assert s.converged[:2].all()
+    assert namespace["summary"]["standard_side_a"] == [9, 10, 11, 12]
+    assert [name for name, _ in namespace["artifacts"]][0] == "noisy-string.mtx"
