@@ -224,6 +224,8 @@ def cmd_gen(args, outputs: list[str], warnings: list[str]) -> dict:
     elif args.kind == "noisy-string":
         n = 12 if args.n is None else args.n
         g = noisy_string(n, _parse_edge_weight(args.neg_edge, "--neg-edge", n), args.noise_amp, args.seed)
+    elif args.n is not None:
+        raise SignedCutError(f"gen {args.kind} builds a fixed graph and takes no --n; got --n {args.n}")
     elif args.kind == "cobra":
         g = cobra()
     else:
@@ -300,6 +302,8 @@ def cmd_demo(args, outputs: list[str], warnings: list[str]) -> dict:
     """Check ``--n``, run the demo's experiment, and only then make the
     directory and write the experiment's artifacts in order."""
     run, default_n, special_edge = DEMOS[args.name]
+    if default_n is None and args.n is not None:
+        raise SignedCutError(f"demo {args.name} builds a fixed graph and takes no --n; got --n {args.n}")
     n = default_n if args.n is None else args.n
     if special_edge is not None and n <= special_edge + 1:
         edge = special_edge + 1  # 1-based, as --override and --neg-edge count

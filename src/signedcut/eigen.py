@@ -407,7 +407,10 @@ def multilevel_preconditioner(op: SymmetricOperator, k: int) -> Optional[Multile
     the pairing of a later graph does, the coarsest level's included.
     """
     g = op.graph
-    scale = float(op.radii.mean())
+    # the mean of the radii scaled into [0, 1]: their plain sum can overflow
+    # where every radius is finite; a power of two keeps the bits otherwise
+    e = math.frexp(float(op.radii.max()))[1]
+    scale = math.ldexp(float(np.ldexp(op.radii, -e).mean()), e)
     # d_i = r_i on every vertex unless the operator is a standard Laplacian
     # with a negative edge; then d_i - r_i = -2 d-_i
     negative_edges = 0 if np.array_equal(op.diagonal, op.radii) else int((g.edge_arrays()[2] < 0).sum())

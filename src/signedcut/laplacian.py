@@ -16,6 +16,7 @@ eigensolver oracle, is offered up to the dense threshold DENSE_MAX_DIM.
 
 from __future__ import annotations
 
+import math
 from enum import Enum
 
 import numpy as np
@@ -104,8 +105,13 @@ class SymmetricOperator:
 
 
 def laplacian(g: SignedGraph, kind: LaplacianKind | str = LaplacianKind.STANDARD) -> SymmetricOperator:
-    """Laplacian operator of the requested kind for a signed graph; raises ``GraphError``,
-    naming the first vertex, if an absolute row sum |a_ii| + r_i overflows."""
+    """Laplacian operator of the requested kind for a signed graph.
+
+    Raises ``GraphError``, naming the first vertex, if an absolute row sum
+    |a_ii| + r_i overflows, and then if the Gershgorin interval's width
+    ``norm_inf - gershgorin_lower`` does: below that width every difference
+    of two eigenvalues is finite.
+    """
     kind = LaplacianKind(kind)
     mode = DegreeMode.ABSOLUTE_SUM if kind is LaplacianKind.SIGNED else DegreeMode.SIGNED_SUM
     with np.errstate(over="ignore"):
@@ -113,4 +119,8 @@ def laplacian(g: SignedGraph, kind: LaplacianKind | str = LaplacianKind.STANDARD
         finite = np.isfinite(np.abs(op.diagonal) + op.radii)
     if not finite.all():
         raise GraphError(f"the Laplacian's absolute row sum at vertex {int(finite.argmin())} (0-based) overflows")
+    # a difference of Python floats overflows to inf without a warning
+    if not math.isfinite(op.norm_inf - op.gershgorin_lower):
+        raise GraphError(f"the Laplacian's Gershgorin bounds {op.gershgorin_lower:.6g} and "
+                         f"{op.norm_inf:.6g} lie further apart than the float range")
     return op

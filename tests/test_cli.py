@@ -9,6 +9,7 @@ from signedcut import (
     Spectrum,
     StringSpec,
     cobra,
+    cut_metrics,
     dumbbell,
     graph_from_arrays,
     graph_from_edges,
@@ -174,6 +175,15 @@ class TestGen:
         assert report["error"] == f"noisy string is dense: n={n} exceeds dense threshold 2048"
         assert not out.exists()
 
+    @pytest.mark.parametrize("kind", ["cobra", "dumbbell"])
+    def test_fixed_graph_refuses_n(self, kind, tmp_path, capsys):
+        """cobra and the dumbbell have one size: --n is an error, not ignored."""
+        out = tmp_path / "x.mtx"
+        code, stdout, report = run(capsys, "gen", kind, "--n", "99", "--out", str(out))
+        assert code == 2 and report["exit_code"] == 2 and not stdout
+        assert report["error"] == f"gen {kind} builds a fixed graph and takes no --n; got --n 99"
+        assert not out.exists() and report["outputs"] == []
+
     def test_io_failure_exit_3(self, tmp_path, capsys):
         code, _, _ = run(capsys, "gen", "cobra", "--out",
                          str(tmp_path / "missing-dir" / "x.mtx"))
@@ -215,6 +225,17 @@ class TestSpectrum:
     def test_missing_file_exit_3(self, capsys):
         code, _, _ = run(capsys, "spectrum", "no-such-file.mtx")
         assert code == 3
+
+    def test_lobpcg_block_smaller_than_k_exit_2(self, tmp_path, capsys):
+        """The solver, not the parser, checks the block against the wanted pairs."""
+        gfile = str(tmp_path / "neg.mtx")
+        save_graph(path_string(StringSpec(75, overrides=((36, -0.05),))), gfile)
+        out = tmp_path / "m.csv"
+        code, _, report = run(capsys, "spectrum", gfile, "--solver", "lobpcg", "--k", "3",
+                              "--block-size", "2", "--out", str(out))
+        assert code == 2 and report["exit_code"] == 2
+        assert report["error"] == "block_size 2 smaller than k 3"
+        assert not out.exists()
 
     def test_lobpcg_unconverged_warns_but_exits_0(self, tmp_path, capsys):
         gfile = str(tmp_path / "s.mtx")
@@ -478,10 +499,12 @@ class TestIterativeStringsAtLargeScales:
     ``||A||_inf``: from 2**25 on, ``tol * |theta|`` lies below the
     residual's rounding level, which the stopping test accepts.  From about
     2**512 on, the squares of the Lanczos estimate's residual norms would
-    overflow without their power-of-two scaling.
+    overflow without their power-of-two scaling.  At 2**1018 and 2**1020
+    the sum of the radii overflows, though each radius is finite, so the
+    multilevel preconditioner's shift scale is a mean taken in [0, 1].
     """
 
-    @pytest.mark.parametrize("e", [25, 200, 600, 1000])
+    @pytest.mark.parametrize("e", [25, 40, 200, 600, 1000, 1018, 1020])
     @pytest.mark.parametrize("kind", ["standard", "signed"])
     def test_converges_and_matches_dense(self, tmp_path, capsys, kind, e):
         c = 2.0 ** e
@@ -492,7 +515,8 @@ class TestIterativeStringsAtLargeScales:
 
 
 class TestIterativeLongStringsAtDefaults:
-    """partition --solver lobpcg at the CLI defaults on the 3000-mass strings.
+    """partition --solver lobpcg at the CLI defaults on the 3000-mass strings,
+    and on the -0.05 string at a block of five and tol 1e-5 too.
 
     While the solve also converged the Fiedler pair's gap partner, the
     standard kind stopped unconverged at 200 iterations (exit 4); the
@@ -502,16 +526,21 @@ class TestIterativeLongStringsAtDefaults:
     standard kind and the switched ones vector of the signed kind.
     """
 
-    @pytest.mark.parametrize("weight", ["-0.05", "-0.5", "-1"])
+    @pytest.mark.parametrize("weight, flags, accuracy", [
+        pytest.param("-0.05", [], 1e-10, id="-0.05"),
+        pytest.param("-0.5", [], 1e-10, id="-0.5"),
+        pytest.param("-1", [], 1e-10, id="-1"),
+        pytest.param("-0.05", ["--block-size", "5", "--tol", "1e-5"], 1e-5, id="-0.05-block-5-tol-1e-5"),
+    ])
     @pytest.mark.parametrize("kind", ["standard", "signed"])
-    def test_exits_0_and_matches_eigsh(self, tmp_path, capsys, kind, weight):
+    def test_exits_0_and_matches_eigsh(self, tmp_path, capsys, kind, weight, flags, accuracy):
         sparse = pytest.importorskip("scipy.sparse")
         eigsh = pytest.importorskip("scipy.sparse.linalg").eigsh
         gfile, out = str(tmp_path / "s3k.mtx"), tmp_path / "p.json"
         assert run(capsys, "gen", "path", "--n", "3000", "--override", f"1500:{weight}",
                    "--out", gfile)[0] == 0
         code, _, report = run(capsys, "partition", gfile, "--laplacian", kind,
-                              "--solver", "lobpcg", "--out", str(out))
+                              "--solver", "lobpcg", *flags, "--out", str(out))
         assert code == 0, report["error"]
         doc = json.loads(out.read_text())
         # an unconverged partner makes the gap an upper estimate, and stderr says so
@@ -522,8 +551,36 @@ class TestIterativeLongStringsAtDefaults:
         W = sparse.coo_matrix((ww, (ii, jj)), shape=(op.n, op.n))
         L = (sparse.diags(op.diagonal) - W - W.T).tocsc()
         lam, U = eigsh(L, k=1, sigma=op.gershgorin_lower - 1e-3, which="LM")
-        assert doc["eigenvalue"] == pytest.approx(lam[0], abs=1e-10)
-        assert abs(float(np.asarray(doc["fiedler"]) @ U[:, 0])) >= 1.0 - 1e-10
+        assert doc["eigenvalue"] == pytest.approx(lam[0], abs=accuracy)
+        assert abs(float(np.asarray(doc["fiedler"]) @ U[:, 0])) >= 1.0 - accuracy
+
+
+@pytest.fixture(scope="module")
+def random_100k(tmp_path_factory) -> str:
+    """A 100k-vertex random signed graph file: a spanning path plus 6n random
+    pairs, weights in U(-1, 1)."""
+    n = 100000
+    rng = np.random.default_rng(0)
+    order = rng.permutation(n)
+    a, b = rng.integers(0, n, size=(2, 6 * n))
+    lo = np.concatenate([np.minimum(order[:-1], order[1:]), np.minimum(a, b)[a != b]])
+    hi = np.concatenate([np.maximum(order[:-1], order[1:]), np.maximum(a, b)[a != b]])
+    _, first = np.unique(lo * n + hi, return_index=True)
+    w = rng.uniform(-1.0, 1.0, size=len(first))
+    w[w == 0.0] = 0.5
+    gfile = str(tmp_path_factory.mktemp("r100k") / "r100k.mtx")
+    save_graph(graph_from_arrays(n, lo[first], hi[first], w), gfile)
+    return gfile
+
+
+@pytest.mark.parametrize("kind", ["standard", "signed"])
+def test_random_100k_partitions_on_the_iterative_route(random_100k, kind, tmp_path, capsys):
+    """A graph far above the dense threshold, at the bench's block of five and tol 1e-5: exit 0."""
+    out = tmp_path / "p.json"
+    code, _, report = run(capsys, "partition", random_100k, "--laplacian", kind, "--solver", "lobpcg",
+                          "--block-size", "5", "--tol", "1e-5", "--out", str(out))
+    assert code == 0, report["error"]
+    assert json.loads(out.read_text())["n"] == 100000
 
 
 class TestMetricsCmd:
@@ -550,6 +607,21 @@ class TestMetricsCmd:
         doc = json.loads(out)
         assert code == 0
         assert doc["cut"] == 0.0 and doc["signed_cut"] == 4.0
+
+    def test_partition_file_of_the_partition_command(self, tmp_path, capsys):
+        """metrics reads the file partition writes, and scores its split."""
+        g = path_string(StringSpec(75, overrides=((36, -0.05),)))
+        gfile, pfile = str(tmp_path / "neg.mtx"), tmp_path / "part.json"
+        save_graph(g, gfile)
+        code, _, _ = run(capsys, "partition", gfile, "--laplacian", "signed", "--solver", "lobpcg",
+                         "--out", str(pfile))
+        assert code == 0
+        side = np.asarray(json.loads(pfile.read_text())["side"], dtype=np.int8)
+        code, out, _ = run(capsys, "metrics", gfile, "--partition", str(pfile))
+        assert code == 0
+        doc = json.loads(out)
+        assert (doc["size_a"], doc["size_b"]) == (int((side == 0).sum()), int((side == 1).sum()))
+        assert doc["signed_cut"] == cut_metrics(g, side).signed_cut
 
     def test_empty_side_exit_2(self, tmp_path, capsys):
         gfile = str(tmp_path / "c.mtx")
@@ -736,6 +808,15 @@ class TestDemo:
         assert code == 2 and report["exit_code"] == 2 and not stdout
         assert report["error"] == error
         assert not out.exists() and report["outputs"] == []
+
+    @pytest.mark.parametrize("name, n", [("cobra", "5"), ("dumbbell", "-3")])
+    def test_fixed_graph_demos_refuse_n(self, name, n, tmp_path, capsys, monkeypatch):
+        """cobra and the dumbbell have one size: --n is an error, raised before the default directory is made."""
+        monkeypatch.chdir(tmp_path)
+        code, stdout, report = run(capsys, "demo", name, "--n", n)
+        assert code == 2 and report["exit_code"] == 2 and not stdout
+        assert report["error"] == f"demo {name} builds a fixed graph and takes no --n; got --n {n}"
+        assert list(tmp_path.iterdir()) == [] and report["outputs"] == []
 
     def test_noisy_string_above_the_dense_threshold_exit_2(self, tmp_path, capsys):
         out = tmp_path / "noisy"

@@ -118,6 +118,38 @@ def test_laplacian_row_sum_overflow_exits_2(tmp_path, capsys, argv):
     assert report["error"] == "the Laplacian's absolute row sum at vertex 0 (0-based) overflows"
 
 
+WIDE_COMMANDS = [[command, "--laplacian", kind, "--solver", solver, *k]
+                 for command, k in (("partition", []), ("spectrum", ["--k", "2"]))
+                 for kind in ("standard", "signed") for solver in ("dense", "lobpcg")] + [["compare"]]
+
+
+@pytest.mark.parametrize("argv", WIDE_COMMANDS, ids=lambda argv: "-".join(filter(str.isalpha, argv)))
+@pytest.mark.parametrize("v", ["8e307", "5e307", "4e307"])
+def test_gershgorin_width_near_the_float_range(tmp_path, capsys, argv, v):
+    """The general pairs 1 2 v and 2 3 -v: the absolute row sums, 2v (signed kind: 4v at
+    vertex 1), are finite at every v here, but above about 4.5e307 the standard kind's
+    Gershgorin bounds -2v and 2v lie further apart than the float range."""
+    path = tmp_path / "wide.mtx"
+    path.write_text(f"%%MatrixMarket matrix coordinate real general\n3 3 4\n1 2 {v}\n2 1 {v}\n"
+                    f"2 3 -{v}\n3 2 -{v}\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main([argv[0], str(path), *argv[1:], "--out", str(tmp_path / "out")])
+    captured = capsys.readouterr()
+    report = json.loads(captured.err.splitlines()[-1])
+    assert captured.out == "" and report["exit_code"] == code
+    if v == "4e307":
+        assert code == 0 and report["error"] is None
+    elif "signed" in argv:
+        assert code == 2
+        assert report["error"] == "the Laplacian's absolute row sum at vertex 1 (0-based) overflows"
+    else:
+        w = 2 * float(v)
+        assert code == 2
+        assert report["error"] == (f"the Laplacian's Gershgorin bounds {-w:.6g} and {w:.6g} "
+                                   "lie further apart than the float range")
+
+
 def test_reader_tolerates_tiny_asymmetry(tmp_path):
     w = 1.0
     path = tmp_path / "g.mtx"
@@ -332,6 +364,23 @@ def test_round_trip_bytes_around_the_chunk_size(tmp_path, fmt, offset):
         assert back == g
         save_graph(back, second)
         assert second.read_bytes() == first.read_bytes()
+
+
+@pytest.mark.parametrize("fmt", ["mtx", "csv"])
+def test_300k_edges_round_trip_bit_exact(tmp_path, fmt):
+    """Many write and read chunks, and weights over 600 decades: the graph and the file's bytes come back."""
+    n = 50000
+    v = np.arange(n)
+    i, j = np.tile(v, 6), np.concatenate([(v + d) % n for d in range(1, 7)])
+    rng = np.random.default_rng(0)
+    g = graph_from_arrays(n, i, j, rng.standard_normal(len(i)) * 10.0 ** rng.integers(-300, 300, len(i)))
+    assert g.m == 300000
+    first, second = tmp_path / f"big.{fmt}", tmp_path / f"big-again.{fmt}"
+    save_graph(g, first)
+    back = load_graph(first)
+    assert back.n == g.n and all(np.array_equal(a, b) for a, b in zip(back.edge_arrays(), g.edge_arrays()))
+    save_graph(back, second)
+    assert second.read_bytes() == first.read_bytes()
 
 
 @pytest.mark.parametrize("fmt, bad, message", [
