@@ -57,6 +57,12 @@ from .partition import (
     partition_json,
 )
 
+# The gen flags that one kind alone reads, by argparse name: that kind, and
+# the value it takes when the flag is not given.
+_GEN_KIND_FLAGS = {"override": ("path", []), "neg_edge": ("noisy-string", "8:-0.5"),
+                   "noise_amp": ("noisy-string", 1e-2), "seed": ("noisy-string", 0)}
+
+
 class _Parser(argparse.ArgumentParser):
     """Reports a usage error as ``SignedCutError``, after argparse's usage text,
     so that it gets exit code 2 and a run report like any other bad parameter."""
@@ -81,12 +87,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--n", type=int, default=None,
                        help="vertex count (default: 75 for path, 12 for noisy-string)")
     p_gen.add_argument("--override", action="append", default=[], metavar="EDGE:W",
-                       help="path edge override; EDGE is the 1-based edge number "
+                       help="path only: edge override; EDGE is the 1-based edge number "
                             "(edge k joins vertices k and k+1)")
-    p_gen.add_argument("--neg-edge", default="8:-0.5", metavar="EDGE:W",
-                       help="noisy-string replaced edge, 1-based edge number")
-    p_gen.add_argument("--noise-amp", type=float, default=1e-2)
-    p_gen.add_argument("--seed", type=int, default=0)
+    p_gen.add_argument("--neg-edge", metavar="EDGE:W",
+                       help="noisy-string only: replaced edge, 1-based edge number (default 8:-0.5)")
+    p_gen.add_argument("--noise-amp", type=float, help="noisy-string only (default 0.01)")
+    p_gen.add_argument("--seed", type=int, help="noisy-string only (default 0)")
     p_gen.add_argument("--out", required=True, help="output graph file (.mtx/.mm/.csv)")
 
     for name in ("spectrum", "partition", "compare"):
@@ -118,7 +124,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_demo.add_argument("name", choices=list(DEMOS))
     p_demo.add_argument("--out", default=None, help="output directory (default: demo-<name>)")
     p_demo.add_argument("--n", type=int, default=None, help="string length where applicable")
-    p_demo.add_argument("--seed", type=int, default=0)
+    p_demo.add_argument("--seed", type=int, default=0,
+                        help="the noisy string's draw; the other demos accept and ignore it")
     return parser
 
 
@@ -217,13 +224,27 @@ def _solver_config(args) -> SolverConfig | None:
 
 
 def cmd_gen(args, outputs: list[str], warnings: list[str]) -> dict:
+    opts = {}
+    for name, (kind, default) in _GEN_KIND_FLAGS.items():
+        given = getattr(args, name)
+        if given not in (None, []) and args.kind != kind:
+            flag = "--" + name.replace("_", "-")
+            got = " ".join(f"{flag} {v}" for v in (given if name == "override" else [given]))
+            raise SignedCutError(f"gen {args.kind} takes no {flag}: only gen {kind} reads it; got {got}")
+        opts[name] = default if given is None else given
     if args.kind == "path":
         n = DEFAULT_STRING_LENGTH if args.n is None else args.n
-        overrides = tuple(_parse_edge_weight(o, "--override", n) for o in args.override)
+        overrides = tuple(_parse_edge_weight(o, "--override", n) for o in opts["override"])
+        for k, (edge, w) in enumerate(overrides):
+            if edge in (e for e, _ in overrides[:k]):
+                raise SignedCutError(f"--override edge {edge + 1} listed twice")
+            if w == 0.0:
+                raise SignedCutError(f"--override edge {edge + 1} has zero weight")
         g = path_string(StringSpec(n=n, overrides=overrides))
     elif args.kind == "noisy-string":
         n = 12 if args.n is None else args.n
-        g = noisy_string(n, _parse_edge_weight(args.neg_edge, "--neg-edge", n), args.noise_amp, args.seed)
+        neg_edge = _parse_edge_weight(opts["neg_edge"], "--neg-edge", n)
+        g = noisy_string(n, neg_edge, opts["noise_amp"], opts["seed"])
     elif args.n is not None:
         raise SignedCutError(f"gen {args.kind} builds a fixed graph and takes no --n; got --n {args.n}")
     elif args.kind == "cobra":
@@ -242,7 +263,7 @@ def cmd_spectrum(args, outputs: list[str], warnings: list[str]) -> None:
     solver = _solver_config(args)
     op = laplacian(g, LaplacianKind(args.laplacian))
     if solver is None:
-        s = dense_spectrum(op, args.deflate_ones)
+        s = dense_spectrum(op, args.deflate_ones, args.k)
     else:
         s, _ = lobpcg_smallest(op, args.k, solver, args.deflate_ones)
         # the spectrum holds the whole block; the first k pairs are the wanted ones

@@ -10,11 +10,13 @@ independent columns in lock step that share every step but each
 operator's block matvec (``lobpcg_lockstep``).  Both stop on one test,
 ``res <= tol * max(min(1, ||A||_inf), |theta|)`` or at the operator's
 rounding level (``_residual_check``), each column at its own operator's
-``||A||_inf``.  The dense route comes in two forms: the full eigenbasis
-from ``numpy.linalg.eigh`` (``dense_spectrum``), and every eigenvalue from
-``numpy.linalg.eigvalsh`` with single eigenvectors from shifted solves
-(``DenseEigenproblem``), which is all a Fiedler pair needs.  With
-``deflate_ones`` both work on the ones-complement by a Householder
+``||A||_inf``.  The dense route takes every eigenvalue from
+``numpy.linalg.eigvalsh`` and eigenvectors one at a time from shifted
+solves (``DenseEigenproblem``): the Fiedler pair's one or two, and up to
+five modes of ``dense_spectrum``, each orthogonal to those before it.  So
+it holds the matrix and one LU copy of it, never an n-by-n eigenbasis.
+More modes, and the full spectrum, come from one ``numpy.linalg.eigh``.
+With ``deflate_ones`` both work on the ones-complement by a Householder
 reflector (``_dense_matrix``).
 """
 
@@ -65,6 +67,14 @@ _DENSE_RESIDUAL_REL = 1e-10
 _NUDGE_ULPS = 4
 _NUDGE_TRIES = 8
 _UPDATE_ROWS = 64
+
+# ``dense_spectrum`` takes up to this many vectors from shifted solves, and
+# more from one ``eigh``.  The solves hold about 2 n^2 doubles, ``eigh`` 4 n^2
+# and more.  Measured (2 vCPUs, OpenBLAS, random signed graphs, m = 6n, best
+# of 7): ``eigvalsh`` plus five solves took 1.23x one ``eigh`` at n = 1200
+# and 1.11-1.16x at n = 2048, plus six 1.33x and 1.25-1.28x; at one BLAS
+# thread five took 1.13x and 1.08x.
+_SHIFTED_SOLVES_MAX = 5
 
 # ``estimate_largest_eigenvalue`` takes this many Lanczos steps at most.
 _LANCZOS_STEPS = 20
@@ -148,10 +158,25 @@ def solve_space_dimension(n: int, deflate_ones: bool) -> int:
     return n - int(deflate_ones)
 
 
-def dense_spectrum(op: SymmetricOperator, deflate_ones: bool = False) -> Spectrum:
-    """Full spectrum via the dense oracle, one ``eigh`` of ``_dense_matrix``; requires n <= dense threshold."""
+def dense_spectrum(op: SymmetricOperator, deflate_ones: bool = False, k: Optional[int] = None) -> Spectrum:
+    """The k smallest pairs from the dense oracle, or every pair with k None; requires n <= dense threshold.
+
+    Up to ``_SHIFTED_SOLVES_MAX`` pairs come from one ``DenseEigenproblem``:
+    the eigenvalues from its ``eigvalsh``, each vector from a shifted solve
+    orthogonal to the vectors before it, so no n-by-n eigenbasis is formed.
+    More pairs, and the full spectrum, come from one ``eigh`` of
+    ``_dense_matrix``.
+    """
+    if k is not None and k <= _SHIFTED_SOLVES_MAX:
+        problem = DenseEigenproblem(op, deflate_ones)
+        X = np.empty((op.n, k))
+        for i in range(k):
+            X[:, i] = problem.vector(i, X[:, :i])
+        return Spectrum(eigenvalues=problem.eigenvalues[:k], eigenvectors=X)
     M, w, beta = _dense_matrix(op, deflate_ones)
     evals, Y = np.linalg.eigh(M)
+    if k is not None:
+        evals, Y = evals[:k], Y[:, :k].copy()
     return Spectrum(eigenvalues=evals, eigenvectors=_from_complement(w, beta, Y))
 
 
@@ -194,6 +219,21 @@ def _from_complement(w: Optional[np.ndarray], beta: float, Y: np.ndarray) -> np.
     return X - beta * np.multiply.outer(w, w[1:] @ Y)
 
 
+def _into_complement(w: Optional[np.ndarray], beta: float, X: np.ndarray) -> np.ndarray:
+    """``(H X)[1:]``: undoes ``_from_complement`` on n-vectors orthogonal to ones; X itself when w is None."""
+    if w is None:
+        return X
+    return (X - beta * np.multiply.outer(w, w @ X))[1:]
+
+
+def _project_off(x: np.ndarray, B: Optional[np.ndarray]) -> np.ndarray:
+    """x less its components along the orthonormal columns of B, in two passes."""
+    if B is not None:
+        for _ in range(2):
+            x = x - B @ (B.T @ x)
+    return x
+
+
 class DenseEigenproblem:
     """Every eigenvalue of a dense operator, and eigenvectors one at a time.
 
@@ -201,8 +241,8 @@ class DenseEigenproblem:
     the operator, or with ``deflate_ones`` its ones-complement (see
     ``_dense_matrix``), whose n-1 eigenvalues come out already deflated.
     ``vector(i)`` is the eigenvector of ``eigenvalues[i]`` from inverse
-    iteration: one solve of ``(M - lambda I) x = b`` from a fixed seeded
-    start, and a second from x when the residual ``||M x - lambda x||`` is
+    iteration: one solve of ``(M - lambda I) x = b`` from a start seeded
+    by i, and a second from x when the residual ``||M x - lambda x||`` is
     above ``_DENSE_RESIDUAL_REL`` times max(1, ``||A||_inf``) (Ipsen, SIAM
     Review 1997).  An exactly singular shift is moved down by a few ulps of
     ``||A||_inf`` and the solve retried.  The solves run on M scaled by a
@@ -223,19 +263,40 @@ class DenseEigenproblem:
         self._limit = _DENSE_RESIDUAL_REL * max(1.0, op.norm_inf) * self._unit
         self.eigenvalues = np.linalg.eigvalsh(A) / self._unit
 
-    def vector(self, i: int, orthogonal_to: Optional[np.ndarray] = None) -> np.ndarray:
-        """Eigenvector of ``eigenvalues[i]``, of norm 1 up to rounding, projected off a unit vector if given."""
+    def vector(self, i: int, earlier: Optional[np.ndarray] = None) -> np.ndarray:
+        """Eigenvector of ``eigenvalues[i]``, of norm 1 up to rounding, orthogonal
+        to the orthonormal columns of ``earlier`` (n-vectors), if given.
+
+        The start and each solve's result are projected off ``earlier``,
+        twice, before the residual is taken, so that a repeated eigenvalue
+        yields a new vector of its eigenspace.  Such a column, within the
+        residual limit of ``eigenvalues[i - 1]``, always takes the second
+        solve: the first can leave a residual near the limit, since the
+        columns before took the directions the shift amplifies most.  A
+        result that projection leaves at or below ``_QR_DROP_TOL`` of its
+        largest component starts the second solve, and after the second
+        raises ``BasisDegenerateError``.
+        """
         A, lam = self._matrix, float(self.eigenvalues[i]) * self._unit
-        x = np.random.default_rng(0).uniform(-1.0, 1.0, size=A.shape[0])
-        for _ in range(2):
-            x = self._shifted_solve(lam, x)
-            x /= np.linalg.norm(x)
-            if np.linalg.norm(A @ x - lam * x) <= self._limit:
+        B, clustered = None, False
+        if earlier is not None and earlier.shape[1]:
+            B = _into_complement(self._w, self._beta, earlier)
+            gap = (self.eigenvalues[i] - self.eigenvalues[i - 1]) * self._unit if i else math.inf
+            clustered = gap <= self._limit
+        x = _project_off(np.random.default_rng(i).uniform(-1.0, 1.0, size=A.shape[0]), B)
+        for attempt in range(2):
+            x = _project_off(self._shifted_solve(lam, x), B)
+            size = float(np.linalg.norm(x))  # the solve's largest component is 1
+            if size == 0.0 or (attempt and size <= _QR_DROP_TOL):
+                raise BasisDegenerateError(
+                    f"eigenvector {i} at eigenvalue {self.eigenvalues[i]!r} "
+                    f"collapsed onto the {B.shape[1]} before it"
+                )
+            x /= size
+            if (size > _QR_DROP_TOL and not clustered
+                    and np.linalg.norm(A @ x - lam * x) <= self._limit):
                 break
-        x = _from_complement(self._w, self._beta, x)
-        if orthogonal_to is not None:
-            x -= float(orthogonal_to @ x) * orthogonal_to
-        return x
+        return _from_complement(self._w, self._beta, x)
 
     def _shifted_solve(self, lam: float, b: np.ndarray) -> np.ndarray:
         """Solve ``(M - sigma I) x = b``, sigma = lam or, if singular there, just below.

@@ -59,7 +59,7 @@ class SolverFailedError(SignedCutError, RuntimeError):
 
 class BasisDegenerateError(SolverFailedError):
     """Eigensolver search subspace lost rank and the restart failed, or a
-    dense shifted solve stayed singular."""
+    dense shifted solve stayed singular or collapsed onto the vectors before it."""
 
 
 class DegenerateVectorError(SignedCutError, ValueError):

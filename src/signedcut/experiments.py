@@ -162,12 +162,6 @@ def _side_a(side: np.ndarray) -> list[int]:
     return (np.flatnonzero(side == 0) + 1).tolist()
 
 
-def _modes(g: SignedGraph, kind: LaplacianKind, k: int) -> Spectrum:
-    """The k smallest eigenpairs of g's Laplacian of this kind, from its dense spectrum."""
-    s = dense_spectrum(laplacian(g, kind))
-    return Spectrum(s.eigenvalues[:k], s.eigenvectors[:, :k].copy())
-
-
 # The eigenmode demos.  Each row: the special edge's weight by its summary
 # key, if the string has one; k; and, per spectrum written, its Laplacian
 # kind, CSV file and summary key.
@@ -187,7 +181,7 @@ def string_modes_demo(name: str, n: int, seed: int, warnings: list[str]) -> tupl
     g = path_string(StringSpec(n=n, overrides=tuple((DEFAULT_SPECIAL_EDGE, w) for w in weight.values())))
     summary, artifacts = {"n": n, **weight}, []
     for kind, file, key in spectra:
-        s = _modes(g, kind, k)
+        s = dense_spectrum(laplacian(g, kind), k=k)
         summary[key] = s.eigenvalues.tolist()
         artifacts.append((file, s))
     return summary, artifacts
@@ -213,8 +207,8 @@ def noisy_string_demo(n: int, seed: int, warnings: list[str]) -> tuple[dict, lis
     }
     return summary, [
         ("noisy-string.mtx", g),
-        ("noisy-string-standard.csv", _modes(g, LaplacianKind.STANDARD, 3)),
-        ("noisy-string-signed.csv", _modes(g, LaplacianKind.SIGNED, 2)),
+        ("noisy-string-standard.csv", dense_spectrum(laplacian(g, LaplacianKind.STANDARD), k=3)),
+        ("noisy-string-signed.csv", dense_spectrum(laplacian(g, LaplacianKind.SIGNED), k=2)),
         ("noisy-string-partition.json", partition_json(f_std, side)),
     ]
 

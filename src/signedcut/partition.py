@@ -165,7 +165,7 @@ def _fiedler_dense(op: SymmetricOperator, kind: LaplacianKind) -> FiedlerResult:
     v = problem.vector(0)
     vectors = v[:, None]
     if _is_constant(v):
-        vectors = np.column_stack((v, problem.vector(1, orthogonal_to=v / np.linalg.norm(v))))
+        vectors = np.column_stack((v, problem.vector(1, (v / np.linalg.norm(v))[:, None])))
     return select_fiedler(Spectrum(problem.eigenvalues, vectors), kind)
 
 

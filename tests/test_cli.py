@@ -15,6 +15,7 @@ from signedcut import (
     graph_from_edges,
     laplacian,
     load_graph,
+    noisy_string,
     path_string,
     save_graph,
 )
@@ -128,6 +129,51 @@ class TestGen:
         assert code == 2 and report["exit_code"] == 2 and not stdout
         assert report["error"] == error
         assert not out.exists() and report["outputs"] == []
+
+    @pytest.mark.parametrize("argv, error", [
+        (["cobra", "--override", "3:-1"],
+         "gen cobra takes no --override: only gen path reads it; got --override 3:-1"),
+        (["path", "--n", "5", "--neg-edge", "2:-1", "--noise-amp", "5"],
+         "gen path takes no --neg-edge: only gen noisy-string reads it; got --neg-edge 2:-1"),
+        (["path", "--n", "5", "--noise-amp", "5"],
+         "gen path takes no --noise-amp: only gen noisy-string reads it; got --noise-amp 5.0"),
+        (["noisy-string", "--override", "3:-1", "--override", "4:2"],
+         "gen noisy-string takes no --override: only gen path reads it; "
+         "got --override 3:-1 --override 4:2"),
+        (["dumbbell", "--seed", "0"],
+         "gen dumbbell takes no --seed: only gen noisy-string reads it; got --seed 0"),
+    ], ids=["cobra-override", "path-neg-edge", "path-noise-amp", "noisy-override", "dumbbell-seed"])
+    def test_flag_of_another_kind_exit_2(self, argv, error, tmp_path, capsys):
+        """A flag the kind does not read is refused, even at its default value, and named."""
+        out = tmp_path / "x.mtx"
+        code, stdout, report = run(capsys, "gen", *argv, "--out", str(out))
+        assert code == 2 and report["exit_code"] == 2 and not stdout
+        assert report["error"] == error
+        assert not out.exists() and report["outputs"] == []
+
+    @pytest.mark.parametrize("flags, draw", [
+        ([], ((7, -0.5), 1e-2, 0)),
+        (["--neg-edge", "8:-0.5", "--noise-amp", "0.01", "--seed", "0"], ((7, -0.5), 1e-2, 0)),
+        (["--neg-edge", "3:-2", "--noise-amp", "0.1", "--seed", "5"], ((2, -2.0), 0.1, 5)),
+    ], ids=["defaults", "defaults-given", "given"])
+    def test_noisy_string_flags(self, flags, draw, tmp_path, capsys):
+        out = str(tmp_path / "noisy.mtx")
+        code, _, _ = run(capsys, "gen", "noisy-string", *flags, "--out", out)
+        assert code == 0
+        assert load_graph(out) == noisy_string(12, *draw)
+
+    @pytest.mark.parametrize("overrides, error", [
+        (["2:-1", "2:-0.5"], "--override edge 2 listed twice"),
+        (["3:1", "1:-1", "3:1"], "--override edge 3 listed twice"),
+        (["2:0"], "--override edge 2 has zero weight"),
+    ])
+    def test_override_errors_name_the_edge_1_based(self, overrides, error, tmp_path, capsys):
+        out = tmp_path / "x.mtx"
+        argv = [a for o in overrides for a in ("--override", o)]
+        code, stdout, report = run(capsys, "gen", "path", "--n", "5", *argv, "--out", str(out))
+        assert code == 2 and report["exit_code"] == 2 and not stdout
+        assert report["error"] == error
+        assert not out.exists()
 
     def test_last_edge_is_in_range(self, tmp_path, capsys):
         out = str(tmp_path / "x.mtx")
@@ -305,6 +351,38 @@ class TestSpectrum:
         # near piecewise-constant: jumps at the negative edge dominate
         diffs = np.abs(np.diff(lead))
         assert np.argmax(diffs) == 36
+
+
+    @pytest.mark.parametrize("argv", [
+        ["spectrum", "{g}", "--k", "5"],
+        ["spectrum", "{g}", "--k", "5", "--deflate-ones"],
+        ["spectrum", "{g}", "--k", "5", "--laplacian", "signed"],
+        ["demo", "string-modes"], ["demo", "weak-link"], ["demo", "negative-edge"],
+        ["demo", "noisy-string"],
+    ], ids=["k5", "k5-deflated", "k5-signed", "string-modes", "weak-link", "negative-edge",
+            "noisy-string"])
+    def test_five_modes_need_no_eigh(self, argv, tmp_path, capsys, monkeypatch):
+        """Up to five modes come from eigvalsh and shifted solves: a failing eigh is never reached."""
+        gfile = str(tmp_path / "neg.mtx")
+        save_graph(path_string(StringSpec(75, overrides=((36, -0.05),))), gfile)
+
+        def no_eigh(*args, **kwargs):
+            raise AssertionError("five modes must not take the full eigenbasis")
+
+        monkeypatch.setattr(np.linalg, "eigh", no_eigh)
+        out = str(tmp_path / "out")
+        code, _, report = run(capsys, *[gfile if a == "{g}" else a for a in argv], "--out", out)
+        assert code == 0 and report["error"] is None and report["outputs"]
+
+    @pytest.mark.parametrize("k, calls", [(5, ["eigvalsh"]), (6, ["eigh"])])
+    def test_six_modes_take_one_eigh(self, k, calls, tmp_path, capsys, monkeypatch):
+        gfile = str(tmp_path / "neg.mtx")
+        save_graph(path_string(StringSpec(30, overrides=((12, -0.05),))), gfile)
+        solves = count_dense_eigensolves(monkeypatch)
+        code, _, _ = run(capsys, "spectrum", gfile, "--k", str(k), "--out", str(tmp_path / "m.csv"))
+        assert code == 0
+        assert solves == [(name, (30, 30)) for name in calls]
+        assert len(mode_csv_eigenvalues(tmp_path / "m.csv")) == k
 
 
 class TestPartitionCmd:
@@ -869,6 +947,16 @@ class TestDemo:
         doc = json.loads((out / "cobra.json").read_text())
         assert doc["signed_first_bisects"] is False
         assert report["warnings"] == ["signed: first eigenvector has one sign, bisection degenerate"]
+
+    def test_demos_accept_a_seed_they_do_not_read(self, tmp_path, capsys):
+        """Every demo takes --seed; cobra draws nothing, so its files are those of the default seed."""
+        files = []
+        for seed in ("0", "7"):
+            out = tmp_path / seed
+            code, stdout, report = run(capsys, "demo", "cobra", "--seed", seed, "--out", str(out))
+            assert code == 0 and report["error"] is None
+            files.append((stdout, [(out / p).read_bytes() for p in ("cobra.mtx", "cobra.json")]))
+        assert files[0] == files[1]
 
     def test_gap_study_demo(self, tmp_path, capsys):
         out = str(tmp_path / "gap")

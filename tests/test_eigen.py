@@ -14,6 +14,7 @@ from signedcut import (
     DEFAULT_SPECIAL_EDGE,
     DEFAULT_STRING_LENGTH,
     NEGATIVE_EDGE_WEIGHT,
+    BasisDegenerateError,
     DimensionTooLargeError,
     InsufficientSpectrumError,
     SolverConfig,
@@ -171,6 +172,84 @@ class TestDeflatedSpectrum:
         g = path_string(StringSpec(20, overrides=((7, -0.5),)))
         with pytest.raises(ValueError, match="not an eigenvector"):
             dense_spectrum(laplacian(g, "signed"), deflate_ones=True)
+
+
+def repeated_eigenvalue_graphs():
+    """Graphs whose spectra repeat eigenvalues, and seeded random graphs."""
+    triangle = [(0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0)]
+    cases = [
+        ("two-triangles-and-a-vertex",
+         graph_from_edges(7, triangle + [(i + 3, j + 3, w) for i, j, w in triangle])),
+        ("automorphic-triangle", graph_from_edges(3, [(0, 1, 0.5), (0, 2, 0.5), (1, 2, -1.0)])),
+        ("5-cycle", graph_from_edges(5, [(i, (i + 1) % 5, 1.0) for i in range(5)])),
+        ("3-cube", graph_from_edges(8, [(a, a ^ b, 1.0) for a in range(8) for b in (1, 2, 4) if a < a ^ b])),
+        ("edgeless", graph_from_edges(6, [])),
+    ]
+    rng = np.random.default_rng(28)
+    cases += [(f"random-{c}", random_graph(rng, n_max=30)) for c in range(8)]
+    return [pytest.param(g, id=name) for name, g in cases]
+
+
+class TestShiftedSolveSpectrum:
+    """``dense_spectrum(op, deflate_ones, k)`` for k <= 5 takes its vectors from
+    shifted solves; against the full ``eigh`` basis they must be as good."""
+
+    @pytest.mark.parametrize("deflate_ones", [False, True])
+    @pytest.mark.parametrize("kind", ["standard", "signed"])
+    @pytest.mark.parametrize("g", repeated_eigenvalue_graphs())
+    def test_matches_the_full_eigenbasis(self, g, kind, deflate_ones):
+        op = laplacian(g, kind)
+        A = op.dense()
+        try:
+            oracle = dense_spectrum(op, deflate_ones)
+        except ValueError:
+            with pytest.raises(ValueError, match="not an eigenvector"):
+                dense_spectrum(op, deflate_ones, k=1)
+            return
+        lam = oracle.eigenvalues
+        spread = max(1.0, lam[-1] - lam[0])
+        scale = max(1.0, np.abs(lam).max())
+        for k in range(1, min(5, oracle.k) + 1):
+            s = dense_spectrum(op, deflate_ones, k)
+            X = s.eigenvectors
+            assert s.k == k and X.shape == (g.n, k) and np.isfinite(X).all()
+            assert np.abs(X.T @ X - np.eye(k)).max() <= 1e-12
+            assert np.linalg.norm(A @ X - X * s.eigenvalues, axis=0).max() <= 1e-12 * spread
+            assert np.abs(s.eigenvalues - lam[:k]).max() <= 1e-12 * scale
+            if deflate_ones:
+                assert np.abs(X.sum(axis=0)).max() / math.sqrt(g.n) <= 1e-10
+            # each cluster of eigh's eigenvalues: the columns that fall in it
+            # lie in its span, so the sine of their largest principal angle,
+            # ||(I - Q Q^T) X_c||_2, is 0 up to rounding
+            start = 0
+            while start < k:
+                stop = start + 1
+                while stop < len(lam) and lam[stop] - lam[stop - 1] <= 1e-8 * spread:
+                    stop += 1
+                Q, Xc = oracle.eigenvectors[:, start:stop], X[:, start:min(stop, k)]
+                assert np.linalg.norm(Xc - Q @ (Q.T @ Xc), 2) <= 1e-10
+                start = stop
+
+    @pytest.mark.parametrize("k", [None, 6, 7])
+    def test_more_modes_come_from_eigh(self, k, monkeypatch):
+        op = laplacian(path_string(StringSpec(12, overrides=((5, -0.5),))), "signed")
+        full = dense_spectrum(op)
+        calls = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a.shape) or eigh(a))
+        s = dense_spectrum(op, k=k)
+        assert calls == [(12, 12)]
+        assert np.array_equal(s.eigenvalues, full.eigenvalues[:k])
+        assert np.array_equal(s.eigenvectors, full.eigenvectors[:, :k])
+
+    def test_a_collapsed_column_raises(self, monkeypatch):
+        """A solve whose result lies in the span of the columns before it is an error, not a NaN."""
+        op = laplacian(path_string(StringSpec(10)), "standard")
+        problem = signedcut.eigen.DenseEigenproblem(op)
+        first = problem.vector(0)
+        monkeypatch.setattr(problem, "_shifted_solve", lambda lam, b: first / np.abs(first).max())
+        with pytest.raises(BasisDegenerateError, match="collapsed onto the 1 before it"):
+            problem.vector(1, first[:, None] / np.linalg.norm(first))
 
 
 class TestLobpcg:

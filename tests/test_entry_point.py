@@ -13,6 +13,7 @@ import json
 import os
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -74,3 +75,37 @@ def test_failure_exit_status(tmp_path, argv, code, error):
     proc, report = cli(tmp_path, *argv)
     assert proc.returncode == code and proc.stdout == ""
     assert error in report["error"]
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="reads the resident set from /proc/self/status")
+def test_dense_spectrum_holds_no_eigenbasis(tmp_path):
+    """``spectrum --k 5`` at n = 1200 holds the matrix and one LAPACK copy of
+    it, about 2 n^2 doubles; a full ``eigh`` holds at least 4 n^2 (its copy,
+    the eigenbasis and syevd's 2 n^2 workspace).  The peak resident set
+    (``VmHWM``) after the call may exceed the resident set (``VmRSS``) just
+    before it by at most 3 n^2 doubles.  ``ru_maxrss`` would not do: a child
+    can inherit its parent's, here the test runner's, through fork and exec.
+    A smaller spectrum runs first, so that the measured call finds the
+    modules and the BLAS buffers it uses already in place."""
+    n = 1200
+    for m in (400, n):
+        proc, _ = cli(tmp_path, "gen", "path", "--n", str(m), "--out", f"p{m}.mtx")
+        assert proc.returncode == 0, proc.stderr
+    probe = textwrap.dedent(f"""
+        import os
+        from signedcut.cli import main
+
+        def kib(field):
+            with open("/proc/self/status") as fh:
+                return next(int(line.split()[1]) for line in fh if line.startswith(field + ":"))
+
+        main(["spectrum", "p400.mtx", "--k", "5", "--out", os.devnull])
+        before = kib("VmRSS")
+        code = main(["spectrum", "p{n}.mtx", "--k", "5", "--out", "modes.csv"])
+        print(code, kib("VmHWM") - before)
+    """)
+    proc = child(tmp_path, "-c", probe)
+    assert proc.returncode == 0, proc.stderr
+    code, growth_kib = map(int, proc.stdout.split())
+    assert code == 0 and (tmp_path / "modes.csv").is_file()
+    assert growth_kib * 1024 <= 3 * n * n * 8

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from signedcut import (
+    DenseEigenproblem,
     Spectrum,
     StringSpec,
     bisect,
@@ -97,7 +98,10 @@ def test_noisy_string_demo_outcomes(seed, tmp_path, monkeypatch):
     for name, kind, k in (("noisy-string-standard.csv", "standard", 3), ("noisy-string-signed.csv", "signed", 2)):
         s = files[name]
         assert isinstance(s, Spectrum) and s.eigenvectors.shape == (12, k)
-        assert np.array_equal(s.eigenvalues, dense_spectrum(laplacian(g, kind)).eigenvalues[:k])
+        op = laplacian(g, kind)
+        assert np.array_equal(s.eigenvalues, DenseEigenproblem(op).eigenvalues[:k])
+        oracle = dense_spectrum(op).eigenvalues
+        assert np.abs(s.eigenvalues - oracle[:k]).max() <= 1e-12 * max(1.0, np.abs(oracle).max())
 
 
 @pytest.mark.parametrize("name", ["string-modes", "weak-link", "negative-edge"])
