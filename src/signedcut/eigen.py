@@ -59,21 +59,33 @@ _ONES_RESIDUAL_REL = 1e-10
 _ROUNDING_RESIDUAL = 4.0
 
 # ``DenseEigenproblem``.  A second shifted solve is taken when the first
-# leaves a residual above _DENSE_RESIDUAL_REL times max(1, ||A||_inf).  An
-# exactly singular shift moves down by _NUDGE_ULPS**t ulps of ||A||_inf on
-# retry t, for up to _NUDGE_TRIES retries.  The rank-2 update that deflates
-# ones (``_dense_matrix``) runs over blocks of _UPDATE_ROWS rows.
+# leaves a residual above max(1, ||A||_inf) times _DENSE_RESIDUAL_REL, which
+# is enough for the Fiedler route's sign pattern, or _SPECTRUM_RESIDUAL_REL
+# for ``dense_spectrum``'s modes, which are written out as vectors.  One
+# solve leaves a residual of about ||b|| |lambda - sigma| / |b . v|, for the
+# start b and the eigenvector v: 1e-14 ||A||_inf for the typical start at
+# n = 1200, but 5e-12 ||A||_inf for column 3 of the signed dense-1200 graph
+# of seed 1, whose start has |b . v| = 5e-4 (||b|| = 20); a second solve
+# brings either to rounding, as eigh's.  An exactly singular shift moves
+# down by _NUDGE_ULPS**t ulps of ||A||_inf on retry t, for up to
+# _NUDGE_TRIES retries.  The rank-2 update that deflates ones
+# (``_dense_matrix``) runs over blocks of _UPDATE_ROWS rows.
 _DENSE_RESIDUAL_REL = 1e-10
+_SPECTRUM_RESIDUAL_REL = 1e-13
 _NUDGE_ULPS = 4
 _NUDGE_TRIES = 8
 _UPDATE_ROWS = 64
 
 # ``dense_spectrum`` takes up to this many vectors from shifted solves, and
 # more from one ``eigh``.  The solves hold about 2 n^2 doubles, ``eigh`` 4 n^2
-# and more.  Measured (2 vCPUs, OpenBLAS, random signed graphs, m = 6n, best
-# of 7): ``eigvalsh`` plus five solves took 1.23x one ``eigh`` at n = 1200
-# and 1.11-1.16x at n = 2048, plus six 1.33x and 1.25-1.28x; at one BLAS
-# thread five took 1.13x and 1.08x.
+# and more.  Each mode costs one LU, or two where the first solve's residual
+# is above _SPECTRUM_RESIDUAL_REL (on the standard dense-1200 graphs of
+# seeds 1-20, five modes took 5 to 8 solves, 5.95 on average).  Measured
+# (2 vCPUs, OpenBLAS, random signed graphs, m = 6n, best of 7): ``eigvalsh``
+# plus five solves took 1.23x one ``eigh`` at n = 1200 and 1.11-1.16x at
+# n = 2048, plus six 1.33x and 1.25-1.28x; at one BLAS thread five took
+# 1.13x and 1.08x.  k = 5 is the only k the benchmark's workloads run;
+# above it ``eigh`` is kept, as no workload measures a larger k.
 _SHIFTED_SOLVES_MAX = 5
 
 # ``estimate_largest_eigenvalue`` takes this many Lanczos steps at most.
@@ -168,7 +180,9 @@ def dense_spectrum(op: SymmetricOperator, deflate_ones: bool = False, k: Optiona
     ``_dense_matrix``.
     """
     if k is not None and k <= _SHIFTED_SOLVES_MAX:
-        problem = DenseEigenproblem(op, deflate_ones)
+        # as eigh's slice does, a k above the solve space gives every pair
+        k = min(k, solve_space_dimension(op.n, deflate_ones))
+        problem = DenseEigenproblem(op, deflate_ones, _SPECTRUM_RESIDUAL_REL)
         X = np.empty((op.n, k))
         for i in range(k):
             X[:, i] = problem.vector(i, X[:, :i])
@@ -243,8 +257,8 @@ class DenseEigenproblem:
     ``vector(i)`` is the eigenvector of ``eigenvalues[i]`` from inverse
     iteration: one solve of ``(M - lambda I) x = b`` from a start seeded
     by i, and a second from x when the residual ``||M x - lambda x||`` is
-    above ``_DENSE_RESIDUAL_REL`` times max(1, ``||A||_inf``) (Ipsen, SIAM
-    Review 1997).  An exactly singular shift is moved down by a few ulps of
+    above ``residual_rel`` times max(1, ``||A||_inf``) (Ipsen, SIAM Review
+    1997).  An exactly singular shift is moved down by a few ulps of
     ``||A||_inf`` and the solve retried.  The solves run on M scaled by a
     power of two, exactly, so that they work at any weight scale.  A
     vector of the ones-complement is returned as ``H [0; x]``, orthogonal
@@ -253,14 +267,15 @@ class DenseEigenproblem:
     exact zeros.
     """
 
-    def __init__(self, op: SymmetricOperator, deflate_ones: bool = False):
+    def __init__(self, op: SymmetricOperator, deflate_ones: bool = False,
+                 residual_rel: float = _DENSE_RESIDUAL_REL):
         A, self._w, self._beta = _dense_matrix(op, deflate_ones)
         # a power of two brings ||A||_inf into [1/2, 1) without rounding, so
         # that the shifted solves neither overflow nor underflow at any scale
         self._unit = 2.0 ** -math.frexp(op.norm_inf)[1]
         A *= self._unit
         self._matrix = A
-        self._limit = _DENSE_RESIDUAL_REL * max(1.0, op.norm_inf) * self._unit
+        self._limit = residual_rel * max(1.0, op.norm_inf) * self._unit
         self.eigenvalues = np.linalg.eigvalsh(A) / self._unit
 
     def vector(self, i: int, earlier: Optional[np.ndarray] = None) -> np.ndarray:

@@ -887,6 +887,16 @@ class TestDemo:
         assert report["error"] == error
         assert not out.exists() and report["outputs"] == []
 
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_string_modes_shorter_than_its_k(self, n, tmp_path, capsys):
+        """A string of fewer masses than the demo's 5 modes writes every mode it has."""
+        code, stdout, report = run(capsys, "demo", "string-modes", "--n", str(n), "--out", str(tmp_path))
+        assert code == 0 and report["exit_code"] == 0
+        assert len(json.loads(stdout)["eigenvalues"]) == n
+        with open(tmp_path / "string-modes.csv") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == ["vertex"] + [f"mode_{c}" for c in range(n)] and len(rows) == n + 2
+
     @pytest.mark.parametrize("name, n", [("cobra", "5"), ("dumbbell", "-3")])
     def test_fixed_graph_demos_refuse_n(self, name, n, tmp_path, capsys, monkeypatch):
         """cobra and the dumbbell have one size: --n is an error, raised before the default directory is made."""

@@ -174,8 +174,23 @@ class TestDeflatedSpectrum:
             dense_spectrum(laplacian(g, "signed"), deflate_ones=True)
 
 
+def sparse_random_graph(seed, n, m):
+    """n vertices and up to m distinct random edges, weights uniform in [-2, 2)."""
+    rng = np.random.default_rng(seed)
+    i, j = rng.integers(0, n, (2, m))
+    keep = i != j
+    key = np.unique(np.minimum(i, j)[keep] * n + np.maximum(i, j)[keep])
+    return graph_from_arrays(n, key // n, key % n, rng.uniform(-2, 2, len(key)))
+
+
 def repeated_eigenvalue_graphs():
-    """Graphs whose spectra repeat eigenvalues, and seeded random graphs."""
+    """Graphs whose spectra repeat eigenvalues, seeded random graphs, and two larger ones.
+
+    The larger: the 75-mass string with its -0.05 edge, whose low gaps are
+    small, and a 300-vertex random graph where one start vector has so
+    small a share along its eigenvector that one shifted solve leaves a
+    residual of 6.8e-12 times the spread (seed 17, standard kind).
+    """
     triangle = [(0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0)]
     cases = [
         ("two-triangles-and-a-vertex",
@@ -187,6 +202,8 @@ def repeated_eigenvalue_graphs():
     ]
     rng = np.random.default_rng(28)
     cases += [(f"random-{c}", random_graph(rng, n_max=30)) for c in range(8)]
+    cases += [("string-75--0.05", path_string(StringSpec(75, overrides=((36, -0.05),)))),
+              ("random-300", sparse_random_graph(17, 300, 1800))]
     return [pytest.param(g, id=name) for name, g in cases]
 
 
@@ -241,6 +258,17 @@ class TestShiftedSolveSpectrum:
         assert calls == [(12, 12)]
         assert np.array_equal(s.eigenvalues, full.eigenvalues[:k])
         assert np.array_equal(s.eigenvectors, full.eigenvectors[:, :k])
+
+    @pytest.mark.parametrize("deflate_ones", [False, True])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_k_above_the_solve_space_gives_every_pair(self, n, deflate_ones):
+        """As the full basis sliced would: k = 5 on fewer dimensions returns them all."""
+        op = laplacian(graph_from_edges(n, [(i, i + 1, 1.0) for i in range(n - 1)]), "standard")
+        full = dense_spectrum(op, deflate_ones)
+        s = dense_spectrum(op, deflate_ones, k=5)
+        assert s.k == full.k == n - int(deflate_ones) and s.eigenvectors.shape == (n, s.k)
+        assert np.abs(s.eigenvalues - full.eigenvalues).max(initial=0.0) <= 1e-12 * 4
+        assert np.abs(s.eigenvectors.T @ s.eigenvectors - np.eye(s.k)).max(initial=0.0) <= 1e-12
 
     def test_a_collapsed_column_raises(self, monkeypatch):
         """A solve whose result lies in the span of the columns before it is an error, not a NaN."""
