@@ -16,6 +16,7 @@ import functools
 import hashlib
 import itertools
 import json
+import math
 import os
 import sys
 import time
@@ -203,7 +204,7 @@ def _modes_csv(eigenvalues: np.ndarray, vectors: np.ndarray) -> Iterator[str]:
 
 
 def _parse_edge_weight(text: str, flag: str, n: int) -> tuple[int, float]:
-    """Parse a 1-based EDGE:WEIGHT argument, an edge of an n-vertex string, into a 0-based edge index."""
+    """Parse a 1-based EDGE:WEIGHT argument, an edge of an n-vertex string and a finite weight, into a 0-based edge index."""
     try:
         idx_s, w_s = text.split(":", 1)
         idx, w = int(idx_s), float(w_s)
@@ -213,6 +214,8 @@ def _parse_edge_weight(text: str, flag: str, n: int) -> tuple[int, float]:
         raise SignedCutError(f"{flag} edge numbers are 1-based, got {idx}")
     if idx > n - 1 >= 1:  # a string with no edge at all is the generator's error
         raise SignedCutError(f"{flag} edge {idx} outside [1, {n - 1}] for --n {n}")
+    if not math.isfinite(w):
+        raise SignedCutError(f"{flag} edge {idx} has nonfinite weight {w}")
     return idx - 1, w
 
 
@@ -267,11 +270,12 @@ def cmd_spectrum(args, outputs: list[str], warnings: list[str]) -> None:
     else:
         s, _ = lobpcg_smallest(op, args.k, solver, args.deflate_ones)
         # the spectrum holds the whole block; the first k pairs are the wanted ones
-        converged = s.converged[: args.k]
-        if not converged.all():
+        unconverged = ~s.converged[: args.k]
+        if unconverged.any():
             warnings.append(
-                f"{int((~converged).sum())} of {args.k} eigenpairs unconverged "
-                f"after {args.max_iter} iterations"
+                f"{int(unconverged.sum())} of {args.k} eigenpairs unconverged "
+                f"after {s.iterations} iterations "
+                f"(largest residual {s.residual_norms[: args.k][unconverged].max():.3e})"
             )
     _emit(Spectrum(s.eigenvalues[: args.k], s.eigenvectors[:, : args.k]), args.out, outputs)
 

@@ -17,7 +17,9 @@ five modes of ``dense_spectrum``, each orthogonal to those before it.  So
 it holds the matrix and one LU copy of it, never an n-by-n eigenbasis.
 More modes, and the full spectrum, come from one ``numpy.linalg.eigh``.
 With ``deflate_ones`` both work on the ones-complement by a Householder
-reflector (``_dense_matrix``).
+reflector (``_dense_matrix``).  The dense residual limits, and the check
+that ones is an eigenvector before it is deflated (``_require_ones_null``,
+on both routes), are relative to ``||A||_inf`` at every weight scale.
 """
 
 from __future__ import annotations
@@ -59,7 +61,7 @@ _ONES_RESIDUAL_REL = 1e-10
 _ROUNDING_RESIDUAL = 4.0
 
 # ``DenseEigenproblem``.  A second shifted solve is taken when the first
-# leaves a residual above max(1, ||A||_inf) times _DENSE_RESIDUAL_REL, which
+# leaves a residual above ||A||_inf times _DENSE_RESIDUAL_REL, which
 # is enough for the Fiedler route's sign pattern, or _SPECTRUM_RESIDUAL_REL
 # for ``dense_spectrum``'s modes, which are written out as vectors.  One
 # solve leaves a residual of about ||b|| |lambda - sigma| / |b . v|, for the
@@ -116,14 +118,16 @@ class Spectrum:
 
     ``eigenvectors`` may hold fewer columns than there are eigenvalues: the
     leading ones, as the dense Fiedler route computes one or two.  Only the
-    iterative solver fills ``residual_norms`` and ``converged``; the dense
-    routes leave them ``None``.
+    iterative solver fills ``residual_norms``, ``converged`` and
+    ``iterations``, its number of residual tests; the dense routes leave
+    them ``None``, ``None`` and 0.
     """
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
     residual_norms: Optional[np.ndarray] = None
     converged: Optional[np.ndarray] = None
+    iterations: int = 0
 
     @property
     def k(self) -> int:
@@ -257,10 +261,11 @@ class DenseEigenproblem:
     ``vector(i)`` is the eigenvector of ``eigenvalues[i]`` from inverse
     iteration: one solve of ``(M - lambda I) x = b`` from a start seeded
     by i, and a second from x when the residual ``||M x - lambda x||`` is
-    above ``residual_rel`` times max(1, ``||A||_inf``) (Ipsen, SIAM Review
-    1997).  An exactly singular shift is moved down by a few ulps of
-    ``||A||_inf`` and the solve retried.  The solves run on M scaled by a
-    power of two, exactly, so that they work at any weight scale.  A
+    above ``residual_rel`` times ``||A||_inf`` (Ipsen, SIAM Review 1997).
+    An exactly singular shift is moved down by a few ulps of ``||A||_inf``
+    and the solve retried.  The solves run on M scaled by a power of two,
+    exactly, and the limit is relative, so that at every power-of-two
+    weight scale they give the same vectors and exactly scaled eigenvalues.  A
     vector of the ones-complement is returned as ``H [0; x]``, orthogonal
     to ones by construction.  The vector comes back as computed, unit up
     to rounding: ``select_fiedler`` sets its exact norm, its sign and its
@@ -275,7 +280,7 @@ class DenseEigenproblem:
         self._unit = 2.0 ** -math.frexp(op.norm_inf)[1]
         A *= self._unit
         self._matrix = A
-        self._limit = residual_rel * max(1.0, op.norm_inf) * self._unit
+        self._limit = residual_rel * op.norm_inf * self._unit
         self.eigenvalues = np.linalg.eigvalsh(A) / self._unit
 
     def vector(self, i: int, earlier: Optional[np.ndarray] = None) -> np.ndarray:
@@ -653,11 +658,12 @@ def _require_ones_null(op: SymmetricOperator, Au: np.ndarray) -> None:
 
     Deflating ones is sound only when ones is an eigenvector, here of
     eigenvalue 0 as for every standard Laplacian: ``||A u||`` must be at
-    most ``_ONES_RESIDUAL_REL`` times the operator's largest absolute row sum.
+    most ``_ONES_RESIDUAL_REL`` times the operator's largest absolute row
+    sum, a test relative at every weight scale.
     """
-    scale = max(1.0, op.norm_inf)
+    scale = op.norm_inf or 1.0  # an edgeless operator has Au = 0
     drift = float(np.linalg.norm(Au / scale)) * scale  # the squares of Au may overflow
-    if drift > _ONES_RESIDUAL_REL * scale:
+    if drift > _ONES_RESIDUAL_REL * op.norm_inf:
         raise ValueError(
             f"ones is not an eigenvector of the operator (|A u| = {drift:.3e}); "
             "it cannot be deflated"
@@ -682,8 +688,9 @@ def lobpcg_smallest(op: SymmetricOperator, k: int, cfg: SolverConfig, deflate_on
     residual norm and converged flag.  A Ritz value is at least the
     eigenvalue of its rank, so an unconverged column past the k-th still
     bounds its eigenvalue from above.  Not converging within ``max_iter``
-    is not an error.  Returns the spectrum and the list of the block's
-    Ritz values at each iteration, whose length is the iteration count.
+    is not an error.  Returns the spectrum, whose ``iterations`` counts the
+    residual tests, and the list of the block's Ritz values at each
+    iteration, one per residual test.
 
     The basis [X, P, W] stays orthonormal without re-projecting X or P.  W
     is orthonormalized against [ones, X, P] by one or two passes of
@@ -731,9 +738,8 @@ def lobpcg_smallest(op: SymmetricOperator, k: int, cfg: SolverConfig, deflate_on
     R = op.matmat(X)
     R -= X * theta
     residuals, converged = _residual_check(R, theta, cfg.tol, op.norm_inf)
-    spectrum = Spectrum(
-        eigenvalues=theta, eigenvectors=X, residual_norms=residuals, converged=converged
-    )
+    spectrum = Spectrum(eigenvalues=theta, eigenvectors=X, residual_norms=residuals,
+                        converged=converged, iterations=len(trace))
     return spectrum, trace
 
 

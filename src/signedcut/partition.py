@@ -35,7 +35,7 @@ from .errors import (
     SolverFailedError,
 )
 from .graph import SignedGraph, connected_in_absolute_value, nullify_negative
-from .laplacian import LaplacianKind, SymmetricOperator, laplacian
+from .laplacian import LaplacianKind, laplacian
 
 # Fiedler eigenvalues closer than this fraction of the spectrum spread to
 # their nearest neighbor get flagged: the eigenvector is then essentially an
@@ -111,13 +111,20 @@ def fiedler(
 ) -> FiedlerResult:
     """Fiedler vector of a connected signed graph for the given kind.
 
-    ``solver=None`` uses the dense route (see ``_fiedler_dense``); a
-    :class:`SolverConfig` routes the solve through the iterative
-    eigensolver (see ``_fiedler_iterative``).  On a graph without negative
-    edges the two Laplacians are the same matrix: both routes give the
-    signed kind the standard kind's solve and vector, and a spectrum with
-    an exact 0.0 in front for the ones pair, which it skips.  A failed
-    solve raises :class:`SolverFailedError` on both routes.
+    ``solver=None`` takes the dense route: every eigenvalue and the first k
+    vectors of one ``DenseEigenproblem``.  A :class:`SolverConfig` takes
+    the iterative route: ``lobpcg_smallest`` for k wanted pairs and their
+    gap partner, with the Lanczos estimate of the largest eigenvalue for
+    the spread; the solve stops once the k wanted columns converge.  Ones
+    is deflated as the kind says.  k is 1, or 2 when column 0 is the
+    near-constant vector that ``select_fiedler`` skips and column 1 is
+    missing (dense) or unconverged (iterative): the dense route then solves
+    column 1 orthogonal to column 0, the iterative route solves again.  A
+    selected column that is unconverged raises :class:`SolverFailedError`
+    with the iteration count and its residual.  On a graph without
+    negative edges the two Laplacians are the same matrix: both routes give
+    the signed kind the standard kind's solve and vector, and a spectrum
+    with an exact 0.0 in front for the ones pair, which it skips.
     """
     kind = LaplacianKind(kind)
     if g.n < 2:
@@ -130,10 +137,38 @@ def fiedler(
     positive_signed = kind is LaplacianKind.SIGNED and not (g.edge_arrays()[2] < 0).any()
     solve_kind = LaplacianKind.STANDARD if positive_signed else kind
     op = laplacian(g, solve_kind)
-    if solver is not None:
-        f = _fiedler_iterative(op, solve_kind, solver)
+    if solver is None:
+        problem = DenseEigenproblem(op, solve_kind.deflates_ones)
+        v = problem.vector(0)
+
+        def spectrum(k: int) -> Spectrum:
+            if k == 1:
+                return Spectrum(problem.eigenvalues, v[:, None])
+            return Spectrum(problem.eigenvalues, np.column_stack(
+                (v, problem.vector(1, (v / np.linalg.norm(v))[:, None]))))
     else:
-        f = _fiedler_dense(op, solve_kind)
+        def spectrum(k: int) -> Spectrum:
+            return lobpcg_smallest(op, k, solver, solve_kind.deflates_ones, gap_partner=True)[0]
+
+    s = spectrum(1)
+    top = None if solver is None else estimate_largest_eigenvalue(op, seed=solver.seed)
+    if _is_constant(s.eigenvectors[:, 0]) and (s.eigenvectors.shape[1] == 1 or not s.converged[1]):
+        # the Fiedler pair is column 1, which the dense route has not solved
+        # and the iterative stopping test did not cover
+        s = spectrum(2)
+    f = select_fiedler(s, solve_kind, top)
+    if s.converged is not None and not s.converged[int(f.skipped_constant)]:
+        if f.skipped_constant:
+            raise SolverFailedError(
+                "iterative solve skipped the near-constant column 0 and left the Fiedler "
+                f"pair in column 1 unconverged (residual {s.residual_norms[1]:.3e}) "
+                f"after {s.iterations} iterations"
+            )
+        raise SolverFailedError(
+            "iterative solve left the Fiedler pair unconverged after "
+            f"{s.iterations} iterations (residual {s.residual_norms[0]:.3e}); "
+            "raise max_iter or loosen tol"
+        )
     if positive_signed:
         # the signed spectrum is the standard one with the ones pair in front
         f = replace(f, kind=kind, skipped_constant=True,
@@ -152,21 +187,6 @@ def baseline_gap(g: SignedGraph) -> FiedlerGap:
     kind = LaplacianKind.STANDARD
     op = laplacian(nullify_negative(g), kind)
     return _fiedler_gap(DenseEigenproblem(op, kind.deflates_ones).eigenvalues, 0)
-
-
-def _fiedler_dense(op: SymmetricOperator, kind: LaplacianKind) -> FiedlerResult:
-    """The Fiedler pair from all eigenvalues and one or two shifted solves.
-
-    Column 1 is computed, projected off column 0, only when column 0 is the
-    constant vector that ``select_fiedler`` skips.  Ones is deflated as
-    ``kind.deflates_ones`` says.
-    """
-    problem = DenseEigenproblem(op, kind.deflates_ones)
-    v = problem.vector(0)
-    vectors = v[:, None]
-    if _is_constant(v):
-        vectors = np.column_stack((v, problem.vector(1, (v / np.linalg.norm(v))[:, None])))
-    return select_fiedler(Spectrum(problem.eigenvalues, vectors), kind)
 
 
 def _is_constant(v: np.ndarray) -> bool:
@@ -248,42 +268,6 @@ def _fiedler_gap(lam: np.ndarray, idx: int, largest_eigenvalue: float | None = N
         condition_number=math.inf if gap <= ZERO_GAP_REL * spread else spread / gap,
         eigenvalues=lam,
     )
-
-
-def _fiedler_iterative(op: SymmetricOperator, kind: LaplacianKind, solver: SolverConfig) -> FiedlerResult:
-    """The Fiedler pair from one wanted LOBPCG pair and its gap partner.
-
-    The solve stops when the Fiedler column has converged; the partner, the
-    next column, gives the gap, as an upper estimate while it is
-    unconverged.  A solve space with room for one column only (the
-    ones-deflated 2-vertex graph) has no partner: the gap is +inf and
-    ``gap_converged`` False.  When ``select_fiedler`` skips a near-constant
-    column 0, that column is the one the stopping test covered; if column 1
-    is then unconverged, the solve runs once more with two wanted pairs
-    before it fails.  Ones is deflated as ``kind.deflates_ones`` says.
-    """
-    s, trace = lobpcg_smallest(op, 1, solver, kind.deflates_ones, gap_partner=True)
-    top = estimate_largest_eigenvalue(op, seed=solver.seed)
-    f = select_fiedler(s, kind, top)
-    if f.skipped_constant and not s.converged[1]:
-        # the stopping test covered column 0 alone: solve once more for two
-        # wanted pairs, with their partner where n allows
-        s, trace = lobpcg_smallest(op, 2, solver, kind.deflates_ones, gap_partner=True)
-        f = select_fiedler(s, kind, top)
-    if f.skipped_constant:
-        if not s.converged[1]:
-            raise SolverFailedError(
-                "iterative solve skipped the near-constant column 0 and left the Fiedler "
-                f"pair in column 1 unconverged (residual {s.residual_norms[1]:.3e}) "
-                f"after {len(trace)} iterations"
-            )
-    elif not s.converged[0]:
-        raise SolverFailedError(
-            "iterative solve left the Fiedler pair unconverged after "
-            f"{len(trace)} iterations (residual {s.residual_norms[0]:.3e}); "
-            "raise max_iter or loosen tol"
-        )
-    return f
 
 
 def bisect(f: FiedlerResult, zero_policy: str = "positive-side") -> np.ndarray:

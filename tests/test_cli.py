@@ -6,6 +6,7 @@ import pytest
 
 from signedcut import (
     BasisDegenerateError,
+    SolverConfig,
     Spectrum,
     StringSpec,
     cobra,
@@ -15,9 +16,11 @@ from signedcut import (
     graph_from_edges,
     laplacian,
     load_graph,
+    lobpcg_smallest,
     noisy_string,
     path_string,
     save_graph,
+    scale_weights,
 )
 import signedcut.cli
 import signedcut.eigen
@@ -121,9 +124,13 @@ class TestGen:
         (["noisy-string", "--n", "12", "--neg-edge", "12:-1"],
          "--neg-edge edge 12 outside [1, 11] for --n 12"),
         (["noisy-string", "--n", "5"], "--neg-edge edge 8 outside [1, 4] for --n 5"),
-    ], ids=["override", "neg-edge", "default-neg-edge"])
+        (["path", "--n", "75", "--override", "37:nan"], "--override edge 37 has nonfinite weight nan"),
+        (["noisy-string", "--neg-edge", "8:inf"], "--neg-edge edge 8 has nonfinite weight inf"),
+    ], ids=["override", "neg-edge", "default-neg-edge", "override-nan", "neg-edge-inf"])
     def test_edge_past_the_string_is_named_1_based(self, argv, error, tmp_path, capsys):
-        """The error quotes the flag, the edge as given and the 1-based range of the string's edges."""
+        """The error quotes the flag and the edge as given, and the 1-based range
+        of the string's edges for an edge past it; the flag's parser also
+        refuses a nonfinite weight."""
         out = tmp_path / "x.mtx"
         code, stdout, report = run(capsys, "gen", *argv, "--out", str(out))
         assert code == 2 and report["exit_code"] == 2 and not stdout
@@ -284,13 +291,23 @@ class TestSpectrum:
         assert not out.exists()
 
     def test_lobpcg_unconverged_warns_but_exits_0(self, tmp_path, capsys):
+        """The warning quotes the solve's iteration count and the largest residual
+        among the unconverged wanted pairs."""
+        g = path_string(StringSpec(60))
         gfile = str(tmp_path / "s.mtx")
-        save_graph(path_string(StringSpec(60)), gfile)
+        save_graph(g, gfile)
         code, _, report = run(capsys, "spectrum", gfile, "--solver", "lobpcg",
                               "--k", "2", "--max-iter", "3", "--tol", "1e-12",
                               "--deflate-ones", "--out", str(tmp_path / "m.csv"))
         assert code == 0
-        assert report["warnings"]
+        cfg = SolverConfig(tol=1e-12, max_iter=3, seed=0, precondition=True)
+        s, trace = lobpcg_smallest(laplacian(g, "standard"), 2, cfg, True)
+        unconverged = ~s.converged[:2]
+        assert s.iterations == len(trace) == 3 and unconverged.any()
+        assert report["warnings"] == [
+            f"{int(unconverged.sum())} of 2 eigenpairs unconverged after 3 iterations "
+            f"(largest residual {s.residual_norms[:2][unconverged].max():.3e})"
+        ]
 
     @pytest.mark.parametrize("solver", ["dense", "lobpcg"])
     def test_deflate_ones_drops_the_constant_mode(self, tmp_path, capsys, solver):
@@ -322,6 +339,21 @@ class TestSpectrum:
                               "--deflate-ones", "--out", str(out))
         assert code == 2
         assert report["error"].startswith("ones is not an eigenvector of the operator")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("solver", ["dense", "lobpcg"])
+    def test_deflate_ones_check_is_relative_at_small_weights(self, solver, tmp_path, capsys):
+        """The -0.05 string moves ones by 1.6e-2 at unit weights; scaled by 2^-40
+        it moves ones by as much relative to its row sums, and is refused as well."""
+        g = path_string(StringSpec(75, overrides=((36, -0.05),)))
+        gfile = str(tmp_path / "small.mtx")
+        save_graph(scale_weights(g, 2.0**-40), gfile)
+        out = tmp_path / "m.csv"
+        code, _, report = run(capsys, "spectrum", gfile, "--laplacian", "signed", "--k", "3",
+                              "--deflate-ones", "--solver", solver, "--out", str(out))
+        assert code == 2
+        assert report["error"] == ("ones is not an eigenvector of the operator "
+                                   "(|A u| = 1.485e-14); it cannot be deflated")
         assert not out.exists()
 
     def test_lobpcg_deflate_ones_rejects_a_signed_negative_edge(self, tmp_path, capsys,

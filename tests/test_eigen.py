@@ -270,6 +270,19 @@ class TestShiftedSolveSpectrum:
         assert np.abs(s.eigenvalues - full.eigenvalues).max(initial=0.0) <= 1e-12 * 4
         assert np.abs(s.eigenvectors.T @ s.eigenvectors - np.eye(s.k)).max(initial=0.0) <= 1e-12
 
+    @pytest.mark.parametrize("deflate_ones", [False, True])
+    @pytest.mark.parametrize("scale", [2.0**-30, 2.0**30], ids=["2^-30", "2^30"])
+    def test_power_of_two_scale_gives_the_same_vectors(self, scale, deflate_ones):
+        """The residual limit is relative to ||A||_inf, and the solves run on the
+        matrix scaled to unit norm: random-300's standard modes, one of which
+        takes the second solve, come out bit-identical at every power-of-two
+        scale, with exactly scaled eigenvalues."""
+        g = sparse_random_graph(17, 300, 1800)
+        s1 = dense_spectrum(laplacian(g, "standard"), deflate_ones, k=5)
+        sc = dense_spectrum(laplacian(scale_weights(g, scale), "standard"), deflate_ones, k=5)
+        assert np.array_equal(sc.eigenvectors, s1.eigenvectors)
+        assert np.array_equal(sc.eigenvalues, scale * s1.eigenvalues)
+
     def test_a_collapsed_column_raises(self, monkeypatch):
         """A solve whose result lies in the span of the columns before it is an error, not a NaN."""
         op = laplacian(path_string(StringSpec(10)), "standard")
@@ -352,6 +365,20 @@ class TestLobpcg:
         s, trace = lobpcg_smallest(op, 3, cfg)
         assert not s.converged.all()
         assert len(trace) == 3
+
+    def test_returns_the_spectrum_and_trace_the_benchmark_reads(self):
+        """The benchmark's solve log unpacks ``(spectrum, trace)`` on every run
+        and reads ``iterations``, the trace's length and one converged flag
+        per block column."""
+        op = laplacian(path_string(StringSpec(75)), "standard")
+        cfg = SolverConfig(block_size=4, tol=1e-12, max_iter=7, seed=0)
+        result = lobpcg_smallest(op, 3, cfg)
+        assert isinstance(result, tuple) and len(result) == 2
+        s, trace = result
+        assert isinstance(s, Spectrum)
+        assert len(trace) == s.iterations == 7
+        assert s.converged.shape == (s.eigenvectors.shape[1],) == (4,)
+        assert s.converged.dtype == bool
 
     def test_block_size_must_fit(self):
         """The block fits the solve space: n columns, or n - 1 with ones deflated."""
