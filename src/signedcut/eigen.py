@@ -186,11 +186,8 @@ def dense_spectrum(op: SymmetricOperator, deflate_ones: bool = False, k: Optiona
     if k is not None and k <= _SHIFTED_SOLVES_MAX:
         # as eigh's slice does, a k above the solve space gives every pair
         k = min(k, solve_space_dimension(op.n, deflate_ones))
-        problem = DenseEigenproblem(op, deflate_ones, _SPECTRUM_RESIDUAL_REL)
-        X = np.empty((op.n, k))
-        for i in range(k):
-            X[:, i] = problem.vector(i, X[:, :i])
-        return Spectrum(eigenvalues=problem.eigenvalues[:k], eigenvectors=X)
+        s = DenseEigenproblem(op, deflate_ones, _SPECTRUM_RESIDUAL_REL).spectrum(k)
+        return Spectrum(eigenvalues=s.eigenvalues[:k], eigenvectors=s.eigenvectors)
     M, w, beta = _dense_matrix(op, deflate_ones)
     evals, Y = np.linalg.eigh(M)
     if k is not None:
@@ -253,23 +250,24 @@ def _project_off(x: np.ndarray, B: Optional[np.ndarray]) -> np.ndarray:
 
 
 class DenseEigenproblem:
-    """Every eigenvalue of a dense operator, and eigenvectors one at a time.
+    """Every eigenvalue of a dense operator, and its leading eigenvectors.
 
     ``eigenvalues`` are ascending, from one ``eigvalsh`` of the matrix M:
     the operator, or with ``deflate_ones`` its ones-complement (see
     ``_dense_matrix``), whose n-1 eigenvalues come out already deflated.
-    ``vector(i)`` is the eigenvector of ``eigenvalues[i]`` from inverse
-    iteration: one solve of ``(M - lambda I) x = b`` from a start seeded
-    by i, and a second from x when the residual ``||M x - lambda x||`` is
-    above ``residual_rel`` times ``||A||_inf`` (Ipsen, SIAM Review 1997).
-    An exactly singular shift is moved down by a few ulps of ``||A||_inf``
-    and the solve retried.  The solves run on M scaled by a power of two,
-    exactly, and the limit is relative, so that at every power-of-two
-    weight scale they give the same vectors and exactly scaled eigenvalues.  A
-    vector of the ones-complement is returned as ``H [0; x]``, orthogonal
-    to ones by construction.  The vector comes back as computed, unit up
-    to rounding: ``select_fiedler`` sets its exact norm, its sign and its
-    exact zeros.
+    ``spectrum(k)`` adds the first k vectors, vector i from
+    ``vector(i, X[:, :i])``, each solved once and kept.  ``vector(i)`` is
+    the eigenvector of ``eigenvalues[i]`` from inverse iteration: one solve
+    of ``(M - lambda I) x = b`` from a start seeded by i, and a second from
+    x when the residual ``||M x - lambda x||`` is above ``residual_rel``
+    times ``||A||_inf`` (Ipsen, SIAM Review 1997).  An exactly singular
+    shift is moved down by a few ulps of ``||A||_inf`` and the solve
+    retried.  The solves run on M scaled by a power of two, exactly, and
+    the limit is relative, so that every power-of-two weight scale gives
+    the same vectors and exactly scaled eigenvalues.  A vector of the
+    ones-complement is returned as ``H [0; x]``, orthogonal to ones by
+    construction.  The vector comes back as computed, unit up to rounding:
+    ``select_fiedler`` sets its exact norm, its sign and its exact zeros.
     """
 
     def __init__(self, op: SymmetricOperator, deflate_ones: bool = False,
@@ -282,6 +280,16 @@ class DenseEigenproblem:
         self._matrix = A
         self._limit = residual_rel * op.norm_inf * self._unit
         self.eigenvalues = np.linalg.eigvalsh(A) / self._unit
+        self._vectors = np.empty((op.n, 0))
+
+    def spectrum(self, k: int) -> Spectrum:
+        """Every eigenvalue and the first k eigenvectors (k at most the solve space)."""
+        kept = self._vectors.shape[1]
+        # one (n, k) block: the solves' BLAS calls round by the layout they read
+        self._vectors = np.pad(self._vectors, ((0, 0), (0, max(k - kept, 0))))
+        for i in range(kept, k):
+            self._vectors[:, i] = self.vector(i, self._vectors[:, :i])
+        return Spectrum(self.eigenvalues, self._vectors[:, :k])
 
     def vector(self, i: int, earlier: Optional[np.ndarray] = None) -> np.ndarray:
         """Eigenvector of ``eigenvalues[i]``, of norm 1 up to rounding, orthogonal

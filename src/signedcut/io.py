@@ -1,7 +1,10 @@
 """Graph serialization: Matrix Market coordinate files and edge-list CSV.
 
 Matrix Market files are written as ``coordinate real symmetric`` with 1-based
-indices and the lower triangle stored.  Weights are formatted with ``repr``
+indices and the lower triangle stored column by column: the graph's own
+(i, j) edge order, as in the CSV files.  The stable sorts of the reader and
+of ``graph_from_arrays`` pass such a file in linear time; a file in any
+other order loads to the same graph.  Weights are formatted with ``repr``
 so a write/read round trip reproduces every float bit-exactly.  The reader
 also accepts ``general`` symmetry and symmetrizes via (R + R^T)/2, rejecting
 matrices whose asymmetry exceeds 1e-12 relative.
@@ -14,9 +17,9 @@ then checked as arrays.  Of several faults, a line that does not parse is
 reported first, then range, nonfinite weight and repeats (in a symmetric
 file, (i, j) and (j, i) are one pair), count, asymmetry, diagonal, graph
 checks; the reader's own messages quote the file's 1-based coordinates.
-Each writer formats and writes ``CHUNK_LINES`` lines at a time.  So
-reading and writing need memory in proportion to the numpy edge arrays, not
-one Python string per edge.
+Both writers share one loop that formats and writes ``CHUNK_LINES`` lines
+at a time.  So reading and writing need memory in proportion to the numpy
+edge arrays, not one Python string per edge.
 """
 
 from __future__ import annotations
@@ -74,21 +77,20 @@ def _parse_entries(fh: TextIO, bad_line: Callable[[str], FormatError], **options
     raise bad_line(lines[good])
 
 
-def _format_lines(fmt: str, *columns: np.ndarray) -> str:
-    """``fmt % row`` for each row of the columns, joined into one string."""
-    return "".join(map(fmt.__mod__, zip(*(c.tolist() for c in columns))))
+def _write_edges(path: str | os.PathLike, head: str, line: str, base: int, *columns: np.ndarray) -> None:
+    """``head``, then ``line % (a + base, b + base, w)`` for each row of columns (a, b, w), in chunks."""
+    with open(path, "w", newline="\n") as fh:
+        fh.write(head)
+        for start in range(0, len(columns[2]), CHUNK_LINES):
+            a, b, w = (c[start : start + CHUNK_LINES] for c in columns)
+            fh.write("".join(map(line.__mod__, zip((a + base).tolist(), (b + base).tolist(), w.tolist()))))
 
 
 def write_matrix_market(g: SignedGraph, path: str | os.PathLike) -> None:
     ii, jj, ww = g.edge_arrays()
-    # lower triangle: row > column, 1-based, sorted by row then column; the
-    # edges are sorted by (i, j), so a stable sort on j alone gives that order
-    order = np.argsort(jj, kind="stable")
-    with open(path, "w", newline="\n") as fh:
-        fh.write(f"{_MM_BANNER} matrix coordinate real symmetric\n{g.n} {g.n} {g.m}\n")
-        for start in range(0, g.m, CHUNK_LINES):
-            rows = order[start : start + CHUNK_LINES]
-            fh.write(_format_lines("%d %d %r\n", jj[rows] + 1, ii[rows] + 1, ww[rows]))
+    # lower triangle, 1-based: row j > column i, in the graph's (i, j) order, column by column
+    _write_edges(path, f"{_MM_BANNER} matrix coordinate real symmetric\n{g.n} {g.n} {g.m}\n",
+                 "%d %d %r\n", 1, jj, ii, ww)
 
 
 def read_matrix_market(path: str | os.PathLike) -> SignedGraph:
@@ -182,12 +184,8 @@ def _symmetrize(n: int, r: np.ndarray, c: np.ndarray, w: np.ndarray):
 
 def write_edge_csv(g: SignedGraph, path: str | os.PathLike) -> None:
     """Edge-list CSV: a ``# n=<count>`` line, header ``i,j,w``, 0-based indices."""
-    ii, jj, ww = g.edge_arrays()  # already sorted by (i, j)
-    with open(path, "w", newline="\n") as fh:
-        fh.write(f"{_CSV_COUNT}{g.n}\ni,j,w\n")
-        for start in range(0, g.m, CHUNK_LINES):
-            rows = slice(start, start + CHUNK_LINES)
-            fh.write(_format_lines("%d,%d,%r\n", ii[rows], jj[rows], ww[rows]))
+    ii, jj, ww = g.edge_arrays()
+    _write_edges(path, f"{_CSV_COUNT}{g.n}\ni,j,w\n", "%d,%d,%r\n", 0, ii, jj, ww)
 
 
 def _bad_csv_row(line: str) -> FormatError:

@@ -111,20 +111,20 @@ def fiedler(
 ) -> FiedlerResult:
     """Fiedler vector of a connected signed graph for the given kind.
 
-    ``solver=None`` takes the dense route: every eigenvalue and the first k
-    vectors of one ``DenseEigenproblem``.  A :class:`SolverConfig` takes
-    the iterative route: ``lobpcg_smallest`` for k wanted pairs and their
-    gap partner, with the Lanczos estimate of the largest eigenvalue for
-    the spread; the solve stops once the k wanted columns converge.  Ones
-    is deflated as the kind says.  k is 1, or 2 when column 0 is the
-    near-constant vector that ``select_fiedler`` skips and column 1 is
-    missing (dense) or unconverged (iterative): the dense route then solves
-    column 1 orthogonal to column 0, the iterative route solves again.  A
-    selected column that is unconverged raises :class:`SolverFailedError`
-    with the iteration count and its residual.  On a graph without
-    negative edges the two Laplacians are the same matrix: both routes give
-    the signed kind the standard kind's solve and vector, and a spectrum
-    with an exact 0.0 in front for the ones pair, which it skips.
+    ``solver=None`` takes the dense route, ``DenseEigenproblem.spectrum``:
+    every eigenvalue and the first k vectors, each solved once.  A
+    :class:`SolverConfig` takes the iterative route: ``lobpcg_smallest``
+    for k wanted pairs and their gap partner, with the Lanczos estimate of
+    the largest eigenvalue for the spread; the solve stops once the k
+    wanted columns converge.  Ones is deflated as the kind says.  k is 1,
+    or 2 when column 0 is the near-constant vector that ``select_fiedler``
+    skips and column 1 is missing (dense) or unconverged (iterative): the
+    dense route then solves column 1 against the kept column 0, the
+    iterative route solves again.  An unconverged selected column raises
+    :class:`SolverFailedError` with the iteration count and its residual.
+    Without negative edges the two Laplacians are the same matrix: both
+    routes give the signed kind the standard kind's solve and vector, and
+    a spectrum with an exact 0.0 in front for the ones pair, which it skips.
     """
     kind = LaplacianKind(kind)
     if g.n < 2:
@@ -138,14 +138,7 @@ def fiedler(
     solve_kind = LaplacianKind.STANDARD if positive_signed else kind
     op = laplacian(g, solve_kind)
     if solver is None:
-        problem = DenseEigenproblem(op, solve_kind.deflates_ones)
-        v = problem.vector(0)
-
-        def spectrum(k: int) -> Spectrum:
-            if k == 1:
-                return Spectrum(problem.eigenvalues, v[:, None])
-            return Spectrum(problem.eigenvalues, np.column_stack(
-                (v, problem.vector(1, (v / np.linalg.norm(v))[:, None]))))
+        spectrum = DenseEigenproblem(op, solve_kind.deflates_ones).spectrum
     else:
         def spectrum(k: int) -> Spectrum:
             return lobpcg_smallest(op, k, solver, solve_kind.deflates_ones, gap_partner=True)[0]

@@ -283,6 +283,20 @@ class TestShiftedSolveSpectrum:
         assert np.array_equal(sc.eigenvectors, s1.eigenvectors)
         assert np.array_equal(sc.eigenvalues, scale * s1.eigenvalues)
 
+    def test_spectrum_solves_each_vector_once(self, monkeypatch):
+        """A larger k keeps the columns already solved and solves only the new ones."""
+        op = laplacian(path_string(StringSpec(30, overrides=((11, -0.5),))), "signed")
+        problem = signedcut.eigen.DenseEigenproblem(op)
+        calls = []
+        vector = problem.vector
+        monkeypatch.setattr(problem, "vector", lambda i, earlier=None: calls.append(i) or vector(i, earlier))
+        one, two, three = problem.spectrum(1), problem.spectrum(2), problem.spectrum(3)
+        assert calls == [0, 1, 2]
+        assert np.array_equal(one.eigenvectors, two.eigenvectors[:, :1])
+        assert np.array_equal(two.eigenvectors, three.eigenvectors[:, :2])
+        assert problem.spectrum(2).eigenvectors.shape == (30, 2) and calls == [0, 1, 2]
+        assert one.eigenvalues is problem.eigenvalues
+
     def test_a_collapsed_column_raises(self, monkeypatch):
         """A solve whose result lies in the span of the columns before it is an error, not a NaN."""
         op = laplacian(path_string(StringSpec(10)), "standard")

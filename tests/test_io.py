@@ -336,10 +336,38 @@ def one_string_text(g, fmt: str) -> str:
     if fmt == "csv":
         rows = zip(ii.tolist(), jj.tolist(), ww.tolist())
         return f"# n={g.n}\ni,j,w\n" + "".join(f"{i},{j},{w!r}\n" for i, j, w in rows)
-    order = np.lexsort((ii, jj))
-    rows = zip((jj[order] + 1).tolist(), (ii[order] + 1).tolist(), ww[order].tolist())
+    rows = zip((jj + 1).tolist(), (ii + 1).tolist(), ww.tolist())
     return (f"%%MatrixMarket matrix coordinate real symmetric\n{g.n} {g.n} {g.m}\n"
             + "".join(f"{r} {c} {w!r}\n" for r, c, w in rows))
+
+
+def test_matrix_market_lists_entries_by_column_then_row(tmp_path):
+    """The graph's own (i, j) order: the lower triangle column by column."""
+    g = random_edges(3000)
+    path = tmp_path / "g.mtx"
+    write_matrix_market(g, path)
+    rows, cols, w = np.loadtxt(path, skiprows=2, unpack=True)
+    assert np.all(np.diff(cols * g.n + rows) > 0) and np.all(rows > cols)
+    ii, jj, ww = g.edge_arrays()
+    assert np.array_equal(cols, ii + 1) and np.array_equal(rows, jj + 1) and np.array_equal(w, ww)
+
+
+@pytest.mark.parametrize("order", ["by-row", "shuffled"])
+def test_matrix_market_in_any_entry_order_loads_the_same_graph(tmp_path, order):
+    """Files sorted by row, as older versions wrote them, or in no order at all."""
+    g = random_edges(3000)
+    path = tmp_path / "g.mtx"
+    write_matrix_market(g, path)
+    lines = path.read_text().splitlines(keepends=True)
+    ii, jj, _ = g.edge_arrays()
+    if order == "by-row":
+        moved = np.lexsort((ii, jj))
+    else:
+        moved = np.random.default_rng(5).permutation(g.m)
+    path.write_text("".join(lines[:2] + [lines[2 + k] for k in moved]))
+    back = read_matrix_market(path)
+    assert back == g
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(back.edge_arrays(), g.edge_arrays()))
 
 
 def random_edges(m: int, n: int = 200, seed: int = 0):
