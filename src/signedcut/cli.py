@@ -1,11 +1,13 @@
 """Command-line front end: generate graphs, compute spectra and partitions,
 emit metrics and figure-reproduction CSVs.
 
-Every invocation writes one JSON-line run report to stderr (command echo,
-input digest, config, outputs, timing).  Vertex labels in human-facing
-output are 1-based; graph files store 0-based indices.  Exit codes: 0 ok,
-2 bad parameters, 3 I/O failure, 4 solver failure, 5 disconnected graph.
-Warnings never change the exit code.
+Each ``gen`` kind and each demo is a subcommand that declares only the flags
+it reads, with its defaults.  Every invocation writes one JSON-line run report
+to stderr (command echo, input digest, every declared flag's value as used,
+outputs, timing).  Vertex labels in human-facing output are 1-based; graph
+files store 0-based indices.  Exit codes: 0 ok, 2 bad parameters, 3 I/O
+failure, 4 solver failure, 5 disconnected graph.  Warnings never change the
+exit code.
 """
 
 from __future__ import annotations
@@ -58,12 +60,6 @@ from .partition import (
     partition_json,
 )
 
-# The gen flags that one kind alone reads, by argparse name: that kind, and
-# the value it takes when the flag is not given.
-_GEN_KIND_FLAGS = {"override": ("path", []), "neg_edge": ("noisy-string", "8:-0.5"),
-                   "noise_amp": ("noisy-string", 1e-2), "seed": ("noisy-string", 0)}
-
-
 class _Parser(argparse.ArgumentParser):
     """Reports a usage error as ``SignedCutError``, after argparse's usage text,
     so that it gets exit code 2 and a run report like any other bad parameter."""
@@ -84,22 +80,30 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_gen = sub.add_parser("gen", help="generate an example graph file")
-    p_gen.add_argument("kind", choices=["path", "noisy-string", "cobra", "dumbbell"])
-    p_gen.add_argument("--n", type=int, default=None,
-                       help="vertex count (default: 75 for path, 12 for noisy-string)")
-    p_gen.add_argument("--override", action="append", default=[], metavar="EDGE:W",
-                       help="path only: edge override; EDGE is the 1-based edge number "
-                            "(edge k joins vertices k and k+1)")
-    p_gen.add_argument("--neg-edge", metavar="EDGE:W",
-                       help="noisy-string only: replaced edge, 1-based edge number (default 8:-0.5)")
-    p_gen.add_argument("--noise-amp", type=float, help="noisy-string only (default 0.01)")
-    p_gen.add_argument("--seed", type=int, help="noisy-string only (default 0)")
-    p_gen.add_argument("--out", required=True, help="output graph file (.mtx/.mm/.csv)")
+    kinds = p_gen.add_subparsers(dest="kind", required=True)
+    p_path = kinds.add_parser("path", help="a unit path with edge overrides")
+    p_noisy = kinds.add_parser("noisy-string", help="a unit path with one replaced edge, and noise")
+    for p, n in ((p_path, DEFAULT_STRING_LENGTH), (p_noisy, 12)):
+        p.add_argument("--n", type=int, default=n, help="vertex count (default %(default)s)")
+    p_path.add_argument("--override", action="append", default=[], metavar="EDGE:W",
+                        help="edge override; EDGE is the 1-based edge number "
+                             "(edge k joins vertices k and k+1)")
+    p_noisy.add_argument("--neg-edge", default="8:-0.5", metavar="EDGE:W",
+                         help="replaced edge, 1-based edge number (default %(default)s)")
+    p_noisy.add_argument("--noise-amp", type=float, default=1e-2, help="(default %(default)s)")
+    p_noisy.add_argument("--seed", type=int, default=0, help="the noise draw (default %(default)s)")
+    kinds.add_parser("cobra", help="the fixed six-vertex cobra graph")
+    kinds.add_parser("dumbbell", help="the fixed 13-vertex dumbbell graph")
+    for p in kinds.choices.values():
+        p.add_argument("--out", required=True, help="output graph file (.mtx/.mm/.csv)")
+        p.set_defaults(handler=cmd_gen)
 
-    for name in ("spectrum", "partition", "compare"):
+    for name, handler in (("spectrum", cmd_spectrum), ("partition", cmd_partition),
+                          ("compare", cmd_compare), ("metrics", cmd_metrics)):
         p = sub.add_parser(name, help=f"{name} of a graph file")
+        p.set_defaults(handler=handler)
         p.add_argument("graph", help="input graph file (.mtx/.mm/.csv)")
-        if name != "compare":
+        if name in ("spectrum", "partition"):
             p.add_argument("--laplacian", choices=["standard", "signed"], default="standard")
             p.add_argument("--solver", choices=["dense", "lobpcg"], default="dense")
             p.add_argument("--tol", type=float, default=1e-8)
@@ -115,18 +119,20 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--emit-confidence", action="store_true")
             p.add_argument("--zero-policy", choices=["positive-side", "negative-side"],
                            default="positive-side")
-
-    p_met = sub.add_parser("metrics", help="cut metrics of a stored partition")
-    p_met.add_argument("graph")
-    p_met.add_argument("--partition", required=True, help="partition JSON file")
-    p_met.add_argument("--out", default=None)
+        if name == "metrics":
+            p.add_argument("--partition", required=True, help="partition JSON file to score")
 
     p_demo = sub.add_parser("demo", help="run a named end-to-end experiment")
-    p_demo.add_argument("name", choices=list(DEMOS))
-    p_demo.add_argument("--out", default=None, help="output directory (default: demo-<name>)")
-    p_demo.add_argument("--n", type=int, default=None, help="string length where applicable")
-    p_demo.add_argument("--seed", type=int, default=0,
-                        help="the noisy string's draw; the other demos accept and ignore it")
+    demos = p_demo.add_subparsers(dest="name", required=True)
+    for name, (_, default_n, _) in DEMOS.items():
+        p = demos.add_parser(name)
+        p.set_defaults(handler=cmd_demo)
+        p.add_argument("--out", default=None, help=f"output directory (default: demo-{name})")
+        if default_n is not None:  # cobra and the dumbbell are fixed graphs
+            p.add_argument("--n", type=int, default=default_n,
+                           help="string length (default %(default)s)")
+        p.add_argument("--seed", type=int, default=0, help="the noise draw (default %(default)s)"
+                       if name == "noisy-string" else "accepted and ignored")
     return parser
 
 
@@ -227,29 +233,17 @@ def _solver_config(args) -> SolverConfig | None:
 
 
 def cmd_gen(args, outputs: list[str], warnings: list[str]) -> dict:
-    opts = {}
-    for name, (kind, default) in _GEN_KIND_FLAGS.items():
-        given = getattr(args, name)
-        if given not in (None, []) and args.kind != kind:
-            flag = "--" + name.replace("_", "-")
-            got = " ".join(f"{flag} {v}" for v in (given if name == "override" else [given]))
-            raise SignedCutError(f"gen {args.kind} takes no {flag}: only gen {kind} reads it; got {got}")
-        opts[name] = default if given is None else given
     if args.kind == "path":
-        n = DEFAULT_STRING_LENGTH if args.n is None else args.n
-        overrides = tuple(_parse_edge_weight(o, "--override", n) for o in opts["override"])
+        overrides = tuple(_parse_edge_weight(o, "--override", args.n) for o in args.override)
         for k, (edge, w) in enumerate(overrides):
             if edge in (e for e, _ in overrides[:k]):
                 raise SignedCutError(f"--override edge {edge + 1} listed twice")
             if w == 0.0:
                 raise SignedCutError(f"--override edge {edge + 1} has zero weight")
-        g = path_string(StringSpec(n=n, overrides=overrides))
+        g = path_string(StringSpec(n=args.n, overrides=overrides))
     elif args.kind == "noisy-string":
-        n = 12 if args.n is None else args.n
-        neg_edge = _parse_edge_weight(opts["neg_edge"], "--neg-edge", n)
-        g = noisy_string(n, neg_edge, opts["noise_amp"], opts["seed"])
-    elif args.n is not None:
-        raise SignedCutError(f"gen {args.kind} builds a fixed graph and takes no --n; got --n {args.n}")
+        neg_edge = _parse_edge_weight(args.neg_edge, "--neg-edge", args.n)
+        g = noisy_string(args.n, neg_edge, args.noise_amp, args.seed)
     elif args.kind == "cobra":
         g = cobra()
     else:
@@ -324,12 +318,10 @@ def cmd_compare(args, outputs: list[str], warnings: list[str]) -> None:
 
 
 def cmd_demo(args, outputs: list[str], warnings: list[str]) -> dict:
-    """Check ``--n``, run the demo's experiment, and only then make the
-    directory and write the experiment's artifacts in order."""
-    run, default_n, special_edge = DEMOS[args.name]
-    if default_n is None and args.n is not None:
-        raise SignedCutError(f"demo {args.name} builds a fixed graph and takes no --n; got --n {args.n}")
-    n = default_n if args.n is None else args.n
+    """Check ``--n`` (cobra and the dumbbell have none) against the special edge, run
+    the demo's experiment, and only then make the directory and write its artifacts in order."""
+    run, _, special_edge = DEMOS[args.name]
+    n = getattr(args, "n", None)
     if special_edge is not None and n <= special_edge + 1:
         edge = special_edge + 1  # 1-based, as --override and --neg-edge count
         raise ValueError(
@@ -344,16 +336,6 @@ def cmd_demo(args, outputs: list[str], warnings: list[str]) -> dict:
     return summary
 
 
-_HANDLERS = {
-    "gen": cmd_gen,
-    "spectrum": cmd_spectrum,
-    "partition": cmd_partition,
-    "metrics": cmd_metrics,
-    "compare": cmd_compare,
-    "demo": cmd_demo,
-}
-
-
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     started = time.perf_counter()
@@ -364,7 +346,7 @@ def main(argv: list[str] | None = None) -> int:
     error: str | None = None
     try:
         args = build_parser().parse_args(argv)
-        summary = _HANDLERS[args.command](args, outputs, warnings)
+        summary = args.handler(args, outputs, warnings)
         if summary is not None:
             print(json.dumps(summary))
     except MultiComponentError as exc:
@@ -392,11 +374,8 @@ def main(argv: list[str] | None = None) -> int:
         report = {
             "command": ["signedcut"] + argv,
             "input_digest": digest,
-            "config": {
-                k: v
-                for k, v in sorted(vars(args).items())
-                if k != "command" and not callable(v)
-            },
+            "config": {k: v for k, v in sorted(vars(args).items())
+                       if k != "command" and not callable(v)},
             "outputs": outputs,
             "warnings": warnings,
             "error": error,

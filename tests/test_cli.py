@@ -1,5 +1,6 @@
 import csv
 import json
+import re
 
 import numpy as np
 import pytest
@@ -138,20 +139,19 @@ class TestGen:
         assert not out.exists() and report["outputs"] == []
 
     @pytest.mark.parametrize("argv, error", [
-        (["cobra", "--override", "3:-1"],
-         "gen cobra takes no --override: only gen path reads it; got --override 3:-1"),
-        (["path", "--n", "5", "--neg-edge", "2:-1", "--noise-amp", "5"],
-         "gen path takes no --neg-edge: only gen noisy-string reads it; got --neg-edge 2:-1"),
-        (["path", "--n", "5", "--noise-amp", "5"],
-         "gen path takes no --noise-amp: only gen noisy-string reads it; got --noise-amp 5.0"),
+        (["cobra", "--override", "3:-1"], "signedcut: unrecognized arguments: --override 3:-1"),
+        (["path", "--n", "5", "--neg-edge", "2:-1"], "signedcut: unrecognized arguments: --neg-edge 2:-1"),
+        (["path", "--n", "5", "--noise-amp", "5"], "signedcut: unrecognized arguments: --noise-amp 5"),
         (["noisy-string", "--override", "3:-1", "--override", "4:2"],
-         "gen noisy-string takes no --override: only gen path reads it; "
-         "got --override 3:-1 --override 4:2"),
-        (["dumbbell", "--seed", "0"],
-         "gen dumbbell takes no --seed: only gen noisy-string reads it; got --seed 0"),
-    ], ids=["cobra-override", "path-neg-edge", "path-noise-amp", "noisy-override", "dumbbell-seed"])
+         "signedcut: unrecognized arguments: --override 3:-1 --override 4:2"),
+        (["dumbbell", "--seed", "0"], "signedcut: unrecognized arguments: --seed 0"),
+        (["path", "--n", "5", "--neg-edge", "2:-1", "--noise-amp", "5"],
+         "signedcut: unrecognized arguments: --neg-edge 2:-1 --noise-amp 5"),
+    ], ids=["cobra-override", "path-neg-edge", "path-noise-amp", "noisy-override", "dumbbell-seed",
+            "path-neg-edge-and-noise-amp"])
     def test_flag_of_another_kind_exit_2(self, argv, error, tmp_path, capsys):
-        """A flag the kind does not read is refused, even at its default value, and named."""
+        """A flag the kind does not declare is refused, even at another kind's default
+        value, and the error names every such flag."""
         out = tmp_path / "x.mtx"
         code, stdout, report = run(capsys, "gen", *argv, "--out", str(out))
         assert code == 2 and report["exit_code"] == 2 and not stdout
@@ -230,11 +230,11 @@ class TestGen:
 
     @pytest.mark.parametrize("kind", ["cobra", "dumbbell"])
     def test_fixed_graph_refuses_n(self, kind, tmp_path, capsys):
-        """cobra and the dumbbell have one size: --n is an error, not ignored."""
+        """cobra and the dumbbell have one size and declare no --n: it is an error, not ignored."""
         out = tmp_path / "x.mtx"
         code, stdout, report = run(capsys, "gen", kind, "--n", "99", "--out", str(out))
         assert code == 2 and report["exit_code"] == 2 and not stdout
-        assert report["error"] == f"gen {kind} builds a fixed graph and takes no --n; got --n 99"
+        assert report["error"] == "signedcut: unrecognized arguments: --n 99"
         assert not out.exists() and report["outputs"] == []
 
     def test_io_failure_exit_3(self, tmp_path, capsys):
@@ -931,11 +931,12 @@ class TestDemo:
 
     @pytest.mark.parametrize("name, n", [("cobra", "5"), ("dumbbell", "-3")])
     def test_fixed_graph_demos_refuse_n(self, name, n, tmp_path, capsys, monkeypatch):
-        """cobra and the dumbbell have one size: --n is an error, raised before the default directory is made."""
+        """cobra and the dumbbell have one size and declare no --n: it is an error,
+        raised before the default directory is made."""
         monkeypatch.chdir(tmp_path)
         code, stdout, report = run(capsys, "demo", name, "--n", n)
         assert code == 2 and report["exit_code"] == 2 and not stdout
-        assert report["error"] == f"demo {name} builds a fixed graph and takes no --n; got --n {n}"
+        assert report["error"] == f"signedcut: unrecognized arguments: --n {n}"
         assert list(tmp_path.iterdir()) == [] and report["outputs"] == []
 
     def test_noisy_string_above_the_dense_threshold_exit_2(self, tmp_path, capsys):
@@ -1107,3 +1108,49 @@ class TestParserReuse:
                 main(["--version"])
             assert exit_info.value.code == 0
             assert capsys.readouterr().out == f"signedcut {signedcut.__version__}\n"
+
+
+class TestSubcommandFlags:
+    """Each gen kind and each demo is its own subcommand, declaring only the flags it reads."""
+
+    @pytest.mark.parametrize("argv, config", [
+        (["gen", "noisy-string", "--out", "x.mtx"],
+         {"kind": "noisy-string", "n": 12, "neg_edge": "8:-0.5", "noise_amp": 0.01, "seed": 0,
+          "out": "x.mtx"}),
+        (["gen", "path", "--out", "x.mtx"], {"kind": "path", "n": 75, "override": [], "out": "x.mtx"}),
+        (["gen", "cobra", "--out", "x.mtx"], {"kind": "cobra", "out": "x.mtx"}),
+        (["demo", "string-modes", "--out", "d"], {"name": "string-modes", "n": 75, "seed": 0, "out": "d"}),
+        (["demo", "gap-study", "--out", "d"], {"name": "gap-study", "n": 100, "seed": 0, "out": "d"}),
+        (["demo", "cobra", "--out", "d"], {"name": "cobra", "seed": 0, "out": "d"}),
+    ], ids=["gen-noisy-string", "gen-path", "gen-cobra", "demo-string-modes", "demo-gap-study",
+            "demo-cobra"])
+    def test_report_config_holds_the_values_used(self, argv, config, tmp_path, capsys, monkeypatch):
+        """Defaults are recorded as used, and a kind's config has no key for another kind's flag."""
+        monkeypatch.chdir(tmp_path)
+        code, _, report = run(capsys, *argv)
+        assert code == 0 and report["config"] == config
+
+    @pytest.mark.parametrize("argv, flags", [
+        (["gen", "path"], {"--n", "--override", "--out"}),
+        (["gen", "noisy-string"], {"--n", "--neg-edge", "--noise-amp", "--seed", "--out"}),
+        (["gen", "cobra"], {"--out"}),
+        (["gen", "dumbbell"], {"--out"}),
+        (["demo", "noisy-string"], {"--n", "--seed", "--out"}),
+        (["demo", "lobpcg-30"], {"--n", "--seed", "--out"}),
+        (["demo", "cobra"], {"--seed", "--out"}),
+    ], ids=["gen-path", "gen-noisy-string", "gen-cobra", "gen-dumbbell", "demo-noisy-string",
+            "demo-lobpcg-30", "demo-cobra"])
+    def test_help_lists_only_its_own_flags(self, argv, flags, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main([*argv, "--help"])
+        assert exit_info.value.code == 0
+        text = capsys.readouterr().out
+        assert set(re.findall(r"--[a-z][a-z-]*", text)) == flags | {"--help"}
+
+    def test_help_shows_the_defaults(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["gen", "noisy-string", "--help"])
+        text = " ".join(capsys.readouterr().out.split())
+        for default in ("vertex count (default 12)", "(default 8:-0.5)", "(default 0.01)",
+                        "draw (default 0)"):
+            assert default in text
