@@ -40,7 +40,7 @@ from .errors import (
     SignedCutError,
     SolverFailedError,
 )
-from .experiments import DEMOS, compare
+from .experiments import DEMOS, _finite_or_null, compare
 from .generators import (
     DEFAULT_STRING_LENGTH,
     StringSpec,
@@ -62,7 +62,15 @@ from .partition import (
 
 class _Parser(argparse.ArgumentParser):
     """Reports a usage error as ``SignedCutError``, after argparse's usage text,
-    so that it gets exit code 2 and a run report like any other bad parameter."""
+    so that it gets exit code 2 and a run report like any other bad parameter.
+    Each parser refuses the arguments it does not know itself, so a subcommand
+    reports a flag it does not declare after its own usage."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extras = super().parse_known_args(args, namespace)
+        if extras:
+            self.error(f"unrecognized arguments: {' '.join(extras)}")
+        return namespace, extras
 
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -298,12 +306,10 @@ def cmd_metrics(args, outputs: list[str], warnings: list[str]) -> None:
         pdoc = json.load(fh)
     if not isinstance(pdoc, dict):
         raise SignedCutError("partition file must hold a JSON object")
-    labels = pdoc.get("side")
-    if not isinstance(labels, list) or pdoc.get("n") != g.n or len(labels) != g.n:
-        raise SignedCutError(
-            f"partition file does not match graph size n={g.n}"
-        )
-    # bool is an int subclass: the type test rejects true and false too
+    labels, n = pdoc.get("side"), pdoc.get("n")
+    # 6.0 == 6 and True == 1 (bool is an int subclass): the type tests refuse both
+    if not isinstance(labels, list) or type(n) is not int or n != g.n or len(labels) != g.n:
+        raise SignedCutError(f"partition file does not match graph size n={g.n}")
     if not all(type(s) is int and s in (0, 1) for s in labels):
         raise SignedCutError("partition side values must be the integers 0 and 1")
     side = np.asarray(labels, dtype=np.int8)
@@ -374,8 +380,8 @@ def main(argv: list[str] | None = None) -> int:
         report = {
             "command": ["signedcut"] + argv,
             "input_digest": digest,
-            "config": {k: v for k, v in sorted(vars(args).items())
-                       if k != "command" and not callable(v)},
+            "config": {k: _finite_or_null(v) if isinstance(v, float) else v
+                       for k, v in sorted(vars(args).items()) if k != "command" and not callable(v)},
             "outputs": outputs,
             "warnings": warnings,
             "error": error,

@@ -10,20 +10,22 @@ independent columns in lock step that share every step but each
 operator's block matvec (``lobpcg_lockstep``).  Both stop on one test,
 ``res <= tol * max(min(1, ||A||_inf), |theta|)`` or at the operator's
 rounding level (``_residual_check``), each column at its own operator's
-``||A||_inf``.  The dense route takes every eigenvalue from
-``numpy.linalg.eigvalsh`` and eigenvectors one at a time from shifted
-solves (``DenseEigenproblem``): the Fiedler pair's one or two, and up to
-five modes of ``dense_spectrum``, each orthogonal to those before it.  So
-it holds the matrix and one LU copy of it, never an n-by-n eigenbasis.
-More modes, and the full spectrum, come from one ``numpy.linalg.eigh``.
-With ``deflate_ones`` both work on the ones-complement by a Householder
-reflector (``_dense_matrix``).  The dense residual limits, and the check
-that ones is an eigenvector before it is deflated (``_require_ones_null``,
-on both routes), are relative to ``||A||_inf`` at every weight scale.
+``||A||_inf``.  The dense route, ``DenseEigenproblem``, takes every
+eigenvalue from ``numpy.linalg.eigvalsh`` and eigenvectors one at a time
+from shifted solves held to one residual limit: the Fiedler pair's one or
+two, and up to five modes of ``dense_spectrum``, each orthogonal to those
+before it.  So it holds the matrix and one LU copy of it, never an n-by-n
+eigenbasis.  More modes, and the full spectrum, come from one
+``numpy.linalg.eigh`` of the same matrix.  With ``deflate_ones`` both work
+on the ones-complement by a Householder reflector (``_dense_matrix``).
+The dense residual limit, and the check that ones is an eigenvector before
+it is deflated (``_require_ones_null``, on both routes), are relative to
+``||A||_inf`` at every weight scale.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
@@ -60,33 +62,30 @@ _ONES_RESIDUAL_REL = 1e-10
 # residual reaches stalled at 0.04 to 2.7 times sqrt(n) eps ||A||_inf.
 _ROUNDING_RESIDUAL = 4.0
 
-# ``DenseEigenproblem``.  A second shifted solve is taken when the first
-# leaves a residual above ||A||_inf times _DENSE_RESIDUAL_REL, which
-# is enough for the Fiedler route's sign pattern, or _SPECTRUM_RESIDUAL_REL
-# for ``dense_spectrum``'s modes, which are written out as vectors.  One
-# solve leaves a residual of about ||b|| |lambda - sigma| / |b . v|, for the
-# start b and the eigenvector v: 1e-14 ||A||_inf for the typical start at
-# n = 1200, but 5e-12 ||A||_inf for column 3 of the signed dense-1200 graph
-# of seed 1, whose start has |b . v| = 5e-4 (||b|| = 20); a second solve
-# brings either to rounding, as eigh's.  An exactly singular shift moves
-# down by _NUDGE_ULPS**t ulps of ||A||_inf on retry t, for up to
-# _NUDGE_TRIES retries.  The rank-2 update that deflates ones
-# (``_dense_matrix``) runs over blocks of _UPDATE_ROWS rows.
-_DENSE_RESIDUAL_REL = 1e-10
-_SPECTRUM_RESIDUAL_REL = 1e-13
+# ``DenseEigenproblem``.  Every vector it solves, Fiedler vector or written
+# mode, is held to a residual of at most _DENSE_RESIDUAL_REL ||A||_inf.  One
+# solve leaves about ||b|| |lambda - sigma| / |b . v|, for the start b and
+# the eigenvector v: 1e-14 ||A||_inf for the typical start at n = 1200, but
+# 5e-12 ||A||_inf for column 3 of the signed dense-1200 graph of seed 1,
+# whose start has |b . v| = 5e-4 (||b|| = 20).  A second solve, taken only
+# then, brings either to rounding, as eigh's (Ipsen, SIAM Review 1997).  An
+# exactly singular shift moves down by _NUDGE_ULPS**t ulps of ||A||_inf on
+# retry t, for up to _NUDGE_TRIES retries.  The rank-2 update that deflates
+# ones (``_dense_matrix``) runs over blocks of _UPDATE_ROWS rows.
+_DENSE_RESIDUAL_REL = 1e-13
 _NUDGE_ULPS = 4
 _NUDGE_TRIES = 8
 _UPDATE_ROWS = 64
 
-# ``dense_spectrum`` takes up to this many vectors from shifted solves, and
-# more from one ``eigh``.  The solves hold about 2 n^2 doubles, ``eigh`` 4 n^2
-# and more.  Each mode costs one LU, or two where the first solve's residual
-# is above _SPECTRUM_RESIDUAL_REL (on the standard dense-1200 graphs of
-# seeds 1-20, five modes took 5 to 8 solves, 5.95 on average).  Measured
-# (2 vCPUs, OpenBLAS, random signed graphs, m = 6n, best of 7): ``eigvalsh``
-# plus five solves took 1.23x one ``eigh`` at n = 1200 and 1.11-1.16x at
-# n = 2048, plus six 1.33x and 1.25-1.28x; at one BLAS thread five took
-# 1.13x and 1.08x.  k = 5 is the only k the benchmark's workloads run;
+# ``DenseEigenproblem.spectrum`` takes up to this many vectors from shifted
+# solves, and more from one ``eigh``.  The solves hold about 2 n^2 doubles,
+# ``eigh`` 4 n^2 and more.  Each mode costs one LU, or two where the first
+# solve's residual is above _DENSE_RESIDUAL_REL (on the standard dense-1200
+# graphs of seeds 1-20, five modes took 5 to 8 solves, 5.95 on average).
+# Measured (2 vCPUs, OpenBLAS, random signed graphs, m = 6n, best of 7):
+# ``eigvalsh`` plus five solves took 1.23x one ``eigh`` at n = 1200 and
+# 1.11-1.16x at n = 2048, plus six 1.33x and 1.25-1.28x; at one BLAS thread
+# five took 1.13x and 1.08x.  k = 5 is the only k the benchmark's workloads run;
 # above it ``eigh`` is kept, as no workload measures a larger k.
 _SHIFTED_SOLVES_MAX = 5
 
@@ -175,24 +174,9 @@ def solve_space_dimension(n: int, deflate_ones: bool) -> int:
 
 
 def dense_spectrum(op: SymmetricOperator, deflate_ones: bool = False, k: Optional[int] = None) -> Spectrum:
-    """The k smallest pairs from the dense oracle, or every pair with k None; requires n <= dense threshold.
-
-    Up to ``_SHIFTED_SOLVES_MAX`` pairs come from one ``DenseEigenproblem``:
-    the eigenvalues from its ``eigvalsh``, each vector from a shifted solve
-    orthogonal to the vectors before it, so no n-by-n eigenbasis is formed.
-    More pairs, and the full spectrum, come from one ``eigh`` of
-    ``_dense_matrix``.
-    """
-    if k is not None and k <= _SHIFTED_SOLVES_MAX:
-        # as eigh's slice does, a k above the solve space gives every pair
-        k = min(k, solve_space_dimension(op.n, deflate_ones))
-        s = DenseEigenproblem(op, deflate_ones, _SPECTRUM_RESIDUAL_REL).spectrum(k)
-        return Spectrum(eigenvalues=s.eigenvalues[:k], eigenvectors=s.eigenvectors)
-    M, w, beta = _dense_matrix(op, deflate_ones)
-    evals, Y = np.linalg.eigh(M)
-    if k is not None:
-        evals, Y = evals[:k], Y[:, :k].copy()
-    return Spectrum(eigenvalues=evals, eigenvectors=_from_complement(w, beta, Y))
+    """``DenseEigenproblem(op, deflate_ones).spectrum(k)`` with only its k smallest eigenvalues; n <= dense threshold."""
+    s = DenseEigenproblem(op, deflate_ones).spectrum(k)
+    return Spectrum(eigenvalues=s.eigenvalues[:k], eigenvectors=s.eigenvectors)
 
 
 def _dense_matrix(op: SymmetricOperator, deflate_ones: bool) -> tuple[np.ndarray, Optional[np.ndarray], float]:
@@ -252,38 +236,47 @@ def _project_off(x: np.ndarray, B: Optional[np.ndarray]) -> np.ndarray:
 class DenseEigenproblem:
     """Every eigenvalue of a dense operator, and its leading eigenvectors.
 
-    ``eigenvalues`` are ascending, from one ``eigvalsh`` of the matrix M:
-    the operator, or with ``deflate_ones`` its ones-complement (see
-    ``_dense_matrix``), whose n-1 eigenvalues come out already deflated.
-    ``spectrum(k)`` adds the first k vectors, vector i from
-    ``vector(i, X[:, :i])``, each solved once and kept.  ``vector(i)`` is
-    the eigenvector of ``eigenvalues[i]`` from inverse iteration: one solve
-    of ``(M - lambda I) x = b`` from a start seeded by i, and a second from
-    x when the residual ``||M x - lambda x||`` is above ``residual_rel``
-    times ``||A||_inf`` (Ipsen, SIAM Review 1997).  An exactly singular
-    shift is moved down by a few ulps of ``||A||_inf`` and the solve
-    retried.  The solves run on M scaled by a power of two, exactly, and
-    the limit is relative, so that every power-of-two weight scale gives
-    the same vectors and exactly scaled eigenvalues.  A vector of the
-    ones-complement is returned as ``H [0; x]``, orthogonal to ones by
-    construction.  The vector comes back as computed, unit up to rounding:
-    ``select_fiedler`` sets its exact norm, its sign and its exact zeros.
+    M is the operator, or with ``deflate_ones`` its ones-complement (see
+    ``_dense_matrix``), held scaled by a power of two, exactly: with a
+    relative residual limit, every power-of-two weight scale gives the same
+    vectors and exactly scaled eigenvalues.  ``eigenvalues``, ascending,
+    come from one ``eigvalsh`` of M on first use.  ``vector(i)`` is the
+    eigenvector of ``eigenvalues[i]`` by inverse iteration: a solve of
+    ``(M - lambda I) x = b`` from a start seeded by i, and a second from x
+    when ``||M x - lambda x||`` is above ``_DENSE_RESIDUAL_REL`` times
+    ``||A||_inf``; an exactly singular shift is moved down by a few ulps.
+    ``spectrum(k)`` takes up to ``_SHIFTED_SOLVES_MAX`` vectors from
+    ``vector``, more from one ``eigh`` of M.  A vector of the ones-complement
+    is returned as ``H [0; x]``, orthogonal to ones by construction, and a
+    solved one as computed, unit up to rounding: ``select_fiedler`` sets its
+    exact norm, its sign and its exact zeros.
     """
 
-    def __init__(self, op: SymmetricOperator, deflate_ones: bool = False,
-                 residual_rel: float = _DENSE_RESIDUAL_REL):
+    def __init__(self, op: SymmetricOperator, deflate_ones: bool = False):
         A, self._w, self._beta = _dense_matrix(op, deflate_ones)
         # a power of two brings ||A||_inf into [1/2, 1) without rounding, so
         # that the shifted solves neither overflow nor underflow at any scale
         self._unit = 2.0 ** -math.frexp(op.norm_inf)[1]
         A *= self._unit
         self._matrix = A
-        self._limit = residual_rel * op.norm_inf * self._unit
-        self.eigenvalues = np.linalg.eigvalsh(A) / self._unit
+        self._limit = _DENSE_RESIDUAL_REL * op.norm_inf * self._unit
         self._vectors = np.empty((op.n, 0))
 
-    def spectrum(self, k: int) -> Spectrum:
-        """Every eigenvalue and the first k eigenvectors (k at most the solve space)."""
+    @functools.cached_property
+    def eigenvalues(self) -> np.ndarray:
+        return np.linalg.eigvalsh(self._matrix) / self._unit
+
+    def spectrum(self, k: Optional[int]) -> Spectrum:
+        """Every eigenvalue and the first k eigenvectors, all for k None or above the solve space.
+
+        Vector i is ``vector(i, X[:, :i])``, solved once and kept; above
+        ``_SHIFTED_SOLVES_MAX`` all come from one ``eigh``, with its eigenvalues.
+        """
+        if k is None or k > _SHIFTED_SOLVES_MAX:
+            evals, Y = np.linalg.eigh(self._matrix)
+            Y = Y if k is None else Y[:, :k].copy()
+            return Spectrum(evals / self._unit, _from_complement(self._w, self._beta, Y))
+        k = min(k, self._matrix.shape[0])
         kept = self._vectors.shape[1]
         # one (n, k) block: the solves' BLAS calls round by the layout they read
         self._vectors = np.pad(self._vectors, ((0, 0), (0, max(k - kept, 0))))

@@ -30,10 +30,17 @@ import signedcut.partition
 from signedcut.cli import main
 
 
+def strict_json(text: str):
+    """``json.loads`` that refuses NaN and Infinity, which RFC 8259 does not have."""
+    def refuse(token):
+        raise ValueError(f"{token} is not JSON")
+    return json.loads(text, parse_constant=refuse)
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
-    report = json.loads(captured.err.strip().splitlines()[-1])
+    report = strict_json(captured.err.strip().splitlines()[-1])
     return code, captured.out, report
 
 
@@ -139,14 +146,15 @@ class TestGen:
         assert not out.exists() and report["outputs"] == []
 
     @pytest.mark.parametrize("argv, error", [
-        (["cobra", "--override", "3:-1"], "signedcut: unrecognized arguments: --override 3:-1"),
-        (["path", "--n", "5", "--neg-edge", "2:-1"], "signedcut: unrecognized arguments: --neg-edge 2:-1"),
-        (["path", "--n", "5", "--noise-amp", "5"], "signedcut: unrecognized arguments: --noise-amp 5"),
+        (["cobra", "--override", "3:-1"], "signedcut gen cobra: unrecognized arguments: --override 3:-1"),
+        (["path", "--n", "5", "--neg-edge", "2:-1"],
+         "signedcut gen path: unrecognized arguments: --neg-edge 2:-1"),
+        (["path", "--n", "5", "--noise-amp", "5"], "signedcut gen path: unrecognized arguments: --noise-amp 5"),
         (["noisy-string", "--override", "3:-1", "--override", "4:2"],
-         "signedcut: unrecognized arguments: --override 3:-1 --override 4:2"),
-        (["dumbbell", "--seed", "0"], "signedcut: unrecognized arguments: --seed 0"),
+         "signedcut gen noisy-string: unrecognized arguments: --override 3:-1 --override 4:2"),
+        (["dumbbell", "--seed", "0"], "signedcut gen dumbbell: unrecognized arguments: --seed 0"),
         (["path", "--n", "5", "--neg-edge", "2:-1", "--noise-amp", "5"],
-         "signedcut: unrecognized arguments: --neg-edge 2:-1 --noise-amp 5"),
+         "signedcut gen path: unrecognized arguments: --neg-edge 2:-1 --noise-amp 5"),
     ], ids=["cobra-override", "path-neg-edge", "path-noise-amp", "noisy-override", "dumbbell-seed",
             "path-neg-edge-and-noise-amp"])
     def test_flag_of_another_kind_exit_2(self, argv, error, tmp_path, capsys):
@@ -234,7 +242,7 @@ class TestGen:
         out = tmp_path / "x.mtx"
         code, stdout, report = run(capsys, "gen", kind, "--n", "99", "--out", str(out))
         assert code == 2 and report["exit_code"] == 2 and not stdout
-        assert report["error"] == "signedcut: unrecognized arguments: --n 99"
+        assert report["error"] == f"signedcut gen {kind}: unrecognized arguments: --n 99"
         assert not out.exists() and report["outputs"] == []
 
     def test_io_failure_exit_3(self, tmp_path, capsys):
@@ -757,8 +765,9 @@ class TestMetricsCmd:
         {"n": 6, "side": [0, 0, 1, 1, 1, 0.5]},
         {"n": 6, "side": [0, 0, 1, 1, 1, True]},
         {"n": 6, "side": [0, 0, 1, 1, 1, 1.0]},
+        {"n": 6.0, "side": [0, 0, 1, 1, 1, 1]},
         [0, 0, 1, 1, 1, 1],
-    ], ids=["two", "256", "half", "true", "float-one", "list"])
+    ], ids=["two", "256", "half", "true", "float-one", "float-n", "list"])
     def test_malformed_partition_exit_2(self, doc, tmp_path, capsys):
         gfile = str(tmp_path / "c.mtx")
         save_graph(cobra(), gfile)
@@ -936,7 +945,7 @@ class TestDemo:
         monkeypatch.chdir(tmp_path)
         code, stdout, report = run(capsys, "demo", name, "--n", n)
         assert code == 2 and report["exit_code"] == 2 and not stdout
-        assert report["error"] == f"signedcut: unrecognized arguments: --n {n}"
+        assert report["error"] == f"signedcut demo {name}: unrecognized arguments: --n {n}"
         assert list(tmp_path.iterdir()) == [] and report["outputs"] == []
 
     def test_noisy_string_above_the_dense_threshold_exit_2(self, tmp_path, capsys):
@@ -1039,6 +1048,34 @@ def test_usage_error_exit_2_with_one_report(flags, tmp_path, capsys):
     assert len(reports) == 1
     assert reports[0]["exit_code"] == 2 and reports[0]["error"]
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("argv, usage", [
+    (["gen", "cobra", "--override", "3:-1", "--out", "c.mtx"], "usage: signedcut gen cobra [-h]"),
+    (["demo", "dumbbell", "--n", "4"], "usage: signedcut demo dumbbell [-h]"),
+], ids=["gen", "demo"])
+def test_refused_flag_shows_the_subcommands_usage(argv, usage, tmp_path, capsys, monkeypatch):
+    """The subcommand that does not declare a flag refuses it, after its own usage line."""
+    monkeypatch.chdir(tmp_path)
+    code = main(argv)
+    lines = capsys.readouterr().err.splitlines()
+    assert code == 2 and lines[0].startswith(usage)
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["gen", "noisy-string", "--noise-amp", "nan", "--out", "x.mtx"], "noise_amp"),
+    (["partition", "c.mtx", "--tol", "inf"], "tol"),
+], ids=["nan", "inf"])
+def test_nonfinite_flag_is_null_in_the_report(argv, flag, tmp_path, capsys, monkeypatch):
+    """RFC 8259 has no NaN or Infinity, so the report's config writes them as null;
+    ``run`` reads the report with a parser that refuses both."""
+    monkeypatch.chdir(tmp_path)
+    save_graph(cobra(), "c.mtx")
+    code, stdout, report = run(capsys, *argv)
+    assert code == 2 and report["exit_code"] == 2 and not stdout
+    assert flag in report["config"] and report["config"][flag] is None
+    assert not (tmp_path / "x.mtx").exists()
 
 
 @pytest.mark.parametrize("solver", ["dense", "lobpcg"])

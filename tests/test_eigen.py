@@ -39,6 +39,7 @@ from signedcut import (
 
 import signedcut.eigen
 import signedcut.experiments
+from test_cli import count_dense_eigensolves
 from test_graph import random_graph
 
 
@@ -259,6 +260,14 @@ class TestShiftedSolveSpectrum:
         assert np.array_equal(s.eigenvalues, full.eigenvalues[:k])
         assert np.array_equal(s.eigenvectors, full.eigenvectors[:, :k])
 
+    @pytest.mark.parametrize("k", [None, 7])
+    def test_eigh_modes_make_no_eigvalsh(self, k, monkeypatch):
+        """The eigenvalues are computed on first use: the ``eigh`` route needs none of them."""
+        op = laplacian(path_string(StringSpec(12, overrides=((5, -0.5),))), "signed")
+        calls = count_dense_eigensolves(monkeypatch)
+        s = signedcut.eigen.DenseEigenproblem(op).spectrum(k)
+        assert calls == [("eigh", (12, 12))] and s.eigenvectors.shape == (12, 12 if k is None else k)
+
     @pytest.mark.parametrize("deflate_ones", [False, True])
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_k_above_the_solve_space_gives_every_pair(self, n, deflate_ones):
@@ -283,9 +292,22 @@ class TestShiftedSolveSpectrum:
         assert np.array_equal(sc.eigenvectors, s1.eigenvectors)
         assert np.array_equal(sc.eigenvalues, scale * s1.eigenvalues)
 
+    @pytest.mark.parametrize("kind", ["standard", "signed"])
+    def test_fiedler_vector_is_held_to_the_one_limit(self, kind):
+        """The dense Fiedler vector meets the modes' residual limit, 1e-13 ||L||_inf.
+        Held to 1e-10, one solve left up to 3.7e-13 ||L||_inf on these graphs
+        (seeds 14, 19, 20 and 26, standard kind)."""
+        for seed in range(40):
+            g = sparse_random_graph(seed, 300, 1800)
+            op = laplacian(g, kind)
+            f = fiedler(g, kind)
+            assert np.linalg.norm(op.dense() @ f.vector - f.eigenvalue * f.vector) <= 1e-13 * op.norm_inf
+
     def test_spectrum_solves_each_vector_once(self, monkeypatch):
-        """A larger k keeps the columns already solved and solves only the new ones."""
+        """A larger k keeps the columns already solved and solves only the new ones,
+        with the eigenvalues of one ``eigvalsh``."""
         op = laplacian(path_string(StringSpec(30, overrides=((11, -0.5),))), "signed")
+        dense = count_dense_eigensolves(monkeypatch)
         problem = signedcut.eigen.DenseEigenproblem(op)
         calls = []
         vector = problem.vector
@@ -295,7 +317,7 @@ class TestShiftedSolveSpectrum:
         assert np.array_equal(one.eigenvectors, two.eigenvectors[:, :1])
         assert np.array_equal(two.eigenvectors, three.eigenvectors[:, :2])
         assert problem.spectrum(2).eigenvectors.shape == (30, 2) and calls == [0, 1, 2]
-        assert one.eigenvalues is problem.eigenvalues
+        assert one.eigenvalues is problem.eigenvalues and dense == [("eigvalsh", (30, 30))]
 
     def test_a_collapsed_column_raises(self, monkeypatch):
         """A solve whose result lies in the span of the columns before it is an error, not a NaN."""

@@ -20,6 +20,7 @@ import pytest
 
 import signedcut
 from signedcut import cobra, save_graph
+from test_cli import strict_json
 
 PACKAGE_ROOT = str(Path(signedcut.__file__).resolve().parent.parent)
 
@@ -33,9 +34,9 @@ def child(cwd, *argv) -> subprocess.CompletedProcess:
 
 def cli(cwd, *argv) -> tuple[subprocess.CompletedProcess, dict]:
     """Run the CLI; check that its exit status is the ``exit_code`` of its run
-    report, the last stderr line, and return both."""
+    report, the last stderr line, in strict JSON, and return both."""
     proc = child(cwd, "-m", "signedcut.cli", *argv)
-    report = json.loads(proc.stderr.splitlines()[-1])
+    report = strict_json(proc.stderr.splitlines()[-1])
     assert proc.returncode == report["exit_code"]
     assert report["command"] == ["signedcut", *argv]
     return proc, report
@@ -63,7 +64,7 @@ def test_demo_into_its_default_directory(tmp_path):
 
 
 @pytest.mark.parametrize("argv, code, error", [
-    (["compare", "cobra.mtx", "--seed", "1"], 2, "signedcut: unrecognized arguments: --seed 1"),
+    (["compare", "cobra.mtx", "--seed", "1"], 2, "signedcut compare: unrecognized arguments: --seed 1"),
     (["partition", "no-such-file.mtx"], 3, "No such file or directory: 'no-such-file.mtx'"),
     # the paper's degenerate example: cobra's signed Fiedler vector has no sign change
     (["partition", "cobra.mtx", "--laplacian", "signed"], 4, "all components fall on one side"),
