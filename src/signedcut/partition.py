@@ -47,7 +47,8 @@ CLUSTERED_GAP_FRACTION = 0.02
 # trivial constant vector and is skipped.
 TRIVIAL_ONES_CORRELATION = 1.0 - 1e-6
 
-# Below this relative gap the condition number is reported as +inf.
+# A gap of at most this times |lambda_F| + |top eigenvalue| is rounding at the
+# spectrum's own scale: it is flagged clustered, with condition number +inf.
 ZERO_GAP_REL = 1e-14
 
 
@@ -70,16 +71,23 @@ class FiedlerGap:
 class FiedlerResult(FiedlerGap):
     """Selected eigenpair plus gap diagnostics for one Laplacian kind.
 
-    ``gap_converged`` is None for the dense oracle.  An iterative solve
-    sets it to whether the Fiedler pair's gap partner converged.  When it
-    did not, ``gap`` is an upper estimate, since the partner's Ritz value
-    is at least its eigenvalue.  ``clustered_warning`` may then be missed.
+    ``spectrum`` is the route's spectrum the pair was selected from (no
+    dense matrix), and ``index`` the selected column: 0 on the standard
+    solve that the signed kind of a graph without negative edges takes.
     """
 
     vector: np.ndarray
     kind: LaplacianKind
     skipped_constant: bool
-    gap_converged: Optional[bool] = None
+    spectrum: Spectrum
+    index: int
+
+    @property
+    def gap_converged(self) -> Optional[bool]:
+        """Whether the gap partner, column ``index + 1``, converged: False without one, None for
+        the dense oracle.  If not, ``gap`` is an upper estimate and ``clustered_warning`` may be missed."""
+        c = self.spectrum.converged
+        return None if c is None else self.index + 1 < len(c) and bool(c[self.index + 1])
 
 
 @dataclass(frozen=True)
@@ -150,16 +158,11 @@ def fiedler(
         # and the iterative stopping test did not cover
         s = spectrum(2)
     f = select_fiedler(s, solve_kind, top)
-    if s.converged is not None and not s.converged[int(f.skipped_constant)]:
-        if f.skipped_constant:
-            raise SolverFailedError(
-                "iterative solve skipped the near-constant column 0 and left the Fiedler "
-                f"pair in column 1 unconverged (residual {s.residual_norms[1]:.3e}) "
-                f"after {s.iterations} iterations"
-            )
+    if s.converged is not None and not s.converged[f.index]:
+        skipped = "skipped the near-constant column 0 and " if f.index else ""
         raise SolverFailedError(
-            "iterative solve left the Fiedler pair unconverged after "
-            f"{s.iterations} iterations (residual {s.residual_norms[0]:.3e}); "
+            f"iterative solve {skipped}left the Fiedler pair in column {f.index} unconverged after "
+            f"{s.iterations} iterations (residual {s.residual_norms[f.index]:.3e}); "
             "raise max_iter or loosen tol"
         )
     if positive_signed:
@@ -200,22 +203,18 @@ def select_fiedler(
     kinds.  The gap, spread and condition number follow ``_fiedler_gap``,
     with ``largest_eigenvalue`` completing a partial spectrum's spread.
     This is the one place a Fiedler vector is finished, on both routes,
-    by ``finish_vector``.  ``gap_converged`` is the partner column's
-    converged flag, False when the spectrum has no partner, and None for a
-    spectrum without flags (the dense oracle).
+    by ``finish_vector``.
     """
     skipped = _is_constant(s.eigenvectors[:, 0])
     idx = 1 if skipped else 0
     if idx >= s.k:
         raise InsufficientSpectrumError("spectrum too small after skipping the constant vector")
-    gap_converged = None
-    if s.converged is not None:
-        gap_converged = idx + 1 < s.k and bool(s.converged[idx + 1])
     return FiedlerResult(
         vector=finish_vector(s.eigenvectors[:, idx]),
         kind=LaplacianKind(kind),
         skipped_constant=skipped,
-        gap_converged=gap_converged,
+        spectrum=s,
+        index=idx,
         **vars(_fiedler_gap(s.eigenvalues, idx, largest_eigenvalue)),
     )
 
@@ -243,10 +242,10 @@ def _fiedler_gap(lam: np.ndarray, idx: int, largest_eigenvalue: float | None = N
 
     The gap is the distance to the next eigenvalue (+inf if there is none).
     The spread runs from the Fiedler eigenvalue to the largest eigenvalue,
-    which ``largest_eigenvalue`` completes for a partial spectrum.  The
-    condition number is spread / gap, or +inf for a gap of at most
-    ZERO_GAP_REL times the spread; the warning flags a gap of at most
-    CLUSTERED_GAP_FRACTION times the spread.
+    which ``largest_eigenvalue`` completes for a partial spectrum.  A gap of
+    at most ZERO_GAP_REL (|eigenvalue| + |top|) is flagged, with condition
+    number +inf; any other has condition number spread / gap, and is
+    flagged at or below CLUSTERED_GAP_FRACTION times the spread.
     """
     eigenvalue = float(lam[idx])
     gap = float(lam[idx + 1] - lam[idx]) if idx + 1 < len(lam) else math.inf
@@ -254,11 +253,12 @@ def _fiedler_gap(lam: np.ndarray, idx: int, largest_eigenvalue: float | None = N
     if largest_eigenvalue is not None:
         top = max(top, largest_eigenvalue)
     spread = top - eigenvalue
+    zero_gap = gap <= ZERO_GAP_REL * (abs(eigenvalue) + abs(top))
     return FiedlerGap(
         eigenvalue=eigenvalue,
         gap=gap,
-        clustered_warning=math.isfinite(gap) and spread > 0 and gap <= CLUSTERED_GAP_FRACTION * spread,
-        condition_number=math.inf if gap <= ZERO_GAP_REL * spread else spread / gap,
+        clustered_warning=zero_gap or (math.isfinite(gap) and gap <= CLUSTERED_GAP_FRACTION * spread),
+        condition_number=math.inf if zero_gap else spread / gap,
         eigenvalues=lam,
     )
 

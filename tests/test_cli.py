@@ -885,6 +885,48 @@ class TestCompare:
         assert doc["ratios"]["gap_standard_over_baseline"] is None
 
 
+ZERO_GAP_GRAPHS = {
+    "k4": graph_from_edges(4, [(i, j, 1.0) for i in range(4) for j in range(i + 1, 4)]),
+    "negative-triangle": graph_from_edges(3, [(0, 1, -1.0), (0, 2, -1.0), (1, 2, -1.0)]),
+}
+
+
+class TestZeroGap:
+    """K4 and the all-negative triangle repeat their Fiedler eigenvalue (K4's whole
+    ones-deflated spectrum is one value), so the gap is rounding at the spectrum's
+    scale and the vector any member of its eigenspace: flagged, with no condition number."""
+
+    @pytest.mark.parametrize("solver", ["dense", "lobpcg"])
+    @pytest.mark.parametrize("kind", ["standard", "signed"])
+    @pytest.mark.parametrize("name", list(ZERO_GAP_GRAPHS))
+    def test_partition_flags_a_zero_gap(self, tmp_path, capsys, name, kind, solver):
+        gfile = str(tmp_path / f"{name}.mtx")
+        save_graph(ZERO_GAP_GRAPHS[name], gfile)
+        flags = ["--solver", solver]
+        if (name, kind, solver) == ("negative-triangle", "signed", "lobpcg"):
+            # the default block of two stops with its partner unconverged at 1.589,
+            # an upper estimate, and warns so; a block of three spans the whole space
+            flags += ["--block-size", "3"]
+        code, out, report = run(capsys, "partition", gfile, "--laplacian", kind, *flags)
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["clustered_warning"] is True
+        assert doc["gap"] <= 1e-14
+        assert any(w.startswith("clustered eigenvalues") for w in report["warnings"])
+
+    @pytest.mark.parametrize("name", list(ZERO_GAP_GRAPHS))
+    def test_compare_has_no_condition_number(self, tmp_path, capsys, name):
+        gfile = str(tmp_path / f"{name}.mtx")
+        save_graph(ZERO_GAP_GRAPHS[name], gfile)
+        code, out, report = run(capsys, "compare", gfile)
+        assert code == 0
+        doc = strict_json(out)
+        assert [doc[b]["condition_number"] for b in ("standard", "signed", "baseline")] == [None] * 3
+        assert doc["standard"]["clustered_warning"] is doc["signed"]["clustered_warning"] is True
+        assert doc["ratios"]["condition_signed_over_standard"] is None
+        assert len(report["warnings"]) == 2
+
+
 class TestDemo:
     @pytest.mark.parametrize("name", ["string-modes", "weak-link", "negative-edge",
                                       "noisy-string", "cobra", "dumbbell"])

@@ -1145,6 +1145,14 @@ class TestGapAndConditioning:
         assert math.isinf(f.condition_number)
         assert f.clustered_warning
 
+    def test_a_spectrum_of_one_cluster_has_a_zero_gap(self):
+        """K4's ones-deflated spectrum: three 4s, apart by rounding.  The spread is
+        rounding too, so the gap is zero at the spectrum's scale, not the spread's."""
+        f = select_fiedler(make_spectrum([4.0 - 1.8e-15, 4.0, 4.0 + 1.8e-15]), "standard")
+        assert 0.0 < f.gap
+        assert math.isinf(f.condition_number)
+        assert f.clustered_warning
+
     def test_condition_number_with_supplied_top(self):
         s = make_spectrum([0.0, 1.0])
         assert select_fiedler(s, "signed").condition_number == pytest.approx(1.0)

@@ -41,16 +41,19 @@ from signedcut import (
 
 import signedcut.eigen
 import signedcut.partition
+from signedcut.partition import ZERO_GAP_REL, finish_vector
 from test_graph import random_graph
 
 
 def make_result(vector, kind=LaplacianKind.STANDARD, eigenvalue=0.0):
     v = np.asarray(vector, dtype=float)
     v = v / np.linalg.norm(v)
+    eigenvalues = np.array([eigenvalue, eigenvalue + 1.0])
     return FiedlerResult(
         vector=v, eigenvalue=eigenvalue, kind=kind,
         skipped_constant=False, gap=1.0, clustered_warning=False,
-        condition_number=1.0, eigenvalues=np.array([eigenvalue, eigenvalue + 1.0]),
+        condition_number=1.0, eigenvalues=eigenvalues,
+        spectrum=Spectrum(eigenvalues, v[:, None]), index=0,
     )
 
 
@@ -307,6 +310,95 @@ class TestIterativeRoute:
         assert partition_json(f, bisect(f))["gap_converged"] is f.gap_converged
         dense = fiedler(g, "standard")
         assert "gap_converged" not in partition_json(dense, bisect(dense))
+
+
+def reachable_arrays(obj) -> list:
+    """Every ndarray reachable from obj through instance attributes, containers and array bases."""
+    seen, stack, arrays = set(), [obj], []
+    while stack:
+        x = stack.pop()
+        if x is None or id(x) in seen:
+            continue
+        seen.add(id(x))
+        if isinstance(x, np.ndarray):
+            arrays.append(x)
+            stack.append(x.base)
+        elif isinstance(x, (list, tuple)):
+            stack.extend(x)
+        elif isinstance(x, dict):
+            stack.extend(x.values())
+        elif hasattr(x, "__dict__") and not isinstance(x, type):
+            stack.extend(vars(x).values())
+    return arrays
+
+
+class TestFiedlerRecord:
+    """A ``FiedlerResult`` keeps the ``Spectrum`` it was selected from and the
+    selected column; ``gap_converged`` reads the column after it."""
+
+    BLOCK5 = SolverConfig(block_size=5, tol=1e-8, seed=0, precondition=True)
+
+    @pytest.mark.parametrize("solver", [None, BLOCK5], ids=["dense", "lobpcg"])
+    @pytest.mark.parametrize("g, kind, index, positive_signed", [
+        pytest.param(path_string(StringSpec(75, overrides=((36, -0.5),))), "standard", 0, False,
+                     id="string-standard"),
+        pytest.param(path_string(StringSpec(75, overrides=((36, -0.5),))), "signed", 0, False, id="string-signed"),
+        # column 0 is near-constant and skipped
+        pytest.param(near_constant_ring(30), "signed", 1, False, id="ring-skipped"),
+        # no negative edge: the standard solve, at index 0, under the signed kind
+        pytest.param(path_string(StringSpec(10)), "signed", 0, True, id="positive-signed"),
+    ])
+    def test_result_keeps_the_spectrum_it_was_selected_from(self, g, kind, index, positive_signed, solver,
+                                                            monkeypatch):
+        select, selected = signedcut.partition.select_fiedler, []
+
+        def recording(s, *args):
+            selected.append(s)
+            return select(s, *args)
+
+        monkeypatch.setattr(signedcut.partition, "select_fiedler", recording)
+        f = fiedler(g, kind, solver=solver)
+        assert f.spectrum is selected[-1] and f.index == index
+        assert f.eigenvalue == f.spectrum.eigenvalues[index]
+        np.testing.assert_array_equal(f.vector, finish_vector(f.spectrum.eigenvectors[:, index]))
+        if solver is None:
+            assert f.spectrum.converged is None and f.spectrum.iterations == 0
+        else:
+            assert f.spectrum.eigenvectors.shape == (g.n, 5) and f.spectrum.iterations > 0
+        if positive_signed:
+            # the standard solve's spectrum, without the ones pair the result reports
+            assert f.skipped_constant
+            np.testing.assert_array_equal(f.eigenvalues, np.concatenate(([0.0], f.spectrum.eigenvalues)))
+
+    @pytest.mark.parametrize("g, kind, index, want", [
+        # the partner is column 2 of a block whose column 1 converged
+        pytest.param(near_constant_ring(30), "signed", 1, False, id="ring-skipped"),
+        pytest.param(near_constant_ring(10), "signed", 1, True, id="ring-10-skipped"),
+        # skipped_constant is set, but the selected column is 0 and its partner 1
+        pytest.param(path_string(StringSpec(10)), "signed", 0, True, id="positive-signed"),
+        pytest.param(path_string(StringSpec(10)), "standard", 0, True, id="positive-standard"),
+        pytest.param(path_string(StringSpec(75, overrides=((36, -0.5),))), "standard", 0, False, id="string"),
+    ])
+    def test_gap_converged_reads_the_selected_columns_partner(self, g, kind, index, want):
+        f = fiedler(g, kind, solver=self.BLOCK5)
+        assert f.index == index
+        assert f.gap_converged is want is bool(f.spectrum.converged[index + 1])
+        assert fiedler(g, kind).gap_converged is None
+
+    @pytest.mark.parametrize("kind", list(LaplacianKind))
+    @pytest.mark.parametrize("g", [
+        pytest.param(path_string(StringSpec(300, overrides=((149, -0.05),))), id="string"),
+        pytest.param(near_constant_ring(300), id="ring"),
+        pytest.param(path_string(StringSpec(300)), id="positive"),
+    ])
+    def test_result_holds_no_dense_matrix(self, g, kind):
+        """The dense route's spectrum holds its solved columns, never the n x n matrix;
+        the iterative route's nothing larger than its (n, m) block."""
+        n = g.n
+        dense = reachable_arrays(fiedler(g, kind))
+        assert dense and max(a.size for a in dense) < n * n
+        iterative = reachable_arrays(fiedler(g, kind, solver=self.BLOCK5))
+        assert max(a.size for a in iterative) <= n * 5
 
 
 SIGN_GRAPHS = {
@@ -573,6 +665,15 @@ def connected_signed_graphs(draw):
     return graph_from_arrays(n, lo[first], hi[first], w)
 
 
+@st.composite
+def uniform_complete_graphs(draw):
+    """K_n, n = 3 to 12, with one weight on every edge: every eigenvalue of either
+    kind but the ones pair's is one repeated value, so every Fiedler gap is zero."""
+    n = draw(st.integers(3, 12))
+    w = draw(st.floats(0.01, 100.0)) * draw(st.sampled_from([-1.0, 1.0]))
+    return graph_from_edges(n, [(i, j, w) for i in range(n) for j in range(i + 1, n)])
+
+
 def orientation_is_rounding(v, tol):
     """Whether rounding decides the side of v's exact zeros.
 
@@ -633,6 +734,19 @@ class TestGeneratedInvariants:
         assert (s1 is None) == (s2 is None)
         if s1 is not None:
             assert same_split(s2[perm], s1)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.one_of(connected_signed_graphs(), uniform_complete_graphs()), st.sampled_from(list(LaplacianKind)))
+    def test_a_zero_gap_is_flagged(self, g, kind):
+        """A dense Fiedler gap at or below ZERO_GAP_REL (|lambda_F| + |top|) is
+        rounding: flagged, with condition number +inf.  Any other gap keeps
+        the condition number spread / gap."""
+        f = fiedler(g, kind)
+        top = f.eigenvalues[-1]
+        if f.gap <= ZERO_GAP_REL * (abs(f.eigenvalue) + abs(top)):
+            assert f.clustered_warning and math.isinf(f.condition_number)
+        else:
+            assert f.condition_number == (top - f.eigenvalue) / f.gap
 
     @pytest.mark.parametrize("perm", list(itertools.permutations(range(3))))
     def test_automorphic_triangle_takes_one_of_its_two_splits(self, perm):
