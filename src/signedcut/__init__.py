@@ -26,7 +26,6 @@ from .errors import (
     ZeroWeightError,
 )
 from .graph import (
-    DegreeMode,
     SignedGraph,
     connected_in_absolute_value,
     degrees,

@@ -40,7 +40,7 @@ from .errors import (
     SignedCutError,
     SolverFailedError,
 )
-from .experiments import DEMOS, _finite_or_null, compare
+from .experiments import DEMOS, compare
 from .generators import (
     DEFAULT_STRING_LENGTH,
     StringSpec,
@@ -53,10 +53,12 @@ from .graph import SignedGraph
 from .io import CHUNK_LINES, load_graph, save_graph
 from .laplacian import LaplacianKind, laplacian
 from .partition import (
+    ZERO_POLICIES,
     bisect,
     confidence,
     cut_metrics,
     fiedler,
+    finite_or_null,
     partition_json,
 )
 
@@ -112,7 +114,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(handler=handler)
         p.add_argument("graph", help="input graph file (.mtx/.mm/.csv)")
         if name in ("spectrum", "partition"):
-            p.add_argument("--laplacian", choices=["standard", "signed"], default="standard")
+            p.add_argument("--laplacian", choices=[k.value for k in LaplacianKind], default="standard")
             p.add_argument("--solver", choices=["dense", "lobpcg"], default="dense")
             p.add_argument("--tol", type=float, default=1e-8)
             p.add_argument("--max-iter", type=int, default=200)
@@ -125,8 +127,7 @@ def build_parser() -> argparse.ArgumentParser:
                            help="leave out the ones vector (dense: it must be an eigenvector)")
         if name == "partition":
             p.add_argument("--emit-confidence", action="store_true")
-            p.add_argument("--zero-policy", choices=["positive-side", "negative-side"],
-                           default="positive-side")
+            p.add_argument("--zero-policy", choices=ZERO_POLICIES, default="positive-side")
         if name == "metrics":
             p.add_argument("--partition", required=True, help="partition JSON file to score")
 
@@ -380,7 +381,7 @@ def main(argv: list[str] | None = None) -> int:
         report = {
             "command": ["signedcut"] + argv,
             "input_digest": digest,
-            "config": {k: _finite_or_null(v) if isinstance(v, float) else v
+            "config": {k: finite_or_null(v) if isinstance(v, float) else v
                        for k, v in sorted(vars(args).items()) if k != "command" and not callable(v)},
             "outputs": outputs,
             "warnings": warnings,

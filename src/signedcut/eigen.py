@@ -33,7 +33,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import BasisDegenerateError
-from .graph import DegreeMode, SignedGraph, degrees, graph_from_arrays
+from .graph import SignedGraph, degrees, graph_from_arrays
 from .laplacian import SymmetricOperator
 
 # A basis column is dropped when its |diag R| is at most this times the largest.
@@ -240,13 +240,13 @@ class DenseEigenproblem:
     ``_dense_matrix``), held scaled by a power of two, exactly: with a
     relative residual limit, every power-of-two weight scale gives the same
     vectors and exactly scaled eigenvalues.  ``eigenvalues``, ascending,
-    come from one ``eigvalsh`` of M on first use.  ``vector(i)`` is the
-    eigenvector of ``eigenvalues[i]`` by inverse iteration: a solve of
-    ``(M - lambda I) x = b`` from a start seeded by i, and a second from x
-    when ``||M x - lambda x||`` is above ``_DENSE_RESIDUAL_REL`` times
-    ``||A||_inf``; an exactly singular shift is moved down by a few ulps.
-    ``spectrum(k)`` takes up to ``_SHIFTED_SOLVES_MAX`` vectors from
-    ``vector``, more from one ``eigh`` of M.  A vector of the ones-complement
+    come from one ``eigvalsh`` of M on first use.  ``spectrum(k)`` takes
+    up to ``_SHIFTED_SOLVES_MAX`` vectors by inverse iteration, each
+    eigenvector of ``eigenvalues[i]`` from a solve of ``(M - lambda I) x =
+    b`` from a start seeded by i, and a second from x when ``||M x - lambda
+    x||`` is above ``_DENSE_RESIDUAL_REL`` times ``||A||_inf``; an exactly
+    singular shift is moved down by a few ulps.  More vectors come from one
+    ``eigh`` of M.  A vector of the ones-complement
     is returned as ``H [0; x]``, orthogonal to ones by construction, and a
     solved one as computed, unit up to rounding: ``select_fiedler`` sets its
     exact norm, its sign and its exact zeros.
@@ -269,7 +269,7 @@ class DenseEigenproblem:
     def spectrum(self, k: Optional[int]) -> Spectrum:
         """Every eigenvalue and the first k eigenvectors, all for k None or above the solve space.
 
-        Vector i is ``vector(i, X[:, :i])``, solved once and kept; above
+        Vector i is ``_vector(i)``, solved once and kept; above
         ``_SHIFTED_SOLVES_MAX`` all come from one ``eigh``, with its eigenvalues.
         """
         if k is None or k > _SHIFTED_SOLVES_MAX:
@@ -281,14 +281,14 @@ class DenseEigenproblem:
         # one (n, k) block: the solves' BLAS calls round by the layout they read
         self._vectors = np.pad(self._vectors, ((0, 0), (0, max(k - kept, 0))))
         for i in range(kept, k):
-            self._vectors[:, i] = self.vector(i, self._vectors[:, :i])
+            self._vectors[:, i] = self._vector(i)
         return Spectrum(self.eigenvalues, self._vectors[:, :k])
 
-    def vector(self, i: int, earlier: Optional[np.ndarray] = None) -> np.ndarray:
+    def _vector(self, i: int) -> np.ndarray:
         """Eigenvector of ``eigenvalues[i]``, of norm 1 up to rounding, orthogonal
-        to the orthonormal columns of ``earlier`` (n-vectors), if given.
+        to the kept columns ``_vectors[:, :i]``.
 
-        The start and each solve's result are projected off ``earlier``,
+        The start and each solve's result are projected off those columns,
         twice, before the residual is taken, so that a repeated eigenvalue
         yields a new vector of its eigenspace.  Such a column, within the
         residual limit of ``eigenvalues[i - 1]``, always takes the second
@@ -300,10 +300,9 @@ class DenseEigenproblem:
         """
         A, lam = self._matrix, float(self.eigenvalues[i]) * self._unit
         B, clustered = None, False
-        if earlier is not None and earlier.shape[1]:
-            B = _into_complement(self._w, self._beta, earlier)
-            gap = (self.eigenvalues[i] - self.eigenvalues[i - 1]) * self._unit if i else math.inf
-            clustered = gap <= self._limit
+        if i:
+            B = _into_complement(self._w, self._beta, self._vectors[:, :i])
+            clustered = (self.eigenvalues[i] - self.eigenvalues[i - 1]) * self._unit <= self._limit
         x = _project_off(np.random.default_rng(i).uniform(-1.0, 1.0, size=A.shape[0]), B)
         for attempt in range(2):
             x = _project_off(self._shifted_solve(lam, x), B)
@@ -502,7 +501,7 @@ def multilevel_preconditioner(op: SymmetricOperator, k: int) -> Optional[Multile
         excess = op.diagonal - op.radii - op.gershgorin_lower + _SHIFT_REL * scale
     levels, pairing = [], _pair(g)
     while pairing is not None:
-        level_op = SymmetricOperator(g, degrees(g, DegreeMode.ABSOLUTE_SUM) + excess)
+        level_op = SymmetricOperator(g, degrees(g, absolute=True) + excess)
         if g.n <= _COARSE_MAX:
             levels.append(Level(level_op))
             return MultilevelPreconditioner(levels)
@@ -532,7 +531,7 @@ def _pair(g: SignedGraph) -> Optional[tuple[np.ndarray, np.ndarray]]:
     n = g.n
     ii, jj, ww = g.edge_arrays()
     a = np.abs(ww)
-    radii = degrees(g, DegreeMode.ABSOLUTE_SUM)
+    radii = degrees(g, absolute=True)
     e = np.flatnonzero(a >= _STRONG_EDGE * np.minimum(radii[ii], radii[jj]))
     if n - len(e) > _MAX_SHRINK * n:  # each pair removes one vertex
         return None
@@ -683,9 +682,11 @@ def lobpcg_smallest(op: SymmetricOperator, k: int, cfg: SolverConfig, deflate_on
     Each iteration performs a Rayleigh-Ritz projection onto the span of the
     current block X, the residual block W and the previous search
     directions P, and applies the operator once, to W.  The stopping test
-    covers the k wanted columns only, and converged leading columns among
-    them are locked.  The returned spectrum holds the whole block's m Ritz
-    pairs in ascending order, the wanted ones first, each with its final
+    covers the k wanted columns only, except the first, which stops only a
+    block whose every column has converged; if the update after it finds no
+    residual direction, the solve ends there.  Converged leading columns
+    are locked.  The returned spectrum holds the whole block's m Ritz pairs
+    in ascending order, the wanted ones first, each with its final
     residual norm and converged flag.  A Ritz value is at least the
     eigenvalue of its rank, so an unconverged column past the k-th still
     bounds its eigenvalue from above.  Not converging within ``max_iter``
@@ -775,12 +776,14 @@ def _lobpcg_iterate(op: SymmetricOperator, k: int, m: int, cfg: SolverConfig, c:
     np_ = 0
     trace = []
     nlock = 0
-    for _ in range(cfg.max_iter):
+    for it in range(cfg.max_iter):
         np.multiply(V[:, c : c + m], theta, out=R)
         np.subtract(AV[:, c : c + m], R, out=R)
         conv = _residual_check(R, theta, cfg.tol, norm_inf)[1]
         trace.append(theta.copy())
-        if conv[:k].all():
+        # a start block that already holds the wanted pairs gets one update,
+        # so that a partner tied with them is found before the solve stops
+        if conv[: k if it else m].all():
             break
         prefix = 0
         while prefix < m and conv[prefix]:
@@ -792,6 +795,8 @@ def _lobpcg_iterate(op: SymmetricOperator, k: int, m: int, cfg: SolverConfig, c:
         W = _orthonormalize(W, guard=V[:, :w0])
         nw = W.shape[1]
         if nw == 0:
+            if conv[:k].all():  # the first test's update: nothing is left to add
+                break
             raise BasisDegenerateError(
                 "residual block vanished before reaching the tolerance"
             )

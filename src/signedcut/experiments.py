@@ -14,7 +14,6 @@ dict.  No experiment touches the filesystem.
 
 from __future__ import annotations
 
-import math
 from functools import partial
 
 import numpy as np
@@ -26,25 +25,20 @@ from .generators import (DEFAULT_SPECIAL_EDGE, DEFAULT_STRING_LENGTH, NEGATIVE_E
 from .graph import SignedGraph, nullify_negative
 from .laplacian import LaplacianKind, laplacian
 from .partition import (FiedlerGap, baseline_gap, bisect, cut_metrics, fiedler, finish_vector,
-                        partition_json, select_fiedler)
+                        finite_or_null, partition_json, select_fiedler)
 
 Artifact = tuple[str, SignedGraph | Spectrum | dict]
 
 
-def _finite_or_null(x: float) -> float | None:
-    """JSON has no infinity or NaN: a non-finite number is written as null."""
-    return float(x) if math.isfinite(x) else None
-
-
 def _ratio(a: float, b: float) -> float | None:
-    return _finite_or_null(a / b) if b else None
+    return finite_or_null(a / b) if b else None
 
 
 def _fiedler_block(f: FiedlerGap) -> dict:
     return {
         "fiedler_eigenvalue": f.eigenvalue,
-        "gap": _finite_or_null(f.gap),
-        "condition_number": _finite_or_null(f.condition_number),
+        "gap": finite_or_null(f.gap),
+        "condition_number": finite_or_null(f.condition_number),
         "smallest_eigenvalues": [float(v) for v in f.eigenvalues[:5]],
     }
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from enum import Enum
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -27,11 +26,6 @@ from .errors import (
 
 # One (i, j, w) edge record: the parse target of edge input and graph files.
 EDGE_DTYPE = np.dtype([("i", np.intp), ("j", np.intp), ("w", np.float64)])
-
-
-class DegreeMode(str, Enum):
-    SIGNED_SUM = "signed-sum"
-    ABSOLUTE_SUM = "absolute-sum"
 
 
 @dataclass(frozen=True, eq=False)
@@ -135,14 +129,13 @@ def sorted_repeats(key: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     return order, key, repeat
 
 
-def degrees(g: SignedGraph, mode: DegreeMode | str = DegreeMode.SIGNED_SUM) -> np.ndarray:
-    """Row sums of the adjacency matrix, plain or in absolute value.
+def degrees(g: SignedGraph, *, absolute: bool = False) -> np.ndarray:
+    """Row sums of the adjacency matrix, plain or, with ``absolute``, in absolute value.
 
-    Isolated vertices get 0 in both modes.
+    Isolated vertices get 0 either way.
     """
-    mode = DegreeMode(mode)
     ii, jj, ww = g.edge_arrays()
-    vals = np.abs(ww) if mode is DegreeMode.ABSOLUTE_SUM else ww
+    vals = np.abs(ww) if absolute else ww
     d = np.zeros(g.n)
     np.add.at(d, ii, vals)
     np.add.at(d, jj, vals)

@@ -22,7 +22,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import DimensionMismatchError, DimensionTooLargeError, GraphError
-from .graph import DegreeMode, SignedGraph, degrees
+from .graph import SignedGraph, degrees
 
 # Largest dimension for which n-by-n dense matrices are built.
 DENSE_MAX_DIM = 2048
@@ -54,7 +54,7 @@ class SymmetricOperator:
         self.diagonal = diagonal
         # the same additions in the same order for d of the signed kind: the
         # radii equal it bit for bit, so its Gershgorin bound is exactly 0
-        self.radii = degrees(graph, DegreeMode.ABSOLUTE_SUM)
+        self.radii = degrees(graph, absolute=True)
         self._edges = graph.edge_arrays()
 
     @property
@@ -113,9 +113,8 @@ def laplacian(g: SignedGraph, kind: LaplacianKind | str = LaplacianKind.STANDARD
     of two eigenvalues is finite.
     """
     kind = LaplacianKind(kind)
-    mode = DegreeMode.ABSOLUTE_SUM if kind is LaplacianKind.SIGNED else DegreeMode.SIGNED_SUM
     with np.errstate(over="ignore"):
-        op = SymmetricOperator(g, degrees(g, mode))
+        op = SymmetricOperator(g, degrees(g, absolute=kind is LaplacianKind.SIGNED))
         finite = np.isfinite(np.abs(op.diagonal) + op.radii)
     if not finite.all():
         raise GraphError(f"the Laplacian's absolute row sum at vertex {int(finite.argmin())} (0-based) overflows")

@@ -51,6 +51,9 @@ TRIVIAL_ONES_CORRELATION = 1.0 - 1e-6
 # spectrum's own scale: it is flagged clustered, with condition number +inf.
 ZERO_GAP_REL = 1e-14
 
+# Where ``bisect`` puts a vertex whose Fiedler component is exactly zero.
+ZERO_POLICIES = ("positive-side", "negative-side")
+
 
 @dataclass(frozen=True, eq=False)
 class FiedlerGap:
@@ -269,9 +272,9 @@ def bisect(f: FiedlerResult, zero_policy: str = "positive-side") -> np.ndarray:
     Returns the int8 side of each vertex: 0 for side A, 1 for side B.  The
     vector is oriented by ``select_fiedler``'s rule (``_oriented``), so a
     vector and its negation give the same sides; exact zeros then follow
-    ``zero_policy`` (``positive-side`` or ``negative-side``).
+    ``zero_policy``, one of ``ZERO_POLICIES``.
     """
-    if zero_policy not in ("positive-side", "negative-side"):
+    if zero_policy not in ZERO_POLICIES:
         raise ValueError(f"unknown zero_policy {zero_policy!r}")
     v = _oriented(np.asarray(f.vector, dtype=np.float64))
     if not v.any():
@@ -327,6 +330,11 @@ def cut_metrics(g: SignedGraph, side: np.ndarray) -> CutMetrics:
     )
 
 
+def finite_or_null(x: float) -> float | None:
+    """JSON has no infinity or NaN: a non-finite number is written as null."""
+    return float(x) if math.isfinite(x) else None
+
+
 def partition_json(f: FiedlerResult, side: np.ndarray, conf: np.ndarray | None = None) -> dict:
     """JSON-ready dict in the documented partition schema, for ``bisect``'s side array."""
     doc = {
@@ -335,7 +343,7 @@ def partition_json(f: FiedlerResult, side: np.ndarray, conf: np.ndarray | None =
         "fiedler": f.vector.tolist(),
         "eigenvalue": float(f.eigenvalue),
         "kind": f.kind.value,
-        "gap": float(f.gap) if math.isfinite(f.gap) else None,
+        "gap": finite_or_null(f.gap),
         "clustered_warning": bool(f.clustered_warning),
     }
     if f.gap_converged is not None:

@@ -310,8 +310,8 @@ class TestShiftedSolveSpectrum:
         dense = count_dense_eigensolves(monkeypatch)
         problem = signedcut.eigen.DenseEigenproblem(op)
         calls = []
-        vector = problem.vector
-        monkeypatch.setattr(problem, "vector", lambda i, earlier=None: calls.append(i) or vector(i, earlier))
+        vector = problem._vector
+        monkeypatch.setattr(problem, "_vector", lambda i: calls.append(i) or vector(i))
         one, two, three = problem.spectrum(1), problem.spectrum(2), problem.spectrum(3)
         assert calls == [0, 1, 2]
         assert np.array_equal(one.eigenvectors, two.eigenvectors[:, :1])
@@ -323,10 +323,10 @@ class TestShiftedSolveSpectrum:
         """A solve whose result lies in the span of the columns before it is an error, not a NaN."""
         op = laplacian(path_string(StringSpec(10)), "standard")
         problem = signedcut.eigen.DenseEigenproblem(op)
-        first = problem.vector(0)
+        first = problem.spectrum(1).eigenvectors[:, 0]
         monkeypatch.setattr(problem, "_shifted_solve", lambda lam, b: first / np.abs(first).max())
         with pytest.raises(BasisDegenerateError, match="collapsed onto the 1 before it"):
-            problem.vector(1, first[:, None] / np.linalg.norm(first))
+            problem.spectrum(2)
 
 
 class TestLobpcg:
@@ -477,6 +477,35 @@ class TestLobpcg:
         f = fiedler(g, kind, solver=SolverConfig(precondition=True))
         assert abs(f.eigenvalue - want.eigenvalue) <= 1e-10 * scale
         assert 1.0 - abs(float(f.vector @ want.vector)) <= 1e-10
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_first_test_stops_only_a_converged_block(self, n):
+        """The all-negative K_n repeats its signed Fiedler eigenvalue n - 2: a start
+        block of two meets that eigenspace, so its first column converges at once.
+        The first test does not stop there; one update finds the tied partner."""
+        g = graph_from_edges(n, [(i, j, -1.0) for i in range(n) for j in range(i + 1, n)])
+        s, trace = lobpcg_smallest(laplacian(g, "signed"), 1, SolverConfig(), gap_partner=True)
+        assert s.k == 2 and s.converged.all() and s.iterations == len(trace) == 2
+        np.testing.assert_allclose(s.eigenvalues, [n - 2.0] * 2, rtol=1e-14)
+
+    def test_a_vanished_residual_block_after_the_first_test(self, monkeypatch):
+        """An update that finds no residual column ends the solve when the wanted pair
+        converged at the first test (the signed K3), and is an error when it did not."""
+        orthonormalize, calls = signedcut.eigen._orthonormalize, []
+
+        def start_block_only(V, guard=None):
+            calls.append(V.shape)
+            return orthonormalize(V, guard) if len(calls) == 1 else V[:, :0]
+
+        monkeypatch.setattr(signedcut.eigen, "_orthonormalize", start_block_only)
+        triangle = graph_from_edges(3, [(0, 1, -1.0), (0, 2, -1.0), (1, 2, -1.0)])
+        s, trace = lobpcg_smallest(laplacian(triangle, "signed"), 1, SolverConfig(), gap_partner=True)
+        assert len(calls) == 2 and s.iterations == len(trace) == 1
+        assert s.converged.tolist() == [True, False]
+        calls.clear()
+        with pytest.raises(BasisDegenerateError, match="residual block vanished"):
+            lobpcg_smallest(laplacian(path_string(StringSpec(10)), "standard"), 1, SolverConfig(),
+                            gap_partner=True)
 
     def test_residual_norms_and_orthonormality(self):
         op = laplacian(path_string(StringSpec(30)), "standard")

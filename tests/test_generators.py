@@ -152,7 +152,7 @@ class TestCobra:
 
     def test_signed_degrees(self):
         np.testing.assert_allclose(
-            degrees(cobra(), "signed-sum"), [0, 2, 0, 2.2, 1.2, 1]
+            degrees(cobra()), [0, 2, 0, 2.2, 1.2, 1]
         )
 
     def test_nullified_has_five_edges(self):

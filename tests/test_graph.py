@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from signedcut import (
-    DegreeMode,
     DuplicateEdgeError,
     GraphError,
     IndexOutOfRangeError,
@@ -95,22 +94,22 @@ class TestConstruction:
 
     def test_isolated_vertices_allowed(self):
         g = graph_from_edges(5, [(0, 1, 1.0)])
-        assert degrees(g, DegreeMode.SIGNED_SUM).tolist() == [1, 1, 0, 0, 0]
+        assert degrees(g).tolist() == [1, 1, 0, 0, 0]
 
 
 class TestDegrees:
     def test_unit_path_signed_sum(self):
         g = graph_from_edges(3, [(0, 1, 1), (1, 2, 1)])
-        np.testing.assert_array_equal(degrees(g, "signed-sum"), [1, 2, 1])
+        np.testing.assert_array_equal(degrees(g), [1, 2, 1])
 
     def test_mixed_signs(self):
         g = graph_from_edges(3, [(0, 1, 1), (1, 2, -1)])
-        np.testing.assert_array_equal(degrees(g, "signed-sum"), [1, 0, -1])
-        np.testing.assert_array_equal(degrees(g, "absolute-sum"), [1, 2, 1])
+        np.testing.assert_array_equal(degrees(g), [1, 0, -1])
+        np.testing.assert_array_equal(degrees(g, absolute=True), [1, 2, 1])
 
     def test_cobra_signed_sum(self):
         np.testing.assert_allclose(
-            degrees(cobra(), "signed-sum"), [0, 2, 0, 2.2, 1.2, 1]
+            degrees(cobra()), [0, 2, 0, 2.2, 1.2, 1]
         )
 
     def test_negation_flips_signed_sum(self):
@@ -118,8 +117,8 @@ class TestDegrees:
         for _ in range(25):
             g = random_graph(rng)
             np.testing.assert_array_equal(
-                degrees(negate_weights(g), "signed-sum"),
-                -degrees(g, "signed-sum"),
+                degrees(negate_weights(g)),
+                -degrees(g),
             )
 
     def test_absolute_dominates_signed(self):
@@ -127,7 +126,7 @@ class TestDegrees:
         for _ in range(25):
             g = random_graph(rng)
             assert (
-                degrees(g, "absolute-sum") >= np.abs(degrees(g, "signed-sum")) - 1e-12
+                degrees(g, absolute=True) >= np.abs(degrees(g)) - 1e-12
             ).all()
 
 

@@ -93,8 +93,7 @@ def test_dense_is_diagonal_minus_adjacency_without_negative_zeros():
 
 def block_scatter(g, kind, X):
     """The 2-D ``np.subtract.at`` block product the column kernel replaced."""
-    mode = "absolute-sum" if LaplacianKind(kind) is LaplacianKind.SIGNED else "signed-sum"
-    d = degrees(g, mode)
+    d = degrees(g, absolute=LaplacianKind(kind) is LaplacianKind.SIGNED)
     ii, jj, ww = g.edge_arrays()
     Y = d[:, None] * X
     if len(ww):
@@ -277,10 +276,10 @@ def test_edgeless_graph_is_zero_operator():
 def test_degree_diagonal_matches_dense():
     for g in EXAMPLES:
         np.testing.assert_allclose(
-            np.diag(laplacian(g, "standard").dense()), degrees(g, "signed-sum")
+            np.diag(laplacian(g, "standard").dense()), degrees(g)
         )
         np.testing.assert_allclose(
-            np.diag(laplacian(g, "signed").dense()), degrees(g, "absolute-sum")
+            np.diag(laplacian(g, "signed").dense()), degrees(g, absolute=True)
         )
 
 
