@@ -2,10 +2,12 @@
 emit metrics and figure-reproduction CSVs.
 
 Each ``gen`` kind and each demo is a subcommand that declares only the flags
-it reads, with its defaults.  Every invocation writes one JSON-line run report
-to stderr (command echo, input digest, every declared flag's value as used,
-outputs, timing).  Vertex labels in human-facing output are 1-based; graph
-files store 0-based indices.  Exit codes: 0 ok, 2 bad parameters, 3 I/O
+it reads, with its defaults.  Its handler ``(args, g, warnings)`` returns
+``(summary or None, [(out, content), ...])``; ``main`` alone loads ``g`` and
+writes the files.  Every invocation writes one JSON-line run report to stderr
+(command echo, input digest, every declared flag's value as used, outputs,
+stage and total times).  Vertex labels in human-facing output are 1-based;
+graph files store 0-based indices.  Exit codes: 0 ok, 2 bad parameters, 3 I/O
 failure, 4 solver failure, 5 disconnected graph.  Warnings never change the
 exit code.
 """
@@ -13,6 +15,7 @@ exit code.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import functools
 import hashlib
@@ -136,7 +139,7 @@ def build_parser() -> argparse.ArgumentParser:
     for name, (_, default_n, _) in DEMOS.items():
         p = demos.add_parser(name)
         p.set_defaults(handler=cmd_demo)
-        p.add_argument("--out", default=None, help=f"output directory (default: demo-{name})")
+        p.add_argument("--out", default=f"demo-{name}", help=f"output directory (default: demo-{name})")
         if default_n is not None:  # cobra and the dumbbell are fixed graphs
             p.add_argument("--n", type=int, default=default_n,
                            help="string length (default %(default)s)")
@@ -153,23 +156,32 @@ def _digest(path: str) -> str:
     return h.hexdigest()
 
 
-def _emit(content: SignedGraph | Spectrum | dict, out: str | None, outputs: list[str]) -> None:
-    """Write a graph file, or an eigenmode CSV or JSON document, as it is made, to
-    ``out``; without ``out`` the text goes to stdout."""
-    if isinstance(content, SignedGraph):
-        save_graph(content, out)
-        outputs.append(out)
-        return
-    if isinstance(content, Spectrum):
-        chunks = _modes_csv(content.eigenvalues, content.eigenvectors)
-    else:
-        chunks = itertools.chain(_json_chunks(content), ("\n",))
-    if out is None:
-        sys.stdout.writelines(chunks)
-    else:
-        with open(out, "w", newline="\n") as fh:
-            fh.writelines(chunks)
-        outputs.append(out)
+def _timed(stages: dict[str, float], key: str, fn, *args):
+    """Call ``fn(*args)`` and record its wall time in ``stages[key]``, only if it returns."""
+    start = time.perf_counter()
+    result = fn(*args)
+    stages[key] = round(time.perf_counter() - start, 6)
+    return result
+
+
+def _emit(artifacts: list[tuple[str | None, SignedGraph | Spectrum | dict]], outputs: list[str]) -> None:
+    """Write each graph file, or eigenmode CSV or JSON document, in order and as it is
+    made, to its ``out``; without ``out`` the text goes to stdout."""
+    for out, content in artifacts:
+        if isinstance(content, SignedGraph):
+            save_graph(content, out)
+            outputs.append(out)
+            continue
+        if isinstance(content, Spectrum):
+            chunks = _modes_csv(content.eigenvalues, content.eigenvectors)
+        else:
+            chunks = itertools.chain(_json_chunks(content), ("\n",))
+        if out is None:
+            sys.stdout.writelines(chunks)
+        else:
+            with open(out, "w", newline="\n") as fh:
+                fh.writelines(chunks)
+            outputs.append(out)
 
 
 def _json_chunks(obj, level: int = 0) -> Iterator[str]:
@@ -241,7 +253,7 @@ def _solver_config(args) -> SolverConfig | None:
     return cfg if args.solver == "lobpcg" else None
 
 
-def cmd_gen(args, outputs: list[str], warnings: list[str]) -> dict:
+def cmd_gen(args, _: None, warnings: list[str]) -> tuple[dict, list]:
     if args.kind == "path":
         overrides = tuple(_parse_edge_weight(o, "--override", args.n) for o in args.override)
         for k, (edge, w) in enumerate(overrides):
@@ -257,12 +269,10 @@ def cmd_gen(args, outputs: list[str], warnings: list[str]) -> dict:
         g = cobra()
     else:
         g = dumbbell()
-    _emit(g, args.out, outputs)
-    return {"n": g.n, "edges": g.m}
+    return {"n": g.n, "edges": g.m}, [(args.out, g)]
 
 
-def cmd_spectrum(args, outputs: list[str], warnings: list[str]) -> None:
-    g = load_graph(args.graph)
+def cmd_spectrum(args, g: SignedGraph, warnings: list[str]) -> tuple[None, list]:
     top = solve_space_dimension(g.n, args.deflate_ones)
     if not 1 <= args.k <= top:
         raise SignedCutError(f"k={args.k} outside [1, {'n-1' if args.deflate_ones else 'n'}={top}]")
@@ -280,11 +290,10 @@ def cmd_spectrum(args, outputs: list[str], warnings: list[str]) -> None:
                 f"after {s.iterations} iterations "
                 f"(largest residual {s.residual_norms[: args.k][unconverged].max():.3e})"
             )
-    _emit(Spectrum(s.eigenvalues[: args.k], s.eigenvectors[:, : args.k]), args.out, outputs)
+    return None, [(args.out, Spectrum(s.eigenvalues[: args.k], s.eigenvectors[:, : args.k]))]
 
 
-def cmd_partition(args, outputs: list[str], warnings: list[str]) -> None:
-    g = load_graph(args.graph)
+def cmd_partition(args, g: SignedGraph, warnings: list[str]) -> tuple[None, list]:
     f = fiedler(g, LaplacianKind(args.laplacian), solver=_solver_config(args))
     side = bisect(f, zero_policy=args.zero_policy)
     conf = confidence(f) if args.emit_confidence else None
@@ -298,11 +307,10 @@ def cmd_partition(args, outputs: list[str], warnings: list[str]) -> None:
             "the gap partner is unconverged: the gap is an upper estimate, "
             "so clustered eigenvalues may go unflagged"
         )
-    _emit(partition_json(f, side, conf), args.out, outputs)
+    return None, [(args.out, partition_json(f, side, conf))]
 
 
-def cmd_metrics(args, outputs: list[str], warnings: list[str]) -> None:
-    g = load_graph(args.graph)
+def cmd_metrics(args, g: SignedGraph, warnings: list[str]) -> tuple[None, list]:
     with open(args.partition) as fh:
         pdoc = json.load(fh)
     if not isinstance(pdoc, dict):
@@ -317,16 +325,16 @@ def cmd_metrics(args, outputs: list[str], warnings: list[str]) -> None:
     m = cut_metrics(g, side)
     size_a = int(np.count_nonzero(side == 0))
     doc = {"n": g.n, "size_a": size_a, "size_b": g.n - size_a, **dataclasses.asdict(m)}
-    _emit(doc, args.out, outputs)
+    return None, [(args.out, doc)]
 
 
-def cmd_compare(args, outputs: list[str], warnings: list[str]) -> None:
-    _emit(compare(load_graph(args.graph), warnings), args.out, outputs)
+def cmd_compare(args, g: SignedGraph, warnings: list[str]) -> tuple[None, list]:
+    return None, [(args.out, compare(g, warnings))]
 
 
-def cmd_demo(args, outputs: list[str], warnings: list[str]) -> dict:
+def cmd_demo(args, _: None, warnings: list[str]) -> tuple[dict, list]:
     """Check ``--n`` (cobra and the dumbbell have none) against the special edge, run
-    the demo's experiment, and only then make the directory and write its artifacts in order."""
+    the demo's experiment, and only then make the ``--out`` directory for its artifacts."""
     run, _, special_edge = DEMOS[args.name]
     n = getattr(args, "n", None)
     if special_edge is not None and n <= special_edge + 1:
@@ -336,11 +344,8 @@ def cmd_demo(args, outputs: list[str], warnings: list[str]) -> dict:
             f"joins vertices {edge} and {edge + 1}; got --n {n}"
         )
     summary, artifacts = run(n, args.seed, warnings)
-    out = args.out or f"demo-{args.name}"
-    os.makedirs(out, exist_ok=True)
-    for name, content in artifacts:
-        _emit(content, os.path.join(out, name), outputs)
-    return summary
+    os.makedirs(args.out, exist_ok=True)
+    return summary, [(os.path.join(args.out, name), content) for name, content in artifacts]
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -349,11 +354,14 @@ def main(argv: list[str] | None = None) -> int:
     args = argparse.Namespace()
     outputs: list[str] = []
     warnings: list[str] = []
+    stages: dict[str, float] = {}
     code = 0
     error: str | None = None
     try:
         args = build_parser().parse_args(argv)
-        summary = args.handler(args, outputs, warnings)
+        g = _timed(stages, "load_s", load_graph, args.graph) if "graph" in args else None
+        summary, artifacts = _timed(stages, "compute_s", args.handler, args, g, warnings)
+        _timed(stages, "write_s", _emit, artifacts, outputs)
         if summary is not None:
             print(json.dumps(summary))
     except MultiComponentError as exc:
@@ -371,13 +379,10 @@ def main(argv: list[str] | None = None) -> int:
             print(f"warning: {w}", file=sys.stderr)
         if error is not None:
             print(f"error: {error}", file=sys.stderr)
-        graph_path = getattr(args, "graph", None)
         digest = None
-        if graph_path is not None and os.path.exists(graph_path):
-            try:
-                digest = _digest(graph_path)
-            except OSError:
-                digest = None
+        if "graph" in args:
+            with contextlib.suppress(OSError, ValueError):  # a missing or unreadable file has none
+                digest = _digest(args.graph)
         report = {
             "command": ["signedcut"] + argv,
             "input_digest": digest,
@@ -387,6 +392,7 @@ def main(argv: list[str] | None = None) -> int:
             "warnings": warnings,
             "error": error,
             "exit_code": code,
+            "stages": stages,
             "elapsed_s": round(time.perf_counter() - started, 6),
         }
         print(json.dumps(report), file=sys.stderr)

@@ -1152,6 +1152,29 @@ def test_report_always_emitted(tmp_path, capsys):
     assert "elapsed_s" in report
 
 
+@pytest.mark.parametrize("argv, code, stages", [
+    (["gen", "cobra", "--out", "c.mtx"], 0, {"compute_s", "write_s"}),
+    (["spectrum", "g.mtx"], 0, {"load_s", "compute_s", "write_s"}),
+    (["partition", "g.mtx", "--solver", "lobpcg", "--out", "q.json"], 0, {"load_s", "compute_s", "write_s"}),
+    (["compare", "g.mtx"], 0, {"load_s", "compute_s", "write_s"}),
+    (["metrics", "g.mtx", "--partition", "p.json"], 0, {"load_s", "compute_s", "write_s"}),
+    (["demo", "cobra"], 0, {"compute_s", "write_s"}),
+    (["partition", "missing.mtx"], 3, set()),
+    (["partition", "g.mtx", "--laplacian", "signed"], 4, {"load_s"}),
+], ids=["gen", "spectrum", "partition", "compare", "metrics", "demo", "load-fails", "solve-fails"])
+def test_report_times_each_completed_stage(argv, code, stages, tmp_path, capsys, monkeypatch):
+    """The report's stages: load_s where a graph is read, then compute_s and write_s,
+    each recorded once its stage completes; together they fit in elapsed_s."""
+    monkeypatch.chdir(tmp_path)
+    save_graph(cobra(), "g.mtx")
+    with open("p.json", "w") as fh:
+        json.dump({"n": 6, "side": [0, 0, 1, 1, 1, 1]}, fh)
+    got, _, report = run(capsys, *argv)
+    assert got == code and set(report["stages"]) == stages
+    assert all(t >= 0 for t in report["stages"].values())
+    assert sum(report["stages"].values()) <= report["elapsed_s"]
+
+
 class TestParserReuse:
     """``main`` builds its parser once per process; no call may see another's arguments."""
 
@@ -1201,8 +1224,9 @@ class TestSubcommandFlags:
         (["demo", "string-modes", "--out", "d"], {"name": "string-modes", "n": 75, "seed": 0, "out": "d"}),
         (["demo", "gap-study", "--out", "d"], {"name": "gap-study", "n": 100, "seed": 0, "out": "d"}),
         (["demo", "cobra", "--out", "d"], {"name": "cobra", "seed": 0, "out": "d"}),
+        (["demo", "cobra"], {"name": "cobra", "seed": 0, "out": "demo-cobra"}),
     ], ids=["gen-noisy-string", "gen-path", "gen-cobra", "demo-string-modes", "demo-gap-study",
-            "demo-cobra"])
+            "demo-cobra", "demo-cobra-default-out"])
     def test_report_config_holds_the_values_used(self, argv, config, tmp_path, capsys, monkeypatch):
         """Defaults are recorded as used, and a kind's config has no key for another kind's flag."""
         monkeypatch.chdir(tmp_path)
