@@ -18,6 +18,7 @@ from .errors import (
     GraphError,
     IndexOutOfRangeError,
     InsufficientSpectrumError,
+    InvalidSideError,
     MultiComponentError,
     NonfiniteWeightError,
     SelfLoopError,
@@ -45,7 +46,6 @@ from .io import (
 )
 from .laplacian import DENSE_MAX_DIM, LaplacianKind, SymmetricOperator, laplacian
 from .eigen import (
-    DenseEigenproblem,
     SolverConfig,
     Spectrum,
     dense_spectrum,

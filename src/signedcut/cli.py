@@ -30,13 +30,7 @@ from typing import Iterator
 import numpy as np
 
 from . import __version__
-from .eigen import (
-    SolverConfig,
-    Spectrum,
-    dense_spectrum,
-    lobpcg_smallest,
-    solve_space_dimension,
-)
+from .eigen import SolverConfig, Spectrum, smallest_pairs, solve_space_dimension
 from .errors import (
     DegenerateVectorError,
     MultiComponentError,
@@ -220,13 +214,14 @@ def _json_chunks(obj, level: int = 0) -> Iterator[str]:
 
 
 def _modes_csv(eigenvalues: np.ndarray, vectors: np.ndarray) -> Iterator[str]:
-    """The eigenmode CSV, in pieces of at most ``CHUNK_LINES`` vertex rows."""
-    k = len(eigenvalues)
+    """The eigenmode CSV of the vectors and their leading eigenvalues, in pieces of
+    at most ``CHUNK_LINES`` vertex rows."""
+    k = vectors.shape[1]
     yield "vertex," + ",".join(f"mode_{c}" for c in range(k)) + "\n"
-    yield "eigenvalue," + ",".join(map(repr, eigenvalues.tolist())) + "\n"
+    yield "eigenvalue," + ",".join(map(repr, eigenvalues[:k].tolist())) + "\n"
     line = "%d" + ",%r" * k + "\n"
     for start in range(0, vectors.shape[0], CHUNK_LINES):
-        rows = vectors[start : start + CHUNK_LINES, :k].tolist()
+        rows = vectors[start : start + CHUNK_LINES].tolist()
         yield "".join(line % (start + r + 1, *row) for r, row in enumerate(rows))
 
 
@@ -276,21 +271,17 @@ def cmd_spectrum(args, g: SignedGraph, warnings: list[str]) -> tuple[None, list]
     top = solve_space_dimension(g.n, args.deflate_ones)
     if not 1 <= args.k <= top:
         raise SignedCutError(f"k={args.k} outside [1, {'n-1' if args.deflate_ones else 'n'}={top}]")
-    solver = _solver_config(args)
-    op = laplacian(g, LaplacianKind(args.laplacian))
-    if solver is None:
-        s = dense_spectrum(op, args.deflate_ones, args.k)
-    else:
-        s, _ = lobpcg_smallest(op, args.k, solver, args.deflate_ones)
-        # the spectrum holds the whole block; the first k pairs are the wanted ones
+    s = smallest_pairs(laplacian(g, LaplacianKind(args.laplacian)), args.k, _solver_config(args),
+                       args.deflate_ones)
+    # an iterative spectrum holds the whole block; the first k pairs are the wanted ones
+    if s.converged is not None and not s.converged[: args.k].all():
         unconverged = ~s.converged[: args.k]
-        if unconverged.any():
-            warnings.append(
-                f"{int(unconverged.sum())} of {args.k} eigenpairs unconverged "
-                f"after {s.iterations} iterations "
-                f"(largest residual {s.residual_norms[: args.k][unconverged].max():.3e})"
-            )
-    return None, [(args.out, Spectrum(s.eigenvalues[: args.k], s.eigenvectors[:, : args.k]))]
+        warnings.append(
+            f"{int(unconverged.sum())} of {args.k} eigenpairs unconverged "
+            f"after {s.iterations} iterations "
+            f"(largest residual {s.residual_norms[: args.k][unconverged].max():.3e})"
+        )
+    return None, [(args.out, Spectrum(s.eigenvalues, s.eigenvectors[:, : args.k]))]
 
 
 def cmd_partition(args, g: SignedGraph, warnings: list[str]) -> tuple[None, list]:

@@ -10,22 +10,21 @@ independent columns in lock step that share every step but each
 operator's block matvec (``lobpcg_lockstep``).  Both stop on one test,
 ``res <= tol * max(min(1, ||A||_inf), |theta|)`` or at the operator's
 rounding level (``_residual_check``), each column at its own operator's
-``||A||_inf``.  The dense route, ``DenseEigenproblem``, takes every
-eigenvalue from ``numpy.linalg.eigvalsh`` and eigenvectors one at a time
-from shifted solves held to one residual limit: the Fiedler pair's one or
-two, and up to five modes of ``dense_spectrum``, each orthogonal to those
-before it.  So it holds the matrix and one LU copy of it, never an n-by-n
-eigenbasis.  More modes, and the full spectrum, come from one
-``numpy.linalg.eigh`` of the same matrix.  With ``deflate_ones`` both work
-on the ones-complement by a Householder reflector (``_dense_matrix``).
-The dense residual limit, and the check that ones is an eigenvector before
-it is deflated (``_require_ones_null``, on both routes), are relative to
-``||A||_inf`` at every weight scale.
+``||A||_inf``.  The dense route, ``dense_spectrum``, takes every
+eigenvalue from ``numpy.linalg.eigvalsh`` and up to five eigenvectors from
+shifted solves held to one residual limit (``_dense_vector``), each
+orthogonal to those before it: so it holds the matrix and one LU copy of
+it, never an n-by-n eigenbasis.  More vectors, and the full spectrum, come
+from one ``numpy.linalg.eigh`` of the same matrix.  ``smallest_pairs`` is
+the one place that chooses between the two routes.  With ``deflate_ones``
+both work on the ones-complement, the dense one by a Householder reflector
+(``_dense_matrix``).  The dense residual limit, and the check that ones is
+an eigenvector before it is deflated (``_require_ones_null``, on both
+routes), are relative to ``||A||_inf`` at every weight scale.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
@@ -62,7 +61,7 @@ _ONES_RESIDUAL_REL = 1e-10
 # residual reaches stalled at 0.04 to 2.7 times sqrt(n) eps ||A||_inf.
 _ROUNDING_RESIDUAL = 4.0
 
-# ``DenseEigenproblem``.  Every vector it solves, Fiedler vector or written
+# ``dense_spectrum``.  Every vector it solves, Fiedler vector or written
 # mode, is held to a residual of at most _DENSE_RESIDUAL_REL ||A||_inf.  One
 # solve leaves about ||b|| |lambda - sigma| / |b . v|, for the start b and
 # the eigenvector v: 1e-14 ||A||_inf for the typical start at n = 1200, but
@@ -77,8 +76,8 @@ _NUDGE_ULPS = 4
 _NUDGE_TRIES = 8
 _UPDATE_ROWS = 64
 
-# ``DenseEigenproblem.spectrum`` takes up to this many vectors from shifted
-# solves, and more from one ``eigh``.  The solves hold about 2 n^2 doubles,
+# ``dense_spectrum`` takes up to this many vectors from shifted solves, and
+# more from one ``eigh``.  The solves hold about 2 n^2 doubles,
 # ``eigh`` 4 n^2 and more.  Each mode costs one LU, or two where the first
 # solve's residual is above _DENSE_RESIDUAL_REL (on the standard dense-1200
 # graphs of seeds 1-20, five modes took 5 to 8 solves, 5.95 on average).
@@ -116,10 +115,10 @@ class Spectrum:
     """Ascending eigenvalues with column-orthonormal eigenvectors.
 
     ``eigenvectors`` may hold fewer columns than there are eigenvalues: the
-    leading ones, as the dense Fiedler route computes one or two.  Only the
-    iterative solver fills ``residual_norms``, ``converged`` and
-    ``iterations``, its number of residual tests; the dense routes leave
-    them ``None``, ``None`` and 0.
+    leading ones, as ``dense_spectrum`` returns every eigenvalue and k
+    vectors.  Only the iterative solver fills ``residual_norms``,
+    ``converged`` and ``iterations``, its number of residual tests; the
+    dense route leaves them ``None``, ``None`` and 0.
     """
 
     eigenvalues: np.ndarray
@@ -171,12 +170,6 @@ class SolverConfig:
 def solve_space_dimension(n: int, deflate_ones: bool) -> int:
     """The most pairs, or block columns, a solver can hold: n, less one with ones deflated."""
     return n - int(deflate_ones)
-
-
-def dense_spectrum(op: SymmetricOperator, deflate_ones: bool = False, k: Optional[int] = None) -> Spectrum:
-    """``DenseEigenproblem(op, deflate_ones).spectrum(k)`` with only its k smallest eigenvalues; n <= dense threshold."""
-    s = DenseEigenproblem(op, deflate_ones).spectrum(k)
-    return Spectrum(eigenvalues=s.eigenvalues[:k], eigenvectors=s.eigenvectors)
 
 
 def _dense_matrix(op: SymmetricOperator, deflate_ones: bool) -> tuple[np.ndarray, Optional[np.ndarray], float]:
@@ -233,112 +226,111 @@ def _project_off(x: np.ndarray, B: Optional[np.ndarray]) -> np.ndarray:
     return x
 
 
-class DenseEigenproblem:
-    """Every eigenvalue of a dense operator, and its leading eigenvectors.
+def dense_spectrum(op: SymmetricOperator, deflate_ones: bool = False, k: Optional[int] = None) -> Spectrum:
+    """Every eigenvalue of a dense operator, ascending, and its first k eigenvectors; n <= dense threshold.
 
     M is the operator, or with ``deflate_ones`` its ones-complement (see
-    ``_dense_matrix``), held scaled by a power of two, exactly: with a
-    relative residual limit, every power-of-two weight scale gives the same
-    vectors and exactly scaled eigenvalues.  ``eigenvalues``, ascending,
-    come from one ``eigvalsh`` of M on first use.  ``spectrum(k)`` takes
-    up to ``_SHIFTED_SOLVES_MAX`` vectors by inverse iteration, each
-    eigenvector of ``eigenvalues[i]`` from a solve of ``(M - lambda I) x =
-    b`` from a start seeded by i, and a second from x when ``||M x - lambda
-    x||`` is above ``_DENSE_RESIDUAL_REL`` times ``||A||_inf``; an exactly
-    singular shift is moved down by a few ulps.  More vectors come from one
-    ``eigh`` of M.  A vector of the ones-complement
-    is returned as ``H [0; x]``, orthogonal to ones by construction, and a
-    solved one as computed, unit up to rounding: ``select_fiedler`` sets its
-    exact norm, its sign and its exact zeros.
+    ``_dense_matrix``), scaled by a power of two, exactly: with a relative
+    residual limit, every power-of-two weight scale gives the same vectors
+    and exactly scaled eigenvalues.  For k None or above
+    ``_SHIFTED_SOLVES_MAX`` all comes from one ``eigh`` of M, and k None
+    keeps every vector.  Otherwise the eigenvalues come from one
+    ``eigvalsh`` and the first k vectors, at most the solve space, from
+    ``_dense_vector``, each into one C-ordered (n, k) block: the solves'
+    BLAS calls round by the layout they read.  k = 0 gives the eigenvalues
+    alone.  A vector of the ones-complement is returned as ``H [0; x]``,
+    orthogonal to ones by construction, and a solved one as computed, unit
+    up to rounding: ``select_fiedler`` sets its exact norm, its sign and its
+    exact zeros.
     """
+    M, w, beta = _dense_matrix(op, deflate_ones)
+    # a power of two brings ||A||_inf into [1/2, 1) without rounding, so
+    # that the shifted solves neither overflow nor underflow at any scale
+    unit = 2.0 ** -math.frexp(op.norm_inf)[1]
+    M *= unit
+    if k is None or k > _SHIFTED_SOLVES_MAX:
+        evals, Y = np.linalg.eigh(M)
+        Y = Y if k is None else Y[:, :k].copy()
+        return Spectrum(evals / unit, _from_complement(w, beta, Y))
+    evals = np.linalg.eigvalsh(M) / unit
+    limit = _DENSE_RESIDUAL_REL * op.norm_inf * unit
+    X = np.zeros((op.n, min(k, M.shape[0])))
+    for i in range(X.shape[1]):
+        B = _into_complement(w, beta, X[:, :i]) if i else None
+        X[:, i] = _from_complement(w, beta, _dense_vector(M, evals, unit, limit, i, B))
+    return Spectrum(evals, X)
 
-    def __init__(self, op: SymmetricOperator, deflate_ones: bool = False):
-        A, self._w, self._beta = _dense_matrix(op, deflate_ones)
-        # a power of two brings ||A||_inf into [1/2, 1) without rounding, so
-        # that the shifted solves neither overflow nor underflow at any scale
-        self._unit = 2.0 ** -math.frexp(op.norm_inf)[1]
-        A *= self._unit
-        self._matrix = A
-        self._limit = _DENSE_RESIDUAL_REL * op.norm_inf * self._unit
-        self._vectors = np.empty((op.n, 0))
 
-    @functools.cached_property
-    def eigenvalues(self) -> np.ndarray:
-        return np.linalg.eigvalsh(self._matrix) / self._unit
+def smallest_pairs(op: SymmetricOperator, k: int, solver: Optional[SolverConfig] = None,
+                   deflate_ones: bool = False, *, gap_partner: bool = False) -> Spectrum:
+    """The k smallest eigenpairs by the route ``solver`` names: the one place that chooses it.
 
-    def spectrum(self, k: Optional[int]) -> Spectrum:
-        """Every eigenvalue and the first k eigenvectors, all for k None or above the solve space.
+    ``solver=None`` is ``dense_spectrum``: every eigenvalue and k vectors.
+    A :class:`SolverConfig` is ``lobpcg_smallest``'s spectrum, the whole
+    block with ``gap_partner`` as there, and residuals and converged flags.
+    """
+    if solver is None:
+        return dense_spectrum(op, deflate_ones, k)
+    return lobpcg_smallest(op, k, solver, deflate_ones, gap_partner=gap_partner)[0]
 
-        Vector i is ``_vector(i)``, solved once and kept; above
-        ``_SHIFTED_SOLVES_MAX`` all come from one ``eigh``, with its eigenvalues.
-        """
-        if k is None or k > _SHIFTED_SOLVES_MAX:
-            evals, Y = np.linalg.eigh(self._matrix)
-            Y = Y if k is None else Y[:, :k].copy()
-            return Spectrum(evals / self._unit, _from_complement(self._w, self._beta, Y))
-        k = min(k, self._matrix.shape[0])
-        kept = self._vectors.shape[1]
-        # one (n, k) block: the solves' BLAS calls round by the layout they read
-        self._vectors = np.pad(self._vectors, ((0, 0), (0, max(k - kept, 0))))
-        for i in range(kept, k):
-            self._vectors[:, i] = self._vector(i)
-        return Spectrum(self.eigenvalues, self._vectors[:, :k])
 
-    def _vector(self, i: int) -> np.ndarray:
-        """Eigenvector of ``eigenvalues[i]``, of norm 1 up to rounding, orthogonal
-        to the kept columns ``_vectors[:, :i]``.
+def _dense_vector(M: np.ndarray, eigenvalues: np.ndarray, unit: float, limit: float, i: int,
+                  B: Optional[np.ndarray]) -> np.ndarray:
+    """Eigenvector i of M, the operator's matrix times ``unit``, whose eigenvalues are
+    ``eigenvalues`` times ``unit``: of norm 1 up to rounding, and orthogonal to the
+    orthonormal columns of B, the vectors before it.
 
-        The start and each solve's result are projected off those columns,
-        twice, before the residual is taken, so that a repeated eigenvalue
-        yields a new vector of its eigenspace.  Such a column, within the
-        residual limit of ``eigenvalues[i - 1]``, always takes the second
-        solve: the first can leave a residual near the limit, since the
-        columns before took the directions the shift amplifies most.  A
-        result that projection leaves at or below ``_QR_DROP_TOL`` of its
-        largest component starts the second solve, and after the second
-        raises ``BasisDegenerateError``.
-        """
-        A, lam = self._matrix, float(self.eigenvalues[i]) * self._unit
-        B, clustered = None, False
-        if i:
-            B = _into_complement(self._w, self._beta, self._vectors[:, :i])
-            clustered = (self.eigenvalues[i] - self.eigenvalues[i - 1]) * self._unit <= self._limit
-        x = _project_off(np.random.default_rng(i).uniform(-1.0, 1.0, size=A.shape[0]), B)
-        for attempt in range(2):
-            x = _project_off(self._shifted_solve(lam, x), B)
-            size = float(np.linalg.norm(x))  # the solve's largest component is 1
-            if size == 0.0 or (attempt and size <= _QR_DROP_TOL):
-                raise BasisDegenerateError(
-                    f"eigenvector {i} at eigenvalue {self.eigenvalues[i]!r} "
-                    f"collapsed onto the {B.shape[1]} before it"
-                )
-            x /= size
-            if (size > _QR_DROP_TOL and not clustered
-                    and np.linalg.norm(A @ x - lam * x) <= self._limit):
-                break
-        return _from_complement(self._w, self._beta, x)
+    Inverse iteration (Ipsen, SIAM Review 1997): a solve of ``(M - lambda
+    I) x = b`` from a start seeded by i, and a second from x when ``||M x -
+    lambda x||`` is above ``limit``, ``_DENSE_RESIDUAL_REL`` ``||A||_inf``
+    at M's scale.  The start and each solve's result are projected off B,
+    twice, before the residual is taken, so that a repeated eigenvalue
+    yields a new vector of its eigenspace.  Such a column, within the
+    residual limit of ``eigenvalues[i - 1]``, always takes the second
+    solve: the first can leave a residual near the limit, since the
+    columns before took the directions the shift amplifies most.  A
+    result that projection leaves at or below ``_QR_DROP_TOL`` of its
+    largest component starts the second solve, and after the second
+    raises ``BasisDegenerateError``.
+    """
+    lam = float(eigenvalues[i]) * unit
+    clustered = B is not None and (eigenvalues[i] - eigenvalues[i - 1]) * unit <= limit
+    x = _project_off(np.random.default_rng(i).uniform(-1.0, 1.0, size=M.shape[0]), B)
+    for attempt in range(2):
+        x = _project_off(_shifted_solve(M, lam, x, unit), B)
+        size = float(np.linalg.norm(x))  # the solve's largest component is 1
+        if size == 0.0 or (attempt and size <= _QR_DROP_TOL):
+            raise BasisDegenerateError(
+                f"eigenvector {i} at eigenvalue {eigenvalues[i]!r} "
+                f"collapsed onto the {B.shape[1]} before it"
+            )
+        x /= size
+        if size > _QR_DROP_TOL and not clustered and np.linalg.norm(M @ x - lam * x) <= limit:
+            break
+    return x
 
-    def _shifted_solve(self, lam: float, b: np.ndarray) -> np.ndarray:
-        """Solve ``(M - sigma I) x = b``, sigma = lam or, if singular there, just below.
 
-        x comes back with largest component 1.
-        """
-        A = self._matrix
-        diag = A.diagonal().copy()
-        try:
-            for t in range(_NUDGE_TRIES + 1):
-                shift = lam - (_NUDGE_ULPS**t * np.finfo(float).eps if t else 0.0)
-                np.fill_diagonal(A, diag - shift)
-                try:
-                    x = np.linalg.solve(A, b)
-                except np.linalg.LinAlgError:
-                    continue
-                peak = float(np.abs(x).max())
-                if 0.0 < peak < math.inf:
-                    return x / peak
-        finally:
-            np.fill_diagonal(A, diag)
-        raise BasisDegenerateError(f"shifted solve at eigenvalue {lam / self._unit!r} stayed singular")
+def _shifted_solve(M: np.ndarray, lam: float, b: np.ndarray, unit: float) -> np.ndarray:
+    """Solve ``(M - sigma I) x = b``, sigma = lam or, if singular there, just below.
+
+    x comes back with largest component 1, and M as it was.  ``unit`` is
+    M's scale, which the error's eigenvalue is divided by.
+    """
+    diag = M.diagonal().copy()
+    try:
+        for t in range(_NUDGE_TRIES + 1):
+            shift = lam - (_NUDGE_ULPS**t * np.finfo(float).eps if t else 0.0)
+            np.fill_diagonal(M, diag - shift)
+            try:
+                x = np.linalg.solve(M, b)
+            except np.linalg.LinAlgError:
+                continue
+            peak = float(np.abs(x).max())
+            if 0.0 < peak < math.inf:
+                return x / peak
+    finally:
+        np.fill_diagonal(M, diag)
+    raise BasisDegenerateError(f"shifted solve at eigenvalue {lam / unit!r} stayed singular")
 
 
 def estimate_largest_eigenvalue(op: SymmetricOperator, seed: int = 0) -> float:

@@ -68,3 +68,7 @@ class DegenerateVectorError(SignedCutError, ValueError):
 
 class EmptySideError(SignedCutError, ValueError):
     """Partition leaves one side with no vertices."""
+
+
+class InvalidSideError(SignedCutError, ValueError):
+    """Partition labels a vertex with a side other than 0 and 1."""

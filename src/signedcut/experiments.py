@@ -176,7 +176,7 @@ def string_modes_demo(name: str, n: int, seed: int, warnings: list[str]) -> tupl
     summary, artifacts = {"n": n, **weight}, []
     for kind, file, key in spectra:
         s = dense_spectrum(laplacian(g, kind), k=k)
-        summary[key] = s.eigenvalues.tolist()
+        summary[key] = s.eigenvalues[:k].tolist()
         artifacts.append((file, s))
     return summary, artifacts
 

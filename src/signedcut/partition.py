@@ -4,11 +4,10 @@ For the standard Laplacian the Fiedler vector is the eigenvector of the
 smallest eigenvalue restricted to the complement of the ones vector (the
 smallest eigenvalue may be negative).  For the signed Laplacian it is the
 smallest-eigenvalue eigenvector, skipping a leading eigenvector only when it
-matches the trivial constant vector.  The dense route takes every
-eigenvalue from ``eigvalsh`` and only the vectors it selects from shifted
-solves (``DenseEigenproblem``).  ``select_fiedler`` finishes the vector
-on both routes: unit norm, one sign, and a component at rounding level
-as an exact zero.  Bisection assigns vertices by component sign; squared
+matches the trivial constant vector.  ``smallest_pairs`` takes the route:
+dense, every eigenvalue and only the vectors asked for, or iterative.
+``select_fiedler`` finishes the vector on both routes: unit norm, one
+sign, and a component at rounding level as an exact zero.  Bisection assigns vertices by component sign; squared
 components of the unit-norm vector act as a per-vertex confidence.
 """
 
@@ -20,17 +19,12 @@ from typing import Optional
 
 import numpy as np
 
-from .eigen import (
-    DenseEigenproblem,
-    SolverConfig,
-    Spectrum,
-    estimate_largest_eigenvalue,
-    lobpcg_smallest,
-)
+from .eigen import SolverConfig, Spectrum, dense_spectrum, estimate_largest_eigenvalue, smallest_pairs
 from .errors import (
     DegenerateVectorError,
     EmptySideError,
     InsufficientSpectrumError,
+    InvalidSideError,
     MultiComponentError,
     SolverFailedError,
 )
@@ -122,16 +116,15 @@ def fiedler(
 ) -> FiedlerResult:
     """Fiedler vector of a connected signed graph for the given kind.
 
-    ``solver=None`` takes the dense route, ``DenseEigenproblem.spectrum``:
-    every eigenvalue and the first k vectors, each solved once.  A
-    :class:`SolverConfig` takes the iterative route: ``lobpcg_smallest``
-    for k wanted pairs and their gap partner, with the Lanczos estimate of
-    the largest eigenvalue for the spread; the solve stops once the k
-    wanted columns converge.  Ones is deflated as the kind says.  k is 1,
-    or 2 when column 0 is the near-constant vector that ``select_fiedler``
-    skips and column 1 is missing (dense) or unconverged (iterative): the
-    dense route then solves column 1 against the kept column 0, the
-    iterative route solves again.  An unconverged selected column raises
+    ``smallest_pairs`` solves for k pairs by the route ``solver`` names.
+    ``solver=None`` is the dense route: every eigenvalue and the first k
+    vectors.  A :class:`SolverConfig` is the iterative route: k wanted
+    pairs and their gap partner, with the Lanczos estimate of the largest
+    eigenvalue for the spread; the solve stops once the k wanted columns
+    converge.  Ones is deflated as the kind says.  k is 1, or 2 when column
+    0 is the near-constant vector that ``select_fiedler`` skips and column 1
+    is missing (dense) or unconverged (iterative): either route then solves
+    again, for two pairs.  An unconverged selected column raises
     :class:`SolverFailedError` with the iteration count and its residual.
     Without negative edges the two Laplacians are the same matrix: both
     routes give the signed kind the standard kind's solve and vector, and
@@ -148,18 +141,13 @@ def fiedler(
     positive_signed = kind is LaplacianKind.SIGNED and not (g.edge_arrays()[2] < 0).any()
     solve_kind = LaplacianKind.STANDARD if positive_signed else kind
     op = laplacian(g, solve_kind)
-    if solver is None:
-        spectrum = DenseEigenproblem(op, solve_kind.deflates_ones).spectrum
-    else:
-        def spectrum(k: int) -> Spectrum:
-            return lobpcg_smallest(op, k, solver, solve_kind.deflates_ones, gap_partner=True)[0]
-
-    s = spectrum(1)
-    top = None if solver is None else estimate_largest_eigenvalue(op, seed=solver.seed)
+    s = smallest_pairs(op, 1, solver, solve_kind.deflates_ones, gap_partner=True)
+    # the dense spectrum holds every eigenvalue; the iterative one needs the top's estimate
+    top = None if s.converged is None else estimate_largest_eigenvalue(op, seed=solver.seed)
     if _is_constant(s.eigenvectors[:, 0]) and (s.eigenvectors.shape[1] == 1 or not s.converged[1]):
         # the Fiedler pair is column 1, which the dense route has not solved
         # and the iterative stopping test did not cover
-        s = spectrum(2)
+        s = smallest_pairs(op, 2, solver, solve_kind.deflates_ones, gap_partner=True)
     f = select_fiedler(s, solve_kind, top)
     if s.converged is not None and not s.converged[f.index]:
         skipped = "skipped the near-constant column 0 and " if f.index else ""
@@ -185,7 +173,7 @@ def baseline_gap(g: SignedGraph) -> FiedlerGap:
     """
     kind = LaplacianKind.STANDARD
     op = laplacian(nullify_negative(g), kind)
-    return _fiedler_gap(DenseEigenproblem(op, kind.deflates_ones).eigenvalues, 0)
+    return _fiedler_gap(dense_spectrum(op, kind.deflates_ones, k=0).eigenvalues, 0)
 
 
 def _is_constant(v: np.ndarray) -> bool:
@@ -203,15 +191,18 @@ def select_fiedler(
 
     Column 0 is skipped exactly when it is the constant vector; a
     ones-deflated spectrum never trips that test, so one rule serves both
-    kinds.  The gap, spread and condition number follow ``_fiedler_gap``,
+    kinds.  A spectrum with no eigenvector left after the skip, counted in
+    vectors, not eigenvalues, raises ``InsufficientSpectrumError``.  The gap, spread and condition number follow ``_fiedler_gap``,
     with ``largest_eigenvalue`` completing a partial spectrum's spread.
     This is the one place a Fiedler vector is finished, on both routes,
     by ``finish_vector``.
     """
-    skipped = _is_constant(s.eigenvectors[:, 0])
+    vectors = s.eigenvectors.shape[1]
+    skipped = vectors > 0 and _is_constant(s.eigenvectors[:, 0])
     idx = 1 if skipped else 0
-    if idx >= s.k:
-        raise InsufficientSpectrumError("spectrum too small after skipping the constant vector")
+    if idx >= vectors:
+        raise InsufficientSpectrumError("spectrum too small after skipping the constant vector"
+                                        if skipped else "spectrum holds no eigenvector")
     return FiedlerResult(
         vector=finish_vector(s.eigenvectors[:, idx]),
         kind=LaplacianKind(kind),
@@ -294,12 +285,18 @@ def confidence(f: FiedlerResult) -> np.ndarray:
 
 
 def cut_metrics(g: SignedGraph, side: np.ndarray) -> CutMetrics:
-    """All cut quality numbers for a two-way partition of a signed graph, given as its side array (0 for A, 1 for B)."""
+    """All cut quality numbers for a two-way partition of a signed graph, given as its side array (0 for A, 1 for B).
+
+    Any other label raises ``InvalidSideError``, which names the first vertex that has one.
+    """
     side = np.asarray(side)
     if len(side) != g.n:
         raise EmptySideError(
             f"partition covers {len(side)} vertices, graph has {g.n}"
         )
+    bad = np.flatnonzero((side != 0) & (side != 1))
+    if len(bad):
+        raise InvalidSideError(f"vertex {bad[0]} (0-based) has side {side[bad[0]].item()!r}; sides are 0 and 1")
     size_a = int((side == 0).sum())
     size_b = int((side == 1).sum())
     if size_a == 0 or size_b == 0:

@@ -10,9 +10,11 @@ from signedcut import (
     SolverConfig,
     Spectrum,
     StringSpec,
+    baseline_gap,
     cobra,
     cut_metrics,
     dumbbell,
+    fiedler,
     graph_from_arrays,
     graph_from_edges,
     laplacian,
@@ -64,8 +66,38 @@ def count_dense_eigensolves(monkeypatch) -> list:
     return calls
 
 
-def record_solves(monkeypatch, *modules) -> list:
-    """Record (k, config, block columns) of every lobpcg_smallest call made through the modules."""
+def record_dense_spectra(monkeypatch) -> tuple[list, list]:
+    """Record every ``dense_spectrum`` call from now on, as its k, wherever a
+    signedcut module binds it, and every dense eigensolve or linear solve made
+    outside one."""
+    calls, outside, depth = [], [], [0]
+    spectrum = signedcut.eigen.dense_spectrum
+
+    def recording(op, deflate_ones=False, k=None):
+        calls.append(k)
+        depth[0] += 1
+        try:
+            return spectrum(op, deflate_ones, k)
+        finally:
+            depth[0] -= 1
+
+    for name in ("eigh", "eigvalsh", "solve"):
+        solve = getattr(np.linalg, name)
+
+        def guarded(*args, _name=name, _solve=solve, **kwargs):
+            if not depth[0]:
+                outside.append(_name)
+            return _solve(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, guarded)
+    for module in (signedcut.eigen, signedcut.partition, signedcut.experiments, signedcut.cli):
+        if getattr(module, "dense_spectrum", None) is spectrum:
+            monkeypatch.setattr(module, "dense_spectrum", recording)
+    return calls, outside
+
+
+def record_solves(monkeypatch) -> list:
+    """Record (k, config, block columns) of every lobpcg_smallest call from now on."""
     solves = []
     solve = signedcut.eigen.lobpcg_smallest
 
@@ -74,8 +106,7 @@ def record_solves(monkeypatch, *modules) -> list:
         solves.append((k, cfg, s.eigenvectors.shape[1]))
         return s, trace
 
-    for module in modules:
-        monkeypatch.setattr(module, "lobpcg_smallest", recording)
+    monkeypatch.setattr(signedcut.eigen, "lobpcg_smallest", recording)
     return solves
 
 
@@ -425,6 +456,48 @@ class TestSpectrum:
         assert len(mode_csv_eigenvalues(tmp_path / "m.csv")) == k
 
 
+class TestOneDenseEntry:
+    """Every dense spectrum comes from ``eigen.dense_spectrum``, and every dense
+    eigensolve and shifted solve runs inside it: the benchmark's span of it covers
+    the whole dense route."""
+
+    def test_fiedler(self, monkeypatch):
+        calls, outside = record_dense_spectra(monkeypatch)
+        g = path_string(StringSpec(30, overrides=((12, -0.05),)))
+        for kind in ("standard", "signed"):
+            fiedler(g, kind)
+        assert calls == [1, 1] and outside == []
+
+    def test_fiedler_regrows_on_the_near_constant_ring(self, monkeypatch):
+        calls, outside = record_dense_spectra(monkeypatch)
+        ring = graph_from_edges(30, [(i, i + 1, 1.0) for i in range(29)] + [(0, 29, -1e-8)])
+        assert fiedler(ring, "signed").skipped_constant
+        assert calls == [1, 2] and outside == []
+
+    def test_baseline_gap(self, monkeypatch):
+        calls, outside = record_dense_spectra(monkeypatch)
+        baseline_gap(path_string(StringSpec(30, overrides=((12, -0.05),))))
+        assert calls == [0] and outside == []
+
+    @pytest.mark.parametrize("flags", [["--k", "2"], ["--k", "7"], ["--k", "2", "--deflate-ones"],
+                                       ["--k", "7", "--laplacian", "signed"]])
+    def test_spectrum(self, flags, tmp_path, capsys, monkeypatch):
+        gfile = str(tmp_path / "p.mtx")
+        save_graph(path_string(StringSpec(10)), gfile)
+        calls, outside = record_dense_spectra(monkeypatch)
+        code, _, _ = run(capsys, "spectrum", gfile, *flags, "--out", str(tmp_path / "m.csv"))
+        assert code == 0
+        assert calls == [int(flags[1])] and outside == []
+        assert len(mode_csv_eigenvalues(tmp_path / "m.csv")) == int(flags[1])
+
+    @pytest.mark.parametrize("name, spectra", [("string-modes", 1), ("weak-link", 1), ("negative-edge", 2)])
+    def test_mode_demos(self, name, spectra, tmp_path, capsys, monkeypatch):
+        calls, outside = record_dense_spectra(monkeypatch)
+        code, _, _ = run(capsys, "demo", name, "--out", str(tmp_path / name))
+        assert code == 0
+        assert calls == [5] * spectra and outside == []
+
+
 class TestPartitionCmd:
     def test_dumbbell_standard(self, tmp_path, capsys):
         gfile = str(tmp_path / "d.mtx")
@@ -501,7 +574,7 @@ class TestPartitionCmd:
 
         gfile = str(tmp_path / "c.mtx")
         save_graph(cobra(), gfile)
-        monkeypatch.setattr(signedcut.partition, "lobpcg_smallest", lost)
+        monkeypatch.setattr(signedcut.eigen, "lobpcg_smallest", lost)
         code, _, report = run(capsys, "partition", gfile, "--solver", "lobpcg")
         assert code == 4
         assert report["error"] == "random initial block lost rank"
@@ -549,7 +622,7 @@ class TestSolverWiring:
     def test_partition_and_spectrum_precondition(self, tmp_path, capsys, monkeypatch):
         gfile = str(tmp_path / "neg.mtx")
         save_graph(path_string(StringSpec(30, overrides=((12, -0.05),))), gfile)
-        solves = record_solves(monkeypatch, signedcut.cli, signedcut.partition)
+        solves = record_solves(monkeypatch)
         for kind in ("standard", "signed"):
             code, _, _ = run(capsys, "partition", gfile, "--laplacian", kind, "--solver", "lobpcg",
                              "--max-iter", "1000", "--out", str(tmp_path / f"p-{kind}.json"))
@@ -776,6 +849,18 @@ class TestMetricsCmd:
             json.dump(doc, fh)
         code, _, report = run(capsys, "metrics", gfile, "--partition", pfile)
         assert code == 2 and report["exit_code"] == 2 and report["error"]
+
+    @pytest.mark.parametrize("label", [2, 0.5])
+    def test_other_side_labels_keep_their_message(self, label, tmp_path, capsys):
+        """The file's labels are checked before ``cut_metrics`` sees them, with the file's message."""
+        gfile = str(tmp_path / "c.mtx")
+        save_graph(cobra(), gfile)
+        pfile = str(tmp_path / "p.json")
+        with open(pfile, "w") as fh:
+            json.dump({"n": 6, "side": [0, 0, 1, 1, 1, label]}, fh)
+        code, stdout, report = run(capsys, "metrics", gfile, "--partition", pfile)
+        assert code == 2 and not stdout
+        assert report["error"] == "partition side values must be the integers 0 and 1"
 
 
 def json_text(doc) -> str:

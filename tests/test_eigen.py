@@ -209,8 +209,9 @@ def repeated_eigenvalue_graphs():
 
 
 class TestShiftedSolveSpectrum:
-    """``dense_spectrum(op, deflate_ones, k)`` for k <= 5 takes its vectors from
-    shifted solves; against the full ``eigh`` basis they must be as good."""
+    """``dense_spectrum(op, deflate_ones, k)`` returns every eigenvalue and k
+    vectors; for k <= 5 the vectors come from shifted solves, and against the
+    full ``eigh`` basis they must be as good."""
 
     @pytest.mark.parametrize("deflate_ones", [False, True])
     @pytest.mark.parametrize("kind", ["standard", "signed"])
@@ -230,10 +231,10 @@ class TestShiftedSolveSpectrum:
         for k in range(1, min(5, oracle.k) + 1):
             s = dense_spectrum(op, deflate_ones, k)
             X = s.eigenvectors
-            assert s.k == k and X.shape == (g.n, k) and np.isfinite(X).all()
+            assert s.k == oracle.k and X.shape == (g.n, k) and np.isfinite(X).all()
             assert np.abs(X.T @ X - np.eye(k)).max() <= 1e-12
-            assert np.linalg.norm(A @ X - X * s.eigenvalues, axis=0).max() <= 1e-12 * spread
-            assert np.abs(s.eigenvalues - lam[:k]).max() <= 1e-12 * scale
+            assert np.linalg.norm(A @ X - X * s.eigenvalues[:k], axis=0).max() <= 1e-12 * spread
+            assert np.abs(s.eigenvalues - lam).max() <= 1e-12 * scale
             if deflate_ones:
                 assert np.abs(X.sum(axis=0)).max() / math.sqrt(g.n) <= 1e-10
             # each cluster of eigh's eigenvalues: the columns that fall in it
@@ -257,16 +258,17 @@ class TestShiftedSolveSpectrum:
         monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a.shape) or eigh(a))
         s = dense_spectrum(op, k=k)
         assert calls == [(12, 12)]
-        assert np.array_equal(s.eigenvalues, full.eigenvalues[:k])
+        assert np.array_equal(s.eigenvalues, full.eigenvalues)
         assert np.array_equal(s.eigenvectors, full.eigenvectors[:, :k])
 
     @pytest.mark.parametrize("k", [None, 7])
     def test_eigh_modes_make_no_eigvalsh(self, k, monkeypatch):
-        """The eigenvalues are computed on first use: the ``eigh`` route needs none of them."""
+        """The ``eigh`` route takes its eigenvalues from ``eigh`` and makes no ``eigvalsh``."""
         op = laplacian(path_string(StringSpec(12, overrides=((5, -0.5),))), "signed")
         calls = count_dense_eigensolves(monkeypatch)
-        s = signedcut.eigen.DenseEigenproblem(op).spectrum(k)
+        s = dense_spectrum(op, k=k)
         assert calls == [("eigh", (12, 12))] and s.eigenvectors.shape == (12, 12 if k is None else k)
+        assert s.k == 12
 
     @pytest.mark.parametrize("deflate_ones", [False, True])
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -303,30 +305,35 @@ class TestShiftedSolveSpectrum:
             f = fiedler(g, kind)
             assert np.linalg.norm(op.dense() @ f.vector - f.eigenvalue * f.vector) <= 1e-13 * op.norm_inf
 
-    def test_spectrum_solves_each_vector_once(self, monkeypatch):
-        """A larger k keeps the columns already solved and solves only the new ones,
-        with the eigenvalues of one ``eigvalsh``."""
+    def test_each_call_solves_its_k_vectors_once(self, monkeypatch):
+        """Each call keeps nothing: one ``eigvalsh`` for every eigenvalue, and one
+        ``_dense_vector`` per vector, each column the same at every k."""
         op = laplacian(path_string(StringSpec(30, overrides=((11, -0.5),))), "signed")
+        full = dense_spectrum(op)
         dense = count_dense_eigensolves(monkeypatch)
-        problem = signedcut.eigen.DenseEigenproblem(op)
         calls = []
-        vector = problem._vector
-        monkeypatch.setattr(problem, "_vector", lambda i: calls.append(i) or vector(i))
-        one, two, three = problem.spectrum(1), problem.spectrum(2), problem.spectrum(3)
-        assert calls == [0, 1, 2]
-        assert np.array_equal(one.eigenvectors, two.eigenvectors[:, :1])
-        assert np.array_equal(two.eigenvectors, three.eigenvectors[:, :2])
-        assert problem.spectrum(2).eigenvectors.shape == (30, 2) and calls == [0, 1, 2]
-        assert one.eigenvalues is problem.eigenvalues and dense == [("eigvalsh", (30, 30))]
+        vector = signedcut.eigen._dense_vector
+        monkeypatch.setattr(signedcut.eigen, "_dense_vector",
+                            lambda *args: calls.append(args[4]) or vector(*args))
+        spectra = []
+        for k in (0, 1, 2, 3):
+            spectra.append(dense_spectrum(op, k=k))
+            assert dense == [("eigvalsh", (30, 30))] and calls == list(range(k))
+            dense.clear()
+            calls.clear()
+        for k, s in enumerate(spectra):
+            assert s.eigenvectors.shape == (30, k)
+            assert np.abs(s.eigenvalues - full.eigenvalues).max() <= 1e-12 * op.norm_inf
+            assert np.array_equal(s.eigenvalues, spectra[0].eigenvalues)
+            assert np.abs(s.eigenvectors - spectra[-1].eigenvectors[:, :k]).max(initial=0.0) <= 1e-12
 
     def test_a_collapsed_column_raises(self, monkeypatch):
         """A solve whose result lies in the span of the columns before it is an error, not a NaN."""
         op = laplacian(path_string(StringSpec(10)), "standard")
-        problem = signedcut.eigen.DenseEigenproblem(op)
-        first = problem.spectrum(1).eigenvectors[:, 0]
-        monkeypatch.setattr(problem, "_shifted_solve", lambda lam, b: first / np.abs(first).max())
+        first = dense_spectrum(op, k=1).eigenvectors[:, 0]
+        monkeypatch.setattr(signedcut.eigen, "_shifted_solve", lambda M, lam, b, unit: first / np.abs(first).max())
         with pytest.raises(BasisDegenerateError, match="collapsed onto the 1 before it"):
-            problem.spectrum(2)
+            dense_spectrum(op, k=2)
 
 
 class TestLobpcg:

@@ -9,12 +9,14 @@ from hypothesis import strategies as st
 from signedcut import (
     CLUSTERED_GAP_FRACTION,
     BasisDegenerateError,
-    DenseEigenproblem,
     DegenerateVectorError,
     EmptySideError,
     FiedlerResult,
+    InsufficientSpectrumError,
+    InvalidSideError,
     LaplacianKind,
     MultiComponentError,
+    SignedCutError,
     SolverConfig,
     SolverFailedError,
     Spectrum,
@@ -174,7 +176,7 @@ class TestFiedler:
         # one iteration: the loop tests the start block's residual, then
         # updates the block; the message quotes the updated block's final
         # explicit residual, not the loop's last tested one
-        solve, finals = signedcut.partition.lobpcg_smallest, []
+        solve, finals = signedcut.eigen.lobpcg_smallest, []
         check, tested = signedcut.eigen._residual_check, []
 
         def recording(*args, **kwargs):
@@ -187,7 +189,7 @@ class TestFiedler:
             tested.append(norms[0])
             return norms, converged
 
-        monkeypatch.setattr(signedcut.partition, "lobpcg_smallest", recording)
+        monkeypatch.setattr(signedcut.eigen, "lobpcg_smallest", recording)
         monkeypatch.setattr(signedcut.eigen, "_residual_check", recording_check)
         g = path_string(StringSpec(60, overrides=((29, -0.05),)))
         with pytest.raises(SolverFailedError) as failed:
@@ -283,13 +285,13 @@ class TestIterativeRoute:
         # near-constant, and the first solve stops once it converges
         g = near_constant_ring(n)
         wanted = []
-        solve = signedcut.partition.lobpcg_smallest
+        solve = signedcut.eigen.lobpcg_smallest
 
         def recording(op, k, *args, **kwargs):
             wanted.append(k)
             return solve(op, k, *args, **kwargs)
 
-        monkeypatch.setattr(signedcut.partition, "lobpcg_smallest", recording)
+        monkeypatch.setattr(signedcut.eigen, "lobpcg_smallest", recording)
         f = fiedler(g, "signed", solver=self.CFG)
         dense = fiedler(g, "signed")
         assert f.skipped_constant and dense.skipped_constant
@@ -530,6 +532,24 @@ class TestCutMetrics:
     def test_size_mismatch(self):
         with pytest.raises(EmptySideError):
             cut_metrics(cobra(), np.array([0, 1], dtype=np.int8))
+
+    @pytest.mark.parametrize("side, message", [
+        ([0, 1, 2, 1], "vertex 2 (0-based) has side 2; sides are 0 and 1"),
+        ([0, 0, 1, 1.5], "vertex 3 (0-based) has side 1.5; sides are 0 and 1"),
+        ([-1, 0, 1, 1], "vertex 0 (0-based) has side -1; sides are 0 and 1"),
+        ([0, 1, float("nan"), 1], "vertex 2 (0-based) has side nan; sides are 0 and 1"),
+    ], ids=["three-way", "fraction", "negative", "nan"])
+    def test_other_labels_raise(self, side, message):
+        with pytest.raises(InvalidSideError) as raised:
+            cut_metrics(path_string(StringSpec(4)), np.array(side))
+        assert str(raised.value) == message
+        assert isinstance(raised.value, SignedCutError) and isinstance(raised.value, ValueError)
+
+    def test_float_and_bool_zero_one_labels_are_sides(self):
+        g = path_string(StringSpec(4))
+        want = cut_metrics(g, np.array([0, 0, 1, 1]))
+        assert cut_metrics(g, np.array([0.0, 0.0, 1.0, 1.0])) == want
+        assert cut_metrics(g, np.array([False, False, True, True])) == want
 
     def test_identities_on_random_graphs(self):
         rng = np.random.default_rng(32)
@@ -902,7 +922,7 @@ class TestDenseRoute:
             raise np.linalg.LinAlgError("Singular matrix")
 
         g = cobra()
-        lam = float(DenseEigenproblem(laplacian(g, kind), kind.deflates_ones).eigenvalues[0])
+        lam = float(dense_spectrum(laplacian(g, kind), kind.deflates_ones, k=0).eigenvalues[0])
         monkeypatch.setattr(signedcut.eigen.np.linalg, "solve", singular)
         with pytest.raises(SolverFailedError) as failed:
             fiedler(g, kind)
@@ -924,6 +944,17 @@ class TestDenseRoute:
         with pytest.raises(DegenerateVectorError):
             bisect(f)
         assert bisect(f, zero_policy="negative-side").tolist() == [1, 0, 0, 0, 0, 0]
+
+    @pytest.mark.parametrize("k, message", [(1, "spectrum too small after skipping the constant vector"),
+                                            (0, "spectrum holds no eigenvector")])
+    def test_too_few_vectors_raise(self, k, message):
+        """The guard counts vectors, not eigenvalues: every eigenvalue with k vectors is
+        too small once the constant column 0 is skipped."""
+        s = dense_spectrum(laplacian(near_constant_ring(30), "signed"), k=k)
+        assert s.k == 30 and s.eigenvectors.shape == (30, k)
+        with pytest.raises(InsufficientSpectrumError) as raised:
+            select_fiedler(s, "signed")
+        assert str(raised.value) == message
 
     @pytest.mark.parametrize("n", [10, 30, 200])
     def test_near_constant_ring_skips_to_column_1(self, n):

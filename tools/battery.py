@@ -8,7 +8,9 @@ and ``bench/`` and writes into neither.  Each op runs in process through
 benchmark workloads (``bench/workloads.py``'s ``WORKLOADS``) for each seed,
 then ``partition`` with both kinds and both solvers, and ``compare``, on
 the all-negative K3-K6, K4, a unit 10-path and a 30-vertex unit ring with
-one -1e-8 edge.  An op's digest is the sha256 of its exit code, its stdout,
+one -1e-8 edge, and on the path and the ring ``spectrum`` with both kinds,
+both solvers, ``--k`` 2 and 7 (7 is past the shifted solves, so the dense
+route takes ``eigh``), with and without ``--deflate-ones``.  An op's digest is the sha256 of its exit code, its stdout,
 and the relative path and bytes of each file it wrote.  ``--out`` writes
 the manifest ``{op: digest}`` as JSON; ``--against`` lists the ops whose
 digest differs from (or is missing in) another checkout's manifest, and
@@ -57,6 +59,11 @@ def _extra_ops(sc, work: str) -> list[tuple[str, list[str]]]:
             ops.append((f"extra/partition/{solver}/{kind}:{stem}",
                         ["partition", path, "--laplacian", kind, "--solver", solver]))
         ops.append((f"extra/compare:{stem}", ["compare", path]))
+        if stem in ("path-10", "ring-30"):
+            for kind, solver, k, deflate in itertools.product(
+                    ("standard", "signed"), ("dense", "lobpcg"), ("2", "7"), ((), ("--deflate-ones",))):
+                ops.append((f"extra/spectrum/{solver}/{kind}/k{k}{''.join(deflate)}:{stem}",
+                            ["spectrum", path, "--laplacian", kind, "--solver", solver, "--k", k, *deflate]))
     return ops
 
 
